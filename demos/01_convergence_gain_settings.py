@@ -30,7 +30,7 @@ import sys
 
 import numpy as np
 
-from netlms import get_preset, run_trajectory, substream, with_overrides
+from netlms import get_preset, run_trajectories, with_overrides
 
 SETTINGS = ("setting-i", "setting-ii", "setting-iii", "setting-iv")
 SEEDS = 3
@@ -40,11 +40,8 @@ CHECKPOINTS = (100, 1_000, 5_000, 20_000)
 
 def mean_v_trajectory(name):
     cfg = with_overrides(get_preset(name), horizon=HORIZON)
-    acc = np.zeros(HORIZON + 1)
-    for r in range(SEEDS):
-        rec = run_trajectory(cfg, substream(cfg.seed, r), check_bounds=False)
-        acc += rec.v
-    return acc / SEEDS
+    records = run_trajectories(cfg, range(SEEDS), check_bounds=False)
+    return np.mean([rec.v for rec in records], axis=0)
 
 
 def main(argv=None):

@@ -11,7 +11,7 @@ Run:  python3 demos/02_regularization_effect.py
 
 import numpy as np
 
-from netlms import get_preset, run_trajectory, substream, with_overrides
+from netlms import get_preset, run_trajectories, run_trajectory, substream, with_overrides
 
 PAIRS = (("setting-i", "setting-v"), ("setting-iii", "setting-vi"))
 SEEDS = 20
@@ -20,11 +20,8 @@ HORIZON = 10_000
 
 def final_norms(name):
     cfg = with_overrides(get_preset(name), horizon=HORIZON)
-    out = np.empty(SEEDS)
-    for r in range(SEEDS):
-        rec = run_trajectory(cfg, substream(cfg.seed, r), check_bounds=False)
-        out[r] = rec.est_norms[-1].mean()  # node-averaged |x_i(T)|
-    return out
+    records = run_trajectories(cfg, range(SEEDS), check_bounds=False)
+    return np.array([rec.est_norms[-1].mean() for rec in records])  # node-averaged |x_i(T)|
 
 
 def main():

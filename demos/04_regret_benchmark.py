@@ -17,8 +17,7 @@ from netlms import (
     mar,
     oracle_parameter,
     regret_series,
-    run_trajectory,
-    substream,
+    run_trajectories,
     with_overrides,
 )
 
@@ -28,8 +27,7 @@ HORIZON = 20_000
 
 def main():
     cfg = with_overrides(get_preset("regret"), runs=RUNS, horizon=HORIZON)
-    records = [run_trajectory(cfg, substream(cfg.seed, r), check_bounds=False)
-               for r in range(RUNS)]
+    records = run_trajectories(cfg, range(RUNS), check_bounds=False)
     oracle = oracle_parameter(cfg.regression.to_process(cfg.nodes, cfg.dim),
                               np.asarray(cfg.x0, dtype=float), cfg.horizon)
     series = regret_series(records, tau=cfg.gains.a_exp, oracle=oracle)

@@ -45,6 +45,7 @@ from .estimator import (
     TrajectoryRecord,
     compact_step,
     node_step,
+    run_trajectories,
     run_trajectory,
     substream,
     validate_gains,
@@ -111,7 +112,7 @@ __all__ = [
     "verify_A1_A2_bounds",
     # estimator
     "GainSchedule", "validate_gains", "node_step", "compact_step",
-    "run_trajectory", "substream", "TrajectoryRecord",
+    "run_trajectory", "run_trajectories", "substream", "TrajectoryRecord",
     # analyzers
     "ExcitationReport", "info_matrix", "lambda_min_window",
     "check_definition1", "check_definition2", "lemma_lower_bound_check",

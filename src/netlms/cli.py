@@ -20,6 +20,7 @@ import json
 import os
 import sys
 
+from .artifacts import audit_windows, excitation_payload, write_json
 from .config import (
     PRESET_SUMMARIES,
     get_preset,
@@ -31,7 +32,7 @@ from .config import (
 from .errors import NetlmsError
 from .estimator import GainSchedule, validate_gains
 from .excitation import pe_diagnostic
-from .experiment import _AUDIT_WINDOW_CAP, _jsonable, _write_json, run_experiment
+from .experiment import run_experiment
 
 __all__ = ["main", "build_parser"]
 
@@ -100,15 +101,13 @@ def _cmd_run(args) -> int:
 def _cmd_audit(args) -> int:
     cfg = _resolve_config(args.config)
     cfg = with_overrides(cfg, horizon=args.horizon)
-    total = max(1, (cfg.horizon + 1) // max(1, cfg.excitation.window))
-    report = pe_diagnostic(cfg, windows=min(total, _AUDIT_WINDOW_CAP))
-    payload = {"schema": 1, "report": _jsonable(report)}
+    payload = excitation_payload(pe_diagnostic(cfg, windows=audit_windows(cfg)))
     if args.out is None:
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, "excitation.json")
-        _write_json(path, payload)
+        write_json(path, payload)
         print(f"wrote {path}")
     return 0
 

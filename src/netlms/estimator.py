@@ -12,22 +12,32 @@ and a vanishing ridge-style shrinkage pulling the estimate toward zero:
 equivalent stacked recursion built from the graph Laplacian, the
 block-diagonal observation matrix and the stacked noise factors.  The two
 must agree to machine precision on identical draws — that equivalence is
-the main structural test of the package.
+the main structural test of the package, and both serve as oracles for
+:func:`simulate`, the kernel every simulation goes through: it advances a
+batch of runs together, draws each exogenous source in blocks of steps
+and folds the recorded statistics once per block.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import ExperimentConfig
 from .errors import InvalidInputError
-from .graphs import GraphSample, sample_graph
-from .linalg import kron
-from .noise import BoundCheckReport, build_WM
-from .regression import RegressionSample, sample_regression
+from .graphs import GraphProcess, GraphSample, graph_block
+from .linalg import kron, ordered_sum
+from .noise import (
+    BoundCheckReport,
+    BoundTally,
+    ChannelNoise,
+    MeasurementNoise,
+    NoiseIntensity,
+    build_WM,
+    norm_bound_sides,
+)
+from .regression import RegressionProcess, RegressionSample, regression_block
 
 __all__ = [
     "GainSchedule",
@@ -37,7 +47,13 @@ __all__ = [
     "validate_gains",
     "node_step",
     "compact_step",
+    "SimulationModel",
+    "ChunkStats",
+    "SOURCES",
+    "source_streams",
+    "simulate",
     "run_trajectory",
+    "run_trajectories",
     "substream",
 ]
 
@@ -74,6 +90,19 @@ class GainSchedule:
 
     def at(self, k: int) -> tuple[float, float, float]:
         return self.a(k), self.b(k), self.lam(k)
+
+    def table(self, steps) -> np.ndarray:
+        """``(len(steps), 3)`` array of ``a, b, lam`` at ``steps``, from one
+        elementwise power per gain (which may differ from :meth:`at` by an
+        ulp, but not with the other steps in the table)."""
+        k1 = np.asarray(steps, dtype=float) + 1.0
+        return np.column_stack(
+            [
+                self.a_coef * k1**-self.a_exp,
+                self.b_coef * k1**-self.b_exp,
+                self.lam_coef * k1**-self.lam_exp,
+            ]
+        )
 
     @classmethod
     def from_config(cls, cfg: ExperimentConfig) -> "GainSchedule":
@@ -257,7 +286,8 @@ class TrajectoryRecord:
     and ``excess_losses[k, i]`` the per-step quantity
     ``0.5 sum_j |H_j(k) (x_i(k) - x0)|^2`` whose cumulative sums estimate
     regret.  ``cum_losses`` accumulates the raw losses
-    ``0.5 sum_j |H_j(k) x_i(k) - y_j(k)|^2``.
+    ``0.5 sum_j |H_j(k) x_i(k) - y_j(k)|^2``.  Records simulated together
+    may share (read-only) storage for ``steps`` and ``gains_used``.
     """
 
     seed: int
@@ -274,46 +304,309 @@ class TrajectoryRecord:
     bound_report: BoundCheckReport | None = None
 
 
-def _sym_eigmax(g: np.ndarray) -> np.ndarray | float:
-    """Largest eigenvalue of symmetric matrices, batched over leading axes.
-
-    Closed forms up to 3x3 (trigonometric solution of the characteristic
-    cubic), LAPACK beyond.  The bound checks of :func:`run_trajectory`
-    evaluate this once per recorded step over the whole stacked history,
-    where per-step eigendecompositions would dominate the run time.
-    """
-    m = g.shape[-1]
-    if m == 1:
-        return np.asarray(g)[..., 0, 0] + 0.0
-    if m == 2:
-        a, b, c = g[..., 0, 0], g[..., 1, 1], g[..., 0, 1]
-        return 0.5 * (a + b) + np.hypot(0.5 * (a - b), c)
-    if m == 3:
-        a, b, c = g[..., 0, 0], g[..., 1, 1], g[..., 2, 2]
-        d, e, f = g[..., 0, 1], g[..., 0, 2], g[..., 1, 2]
-        q = (a + b + c) / 3.0
-        p = np.sqrt(
-            ((a - q) ** 2 + (b - q) ** 2 + (c - q) ** 2 + 2.0 * (d * d + e * e + f * f)) / 6.0
-        )
-        safe = np.where(p > 0.0, p, 1.0)
-        aa, bb, cc = (a - q) / safe, (b - q) / safe, (c - q) / safe
-        dd, ee, ff = d / safe, e / safe, f / safe
-        half_det = 0.5 * (
-            aa * (bb * cc - ff * ff) - dd * (dd * cc - ff * ee) + ee * (dd * ff - bb * ee)
-        )
-        phi = np.arccos(np.clip(half_det, -1.0, 1.0)) / 3.0
-        # p == 0 means the matrix is q I, whose only eigenvalue is q
-        return np.where(p > 0.0, q + 2.0 * p * np.cos(phi), q)
-    return np.linalg.eigvalsh(g)[..., -1]
-
-
 def substream(master_seed: int, index: int) -> np.random.Generator:
     """Independent per-run generator: stream ``index`` under one master seed.
 
     Uses ``SeedSequence(master, spawn_key=(index,))``, so adding runs
-    never perturbs earlier ones.
+    never perturbs earlier ones.  Simulations do not draw from the
+    generator itself: they spawn one substream per source from its seed
+    sequence (see :func:`source_streams`).
     """
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(index,)))
+
+
+# Exogenous random sources of a run, in spawn-key order.
+SOURCES = ("graph", "regression", "measurement", "channel")
+
+
+def _seed_sequence(seed) -> np.random.SeedSequence:
+    if isinstance(seed, np.random.Generator):
+        seed = seed.bit_generator.seed_seq
+        if not isinstance(seed, np.random.SeedSequence):
+            raise InvalidInputError("the generator was not created from a SeedSequence")
+    if isinstance(seed, np.random.SeedSequence):
+        return seed
+    return np.random.SeedSequence(seed)
+
+
+def source_streams(seed) -> tuple[np.random.Generator, ...]:
+    """One generator per entry of :data:`SOURCES` for the run seeded by
+    ``seed`` (an int, a ``SeedSequence`` or a ``Generator``, whose own
+    seed sequence is used).
+
+    Source ``s`` of a run with seed sequence ``SeedSequence(e,
+    spawn_key=key)`` draws from ``SeedSequence(e, spawn_key=(*key, s))``;
+    for run ``r`` of a batch under master seed ``m`` that is
+    ``SeedSequence(m, spawn_key=(r, s))``.
+    """
+    ss = _seed_sequence(seed)
+    return tuple(
+        np.random.default_rng(
+            np.random.SeedSequence(ss.entropy, spawn_key=(*ss.spawn_key, s), pool_size=ss.pool_size)
+        )
+        for s in range(len(SOURCES))
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class SimulationModel:
+    """Everything the simulation kernel reads: the graph and regression
+    processes, the noise laws, the gains and the initial conditions."""
+
+    graph: GraphProcess
+    regression: RegressionProcess
+    measurement: MeasurementNoise
+    channel: ChannelNoise
+    intensity: NoiseIntensity
+    gains: GainSchedule
+    x0: np.ndarray
+    init: np.ndarray
+    ar_init: np.ndarray | None = None
+
+    @classmethod
+    def from_config(cls, config: ExperimentConfig) -> "SimulationModel":
+        rp = config.regression.to_process(config.nodes, config.dim)
+        ar_init = None
+        if rp.kind == "ar-driven":
+            ar_init = (
+                np.zeros((config.nodes, config.dim))
+                if config.regression.ar_init is None
+                else np.asarray(config.regression.ar_init, dtype=float)
+            )
+        return cls(
+            graph=config.graph.to_process(),
+            regression=rp,
+            measurement=config.noise.measurement(),
+            channel=config.noise.channel(),
+            intensity=config.noise.intensity(),
+            gains=GainSchedule.from_config(config),
+            x0=np.asarray(config.x0, dtype=float),
+            init=np.asarray(config.init, dtype=float),
+            ar_init=ar_init,
+        )
+
+
+@dataclass(frozen=True)
+class ChunkStats:
+    """Statistics of rows ``start .. start + K - 1`` of every run of a
+    batch.  ``v`` is ``(K, R)``; the other arrays are ``(K, N, R)``:
+    error and estimate norms per node, cumulative raw losses, per-step
+    excess losses and their cumulative sums (see :class:`TrajectoryRecord`)."""
+
+    start: int
+    v: np.ndarray
+    err_norms: np.ndarray
+    est_norms: np.ndarray
+    cum_losses: np.ndarray
+    excess_losses: np.ndarray
+    cum_excess: np.ndarray
+
+
+# Steps per chunk: enough to amortize the per-run draws, few enough that
+# a chunk's arrays hold about this many floats (512 KB) for small batches.
+_CHUNK_FLOATS = 1 << 16
+
+
+def _default_chunk(runs: int, nodes: int, dim: int, rows: int) -> int:
+    per_step = dim * dim * nodes + nodes * nodes * (2 * dim + 1) + rows * (dim + nodes + 2)
+    return max(16, min(1024, _CHUNK_FLOATS // (runs * per_step)))
+
+
+def simulate(
+    model: SimulationModel,
+    seeds,
+    horizon: int,
+    on_chunk,
+    check_bounds: bool = True,
+    chunk: int | None = None,
+) -> tuple[np.ndarray, list[BoundCheckReport] | None]:
+    """Advance ``R = len(seeds)`` runs together for ``horizon`` updates.
+
+    Each run draws its graph, regressors, measurement noise and channel
+    noise from its own per-source substreams (:func:`source_streams`), in
+    blocks of ``chunk`` steps.  Every draw is exogenous: only the link
+    intensity ``f(x)`` depends on the estimates, and it scales pre-drawn
+    channel noise.  So each chunk precomputes, for all its steps, the
+    pieces of the stacked recursion
+
+        x_i+ = ((1 - lam) I - a H_i^T H_i) x_i - b (L x)_i + a H_i^T y_i
+               + b sum_j a_ij (bias + sigma |x_j - x_i|) xi_ij,
+
+    and the loop over steps evaluates only what involves the state.  The
+    values of a run depend neither on ``chunk`` nor on the other runs of
+    the batch.
+
+    ``on_chunk`` receives one :class:`ChunkStats` per chunk, in step
+    order; rows ``0..horizon`` are covered, row ``horizon`` without an
+    update.  Returns the final states ``(R, N, n)`` and, with
+    ``check_bounds``, one :class:`BoundCheckReport` per run.
+    """
+    if horizon < 0:
+        raise InvalidInputError("horizon must be nonnegative")
+    streams = [source_streams(s) for s in seeds]
+    runs = len(streams)
+    if runs == 0:
+        raise InvalidInputError("need at least one run")
+    gp, rp, x0 = model.graph, model.regression, model.x0
+    n_nodes, dim = model.init.shape
+    rows = rp.total_rows
+    node_rows = [range(lo, hi) for lo, hi in zip(rp.offsets[:-1], rp.offsets[1:])]
+    chunk = _default_chunk(runs, n_nodes, dim, rows) if chunk is None else int(chunk)
+    if chunk < 1:
+        raise InvalidInputError("chunk must be positive")
+    sigma, bias = model.intensity.sigma, model.intensity.bias
+    # the state-dependent part of the link noise vanishes without sigma
+    link_noise = sigma > 0.0 and model.channel.kind != "zero"
+    node_diag, comp_diag = np.arange(n_nodes), np.arange(dim)
+
+    # Runs sit on the last axis of every array and states are stored
+    # component-major: x[q, i, r] is component q of node i in run r.
+    # Every sum runs in index order, either through ordered_sum or as a
+    # numpy reduction over a leading axis of a C-ordered array (which
+    # numpy adds up in order), so a run rounds the same way alone, in any
+    # batch and with any chunk size.
+    x = np.repeat(model.init.T[:, :, None], runs, axis=2)
+    graph_rngs, regression_rngs, noise_rngs, channel_rngs = zip(*streams)
+    graph_state = None
+    ar_hist = None if model.ar_init is None else np.repeat(model.ar_init[:, :, None], runs, axis=2)
+    tally = BoundTally(runs) if check_bounds else None
+    carry_loss = np.zeros((n_nodes, runs))
+    carry_excess = np.zeros((n_nodes, runs))
+    add = np.add.reduce
+    for start in range(0, horizon + 1, chunk):
+        count = min(chunk, horizon + 1 - start)
+        updates = min(count, horizon - start)
+
+        adj, graph_state = graph_block(gp, start, count, graph_rngs, graph_state)
+        noise = np.stack([model.measurement.sample(g, (count, rows)) for g in noise_rngs], axis=-1)
+        h, y_clean, y, ar_hist = regression_block(rp, x0, count, regression_rngs, noise, ar_hist)
+        # channel noise indexed (step, sender j, component, receiver i, run)
+        shape = (count, n_nodes, n_nodes, dim)
+        xi = np.stack(
+            [model.channel.sample(g, shape).transpose(0, 2, 3, 1) for g in channel_rngs], axis=-1
+        )
+
+        if updates > 0:
+            gains = model.gains.table(range(start, start + updates))
+            a, b, lam = (g[:, None, None, None] for g in gains.T)
+            hu, au = h[:updates], adj[:updates]
+            # own[k, q, q', i] = entry (q', q) of (1 - lam) I - a H_i^T H_i;
+            # H_i^T H_i is exactly symmetric, so the transpose is free
+            own = np.empty((updates, dim, dim, n_nodes, runs))
+            hty = np.empty((updates, dim, n_nodes, runs))
+            for i, span in enumerate(node_rows):
+                # row by row, in order: the Gram's outer products stay small
+                own[:, :, :, i] = hu[:, span[0], :, None] * hu[:, span[0], None, :]
+                for row in span[1:]:
+                    own[:, :, :, i] += hu[:, row, :, None] * hu[:, row, None, :]
+                hty[:, :, i] = ordered_sum(hu[:, span] * y[:updates, span, None], 1)
+            own *= -a[..., None]
+            own[:, comp_diag, comp_diag] += 1.0 - lam
+            # b L^T, indexed (step, k, i): the weight of x_k in (b L x)_i
+            lap_t = np.negative(au.transpose(0, 2, 1, 3), order="C")
+            lap_t[:, node_diag, node_diag] = ordered_sum(au, 2)
+            lap_t *= b
+            # link noise sum_j a_ij f_ij xi_ij: its bias part is exogenous
+            axi = xi[:updates]
+            axi *= au.transpose(0, 2, 1, 3)[:, :, None]
+            const = a * hty + (b * bias) * ordered_sum(axi, 1)
+            axi *= b[..., None] * sigma
+
+        # row j holds the state entering step start + j; one spare row
+        states = np.empty((count + 1, dim, n_nodes, runs))
+        states[0] = x
+        for j in range(updates):
+            x, nxt = states[j], states[j + 1]
+            add(own[j] * x[:, None], 0, out=nxt)
+            nxt -= add(lap_t[j] * x[:, :, None], 1)
+            nxt += const[j]
+            if link_noise:
+                d = x[:, :, None] - x[:, None]  # x_j - x_i at [q, j, i]
+                dist = np.sqrt(add(d * d, 0))
+                nxt += add(dist[:, None] * axi[j], 0)
+        x = states[updates].copy()
+        states = states[:count]
+
+        err = states - x0[:, None, None]
+        per_err = ordered_sum(err * err, 1)
+        v = ordered_sum(per_err, 1)
+        # hx[k, i, row] = H_row x_i
+        hx = states[:, 0, :, None] * h[:, None, :, 0]
+        for q in range(1, dim):
+            hx += states[:, q, :, None] * h[:, None, :, q]
+        resid = y[:, None] - hx
+        losses = 0.5 * ordered_sum(resid * resid, 2)
+        hx -= y_clean[:, None]
+        excess = 0.5 * ordered_sum(hx * hx, 2)
+        # carrying into the first row keeps the running sums sequential,
+        # hence independent of the chunk size
+        losses[0] += carry_loss
+        cum_losses = np.cumsum(losses, axis=0)
+        cum_excess = excess.copy()
+        cum_excess[0] += carry_excess
+        cum_excess = np.cumsum(cum_excess, axis=0)
+        carry_loss, carry_excess = cum_losses[-1], cum_excess[-1]
+        if tally is not None:
+            w_lhs, w_rhs, m_lhs, m_rhs = norm_bound_sides(
+                adj.transpose(0, 3, 1, 2), states.transpose(0, 3, 2, 1), model.intensity, v
+            )
+            tally.add(w_rhs - w_lhs, m_rhs - m_lhs, v)
+        on_chunk(
+            ChunkStats(
+                start=start,
+                v=v,
+                err_norms=np.sqrt(per_err),
+                est_norms=np.sqrt(ordered_sum(states * states, 1)),
+                cum_losses=cum_losses,
+                excess_losses=excess,
+                cum_excess=cum_excess,
+            )
+        )
+    return np.ascontiguousarray(x.transpose(2, 1, 0)), None if tally is None else tally.reports()
+
+
+def _records(config, seeds, horizon, check_bounds, label) -> list[TrajectoryRecord]:
+    horizon = config.horizon if horizon is None else int(horizon)
+    if horizon < 0:
+        raise InvalidInputError("horizon must be nonnegative")
+    model = SimulationModel.from_config(config)
+    rows, runs, n_nodes = horizon + 1, len(seeds), config.nodes
+    v = np.empty((runs, rows))
+    err_norms, est_norms, cum_losses, excess = (np.empty((runs, rows, n_nodes)) for _ in range(4))
+
+    def fold(stats: ChunkStats) -> None:
+        span = slice(stats.start, stats.start + stats.v.shape[0])
+        v[:, span] = stats.v.T
+        for dst, src in (
+            (err_norms, stats.err_norms),
+            (est_norms, stats.est_norms),
+            (cum_losses, stats.cum_losses),
+            (excess, stats.excess_losses),
+        ):
+            dst[:, span] = src.transpose(2, 0, 1)
+
+    x_final, reports = simulate(model, seeds, horizon, fold, check_bounds)
+    steps = np.arange(rows)
+    gains_used = model.gains.table(steps)
+    for shared in (steps, gains_used):
+        shared.flags.writeable = False
+    return [
+        TrajectoryRecord(
+            seed=label,
+            horizon=horizon,
+            steps=steps,
+            v=v[r],
+            err_norms=err_norms[r],
+            est_norms=est_norms[r],
+            gains_used=gains_used,
+            cum_losses=cum_losses[r],
+            excess_losses=excess[r],
+            x_final=x_final[r],
+            x0=model.x0,
+            bound_report=None if reports is None else reports[r],
+        )
+        for r in range(runs)
+    ]
 
 
 def run_trajectory(
@@ -322,122 +615,30 @@ def run_trajectory(
     horizon: int | None = None,
     check_bounds: bool = True,
 ) -> TrajectoryRecord:
-    """Simulate one run: draw graph, observations and channel noise each
-    step, record, then apply :func:`node_step`.
+    """Simulate one run: the batch kernel :func:`simulate` with ``R = 1``.
 
-    ``seed`` may be an int or a ``SeedSequence``/``Generator``-compatible
-    seed.  With ``check_bounds`` the stacked-factor norm bounds are
-    verified (exactly, no tolerance) at every step from the closed forms.
-    Horizon ``T`` records rows ``0..T`` and applies ``T`` updates; the
-    draws at row ``T`` complete that row's losses.
+    ``seed`` may be an int, a ``SeedSequence`` or a ``Generator``; a
+    generator contributes only its seed sequence, so
+    ``run_trajectory(config, substream(config.seed, r))`` equals run ``r``
+    of :func:`run_trajectories` and of ``run_experiment``.  With
+    ``check_bounds`` the stacked-factor norm bounds are verified (exactly,
+    no tolerance) at every step from the closed forms.  Horizon ``T``
+    records rows ``0..T`` and applies ``T`` updates; the draws at row
+    ``T`` complete that row's losses.
     """
-    horizon = config.horizon if horizon is None else int(horizon)
-    if horizon < 0:
-        raise InvalidInputError("horizon must be nonnegative")
-    gp = config.graph.to_process()
-    rp = config.regression.to_process(config.nodes, config.dim)
-    meas = config.noise.measurement()
-    chan = config.noise.channel()
-    inten = config.noise.intensity()
-    gains = GainSchedule.from_config(config)
-    x0 = np.asarray(config.x0, dtype=float)
-    x = np.asarray(config.init, dtype=float)
-    n_nodes, dim = x.shape
+    label = int(seed) if isinstance(seed, (int, np.integer)) else -1
+    return _records(config, [_seed_sequence(seed)], horizon, check_bounds, label)[0]
 
-    ar_hist = None
-    if rp.kind == "ar-driven":
-        ar_hist = (
-            np.zeros((n_nodes, dim))
-            if config.regression.ar_init is None
-            else np.asarray(config.regression.ar_init, dtype=float)
-        )
 
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    seed_label = seed if isinstance(seed, (int, np.integer)) else -1
-
-    # The loop below only advances the recursion and stashes each step's
-    # raw state and draws; every recorded statistic and bound check is
-    # evaluated afterwards in stacked form, which is far cheaper than
-    # per-step reductions on tiny arrays.
-    rows = horizon + 1
-    total_rows = rp.total_rows
-    x_hist = np.empty((rows, n_nodes, dim))
-    h_hist = np.empty((rows, total_rows, dim))
-    y_hist = np.empty((rows, total_rows))
-    y_clean_hist = np.empty((rows, total_rows))
-    adj_hist = np.empty((rows, n_nodes, n_nodes)) if check_bounds else None
-    f_max = np.empty(rows) if check_bounds else None
-
-    state = EstimatorState(step=0, estimates=x, x0=x0)
-    prev_state = None
-    for k in range(rows):
-        gs = sample_graph(gp, k, rng, prev_state)
-        prev_state = gs.state
-        reg = sample_regression(rp, x0, k, meas, rng, ar_hist)
-        if ar_hist is not None:
-            ar_hist = np.concatenate([reg.y[:, None], ar_hist[:, :-1]], axis=1)
-        xi = chan.sample(rng, (n_nodes, n_nodes, dim))
-
-        x = state.estimates
-        x_hist[k] = x
-        h_hist[k] = reg.h_stacked
-        y_hist[k] = reg.y
-        y_clean_hist[k] = reg.y_clean
-        if check_bounds:
-            adj_hist[k] = gs.adjacency
-            f = inten.matrix(x)
-            f_max[k] = f.max()
-        elif k < horizon:
-            f = inten.matrix(x)
-        if k < horizon:
-            messages = x[None, :, :] + f[:, :, None] * xi
-            state = node_step(state, gs, reg, messages, gains.at(k))
-
-    steps = np.arange(rows)
-    k1 = steps + 1.0
-    gains_used = np.column_stack(
-        [
-            gains.a_coef * k1**-gains.a_exp,
-            gains.b_coef * k1**-gains.b_exp,
-            gains.lam_coef * k1**-gains.lam_exp,
-        ]
-    )
-    diff = x_hist - x0
-    per_err = np.einsum("kij,kij->ki", diff, diff)
-    v = per_err.sum(axis=1)
-    err_norms = np.sqrt(per_err)
-    est_norms = np.sqrt(np.einsum("kij,kij->ki", x_hist, x_hist))
-    hx = h_hist @ x_hist.transpose(0, 2, 1)
-    resid = y_hist[:, :, None] - hx
-    cum_losses = np.cumsum(0.5 * np.einsum("kri,kri->ki", resid, resid), axis=0)
-    hx -= y_clean_hist[:, :, None]
-    excess = 0.5 * np.einsum("kri,kri->ki", hx, hx)
-
-    report = None
-    if check_bounds:
-        w_lhs = np.sqrt(np.einsum("kij,kij->ki", adj_hist, adj_hist).max(axis=1))
-        grams = adj_hist @ adj_hist.transpose(0, 2, 1)
-        a_norms = np.sqrt(np.maximum(_sym_eigmax(grams), 0.0))
-        w_margins = math.sqrt(n_nodes) * a_norms - w_lhs
-        m_margins = (4.0 * inten.sigma**2 * v + 2.0 * inten.bias**2) - f_max**2
-        report = BoundCheckReport(
-            steps_checked=rows,
-            w_violations=int((w_margins < 0.0).sum()),
-            m_violations=int((m_margins < 0.0).sum()),
-            min_w_margin=float(w_margins.min()),
-            min_m_margin=float(m_margins.min()),
-        )
-    return TrajectoryRecord(
-        seed=int(seed_label),
-        horizon=horizon,
-        steps=steps,
-        v=v,
-        err_norms=err_norms,
-        est_norms=est_norms,
-        gains_used=gains_used,
-        cum_losses=cum_losses,
-        excess_losses=excess,
-        x_final=state.estimates.copy(),
-        x0=x0,
-        bound_report=report,
-    )
+def run_trajectories(
+    config: ExperimentConfig,
+    runs,
+    horizon: int | None = None,
+    check_bounds: bool = True,
+) -> list[TrajectoryRecord]:
+    """Simulate the runs with indices ``runs`` under ``config.seed``
+    together; record ``i`` equals ``run_trajectory(config,
+    substream(config.seed, runs[i]))`` bit for bit, whatever the batch.
+    """
+    seeds = [np.random.SeedSequence(config.seed, spawn_key=(int(r),)) for r in runs]
+    return _records(config, seeds, horizon, check_bounds, -1)

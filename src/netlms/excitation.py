@@ -196,8 +196,8 @@ def info_matrix(
     the raw excitation content of the window.
 
     For markov-switching graphs past the first window the conditional mean
-    depends on the state occupied at the cut; pass ``state_at_cut`` to pin
-    it (defaults to the unconditional mean seeded at the initial state).
+    depends on the state occupied at the cut, which ``state_at_cut`` must
+    pin; :func:`pe_diagnostic` takes the minimum over every state.
     """
     _check_window_args(window, 1)
     if window_index < 0:
@@ -458,7 +458,9 @@ def pe_diagnostic(config: ExperimentConfig, windows: int | None = None) -> Excit
     Produces the gain-weighted and gainless eigenvalue series, their
     running sum and its reciprocal, the connectivity/observability checks
     at the configured thresholds, the balanced-class membership, and the
-    per-window lower-bound audit.  Whether the cumulative sum diverges is
+    per-window lower-bound audit.  For markov-switching graphs every
+    window past the first takes the minimum over the states the chain
+    could occupy at its cut.  Whether the cumulative sum diverges is
     undecidable at any finite horizon, so the report only flags growth
     behavior: ``excited`` says the sum was still growing at the end, and
     ``sublinear_warning`` says the tail decayed faster than ``1/k`` —
@@ -478,11 +480,20 @@ def pe_diagnostic(config: ExperimentConfig, windows: int | None = None) -> Excit
     margins = np.empty(windows)
     premise_all = True
     for k in range(windows):
-        lam[k] = lambda_min_window(info_matrix(gp, rp, gains, k, h))
-        raw[k] = lambda_min_window(info_matrix(gp, rp, None, k, h))
-        piece = _lower_bound_pieces(gp, rp, h, config.excitation.rho0, k, None, raw[k])
-        margins[k] = piece.margin
-        premise_all = premise_all and piece.premise_ok
+        # markov chains could sit in any state at a cut past step 0: take
+        # the state-uniform minimum, as check_definition1 does
+        cut_states = _cut_states(gp, k * h - 1)
+        lam[k] = min(lambda_min_window(info_matrix(gp, rp, gains, k, h, s)) for s in cut_states)
+        pieces = [
+            _lower_bound_pieces(
+                gp, rp, h, config.excitation.rho0, k, s,
+                lambda_min_window(info_matrix(gp, rp, None, k, h, s)),
+            )
+            for s in cut_states
+        ]
+        raw[k] = min(piece.lhs for piece in pieces)
+        margins[k] = min(piece.margin for piece in pieces)
+        premise_all = premise_all and all(piece.premise_ok for piece in pieces)
     cumulative = np.cumsum(lam)
     with np.errstate(divide="ignore"):
         r_series = np.where(cumulative > 0.0, 1.0 / np.where(cumulative > 0, cumulative, 1.0), np.inf)

@@ -1,7 +1,8 @@
 """Batch runner producing on-disk artifacts for a configured experiment.
 
 One call simulates ``runs`` independent trajectories under per-run
-substreams of the master seed and writes, into a single output directory:
+substreams of the master seed, advancing them together (one batch per
+worker process), and writes, into a single output directory:
 
 * ``run_NNNN.csv`` (or ``.json``) — per-run trajectory table with columns
   ``step, V, err_norm_1..N, est_norm_1..N``, thinned to every
@@ -15,37 +16,31 @@ substreams of the master seed and writes, into a single output directory:
 * ``excitation.json`` — the windowed excitation diagnostic;
 * ``config.txt`` — the canonical rendering of the resolved configuration;
 * ``manifest.json`` — seed, config digest, library versions, bound-check
-  totals, and a SHA-256 digest of every other artifact.  No timestamps:
-  rerunning the same configuration on the same library versions
-  reproduces every file byte for byte.
+  totals, each run's first non-finite step, and a SHA-256 digest of
+  every other artifact.  No timestamps: rerunning the same configuration
+  on the same library versions reproduces every file byte for byte,
+  whatever the worker count.
 
-CSV cells use ``%.17g`` (exact float round-trip) and LF newlines.  JSON
-files are two-space indented with sorted keys; numbers use Python's
-shortest round-trip representation.
+The file formats are those of :mod:`netlms.artifacts`.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
-import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import SCHEMA, audit_windows, excitation_payload, sha256, write_json, write_table
 from .config import ExperimentConfig, render_config
 from .errors import InvalidInputError
-from .estimator import run_trajectory, substream
+from .estimator import ChunkStats, SimulationModel, simulate
 from .excitation import ExcitationReport, pe_diagnostic
+from .regret import fold_runs, normalized_max_regret
 
 __all__ = ["ExperimentArtifacts", "run_experiment", "default_out_dir"]
-
-_SCHEMA = 1
-# Cap on excitation windows serialized into the artifact; keeps the JSON
-# a few hundred KB even for very long horizons.
-_AUDIT_WINDOW_CAP = 2000
 
 OUT_DIR_ENV = "NETLMS_OUT"
 
@@ -75,58 +70,6 @@ def default_out_dir(config: ExperimentConfig) -> str:
     return os.path.join(base, config.name)
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def _write_table(path: str, fmt: str, columns: list[str], rows: np.ndarray) -> None:
-    if fmt == "csv":
-        lines = [",".join(columns)]
-        for row in rows:
-            lines.append(",".join(_fmt(v) for v in row))
-        data = "\n".join(lines) + "\n"
-        with open(path, "w", newline="") as fh:
-            fh.write(data)
-    else:
-        payload = {
-            "schema": _SCHEMA,
-            "columns": columns,
-            # Strict JSON: non-finite cells (the sub-2-step mar entries)
-            # become null rather than a NaN literal.
-            "rows": [[float(v) if np.isfinite(v) else None for v in row] for row in rows],
-        }
-        _write_json(path, payload)
-
-
-def _write_json(path: str, payload) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False))
-        fh.write("\n")
-
-
-def _jsonable(obj):
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.generic):
-        return obj.item()
-    if isinstance(obj, float) and not np.isfinite(obj):
-        # JSON has no Infinity/NaN literals that survive strict parsers.
-        return "nan" if obj != obj else ("inf" if obj > 0 else "-inf")
-    return obj
-
-
-def _sha256(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
 def _record_indices(rows: int, every: int) -> np.ndarray:
     idx = np.arange(0, rows, every)
     if idx[-1] != rows - 1:
@@ -134,19 +77,33 @@ def _record_indices(rows: int, every: int) -> np.ndarray:
     return idx
 
 
-def _run_one(args) -> tuple[np.ndarray, np.ndarray, tuple[int, int, int]]:
-    """Worker: simulate one run and reduce it to the artifact-sized pieces.
+def _simulate_runs(args):
+    """Worker: simulate runs ``first .. first + count - 1`` together and
+    reduce them to the artifact-sized pieces.
 
-    Returns the thinned trajectory table, the regret contribution
-    (cumulative excess losses sampled at the recorded steps), and the
-    bound-check tallies ``(steps, w_violations, m_violations)``.
+    Returns the thinned trajectory tables ``(count, steps, 2 + 2N)``, the
+    regret contributions (cumulative excess losses, summed at full
+    resolution and sampled at the recorded steps) and one bound-check
+    report per run.
     """
-    config, index, idx = args
-    rec = run_trajectory(config, substream(config.seed, index))
-    table = np.column_stack([idx.astype(float), rec.v[idx], rec.err_norms[idx], rec.est_norms[idx]])
-    regret = np.cumsum(rec.excess_losses, axis=0)[idx]
-    br = rec.bound_report
-    return table, regret, (br.steps_checked, br.w_violations, br.m_violations)
+    config, first, count, idx = args
+    n = config.nodes
+    runs = range(first, first + count)
+    seeds = [np.random.SeedSequence(config.seed, spawn_key=(r,)) for r in runs]
+    tables = np.empty((count, idx.size, 2 + 2 * n))
+    tables[:, :, 0] = idx
+    regret = np.empty((count, idx.size, n))
+
+    def fold(stats: ChunkStats) -> None:
+        lo, hi = np.searchsorted(idx, (stats.start, stats.start + stats.v.shape[0]))
+        at = idx[lo:hi] - stats.start
+        tables[:, lo:hi, 1] = stats.v[at].T
+        tables[:, lo:hi, 2 : 2 + n] = stats.err_norms[at].transpose(2, 0, 1)
+        tables[:, lo:hi, 2 + n :] = stats.est_norms[at].transpose(2, 0, 1)
+        regret[:, lo:hi] = stats.cum_excess[at].transpose(2, 0, 1)
+
+    _, reports = simulate(SimulationModel.from_config(config), seeds, config.horizon, fold)
+    return tables, regret, reports
 
 
 def run_experiment(
@@ -171,14 +128,18 @@ def run_experiment(
     out = default_out_dir(config) if out_dir is None else out_dir
     os.makedirs(out, exist_ok=True)
 
-    rows = config.horizon + 1
-    idx = _record_indices(rows, config.record_every)
-    jobs = [(config, i, idx) for i in range(config.runs)]
-    if workers == 1:
-        results = [_run_one(j) for j in jobs]
+    idx = _record_indices(config.horizon + 1, config.record_every)
+    # one batch per worker, contiguous runs; the files do not depend on the split
+    jobs = [(config, int(part[0]), part.size, idx)
+            for part in np.array_split(np.arange(config.runs), workers) if part.size]
+    if len(jobs) == 1:
+        results = [_simulate_runs(jobs[0])]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_one, jobs))
+        with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
+            results = list(pool.map(_simulate_runs, jobs))
+    tables = np.concatenate([r[0] for r in results])
+    regret = np.concatenate([r[1] for r in results])
+    reports = [br for r in results for br in r[2]]
 
     n = config.nodes
     run_cols = ["step", "V"] + [f"err_norm_{i + 1}" for i in range(n)] + [
@@ -186,33 +147,23 @@ def run_experiment(
     ]
     ext = "csv" if fmt == "csv" else "json"
     run_files = []
-    mean_v = np.zeros(idx.size)
-    mean_regret = np.zeros((idx.size, n))
-    checked = w_bad = m_bad = 0
-    for i, (table, regret, tallies) in enumerate(results):
+    for i, table in enumerate(tables):
         path = os.path.join(out, f"run_{i:04d}.{ext}")
-        _write_table(path, fmt, run_cols, table)
+        write_table(path, fmt, run_cols, table)
         run_files.append(path)
-        mean_v += (table[:, 1] - mean_v) / (i + 1)
-        mean_regret += (regret - mean_regret) / (i + 1)
-        checked += tallies[0]
-        w_bad += tallies[1]
-        m_bad += tallies[2]
+    mean_v, _ = fold_runs(tables[:, :, 1])
+    mean_regret, _ = fold_runs(regret)
 
-    tau = config.gains.a_exp
     steps = idx.astype(float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        norm = steps ** (1.0 - tau) * np.log(steps)
-        mar = np.where(idx >= 2, mean_regret.max(axis=1) / np.where(idx >= 2, norm, 1.0), np.nan)
+    mar = normalized_max_regret(mean_regret, steps, config.gains.a_exp)
     agg_cols = ["step", "mean_V"] + [f"regret_{i + 1}" for i in range(n)] + ["mar"]
     agg_rows = np.column_stack([steps, mean_v, mean_regret, mar])
     aggregate_file = os.path.join(out, f"aggregate.{ext}")
-    _write_table(aggregate_file, fmt, agg_cols, agg_rows)
+    write_table(aggregate_file, fmt, agg_cols, agg_rows)
 
-    total_windows = max(1, rows // max(1, config.excitation.window))
-    report = pe_diagnostic(config, windows=min(total_windows, _AUDIT_WINDOW_CAP))
+    report = pe_diagnostic(config, windows=audit_windows(config))
     excitation_file = os.path.join(out, "excitation.json")
-    _write_json(excitation_file, {"schema": _SCHEMA, "report": _jsonable(report)})
+    write_json(excitation_file, excitation_payload(report))
 
     config_text = render_config(config)
     config_file = os.path.join(out, "config.txt")
@@ -220,7 +171,7 @@ def run_experiment(
         fh.write(config_text)
 
     manifest = {
-        "schema": _SCHEMA,
+        "schema": SCHEMA,
         "name": config.name,
         "seed": config.seed,
         "runs": config.runs,
@@ -233,14 +184,20 @@ def run_experiment(
             "numpy": np.__version__,
             "python": ".".join(map(str, __import__("sys").version_info[:3])),
         },
-        "bound_checks": {"steps": checked, "w_violations": w_bad, "m_violations": m_bad},
+        "bound_checks": {
+            "steps": sum(br.steps_checked for br in reports),
+            "w_violations": sum(br.w_violations for br in reports),
+            "m_violations": sum(br.m_violations for br in reports),
+        },
+        # per run: the first step whose V is not finite, null if none
+        "first_nonfinite_step": [br.first_nonfinite_step for br in reports],
         "files": {
-            os.path.basename(p): _sha256(p)
+            os.path.basename(p): sha256(p)
             for p in [*run_files, aggregate_file, excitation_file, config_file]
         },
     }
     manifest_file = os.path.join(out, "manifest.json")
-    _write_json(manifest_file, manifest)
+    write_json(manifest_file, manifest)
 
     aggregate = {name: agg_rows[:, j].copy() for j, name in enumerate(agg_cols)}
     return ExperimentArtifacts(

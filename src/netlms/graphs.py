@@ -42,6 +42,7 @@ __all__ = [
     "markov_switching_graph",
     "custom_graph",
     "sample_graph",
+    "graph_block",
     "conditional_expected_adjacency",
     "conditional_expected_sym_laplacian",
     "is_conditionally_balanced",
@@ -226,17 +227,70 @@ def _laplacian_unchecked(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _draw_adjacency(process: GraphProcess, step: int, rng: np.random.Generator) -> np.ndarray:
-    n = process.nodes
+def graph_block(
+    process: GraphProcess,
+    start: int,
+    count: int,
+    rngs,
+    prev_states=None,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Draw the adjacencies of steps ``start .. start + count - 1`` for a
+    batch of runs, run ``r`` drawing from ``rngs[r]``.
+
+    Returns a ``(count, N, N, R)`` array, runs last (a read-only broadcast
+    view for the fixed kind), and for markov-switching processes the
+    states ``(R,)`` realized at the last step (``None`` for the other
+    kinds); ``prev_states`` are the states realized at ``start - 1``.
+    Each run's generator is consumed step by step in a fixed order: one
+    uniform per adjacency cell (diagonal included), one uniform per Markov
+    transition (none at step 0), or whatever the custom sampler draws.  A
+    block of ``count`` steps therefore holds exactly the values of
+    ``count`` blocks of one step, and no run's values depend on the other
+    runs, which keeps simulations independent of block size and batch.
+    """
+    if start < 0 or count < 1:
+        raise InvalidInputError("need start >= 0 and count >= 1")
+    n, runs = process.nodes, len(rngs)
     if process.kind == "fixed":
-        return process.adjacency.copy()
-    if process.kind == "alternating-uniform":
-        lo, hi = process.even_range if step % 2 == 0 else process.odd_range
-    else:
-        lo, hi = process.weight_range
-    a = rng.uniform(lo, hi, size=(n, n))
-    a.ravel()[:: n + 1] = 0.0
-    return a
+        return np.broadcast_to(process.adjacency[None, :, :, None], (count, n, n, runs)), None
+    steps = range(start, start + count)
+    if process.kind in ("alternating-uniform", "iid-uniform"):
+        a = np.stack([rng.random((count, n, n)) for rng in rngs], axis=-1)
+        if process.kind == "alternating-uniform":
+            # step parity picks the range: even steps first
+            for offset, (lo, hi) in enumerate((process.even_range, process.odd_range)):
+                cells = a[(start + offset) % 2 :: 2]
+                cells *= hi - lo
+                cells += lo
+        else:
+            lo, hi = process.weight_range
+            a *= hi - lo
+            a += lo
+        a[:, np.arange(n), np.arange(n)] = 0.0
+        return a, None
+    if process.kind == "markov-switching":
+        if start > 0 and prev_states is None:
+            raise InvalidInputError("markov-switching sampling needs prev_state for step > 0")
+        cum = np.cumsum(process.transition, axis=1)
+        last = len(process.states) - 1
+        draws = iter(np.stack([rng.random(count - (start == 0)) for rng in rngs], axis=-1))
+        index = np.empty((count, runs), dtype=np.intp)
+        state = None if prev_states is None else np.asarray(prev_states, dtype=np.intp)
+        for j, k in enumerate(steps):
+            if k == 0:
+                state = np.full(runs, process.initial_state, dtype=np.intp)
+            else:
+                # searchsorted(cum[state], u, side="right") for every run
+                state = np.minimum((cum[state] <= next(draws)[:, None]).sum(axis=1), last)
+            index[j] = state
+        adjacency = np.stack(process.states, axis=-1)[:, :, index]
+        return np.ascontiguousarray(adjacency.transpose(2, 0, 1, 3)), state
+    # custom: the user sampler, one call per step and run
+    a = np.empty((count, n, n, runs))
+    for r, rng in enumerate(rngs):
+        for j, k in enumerate(steps):
+            a[j, :, :, r] = _check_adjacency(np.array(process.sampler(k, rng), dtype=float), n)
+    return a, None
 
 
 def sample_graph(
@@ -254,23 +308,9 @@ def sample_graph(
     """
     if step < 0:
         raise InvalidInputError("step must be nonnegative")
-    state = None
-    if process.kind == "markov-switching":
-        if step == 0:
-            state = process.initial_state
-        else:
-            if prev_state is None:
-                raise InvalidInputError("markov-switching sampling needs prev_state for step > 0")
-            row = process.transition[prev_state]
-            state = int(np.searchsorted(np.cumsum(row), rng.random(), side="right"))
-            state = min(state, len(row) - 1)
-        a = process.states[state].copy()
-    elif process.kind == "custom":
-        a = np.array(process.sampler(step, rng), dtype=float)
-        a = _check_adjacency(a, process.nodes).copy()
-    else:
-        a = _draw_adjacency(process, step, rng)
-    return GraphSample(step=step, adjacency=a, state=state)
+    a, states = graph_block(process, step, 1, [rng], None if prev_state is None else [prev_state])
+    return GraphSample(step=step, adjacency=a[0, :, :, 0].copy(),
+                       state=None if states is None else int(states[0]))
 
 
 def _mean_adjacency(process: GraphProcess, step: int) -> np.ndarray:

@@ -20,6 +20,7 @@ __all__ = [
     "kron",
     "block_diag",
     "spectral_norm",
+    "sym_eigmax",
 ]
 
 from .errors import InvalidInputError
@@ -116,3 +117,52 @@ def spectral_norm(a) -> float:
     gram = m.T @ m
     top = float(sym_eigenvalues(0.5 * (gram + gram.T)).eigenvalues[-1])
     return float(np.sqrt(max(top, 0.0)))
+
+
+def sym_eigmax(g: np.ndarray) -> np.ndarray:
+    """Largest eigenvalue of symmetric matrices, batched over leading axes.
+
+    Closed forms up to 3x3 (trigonometric solution of the characteristic
+    cubic), LAPACK beyond.  The norm-bound checks evaluate this once per
+    simulated step, where per-step eigendecompositions would dominate the
+    run time.
+    """
+    m = g.shape[-1]
+    if m == 1:
+        return np.asarray(g)[..., 0, 0] + 0.0
+    if m == 2:
+        a, b, c = g[..., 0, 0], g[..., 1, 1], g[..., 0, 1]
+        return 0.5 * (a + b) + np.hypot(0.5 * (a - b), c)
+    if m == 3:
+        a, b, c = g[..., 0, 0], g[..., 1, 1], g[..., 2, 2]
+        d, e, f = g[..., 0, 1], g[..., 0, 2], g[..., 1, 2]
+        q = (a + b + c) / 3.0
+        p = np.sqrt(
+            ((a - q) ** 2 + (b - q) ** 2 + (c - q) ** 2 + 2.0 * (d * d + e * e + f * f)) / 6.0
+        )
+        safe = np.where(p > 0.0, p, 1.0)
+        aa, bb, cc = (a - q) / safe, (b - q) / safe, (c - q) / safe
+        dd, ee, ff = d / safe, e / safe, f / safe
+        half_det = 0.5 * (
+            aa * (bb * cc - ff * ff) - dd * (dd * cc - ff * ee) + ee * (dd * ff - bb * ee)
+        )
+        phi = np.arccos(np.clip(half_det, -1.0, 1.0)) / 3.0
+        # p == 0 means the matrix is q I, whose only eigenvalue is q
+        return np.where(p > 0.0, q + 2.0 * p * np.cos(phi), q)
+    return np.linalg.eigvalsh(g)[..., -1]
+
+
+def ordered_sum(a: np.ndarray, axis: int) -> np.ndarray:
+    """Sum over ``axis`` strictly in index order, ``((a0 + a1) + a2) + ...``.
+
+    numpy's own reductions pick their association from the array's shape
+    and memory layout; this one does not, so a simulated run rounds the
+    same way whatever batch or chunk it is computed in.
+    """
+    index = [slice(None)] * a.ndim
+    index[axis] = 0
+    acc = a[tuple(index)] + 0.0
+    for k in range(1, a.shape[axis]):
+        index[axis] = k
+        acc += a[tuple(index)]
+    return acc

@@ -18,13 +18,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .linalg import as_matrix, spectral_norm
+from .linalg import as_matrix, ordered_sum, spectral_norm, sym_eigmax
 
 __all__ = [
     "NoiseIntensity",
     "MeasurementNoise",
     "ChannelNoise",
     "BoundCheckReport",
+    "BoundTally",
+    "norm_bound_sides",
     "received_message",
     "received_messages",
     "build_WM",
@@ -165,7 +167,10 @@ class BoundCheckReport:
 
     The two inequalities checked at every step, with no tolerance, are
     ``||W|| <= sqrt(N) ||A||`` and ``||M||^2 <= 4 sigma^2 V + 2 bias^2``
-    (``V`` the total squared estimation error at that step).
+    (``V`` the total squared estimation error at that step).  A step
+    counts as a violation unless its margin is ``>= 0``, so a non-finite
+    margin is a violation too.  ``first_nonfinite_step`` is the first
+    step whose ``V`` is not finite (``None`` while every state is finite).
     """
 
     steps_checked: int
@@ -173,39 +178,80 @@ class BoundCheckReport:
     m_violations: int
     min_w_margin: float
     min_m_margin: float
+    first_nonfinite_step: int | None = None
 
     @property
     def holds(self) -> bool:
         return self.w_violations == 0 and self.m_violations == 0
 
 
-def norm_bound_terms(
-    adjacency: np.ndarray,
-    states: np.ndarray,
-    intensity: NoiseIntensity,
-    x0: np.ndarray,
-) -> tuple[float, float, float, float]:
-    """Closed-form sides of the two norm bounds at one step.
+def norm_bound_sides(adjacency, states, intensity: NoiseIntensity, v_total):
+    """Closed-form sides of the two norm bounds, batched over leading axes.
 
-    Returns ``(|W|, sqrt(N)|A|, |M|^2, 4 sigma^2 V + 2 bias^2)``.  For the
-    block structure built by :func:`build_WM`, ``|W|`` equals the largest
-    row 2-norm of the adjacency and ``|M|`` the largest link intensity;
-    both identities are exercised against the explicit matrices in tests.
+    ``adjacency`` is ``(..., N, N)``, ``states`` ``(..., N, n)`` and
+    ``v_total`` the matching total squared errors ``(...)``.  Returns
+    ``(|W|, sqrt(N)|A|, |M|^2, 4 sigma^2 V + 2 bias^2)``.  For the block
+    structure built by :func:`build_WM`, ``|W|`` equals the largest row
+    2-norm of the adjacency and ``|M|`` the largest link intensity; both
+    identities are exercised against the explicit matrices in tests.
     """
     a = np.asarray(adjacency, dtype=float)
     x = np.asarray(states, dtype=float)
-    n_nodes = a.shape[0]
-    w_norm = float(np.sqrt((a * a).sum(axis=1).max()))
-    a_gram = a.T @ a
-    a_norm = float(np.sqrt(max(np.linalg.eigvalsh(0.5 * (a_gram + a_gram.T))[-1], 0.0)))
-    m_norm = float(intensity.matrix(x).max())
-    v_total = float(((x - x0[None, :]) ** 2).sum())
+    n_nodes = a.shape[-1]
+    w_norm = np.sqrt(ordered_sum(a * a, -1).max(axis=-1))
+    gram = ordered_sum(a[..., :, None, :] * a[..., None, :, :], -1)  # A A^T
+    a_norm = np.sqrt(np.maximum(sym_eigmax(gram), 0.0))
+    d = x[..., None, :, :] - x[..., :, None, :]
+    f_max = intensity.sigma * np.sqrt(ordered_sum(d * d, -1)).max(axis=(-2, -1)) + intensity.bias
     return (
         w_norm,
         np.sqrt(n_nodes) * a_norm,
-        m_norm**2,
-        4.0 * intensity.sigma**2 * v_total + 2.0 * intensity.bias**2,
+        f_max * f_max,
+        4.0 * intensity.sigma**2 * np.asarray(v_total) + 2.0 * intensity.bias**2,
     )
+
+
+class BoundTally:
+    """Per-run fold of norm-bound margins over consecutive blocks of steps.
+
+    ``add`` takes margins (right side minus left side) and total squared
+    errors shaped ``(steps, runs)``; ``reports`` returns one
+    :class:`BoundCheckReport` per run.
+    """
+
+    def __init__(self, runs: int):
+        self.steps = 0
+        self.w_bad = np.zeros(runs, dtype=np.int64)
+        self.m_bad = np.zeros(runs, dtype=np.int64)
+        self.min_w = np.full(runs, np.inf)
+        self.min_m = np.full(runs, np.inf)
+        self.first_nonfinite = np.full(runs, -1, dtype=np.int64)
+
+    def add(self, w_margins: np.ndarray, m_margins: np.ndarray, v_total: np.ndarray) -> None:
+        # ``not >= 0`` rather than ``< 0``: NaN margins are violations
+        self.w_bad += (~(w_margins >= 0.0)).sum(axis=0)
+        self.m_bad += (~(m_margins >= 0.0)).sum(axis=0)
+        self.min_w = np.minimum(self.min_w, w_margins.min(axis=0))
+        self.min_m = np.minimum(self.min_m, m_margins.min(axis=0))
+        bad = ~np.isfinite(v_total)
+        fresh = (self.first_nonfinite < 0) & bad.any(axis=0)
+        self.first_nonfinite[fresh] = self.steps + bad.argmax(axis=0)[fresh]
+        self.steps += w_margins.shape[0]
+
+    def reports(self) -> list[BoundCheckReport]:
+        return [
+            BoundCheckReport(
+                steps_checked=self.steps,
+                w_violations=int(self.w_bad[r]),
+                m_violations=int(self.m_bad[r]),
+                min_w_margin=float(self.min_w[r]),
+                min_m_margin=float(self.min_m[r]),
+                first_nonfinite_step=(
+                    None if self.first_nonfinite[r] < 0 else int(self.first_nonfinite[r])
+                ),
+            )
+            for r in range(self.w_bad.size)
+        ]
 
 
 def verify_A1_A2_bounds(
@@ -218,34 +264,28 @@ def verify_A1_A2_bounds(
     """Check the norm bounds at every step of a recorded slice.
 
     ``adjacencies`` and ``state_seq`` are step-aligned sequences of ``(N, N)``
-    and ``(N, n)`` arrays.  With ``build_matrices`` the stacked ``W`` and
+    and ``(N, n)`` arrays.  The right-hand sides always come from
+    :func:`norm_bound_sides`; with ``build_matrices`` the stacked ``W`` and
     ``M`` are constructed explicitly and their spectral norms used on the
-    left-hand sides; otherwise the closed forms are used.
+    left-hand sides, otherwise the closed forms are used.
     """
-    x0 = np.asarray(x0, dtype=float)
-    steps = 0
-    w_viol = m_viol = 0
-    min_w = np.inf
-    min_m = np.inf
-    for a, x in zip(adjacencies, state_seq):
-        w_lhs, w_rhs, m_lhs, m_rhs = norm_bound_terms(a, x, intensity, x0)
-        if build_matrices:
-            w, m = build_WM(a, x, intensity)
-            w_lhs = spectral_norm(w)
-            m_lhs = spectral_norm(m) ** 2
-        if w_lhs > w_rhs:
-            w_viol += 1
-        if m_lhs > m_rhs:
-            m_viol += 1
-        min_w = min(min_w, w_rhs - w_lhs)
-        min_m = min(min_m, m_rhs - m_lhs)
-        steps += 1
+    adjs = [np.asarray(a, dtype=float) for a in adjacencies]
+    states = [np.asarray(x, dtype=float) for x in state_seq]
+    steps = min(len(adjs), len(states))
     if steps == 0:
         raise InvalidInputError("empty trajectory slice")
-    return BoundCheckReport(
-        steps_checked=steps,
-        w_violations=w_viol,
-        m_violations=m_viol,
-        min_w_margin=float(min_w),
-        min_m_margin=float(min_m),
-    )
+    a = np.stack(adjs[:steps])
+    x = np.stack(states[:steps])
+    err = x - np.asarray(x0, dtype=float)
+    v_total = ordered_sum(ordered_sum(err * err, -1), -1)
+    w_lhs, w_rhs, m_lhs, m_rhs = norm_bound_sides(a, x, intensity, v_total)
+    if build_matrices:
+        w_lhs = np.empty(steps)
+        m_lhs = np.empty(steps)
+        for k in range(steps):
+            w, m = build_WM(a[k], x[k], intensity)
+            w_lhs[k] = spectral_norm(w)
+            m_lhs[k] = spectral_norm(m) ** 2
+    tally = BoundTally(1)
+    tally.add((w_rhs - w_lhs)[:, None], (m_rhs - m_lhs)[:, None], v_total[:, None])
+    return tally.reports()[0]

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import InvalidInputError, UnsupportedAnalyticError
 from .graphs import ConditionalExpectation
-from .linalg import as_matrix, block_diag
+from .linalg import as_matrix, block_diag, ordered_sum
 from .noise import MeasurementNoise
 
 __all__ = [
@@ -41,6 +41,7 @@ __all__ = [
     "ar_driven_regression",
     "freeze_regression",
     "sample_regression",
+    "regression_block",
     "conditional_expected_node_gram",
     "conditional_expected_gram",
     "spatio_temporal_gram",
@@ -233,32 +234,74 @@ def freeze_regression(
     return fixed_regression([h.copy() for h in sample.h_nodes])
 
 
-def _stack_h(process: RegressionProcess, step: int, rng: np.random.Generator,
-             ar_history: np.ndarray | None) -> np.ndarray:
+def _regressor_block(process: RegressionProcess, count: int, rngs) -> np.ndarray:
+    """Stacked observation matrices ``(count, sum n_i, n, R)``, runs last,
+    of the kinds drawn independently per step (all but ar-driven)."""
+    shape = (count, *process._stacked.shape, len(rngs))
     if process.kind == "fixed":
-        # constant and write-locked, so every sample can share it
-        return process._stacked
+        # constant and write-locked, so every step can share it
+        return np.broadcast_to(process._stacked[None, :, :, None], shape)
     if process.kind == "entrywise-uniform":
-        out = process._stacked.copy()
+        out = np.array(np.broadcast_to(process._stacked[None, :, :, None], shape))
         idx = process._active_flat
         if idx.size:
             # fresh uniform per random cell, in stacked row-major order
-            out.ravel()[idx] += process._active_scale * rng.uniform(
-                process.low, process.high, idx.size
-            )
+            u = np.stack([rng.random((count, idx.size)) for rng in rngs], axis=-1)
+            u *= process.high - process.low
+            u += process.low
+            out.reshape(count, -1, len(rngs))[:, idx] += process._active_scale[:, None] * u
         return out
-    if process.kind == "bernoulli-failure":
-        active = rng.random(process.nodes) < process.active_prob
-        return process._stacked * active[process._row_node][:, None]
-    # ar-driven: the regressor at step k is the history row itself
+    # bernoulli-failure: one draw per node and step
+    active = np.stack([rng.random((count, process.nodes)) for rng in rngs], axis=-1)
+    active = active < process.active_prob
+    return process._stacked[None, :, :, None] * active[:, process._row_node, None]
+
+
+def _check_ar_history(process: RegressionProcess, ar_history, *runs: int) -> np.ndarray:
     if ar_history is None:
         raise InvalidInputError("ar-driven sampling needs ar_history (N, order), newest first")
     hist = np.asarray(ar_history, dtype=float)
-    if hist.shape != (process.nodes, process.dim):
+    if hist.shape != (process.nodes, process.dim, *runs):
         raise InvalidInputError(
-            f"ar_history must have shape {(process.nodes, process.dim)}, got {hist.shape}"
+            f"ar_history must have shape {(process.nodes, process.dim, *runs)}, got {hist.shape}"
         )
-    return hist.copy()
+    return hist
+
+
+def regression_block(
+    process: RegressionProcess,
+    x0: np.ndarray,
+    count: int,
+    rngs,
+    noise_draws: np.ndarray,
+    ar_history: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+    """Observation models and measurements of ``count`` consecutive steps
+    for a batch of runs, run ``r`` drawing from ``rngs[r]``.
+
+    ``noise_draws`` holds the steps' measurement noise, ``(count, sum n_i,
+    R)``.  Returns ``(h, y_clean, y, ar_history)``, runs last: the stacked
+    matrices ``(count, sum n_i, n, R)``, the noise-free outputs ``H x0``,
+    the measurements, and (ar-driven only) each node's last ``order``
+    outputs after the block, ``(N, order, R)`` newest first.  Each
+    generator is consumed step by step, so one block of ``count`` steps
+    draws the values of ``count`` blocks of one.  The ar-driven recursion
+    draws nothing itself: its regressor is the output history, driven by
+    the measurement noise.
+    """
+    weights = np.asarray(x0, dtype=float)[:, None]
+    if process.kind != "ar-driven":
+        h = _regressor_block(process, count, rngs)
+        y_clean = ordered_sum(h * weights, 2)
+        return h, y_clean, y_clean + noise_draws, None
+    hist = _check_ar_history(process, ar_history, len(rngs))
+    h = np.empty((count, process.nodes, process.dim, len(rngs)))
+    y_clean = np.empty((count, process.nodes, len(rngs)))
+    for j in range(count):
+        h[j] = hist
+        y_clean[j] = ordered_sum(hist * weights, 1)
+        hist = np.concatenate([(y_clean[j] + noise_draws[j])[:, None], hist[:, :-1]], axis=1)
+    return h, y_clean, y_clean + noise_draws, hist
 
 
 def sample_regression(
@@ -279,8 +322,11 @@ def sample_regression(
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (process.dim,):
         raise InvalidInputError(f"x0 must have shape ({process.dim},), got {x0.shape}")
-    h_stacked = _stack_h(process, step, rng, ar_history)
-    y_clean = h_stacked @ x0
+    if process.kind == "ar-driven":
+        h_stacked = _check_ar_history(process, ar_history).copy()
+    else:
+        h_stacked = _regressor_block(process, 1, [rng])[0, :, :, 0]
+    y_clean = ordered_sum(h_stacked * x0, 1)
     y = y_clean + noise.sample(rng, h_stacked.shape[0])
     off = process.offsets
     h_nodes = tuple(h_stacked[off[i] : off[i + 1]] for i in range(process.nodes))

@@ -28,6 +28,8 @@ __all__ = [
     "mar",
     "lemma_regret_bound_check",
     "regret_series",
+    "fold_runs",
+    "normalized_max_regret",
 ]
 
 
@@ -106,6 +108,34 @@ def oracle_parameter(
     return np.linalg.solve(gram, gram @ x0)
 
 
+def fold_runs(samples) -> tuple[np.ndarray, np.ndarray]:
+    """Across-run mean and sum of squared deviations of equally shaped
+    per-run arrays, folded one run at a time in order (Welford), so the
+    result does not depend on how the runs were batched."""
+    mean = m2 = None
+    for j, sample in enumerate(samples, start=1):
+        if mean is None:
+            mean = np.zeros(np.shape(sample))
+            m2 = np.zeros_like(mean)
+        delta = sample - mean
+        mean += delta / j
+        m2 += delta * (sample - mean)
+    if mean is None:
+        raise InvalidInputError("need at least one run")
+    return mean, m2
+
+
+def normalized_max_regret(regret, steps, tau: float) -> np.ndarray:
+    """Maximum over nodes (last axis) of ``regret`` at each of ``steps``,
+    divided by ``t^(1-tau) ln t``; ``nan`` below ``t = 2``, where the
+    normalizer is not positive."""
+    steps = np.asarray(steps, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        norm = steps ** (1.0 - tau) * np.log(steps)
+        ratio = np.max(regret, axis=-1) / np.where(steps >= 2, norm, 1.0)
+        return np.where(steps >= 2, ratio, np.nan)
+
+
 def _check_records(records) -> list[TrajectoryRecord]:
     recs = list(records)
     if not recs:
@@ -141,8 +171,8 @@ def mar(records, horizon: int, tau: float) -> float:
         raise InvalidInputError("mar needs horizon >= 2 (positive log)")
     recs = _check_records(records)
     n_nodes = recs[0].excess_losses.shape[1]
-    worst = max(empirical_regret(recs, i, horizon) for i in range(n_nodes))
-    return worst / (horizon ** (1.0 - tau) * np.log(horizon))
+    regret = [empirical_regret(recs, i, horizon) for i in range(n_nodes)]
+    return float(normalized_max_regret(regret, horizon, tau))
 
 
 def regret_series(
@@ -152,30 +182,20 @@ def regret_series(
 ) -> RegretSeries:
     """Fold a batch of runs into full per-step regret statistics.
 
-    One pass computes, at every recorded step, the across-run mean and
-    standard error of each node's cumulative excess loss, the mean total
-    squared error, and the normalized maximum regret.
+    Computes, at every recorded step, the across-run mean and standard
+    error of each node's cumulative excess loss, the mean total squared
+    error, and the normalized maximum regret, folding the runs in order.
     """
     recs = _check_records(records)
-    rows, n_nodes = recs[0].excess_losses.shape
     runs = len(recs)
-    mean_cum = np.zeros((rows, n_nodes))
-    m2_cum = np.zeros((rows, n_nodes))
-    mean_v = np.zeros(rows)
-    for j, r in enumerate(recs, start=1):
-        cum = np.cumsum(r.excess_losses, axis=0)
-        delta = cum - mean_cum
-        mean_cum += delta / j
-        m2_cum += delta * (cum - mean_cum)
-        mean_v += (r.v - mean_v) / j
+    mean_cum, m2_cum = fold_runs(np.cumsum(r.excess_losses, axis=0) for r in recs)
+    mean_v, _ = fold_runs(r.v for r in recs)
     if runs > 1:
         se = np.sqrt(m2_cum / (runs - 1) / runs)
     else:
         se = np.zeros_like(mean_cum)
     steps = recs[0].steps
-    with np.errstate(divide="ignore", invalid="ignore"):
-        norm = steps ** (1.0 - tau) * np.log(steps)
-        mar_series = np.where(steps >= 2, mean_cum.max(axis=1) / np.where(steps >= 2, norm, 1.0), np.nan)
+    mar_series = normalized_max_regret(mean_cum, steps, tau)
     return RegretSeries(
         steps=steps,
         regret=mean_cum,

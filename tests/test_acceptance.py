@@ -23,8 +23,7 @@ from netlms.estimator import (
     GainSchedule,
     compact_step,
     node_step,
-    run_trajectory,
-    substream,
+    run_trajectories,
 )
 from netlms.excitation import (
     check_definition1,
@@ -76,22 +75,19 @@ def bound_tally():
 
 @pytest.fixture(scope="module")
 def settings_batch(bound_tally):
-    """Ten full-horizon runs of each of settings i-iv.
+    """Ten full-horizon runs of each of settings i-iv, simulated together.
 
     Records are reduced immediately to initial/final per-node error norms
-    and the final total squared error, keeping memory flat.
+    and the final total squared error.
     """
     out = {}
     for name in FULL_SETTINGS:
         cfg = get_preset(name)
-        first = np.empty((cfg.runs, cfg.nodes))
-        last = np.empty_like(first)
-        final_v = np.empty(cfg.runs)
-        for r in range(cfg.runs):
-            rec = run_trajectory(cfg, substream(cfg.seed, r))
-            first[r] = rec.err_norms[0]
-            last[r] = rec.err_norms[-1]
-            final_v[r] = rec.v[-1]
+        records = run_trajectories(cfg, range(cfg.runs))
+        first = np.array([rec.err_norms[0] for rec in records])
+        last = np.array([rec.err_norms[-1] for rec in records])
+        final_v = np.array([rec.v[-1] for rec in records])
+        for rec in records:
             _fold_bounds(bound_tally, rec.bound_report)
         out[name] = (first, last, final_v)
     return out
@@ -106,18 +102,14 @@ def pairs_batch(bound_tally):
     """
     out = {}
     for reg_name, plain_name in NORM_PAIRS:
-        cfg_reg = with_overrides(get_preset(reg_name), horizon=PAIR_HORIZON)
-        cfg_plain = with_overrides(get_preset(plain_name), horizon=PAIR_HORIZON)
-        reg_norms = np.empty(PAIR_SEEDS)
-        plain_norms = np.empty(PAIR_SEEDS)
-        for r in range(PAIR_SEEDS):
-            rec = run_trajectory(cfg_reg, substream(cfg_reg.seed, r))
-            reg_norms[r] = rec.est_norms[-1].mean()
-            _fold_bounds(bound_tally, rec.bound_report)
-            rec = run_trajectory(cfg_plain, substream(cfg_plain.seed, r))
-            plain_norms[r] = rec.est_norms[-1].mean()
-            _fold_bounds(bound_tally, rec.bound_report)
-        out[(reg_name, plain_name)] = (reg_norms, plain_norms)
+        norms = []
+        for name in (reg_name, plain_name):
+            cfg = with_overrides(get_preset(name), horizon=PAIR_HORIZON)
+            records = run_trajectories(cfg, range(PAIR_SEEDS))
+            norms.append(np.array([rec.est_norms[-1].mean() for rec in records]))
+            for rec in records:
+                _fold_bounds(bound_tally, rec.bound_report)
+        out[(reg_name, plain_name)] = tuple(norms)
     return out
 
 
@@ -125,11 +117,9 @@ def pairs_batch(bound_tally):
 def regret_batch(bound_tally):
     """All fifty full-horizon runs of the regret preset, kept whole."""
     cfg = get_preset("regret")
-    records = []
-    for r in range(cfg.runs):
-        rec = run_trajectory(cfg, substream(cfg.seed, r))
+    records = run_trajectories(cfg, range(cfg.runs))
+    for rec in records:
         _fold_bounds(bound_tally, rec.bound_report)
-        records.append(rec)
     return cfg, records
 
 

@@ -237,3 +237,19 @@ def test_windowed_checks_validate_arguments():
         check_definition1(gp, window=2, theta1=0.5, windows=0)
     with pytest.raises(InvalidInputError):
         pe_diagnostic(cfg, windows=0)
+
+
+def test_pe_diagnostic_on_markov_switching_takes_state_uniform_minimum(markov_pair):
+    cfg = markov_pair
+    rep = pe_diagnostic(cfg, windows=4)
+    gp = cfg.graph.to_process()
+    rp = cfg.regression.to_process(cfg.nodes, cfg.dim)
+    gains = GainSchedule.from_config(cfg)
+    h = cfg.excitation.window
+    assert rep.lambda_series[0] == lambda_min_window(info_matrix(gp, rp, gains, 0, h))
+    for k in range(1, 4):
+        per_state = [lambda_min_window(info_matrix(gp, rp, gains, k, h, s)) for s in (0, 1)]
+        assert rep.lambda_series[k] == min(per_state)
+        raw = [lambda_min_window(info_matrix(gp, rp, None, k, h, s)) for s in (0, 1)]
+        assert rep.gainless_series[k] == min(raw)
+    assert rep.bound_check.windows_checked == 4

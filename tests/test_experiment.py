@@ -1,5 +1,6 @@
 """Batch runner artifacts: schemas, digests, determinism."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -69,11 +70,13 @@ def test_aggregate_schema(artifacts, small_cfg):
 
 def test_manifest_digests_and_fields(artifacts, small_cfg):
     man = json.load(open(artifacts.manifest_file))
-    assert man["schema"] == 1
+    assert man["schema"] == 2
     assert man["seed"] == small_cfg.seed and man["runs"] == small_cfg.runs
     assert man["bound_checks"]["w_violations"] == 0
     assert man["bound_checks"]["m_violations"] == 0
     assert man["bound_checks"]["steps"] == small_cfg.runs * (small_cfg.horizon + 1)
+    assert set(man["bound_checks"]) == {"steps", "w_violations", "m_violations"}
+    assert man["first_nonfinite_step"] == [None] * small_cfg.runs
     config_text = open(artifacts.config_file).read()
     assert man["config_sha256"] == hashlib.sha256(config_text.encode()).hexdigest()
     for name, digest in man["files"].items():
@@ -158,3 +161,55 @@ def test_default_out_dir_resolution(monkeypatch):
     assert default_out_dir(cfg) == os.path.join("/data/results", "setting-i")
     via_config = with_overrides(cfg, out="/explicit/dir")
     assert default_out_dir(via_config) == "/explicit/dir"
+
+
+def _file_bytes(art):
+    paths = (*art.run_files, art.aggregate_file, art.excitation_file, art.config_file,
+             art.manifest_file)
+    return {os.path.basename(p): open(p, "rb").read() for p in paths}
+
+
+def test_adding_runs_leaves_earlier_runs_byte_identical(small_cfg, tmp_path):
+    cfg = with_overrides(small_cfg, horizon=150)
+    three = _file_bytes(run_experiment(with_overrides(cfg, runs=3), out_dir=str(tmp_path / "3")))
+    five = _file_bytes(run_experiment(with_overrides(cfg, runs=5), out_dir=str(tmp_path / "5")))
+    for name in ("run_0000.csv", "run_0001.csv", "run_0002.csv"):
+        assert three[name] == five[name], name
+
+
+def test_uneven_worker_split_is_byte_identical(small_cfg, tmp_path):
+    cfg = with_overrides(small_cfg, horizon=120, runs=5)
+    seq = _file_bytes(run_experiment(cfg, out_dir=str(tmp_path / "seq"), workers=1))
+    par = _file_bytes(run_experiment(cfg, out_dir=str(tmp_path / "par"), workers=2))
+    assert seq.keys() == par.keys()
+    for name in seq:
+        assert seq[name] == par[name], name
+
+
+def test_diverging_run_is_flagged_in_the_manifest(tmp_path):
+    cfg = get_preset("setting-i")
+    cfg = dataclasses.replace(
+        cfg, horizon=1000, runs=2, record_every=250,
+        gains=dataclasses.replace(cfg.gains, a_coef=50.0, b_coef=50.0))
+    with np.errstate(all="ignore"):
+        art = run_experiment(cfg, out_dir=str(tmp_path))
+        recs = [run_trajectory(cfg, substream(cfg.seed, r)) for r in range(cfg.runs)]
+    man = json.load(open(art.manifest_file))
+    firsts = [rec.bound_report.first_nonfinite_step for rec in recs]
+    assert None not in firsts
+    assert man["first_nonfinite_step"] == firsts
+    assert man["bound_checks"]["m_violations"] == sum(r.bound_report.m_violations for r in recs) > 0
+
+
+def test_markov_switching_experiment_end_to_end(markov_pair, tmp_path):
+    cfg = markov_pair
+    art = run_experiment(cfg, out_dir=str(tmp_path))
+    man = json.load(open(art.manifest_file))
+    assert man["bound_checks"] == {"steps": 3 * 61, "w_violations": 0, "m_violations": 0}
+    rep = art.excitation
+    assert rep.windows_checked == 30
+    assert np.isfinite(rep.lambda_series).all() and np.isfinite(rep.gainless_series).all()
+    # the run files hold the batch kernel's runs, which equal single runs
+    table = np.genfromtxt(art.run_files[2], delimiter=",", names=True)
+    rec = run_trajectory(cfg, substream(cfg.seed, 2))
+    assert np.array_equal(table["V"], rec.v[[0, 20, 40, 60]])

@@ -153,3 +153,15 @@ def test_channel_noise_moments(rng):
 def test_empty_slice_rejected():
     with pytest.raises(InvalidInputError):
         verify_A1_A2_bounds([], [], BENCH, np.zeros(2))
+
+
+def test_nonfinite_margins_count_as_violations():
+    x0 = np.zeros(2)
+    adjs = [np.array([[0.0, 1.0], [1.0, 0.0]])] * 3
+    states = [np.ones((2, 2)), np.full((2, 2), np.nan), np.ones((2, 2))]
+    with np.errstate(invalid="ignore"):
+        rep = verify_A1_A2_bounds(adjs, states, BENCH, x0, build_matrices=False)
+    assert rep.m_violations == 1 and rep.w_violations == 0
+    assert rep.first_nonfinite_step == 1 and not rep.holds
+    clean = verify_A1_A2_bounds(adjs[:1], states[:1], BENCH, x0, build_matrices=False)
+    assert clean.holds and clean.first_nonfinite_step is None
