@@ -15,6 +15,7 @@ from netlms.config import (
     get_preset,
     with_overrides,
 )
+from netlms import estimator
 from netlms.errors import InvalidInputError
 from netlms.estimator import (
     EstimatorState,
@@ -257,26 +258,39 @@ def _assert_same_record(a, b):
     assert a.bound_report == b.bound_report
 
 
-def _kernel_outputs(cfg, runs, chunk):
+def _pin_chunk(monkeypatch, chunk):
+    """Make the kernel draw and fold in blocks of ``chunk`` steps."""
+    monkeypatch.setattr(estimator, "_default_chunk", lambda *shape: chunk)
+
+
+@pytest.fixture
+def two_step_chunks(monkeypatch):
+    """Chunks of two steps, so short horizons cross chunk boundaries."""
+    _pin_chunk(monkeypatch, 2)
+
+
+def _kernel_outputs(cfg, runs):
     """Every chunk statistic, the final states and the bound reports of a
     kernel batch, with rows concatenated over chunks."""
     parts = []
     seeds = [np.random.SeedSequence(cfg.seed, spawn_key=(r,)) for r in runs]
     final, reports = simulate(SimulationModel.from_config(cfg), seeds, cfg.horizon,
-                              parts.append, chunk=chunk)
+                              parts.append)
     fields = [f.name for f in dataclasses.fields(parts[0]) if f.name != "start"]
     stats = {name: np.concatenate([getattr(p, name) for p in parts]) for name in fields}
     return stats, final, reports
 
 
-def test_chunk_size_does_not_change_a_run():
+def test_chunk_size_does_not_change_a_run(monkeypatch):
     cfg = with_overrides(get_preset("setting-i"), horizon=150, runs=1)
-    stats, final, reports = _kernel_outputs(cfg, [3, 0], None)
+    stats, final, reports = _kernel_outputs(cfg, [3, 0])
     for chunk in (1, 7, 1000):
-        other, other_final, other_reports = _kernel_outputs(cfg, [3, 0], chunk)
+        _pin_chunk(monkeypatch, chunk)
+        other, other_final, other_reports = _kernel_outputs(cfg, [3, 0])
         for name, value in stats.items():
             assert np.array_equal(other[name], value), (chunk, name)
         assert np.array_equal(other_final, final) and other_reports == reports
+    monkeypatch.undo()
     alone = run_trajectory(cfg, substream(cfg.seed, 3))
     _assert_same_record(alone, run_trajectories(cfg, [3, 0])[0])
 
@@ -299,6 +313,10 @@ def test_seed_forms_agree():
     by_sequence = run_trajectory(cfg, np.random.SeedSequence(cfg.seed, spawn_key=(1,)))
     for name in ("v", "excess_losses", "x_final"):
         assert np.array_equal(getattr(by_generator, name), getattr(by_sequence, name))
+    by_bit_generator = run_trajectory(
+        cfg, np.random.PCG64(np.random.SeedSequence(cfg.seed, spawn_key=(1,))))
+    for name in ("v", "excess_losses", "x_final"):
+        assert np.array_equal(getattr(by_bit_generator, name), getattr(by_sequence, name))
     assert run_trajectory(cfg, 5).seed == 5 and by_generator.seed == -1
 
 
@@ -370,7 +388,7 @@ def _replay(model, seed, horizon):
 def _kernel_states(model, seeds, horizon):
     """V per row, shape (rows, R), and the final states of a kernel batch."""
     v = []
-    final, _ = simulate(model, seeds, horizon, lambda stats: v.append(stats.v), chunk=2)
+    final, _ = simulate(model, seeds, horizon, lambda stats: v.append(stats.v))
     return np.concatenate(v), final
 
 
@@ -378,7 +396,7 @@ def _kernel_states(model, seeds, horizon):
                          ["fixed", "entrywise-uniform", "bernoulli-failure", "ar-driven"])
 @pytest.mark.parametrize("graph_kind",
                          ["fixed", "alternating-uniform", "iid-uniform", "markov-switching"])
-def test_kernel_step_matches_node_and_compact_steps(graph_kind, regression_kind):
+def test_kernel_step_matches_node_and_compact_steps(graph_kind, regression_kind, two_step_chunks):
     cfg = _kind_config(graph_kind, regression_kind)
     model = SimulationModel.from_config(cfg)
     seeds = [np.random.SeedSequence(cfg.seed, spawn_key=(r,)) for r in range(2)]
@@ -391,7 +409,7 @@ def test_kernel_step_matches_node_and_compact_steps(graph_kind, regression_kind)
         assert np.abs(final[r] - node_x[-1]).max() <= 1e-12
 
 
-def test_kernel_custom_graph_calls_its_sampler_per_step():
+def test_kernel_custom_graph_calls_its_sampler_per_step(two_step_chunks):
     calls = []
 
     def sampler(step, rng):
