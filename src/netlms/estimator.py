@@ -27,7 +27,7 @@ import numpy as np
 from .config import ExperimentConfig
 from .errors import InvalidInputError
 from .graphs import GraphProcess, GraphSample, graph_block
-from .linalg import kron, ordered_sum
+from .linalg import ordered_sum
 from .noise import (
     BoundCheckReport,
     BoundTally,
@@ -261,7 +261,7 @@ def compact_step(
     n_nodes, dim = x.shape
     xf = x.reshape(-1)
     hb = regression.h_block
-    lap_big = kron(graph.laplacian, np.eye(dim))
+    lap_big = np.kron(graph.laplacian, np.eye(dim))
     xi_flat = np.asarray(xi, dtype=float).reshape(-1)
     if xi_flat.shape[0] != n_nodes * n_nodes * dim:
         raise InvalidInputError("xi must have N^2 n entries")

@@ -11,12 +11,16 @@ bound tying the two together, and audits Markov-switching topologies
 through their stationary distribution.
 
 Windows follow the convention ``[kh, (k+1)h - 1]`` with the conditioning
-cut at ``kh - 1``.
+cut at ``kh - 1``.  Every windowed quantity comes from one pass, which
+takes one conditional mean Laplacian per step, window and chain state at
+the cut.  The expected Grams do not depend on the step, so they and the
+lower bound's premises are evaluated once per call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -31,7 +35,7 @@ from .graphs import (
     is_conditionally_balanced,
     stationary_distribution,
 )
-from .linalg import as_matrix, kron, sym_eigenvalues
+from .linalg import as_matrix, ordered_sum, sym_eigenvalues
 from .regression import (
     RegressionProcess,
     conditional_expected_gram,
@@ -157,27 +161,101 @@ def _check_window_args(window: int, windows: int) -> None:
         raise InvalidInputError("need at least one window to check")
 
 
-def _cut_states(process: GraphProcess, cut: int):
-    """Conditioning states to sweep at a cut: markov chains after step 0
-    could sit in any state, so checks quantify over all of them."""
-    if process.kind == "markov-switching" and cut >= 0:
-        return tuple(range(len(process.states)))
-    return (None,)
+def _window_pass(graph_process, window, ks, state_at_cut, gram=None, gains=None):
+    """The pass over windows ``ks``, each conditioned on ``state_at_cut`` at
+    its cut: each summed conditional mean Laplacian's spectral gap (0 for
+    one node), then, given the block-diagonal expected Gram, the gainless
+    and, given ``gains``, the gain-weighted information matrices, else
+    ``None``.  Steps sum in index order, so the windows batched do not
+    matter."""
+    steps = [range(k * window, (k + 1) * window) for k in ks]
+    laps = np.array([
+        [conditional_expected_sym_laplacian(graph_process, i, k * window - 1, state_at_cut).matrix
+         for i in s]
+        for k, s in zip(ks, steps)
+    ])
+    gaps = np.zeros(len(ks))
+    if graph_process.nodes > 1:
+        gaps = np.linalg.eigvalsh(ordered_sum(laps, axis=1))[:, 1]
+    if gram is None:
+        return gaps, None, None
+    big = np.kron(laps, np.eye(gram.shape[0] // graph_process.nodes)[None, None])
+    gainless = ordered_sum(big + gram, axis=1)
+    if gains is None:
+        return gaps, gainless, None
+    # GainSchedule.at, not .table: the table's powers may differ by an ulp
+    ab = np.array([[gains.at(i)[:2] for i in s] for s in steps])
+    a, b = ab[..., 0, None, None], ab[..., 1, None, None]
+    return gaps, gainless, ordered_sum(b * big + a * gram, axis=1)
 
 
-def _window_sym_laplacian(
-    process: GraphProcess,
-    window_index: int,
-    window: int,
-    state_at_cut: int | None,
-) -> np.ndarray:
-    cut = window_index * window - 1
-    total = np.zeros((process.nodes, process.nodes))
-    for step in range(window_index * window, (window_index + 1) * window):
-        total += conditional_expected_sym_laplacian(
-            process, step, history_cut=cut, state_at_cut=state_at_cut
-        ).matrix
-    return total
+def _one_window(graph_process, regression_process, gains, window_index, window, state_at_cut):
+    """The pass over one window, after the one-window functions' input checks."""
+    _check_window_args(window, 1)
+    if window_index < 0:
+        raise InvalidInputError("window_index must be nonnegative")
+    if graph_process.nodes != regression_process.nodes:
+        raise InvalidInputError("graph and regression disagree on the node count")
+    gram = conditional_expected_gram(regression_process, 0).matrix
+    return _window_pass(graph_process, window, [window_index], state_at_cut, gram, gains)
+
+
+def _pooled_gram_min(regression_process: RegressionProcess, window: int) -> float:
+    """Smallest eigenvalue of a window's pooled expected Gram, which is the
+    same for every window (the node Grams do not depend on the step)."""
+    return float(sym_eigenvalues(spatio_temporal_gram(regression_process, 0, window))[0])
+
+
+def _bound_rhs(lambda2, gram_min: float, nodes: int, window: int, rho0: float):
+    return lambda2 / (2.0 * nodes * window * rho0 + nodes * lambda2) * gram_min
+
+
+def _bound_premises(regression_process: RegressionProcess, gamma1: Gamma1Report, rho0: float):
+    """The lower bound's premises, the same for every window: ``rho0``
+    dominates the Gram norm, and the graph process is balanced."""
+    premise_ok = True
+    note = ""
+    try:
+        sup_gram = support_gram_norm_bound(regression_process)
+        if sup_gram > rho0:
+            premise_ok = False
+            note = f"sup ||H^T H|| bound {sup_gram:.6g} exceeds rho0 = {rho0:.6g}"
+    except UnsupportedAnalyticError:
+        note = "Gram norm premise not checkable in closed form for this process"
+    if not gamma1.member:
+        premise_ok = False
+        note = (note + "; " if note else "") + f"graph process outside the balanced class: {gamma1.detail}"
+    return premise_ok, note
+
+
+# Windows evaluated together: enough to batch the eigenvalue calls, few
+# enough that the working set does not grow with the window count.
+_BLOCK = 64
+
+
+def _state_minima(process: GraphProcess, windows: int, evaluate) -> np.ndarray:
+    """``(q, windows)`` minima of ``evaluate(ks, state)``, a ``(q, len(ks))``
+    array, over the states the chain could hold at each window's cut: any
+    state past step 0, so window 0, which conditions on nothing, runs
+    alone.  A later state replaces a value only when strictly smaller, as
+    ``min`` does."""
+    states = tuple(range(len(process.states))) if process.kind == "markov-switching" else (None,)
+    edges = [0, *range(1, windows, _BLOCK), windows]
+    blocks = []
+    for lo, hi in zip(edges, edges[1:]):
+        values = [np.asarray(evaluate(range(lo, hi), s)) for s in (states if lo > 0 else (None,))]
+        blocks.append(reduce(lambda low, v: np.where(v < low, v, low), values))
+    return np.concatenate(blocks, axis=1)
+
+
+def _threshold_report(values: np.ndarray, threshold: float) -> WindowCheckReport:
+    return WindowCheckReport(
+        passed=bool(values.min() >= threshold),
+        threshold=float(threshold),
+        min_value=float(values.min()),
+        min_window=int(values.argmin()),
+        values=tuple(values.tolist()),
+    )
 
 
 def info_matrix(
@@ -199,29 +277,15 @@ def info_matrix(
     depends on the state occupied at the cut, which ``state_at_cut`` must
     pin; :func:`pe_diagnostic` takes the minimum over every state.
     """
-    _check_window_args(window, 1)
-    if window_index < 0:
-        raise InvalidInputError("window_index must be nonnegative")
-    if graph_process.nodes != regression_process.nodes:
-        raise InvalidInputError("graph and regression disagree on the node count")
-    n = regression_process.dim
-    cut = window_index * window - 1
-    eye = np.eye(n)
-    out = np.zeros((graph_process.nodes * n, graph_process.nodes * n))
-    for step in range(window_index * window, (window_index + 1) * window):
-        a_k, b_k, _ = gains.at(step) if gains is not None else (1.0, 1.0, 0.0)
-        lap = conditional_expected_sym_laplacian(
-            graph_process, step, history_cut=cut, state_at_cut=state_at_cut
-        ).matrix
-        gram = conditional_expected_gram(regression_process, step, history_cut=cut).matrix
-        out += b_k * kron(lap, eye) + a_k * gram
-    return out
+    _, gainless, weighted = _one_window(graph_process, regression_process, gains, window_index,
+                                        window, state_at_cut)
+    return (gainless if gains is None else weighted)[0]
 
 
 def lambda_min_window(info: np.ndarray) -> float:
     """Smallest eigenvalue of a (symmetric) window information matrix."""
     m = as_matrix(info, "info", square=True)
-    return float(sym_eigenvalues(m).eigenvalues[0])
+    return float(sym_eigenvalues(m)[0])
 
 
 def check_definition1(
@@ -241,22 +305,10 @@ def check_definition1(
     _check_window_args(window, windows)
     if graph_process.nodes < 2:
         raise InvalidInputError("joint connectivity needs at least two nodes")
-    values = []
-    for k in range(windows):
-        worst = np.inf
-        for s in _cut_states(graph_process, k * window - 1):
-            lap = _window_sym_laplacian(graph_process, k, window, s)
-            worst = min(worst, float(sym_eigenvalues(lap).eigenvalues[1]))
-        values.append(worst)
-    arr = np.asarray(values)
-    worst_k = int(arr.argmin())
-    return WindowCheckReport(
-        passed=bool(arr.min() >= theta1),
-        threshold=float(theta1),
-        min_value=float(arr.min()),
-        min_window=worst_k,
-        values=tuple(values),
+    (gaps,) = _state_minima(
+        graph_process, windows, lambda ks, s: _window_pass(graph_process, window, ks, s)[:1]
     )
+    return _threshold_report(gaps, theta1)
 
 
 def check_definition2(
@@ -272,71 +324,10 @@ def check_definition2(
     eigenvalue to reach ``theta2``.
     """
     _check_window_args(window, windows)
-    values = []
-    for k in range(windows):
-        gram = spatio_temporal_gram(regression_process, k, window)
-        values.append(float(sym_eigenvalues(gram).eigenvalues[0]))
-    arr = np.asarray(values)
-    worst_k = int(arr.argmin())
-    return WindowCheckReport(
-        passed=bool(arr.min() >= theta2),
-        threshold=float(theta2),
-        min_value=float(arr.min()),
-        min_window=worst_k,
-        values=tuple(values),
-    )
+    return _threshold_report(np.full(windows, _pooled_gram_min(regression_process, window)), theta2)
 
 
 _BOUND_ATOL = 1e-10
-
-
-def _lower_bound_pieces(
-    graph_process: GraphProcess,
-    regression_process: RegressionProcess,
-    window: int,
-    rho0: float,
-    window_index: int,
-    state_at_cut: int | None,
-    gainless_lambda: float | None = None,
-) -> LowerBoundReport:
-    n_nodes = graph_process.nodes
-    if gainless_lambda is None:
-        gainless_lambda = lambda_min_window(
-            info_matrix(graph_process, regression_process, None, window_index, window, state_at_cut)
-        )
-    lap = _window_sym_laplacian(graph_process, window_index, window, state_at_cut)
-    lambda2 = float(sym_eigenvalues(lap).eigenvalues[1]) if n_nodes > 1 else 0.0
-    gram_min = float(
-        sym_eigenvalues(spatio_temporal_gram(regression_process, window_index, window)).eigenvalues[0]
-    )
-    rhs = lambda2 / (2.0 * n_nodes * window * rho0 + n_nodes * lambda2) * gram_min
-    margin = gainless_lambda - rhs
-
-    premise_ok = True
-    note = ""
-    try:
-        sup_gram = support_gram_norm_bound(regression_process)
-        if sup_gram > rho0:
-            premise_ok = False
-            note = f"sup ||H^T H|| bound {sup_gram:.6g} exceeds rho0 = {rho0:.6g}"
-    except UnsupportedAnalyticError:
-        note = "Gram norm premise not checkable in closed form for this process"
-    gamma1 = gamma1_membership(graph_process)
-    if not gamma1.member:
-        premise_ok = False
-        note = (note + "; " if note else "") + f"graph process outside the balanced class: {gamma1.detail}"
-
-    return LowerBoundReport(
-        passed=bool(premise_ok and margin >= -_BOUND_ATOL),
-        premise_ok=premise_ok,
-        lhs=float(gainless_lambda),
-        rhs=float(rhs),
-        lambda2=lambda2,
-        gram_lambda_min=gram_min,
-        rho0=float(rho0),
-        margin=float(margin),
-        note=note,
-    )
 
 
 def lemma_lower_bound_check(
@@ -357,13 +348,26 @@ def lemma_lower_bound_check(
     ``rho0`` dominating the Gram norm — are checked and reported; a
     failing premise fails the report without asserting the inequality.
     """
-    _check_window_args(window, 1)
-    if window_index < 0:
-        raise InvalidInputError("window_index must be nonnegative")
     if rho0 <= 0:
         raise InvalidInputError("rho0 must be positive")
-    return _lower_bound_pieces(
-        graph_process, regression_process, window, rho0, window_index, state_at_cut
+    gaps, gainless, _ = _one_window(graph_process, regression_process, None, window_index,
+                                    window, state_at_cut)
+    lambda2 = float(gaps[0])
+    lhs = float(np.linalg.eigvalsh(gainless)[0, 0])
+    gram_min = _pooled_gram_min(regression_process, window)
+    rhs = float(_bound_rhs(lambda2, gram_min, graph_process.nodes, window, rho0))
+    margin = lhs - rhs
+    premise_ok, note = _bound_premises(regression_process, gamma1_membership(graph_process), rho0)
+    return LowerBoundReport(
+        passed=bool(premise_ok and margin >= -_BOUND_ATOL),
+        premise_ok=premise_ok,
+        lhs=lhs,
+        rhs=rhs,
+        lambda2=lambda2,
+        gram_lambda_min=gram_min,
+        rho0=float(rho0),
+        margin=float(margin),
+        note=note,
     )
 
 
@@ -436,7 +440,7 @@ def corollary1_stationary_check(
             if m.shape[1] != dim:
                 raise InvalidInputError("observation matrices must share the column count")
             obs += pi[l] * (m.T @ m)
-    obs_min = float(sym_eigenvalues(obs).eigenvalues[0])
+    obs_min = float(sym_eigenvalues(obs)[0])
     positive = obs_min > 0.0
 
     return StationaryCheckReport(
@@ -474,26 +478,23 @@ def pe_diagnostic(config: ExperimentConfig, windows: int | None = None) -> Excit
     gp = config.graph.to_process()
     rp = config.regression.to_process(config.nodes, config.dim)
     gains = GainSchedule.from_config(config)
+    rho0 = config.excitation.rho0
+    # the same at every step and cut for every kind with a closed form;
+    # ar-driven raises here, before any window
+    gram = conditional_expected_gram(rp, 0).matrix
+    if gp.nodes < 2:
+        raise InvalidInputError("joint connectivity needs at least two nodes")
+    gram_min = _pooled_gram_min(rp, h)
+    gamma1 = gamma1_membership(gp)
+    premise_ok, _ = _bound_premises(rp, gamma1, rho0)
 
-    lam = np.empty(windows)
-    raw = np.empty(windows)
-    margins = np.empty(windows)
-    premise_all = True
-    for k in range(windows):
-        # markov chains could sit in any state at a cut past step 0: take
-        # the state-uniform minimum, as check_definition1 does
-        cut_states = _cut_states(gp, k * h - 1)
-        lam[k] = min(lambda_min_window(info_matrix(gp, rp, gains, k, h, s)) for s in cut_states)
-        pieces = [
-            _lower_bound_pieces(
-                gp, rp, h, config.excitation.rho0, k, s,
-                lambda_min_window(info_matrix(gp, rp, None, k, h, s)),
-            )
-            for s in cut_states
-        ]
-        raw[k] = min(piece.lhs for piece in pieces)
-        margins[k] = min(piece.margin for piece in pieces)
-        premise_all = premise_all and all(piece.premise_ok for piece in pieces)
+    def evaluate(ks, s):
+        gap, gainless, weighted = _window_pass(gp, h, ks, s, gram, gains)
+        lhs = np.linalg.eigvalsh(gainless)[:, 0]
+        margin = lhs - _bound_rhs(gap, gram_min, gp.nodes, h, rho0)
+        return gap, lhs, margin, np.linalg.eigvalsh(weighted)[:, 0]
+
+    gaps, raw, margins, lam = _state_minima(gp, windows, evaluate)
     cumulative = np.cumsum(lam)
     with np.errstate(divide="ignore"):
         r_series = np.where(cumulative > 0.0, 1.0 / np.where(cumulative > 0, cumulative, 1.0), np.inf)
@@ -511,13 +512,11 @@ def pe_diagnostic(config: ExperimentConfig, windows: int | None = None) -> Excit
     if sublinear:
         notes.append("window eigenvalue tail decays faster than 1/k at this horizon")
 
-    connected = check_definition1(gp, h, config.excitation.theta1, windows)
-    observable = check_definition2(rp, h, config.excitation.theta2, windows)
     bound = LowerBoundSummary(
         windows_checked=windows,
         violations=int((margins < -_BOUND_ATOL).sum()),
         min_margin=float(margins.min()),
-        premise_ok=premise_all,
+        premise_ok=premise_ok,
     )
     return ExcitationReport(
         window=h,
@@ -526,9 +525,9 @@ def pe_diagnostic(config: ExperimentConfig, windows: int | None = None) -> Excit
         gainless_series=raw,
         cumulative=cumulative,
         r_series=r_series,
-        jointly_connected=connected,
-        jointly_observable=observable,
-        gamma1=gamma1_membership(gp),
+        jointly_connected=_threshold_report(gaps, config.excitation.theta1),
+        jointly_observable=_threshold_report(np.full(windows, gram_min), config.excitation.theta2),
+        gamma1=gamma1,
         bound_check=bound,
         excited=excited,
         sublinear_warning=sublinear,

@@ -124,6 +124,9 @@ def run_experiment(
     if workers < 1:
         raise InvalidInputError("workers must be positive")
     config.validate()
+    # audit first: a config outside the analyzer's reach fails before any
+    # run is simulated or any file is written
+    report = pe_diagnostic(config, windows=audit_windows(config))
 
     out = default_out_dir(config) if out_dir is None else out_dir
     os.makedirs(out, exist_ok=True)
@@ -161,7 +164,6 @@ def run_experiment(
     aggregate_file = os.path.join(out, f"aggregate.{ext}")
     write_table(aggregate_file, fmt, agg_cols, agg_rows)
 
-    report = pe_diagnostic(config, windows=audit_windows(config))
     excitation_file = os.path.join(out, "excitation.json")
     write_json(excitation_file, excitation_payload(report))
 

@@ -7,17 +7,13 @@ above this layer never sees NaN or Inf.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "SymEigenResult",
     "as_matrix",
     "laplacian",
     "symmetrize",
     "sym_eigenvalues",
-    "kron",
     "block_diag",
     "spectral_norm",
     "sym_eigmax",
@@ -36,15 +32,6 @@ def as_matrix(a, name: str = "matrix", square: bool = False) -> np.ndarray:
     if square and m.shape[0] != m.shape[1]:
         raise InvalidInputError(f"{name} must be square, got shape {m.shape}")
     return m
-
-
-@dataclass(frozen=True)
-class SymEigenResult:
-    """Eigenvalues of a symmetric matrix, ascending, with the backward-error
-    scale ``tolerance`` at which residual checks are meaningful."""
-
-    eigenvalues: np.ndarray
-    tolerance: float
 
 
 def laplacian(adjacency) -> np.ndarray:
@@ -67,7 +54,7 @@ def symmetrize(a) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
-def sym_eigenvalues(s) -> SymEigenResult:
+def sym_eigenvalues(s) -> np.ndarray:
     """All eigenvalues of a symmetric matrix, ascending.
 
     The input must be symmetric up to a small absolute skew; anything with
@@ -78,14 +65,7 @@ def sym_eigenvalues(s) -> SymEigenResult:
     scale = max(1.0, float(np.abs(m).max()) if m.size else 0.0)
     if m.size and float(np.abs(m - m.T).max()) > 1e-10 * scale:
         raise InvalidInputError("matrix is not symmetric")
-    vals = np.linalg.eigvalsh(m)
-    tol = np.finfo(float).eps * max(1, m.shape[0]) * max(1.0, float(np.abs(vals).max()) if vals.size else 0.0)
-    return SymEigenResult(eigenvalues=vals, tolerance=tol)
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product of two matrices."""
-    return np.kron(as_matrix(a, "a"), as_matrix(b, "b"))
+    return np.linalg.eigvalsh(m)
 
 
 def block_diag(blocks) -> np.ndarray:
@@ -115,7 +95,7 @@ def spectral_norm(a) -> float:
     if m.size == 0:
         return 0.0
     gram = m.T @ m
-    top = float(sym_eigenvalues(0.5 * (gram + gram.T)).eigenvalues[-1])
+    top = float(sym_eigenvalues(0.5 * (gram + gram.T))[-1])
     return float(np.sqrt(max(top, 0.0)))
 
 

@@ -8,8 +8,8 @@ import os
 import numpy as np
 import pytest
 
-from netlms.config import get_preset, parse_config, with_overrides
-from netlms.errors import InvalidInputError
+from netlms.config import RegressionConfig, get_preset, parse_config, with_overrides
+from netlms.errors import InvalidInputError, UnsupportedAnalyticError
 from netlms.estimator import run_trajectory, substream
 from netlms.experiment import default_out_dir, run_experiment
 
@@ -213,3 +213,46 @@ def test_markov_switching_experiment_end_to_end(markov_pair, tmp_path):
     table = np.genfromtxt(art.run_files[2], delimiter=",", names=True)
     rec = run_trajectory(cfg, substream(cfg.seed, 2))
     assert np.array_equal(table["V"], rec.v[[0, 20, 40, 60]])
+
+
+ONE_NODE = """
+[experiment]
+name = one-node
+horizon = 50
+runs = 2
+
+[model]
+nodes = 1
+dim = 1
+x0 = 1
+init_1 = 0
+
+[graph]
+kind = fixed
+adjacency = 0
+
+[regression]
+kind = fixed
+h_1 = 1
+
+[gains]
+a_coef = 0.5
+a_exp = 0.6
+b_coef = 0.5
+b_exp = 0.6
+"""
+
+
+def test_audit_rejection_writes_no_files(tmp_path):
+    """The excitation audit runs before the simulation, so a config it
+    rejects leaves the output directory empty."""
+    base = with_overrides(get_preset("setting-i"), runs=2, horizon=50)
+    ar_driven = dataclasses.replace(
+        base, node_dims=(1, 1, 1), regression=RegressionConfig(kind="ar-driven")).validate()
+    cases = [(ar_driven, UnsupportedAnalyticError), (parse_config(ONE_NODE), InvalidInputError)]
+    for i, (cfg, error) in enumerate(cases):
+        out = tmp_path / f"out{i}"
+        out.mkdir()
+        with pytest.raises(error):
+            run_experiment(cfg, out_dir=str(out))
+        assert list(out.iterdir()) == []
