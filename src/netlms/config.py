@@ -8,19 +8,34 @@ Grammar (documented in the README as well):
 * Scalars are plain numbers or words.  Vectors are whitespace-separated
   numbers (``x0 = 5 4 3``).  Matrices separate rows with ``;``
   (``adjacency = 0 1 ; 0 0``).  Per-node families use numbered keys
-  (``init_1``, ``base_2``, ``state_3``, ...).
+  (``init_1``, ``base_2``, ...); the ``state_`` family is counted by the
+  ``states`` key written before it.
+
+Every key is declared once, in the table of its section (``_SECTIONS``):
+its name, its type (how its text parses and renders) and its default, or
+that a file must give it.  ``[noise]``, ``[gains]`` and ``[excitation]``
+take their keys from the fields of their dataclasses, defaults included;
+``[graph]`` and ``[regression]`` map each ``kind`` to its keys and to the
+constructor of its process.  :func:`parse_config`, :func:`render_config`
+and the ``to_process`` methods only read these tables.
 
 Parsing reports the first offending line; semantic validation (dimension
-mismatches and the like) names the section and key.  Every preset
-round-trips exactly through ``parse_config(render_config(cfg))``.
+mismatches, values outside the model's premises and the like) names the
+section and key, and builds every model object the config describes.
+Every valid config round-trips exactly through
+``parse_config(render_config(cfg))``, and the rendering is canonical.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from collections import ChainMap
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable
 
-from .errors import ConfigError
+from . import graphs, regression
+from .errors import ConfigError, NetlmsError
+from .noise import NOISE_KINDS, ChannelNoise, MeasurementNoise, NoiseIntensity
 
 __all__ = [
     "GraphConfig",
@@ -55,20 +70,8 @@ class GraphConfig:
     transition: Matrix | None = None
     initial_state: int = 0
 
-    def to_process(self):
-        from . import graphs
-
-        if self.kind == "fixed":
-            return graphs.fixed_graph(self.adjacency)
-        if self.kind == "alternating-uniform":
-            return graphs.alternating_uniform_graph(
-                self._nodes, (self.even_low, self.even_high), (self.odd_low, self.odd_high)
-            )
-        if self.kind == "iid-uniform":
-            return graphs.iid_uniform_graph(self._nodes, (self.low, self.high))
-        return graphs.markov_switching_graph(self.states, self.transition, self.initial_state)
-
-    _nodes: int = 0
+    def to_process(self, nodes: int) -> graphs.GraphProcess:
+        return _kind(_GRAPH_KINDS, "graph", self.kind).build(self, nodes)
 
 
 @dataclass(frozen=True)
@@ -82,16 +85,8 @@ class RegressionConfig:
     active_prob: float = 1.0
     ar_init: Matrix | None = None
 
-    def to_process(self, nodes: int, dim: int):
-        from . import regression
-
-        if self.kind == "fixed":
-            return regression.fixed_regression(self.h_nodes)
-        if self.kind == "entrywise-uniform":
-            return regression.entrywise_uniform_regression(self.base, self.coef, self.low, self.high)
-        if self.kind == "bernoulli-failure":
-            return regression.bernoulli_failure_regression(self.coef, self.active_prob)
-        return regression.ar_driven_regression(nodes, dim)
+    def to_process(self, nodes: int, dim: int) -> regression.RegressionProcess:
+        return _kind(_REGRESSION_KINDS, "regression", self.kind).build(self, nodes, dim)
 
 
 @dataclass(frozen=True)
@@ -103,33 +98,27 @@ class NoiseConfig:
     sigma_f: float = 0.1
     b_f: float = 0.1
 
-    def measurement(self):
-        from .noise import MeasurementNoise
-
+    def measurement(self) -> MeasurementNoise:
         return MeasurementNoise(kind=self.measurement_kind, std=self.measurement_std)
 
-    def channel(self):
-        from .noise import ChannelNoise
-
+    def channel(self) -> ChannelNoise:
         return ChannelNoise(kind=self.channel_kind, std=self.channel_std)
 
-    def intensity(self):
-        from .noise import NoiseIntensity
-
+    def intensity(self) -> NoiseIntensity:
         return NoiseIntensity(sigma=self.sigma_f, bias=self.b_f)
 
 
 @dataclass(frozen=True)
 class GainConfig:
     """Power-law step sizes a(k) = a_coef (k+1)^-a_exp, likewise b and the
-    regularizer weight lambda."""
+    regularizer weight lambda, which is off (zero) unless set."""
 
     a_coef: float = 1.0
     a_exp: float = 0.6
     b_coef: float = 1.0
     b_exp: float = 0.6
-    lambda_coef: float = 1.0
-    lambda_exp: float = 2.0
+    lambda_coef: float = 0.0
+    lambda_exp: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -160,6 +149,11 @@ class ExperimentConfig:
     out: str = ""
 
     def validate(self) -> "ExperimentConfig":
+        """Check the config against the model's premises and build every
+        model object it describes; a failure is a :class:`ConfigError`
+        that names the section, and the key where one key is at fault."""
+        from .estimator import SimulationModel
+
         def fail(msg):
             raise ConfigError(msg)
 
@@ -179,11 +173,23 @@ class ExperimentConfig:
             fail(f"[model] x0 must have {self.dim} entries, got {len(self.x0)}")
         if len(self.init) != self.nodes or any(len(r) != self.dim for r in self.init):
             fail(f"[model] need init_1..init_{self.nodes}, each with {self.dim} entries")
+        # the noise laws and the gains: every kind is a noise kind, every
+        # number finite and nonnegative
+        for section in ("noise", "gains"):
+            part = getattr(self, section)
+            for f in fields(part):
+                value = getattr(part, f.name)
+                if f.type == "str" and value not in NOISE_KINDS:
+                    fail(f"[{section}] {f.name} must be one of {', '.join(NOISE_KINDS)}, got {value!r}")
+                if f.type == "float" and not (math.isfinite(value) and value >= 0):
+                    fail(f"[{section}] {f.name} must be finite and nonnegative, got {value!r}")
+        if self.excitation.window < 1:
+            fail("[excitation] window must be positive")
         try:
-            gp = self.graph.to_process()
-            rp = self.regression.to_process(self.nodes, self.dim)
-        except Exception as exc:  # surface process-level validation as config errors
+            model = SimulationModel.from_config(self)
+        except NetlmsError as exc:  # surface process-level validation as config errors
             raise ConfigError(str(exc)) from exc
+        gp, rp = model.graph, model.regression
         if gp.nodes != self.nodes:
             fail(f"[graph] describes {gp.nodes} nodes but [model] has {self.nodes}")
         if rp.nodes != self.nodes:
@@ -192,76 +198,269 @@ class ExperimentConfig:
             fail(f"[regression] column count {rp.dim} does not match dim {self.dim}")
         if rp.node_dims != self.node_dims:
             fail(f"[regression] row counts {rp.node_dims} do not match node_dims {self.node_dims}")
-        if self.regression.kind == "ar-driven":
-            ai = self.regression.ar_init
-            if ai is not None and (len(ai) != self.nodes or any(len(r) != self.dim for r in ai)):
-                fail(f"[regression] ar_init must be {self.nodes} rows of {self.dim} entries")
-        if self.excitation.window < 1:
-            fail("[excitation] window must be positive")
+        ai = self.regression.ar_init
+        if rp.kind == "ar-driven" and ai is not None and (
+            len(ai) != self.nodes or any(len(r) != self.dim for r in ai)
+        ):
+            fail(f"[regression] ar_init must be {self.nodes} rows of {self.dim} entries")
         return self
 
 
 # ---------------------------------------------------------------------------
-# parsing
+# the key tables
 
-_SECTIONS = ("experiment", "model", "graph", "regression", "noise", "gains", "excitation")
-
-
-def _parse_scalar(raw: str, line: int, want: str):
-    try:
-        if want == "int":
-            return int(raw)
-        if want == "float":
-            return float(raw)
-    except ValueError:
-        raise ConfigError(f"expected {'an integer' if want == 'int' else 'a number'}, got {raw!r}", line)
-    return raw
+_REQUIRED = object()  # the default of a key that every file must give
+_PER_NODE = "nodes"  # the count of a family with one key per node
 
 
-def _parse_vector(raw: str, line: int) -> tuple[float, ...]:
-    try:
-        return tuple(float(tok) for tok in raw.split())
-    except ValueError:
-        raise ConfigError(f"expected a whitespace-separated vector, got {raw!r}", line)
+def _ints(raw: str) -> tuple[int, ...]:
+    return tuple(int(tok) for tok in raw.split())
 
 
-def _parse_matrix(raw: str, line: int) -> Matrix:
-    rows = []
-    for part in raw.split(";"):
-        rows.append(_parse_vector(part, line))
-    if not rows or any(len(r) != len(rows[0]) for r in rows):
-        raise ConfigError(f"matrix rows must be nonempty and equally long: {raw!r}", line)
-    return tuple(rows)
+def _vector(raw: str) -> tuple[float, ...]:
+    return tuple(float(tok) for tok in raw.split())
+
+
+def _matrix(raw: str) -> Matrix:
+    rows = tuple(_vector(part) for part in raw.split(";"))
+    if any(len(r) != len(rows[0]) for r in rows):
+        raise ValueError(raw)
+    return rows
+
+
+def _fmt_vector(v) -> str:
+    # repr gives the shortest text that reads back to the same float
+    return " ".join(repr(float(e)) for e in v)
+
+
+@dataclass(frozen=True)
+class _Type:
+    """How a value of one type parses from and renders to config text;
+    ``parse`` raises ValueError on text that is not ``expected``."""
+
+    parse: Callable[[str], object]
+    render: Callable[[object], str]
+    expected: str
+
+
+_TYPES = {
+    "str": _Type(str, str, "a word"),
+    "int": _Type(int, str, "an integer"),
+    "float": _Type(float, lambda x: repr(float(x)), "a number"),
+    "ints": _Type(_ints, lambda v: " ".join(str(d) for d in v), "whitespace-separated integers"),
+    "vector": _Type(_vector, _fmt_vector, "a whitespace-separated vector"),
+    "matrix": _Type(
+        _matrix,
+        lambda m: " ; ".join(_fmt_vector(row) for row in m),
+        "a matrix of equally long rows separated by ';'",
+    ),
+}
+
+
+@dataclass(frozen=True)
+class _Key:
+    """A key written ``name = value`` that fills the config attribute
+    ``attr`` (``name`` when not given).
+
+    ``default`` is a value, a function of the values read before it, or
+    ``_REQUIRED``.  A key with ``count`` is a family ``name1 .. nameC`` of
+    required keys: ``C`` is the node count when ``count`` is ``"nodes"``,
+    else the positive integer key ``count`` written just before it.
+    """
+
+    name: str
+    type: str
+    default: object = _REQUIRED
+    attr: str = ""
+    count: str = ""
+
+    def __post_init__(self):
+        if not self.attr:
+            object.__setattr__(self, "attr", self.name)
+
+    def render(self, value) -> list[str]:
+        if self.default in (None, "") and value == self.default:
+            return []  # an optional key left unset is left out
+        fmt = _TYPES[self.type].render
+        if not self.count:
+            return [f"{self.name} = {fmt(value)}"]
+        head = [] if self.count == _PER_NODE else [f"{self.count} = {len(value)}"]
+        return head + [f"{self.name}{i} = {fmt(v)}" for i, v in enumerate(value, 1)]
+
+
+def _field_keys(cls, required=()) -> tuple[_Key, ...]:
+    """One key per field of dataclass ``cls``, with the field's name, type
+    and default; the ``required`` ones have no default in files."""
+    return tuple(
+        _Key(f.name, f.type, _REQUIRED if f.name in required else f.default) for f in fields(cls)
+    )
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """One ``kind`` of a [graph] or [regression] section: the keys it
+    reads and the constructor of its process from the config (and the
+    [model] node count and dimension)."""
+
+    build: Callable
+    keys: tuple[_Key, ...]
+
+
+def _kind(kinds: dict[str, _Kind], section: str, kind: str) -> _Kind:
+    if kind not in kinds:
+        raise ConfigError(f"[{section}] unknown kind {kind!r}")
+    return kinds[kind]
+
+
+_GRAPH_KINDS = {
+    "fixed": _Kind(
+        lambda c, nodes: graphs.fixed_graph(c.adjacency),
+        (_Key("adjacency", "matrix"),),
+    ),
+    "alternating-uniform": _Kind(
+        lambda c, nodes: graphs.alternating_uniform_graph(
+            nodes, (c.even_low, c.even_high), (c.odd_low, c.odd_high)
+        ),
+        tuple(_Key(name, "float") for name in ("even_low", "even_high", "odd_low", "odd_high")),
+    ),
+    "iid-uniform": _Kind(
+        lambda c, nodes: graphs.iid_uniform_graph(nodes, (c.low, c.high)),
+        (_Key("low", "float"), _Key("high", "float")),
+    ),
+    "markov-switching": _Kind(
+        lambda c, nodes: graphs.markov_switching_graph(c.states, c.transition, c.initial_state),
+        (
+            _Key("state_", "matrix", attr="states", count="states"),
+            _Key("transition", "matrix"),
+            _Key("initial_state", "int", GraphConfig.initial_state),
+        ),
+    ),
+}
+
+_REGRESSION_KINDS = {
+    "fixed": _Kind(
+        lambda c, nodes, dim: regression.fixed_regression(c.h_nodes),
+        (_Key("h_", "matrix", attr="h_nodes", count=_PER_NODE),),
+    ),
+    "entrywise-uniform": _Kind(
+        lambda c, nodes, dim: regression.entrywise_uniform_regression(c.base, c.coef, c.low, c.high),
+        (
+            _Key("base_", "matrix", attr="base", count=_PER_NODE),
+            _Key("coef_", "matrix", attr="coef", count=_PER_NODE),
+            _Key("low", "float", RegressionConfig.low),
+            _Key("high", "float", RegressionConfig.high),
+        ),
+    ),
+    "bernoulli-failure": _Kind(
+        lambda c, nodes, dim: regression.bernoulli_failure_regression(c.coef, c.active_prob),
+        (
+            _Key("pattern_", "matrix", attr="coef", count=_PER_NODE),
+            _Key("active_prob", "float"),
+        ),
+    ),
+    "ar-driven": _Kind(
+        lambda c, nodes, dim: regression.ar_driven_regression(nodes, dim),
+        (_Key("ar_init", "matrix", RegressionConfig.ar_init),),
+    ),
+}
+
+_KIND_KEY = _Key("kind", "str")
+
+
+@dataclass(frozen=True)
+class _Section:
+    """A ``[name]`` section: its keys in file order and, with ``kinds``,
+    the further keys of each kind.  With ``cls`` it fills the
+    :class:`ExperimentConfig` field ``name``; without, its keys are
+    :class:`ExperimentConfig` fields themselves."""
+
+    name: str
+    required: bool
+    keys: tuple[_Key, ...]
+    cls: type | None = None
+    kinds: dict[str, _Kind] | None = None
+
+    def kind_keys(self, kind) -> tuple[_Key, ...]:
+        return _kind(self.kinds, self.name, kind).keys if self.kinds else ()
+
+
+_SECTIONS = {
+    section.name: section
+    for section in (
+        _Section(
+            "experiment",
+            True,
+            (
+                _Key("name", "str", "custom"),
+                _Key("seed", "int", 0),
+                _Key("horizon", "int"),
+                _Key("runs", "int", 1),
+                _Key("record_every", "int", ExperimentConfig.record_every),
+                _Key("out", "str", ExperimentConfig.out),
+            ),
+        ),
+        _Section(
+            "model",
+            True,
+            (
+                _Key("nodes", "int"),
+                _Key("dim", "int"),
+                _Key("node_dims", "ints", lambda got: (got["dim"],) * got["nodes"]),
+                _Key("x0", "vector"),
+                _Key("init_", "vector", attr="init", count=_PER_NODE),
+            ),
+        ),
+        _Section("graph", True, (_KIND_KEY,), GraphConfig, _GRAPH_KINDS),
+        _Section("regression", True, (_KIND_KEY,), RegressionConfig, _REGRESSION_KINDS),
+        _Section("noise", False, _field_keys(NoiseConfig), NoiseConfig),
+        _Section(
+            "gains",
+            True,
+            _field_keys(GainConfig, required=("a_coef", "a_exp", "b_coef", "b_exp")),
+            GainConfig,
+        ),
+        _Section("excitation", False, _field_keys(ExcitationConfig), ExcitationConfig),
+    )
+}
+
+
+# ---------------------------------------------------------------------------
+# parsing and rendering
 
 
 class _SectionView:
-    """Tracks which keys were consumed so leftovers can be reported."""
+    """Reads keys from one section and tracks which were consumed, so
+    leftovers can be reported."""
 
     def __init__(self, name: str, entries: dict[str, tuple[str, int]]):
         self.name = name
         self.entries = entries
         self.used: set[str] = set()
 
-    def take(self, key: str, kind: str, default=None, required: bool = False):
-        if key not in self.entries:
-            if required:
-                raise ConfigError(f"[{self.name}] missing required key '{key}'")
-            return default
-        raw, line = self.entries[key]
-        self.used.add(key)
-        if kind == "vector":
-            return _parse_vector(raw, line)
-        if kind == "matrix":
-            return _parse_matrix(raw, line)
-        if kind == "str":
-            return raw
-        return _parse_scalar(raw, line, kind)
+    def take(self, key: _Key, got):
+        """The value of ``key``; ``got`` maps the attributes read so far
+        (the node count among them) to their values."""
+        if not key.count:
+            return self._value(key.name, key.type, key.default, got)
+        count = got["nodes"] if key.count == _PER_NODE else self._value(key.count, "int", _REQUIRED, got)
+        if count < 1:
+            raise ConfigError(f"[{self.name}] {key.count} must be positive")
+        return tuple(
+            self._value(f"{key.name}{i}", key.type, _REQUIRED, got) for i in range(1, count + 1)
+        )
 
-    def take_family(self, prefix: str, count: int, kind: str) -> tuple:
-        out = []
-        for i in range(1, count + 1):
-            out.append(self.take(f"{prefix}{i}", kind, required=True))
-        return tuple(out)
+    def _value(self, name: str, type_: str, default, got):
+        if name not in self.entries:
+            if default is _REQUIRED:
+                raise ConfigError(f"[{self.name}] missing required key '{name}'")
+            return default(got) if callable(default) else default
+        raw, line = self.entries[name]
+        self.used.add(name)
+        kind = _TYPES[type_]
+        try:
+            return kind.parse(raw)
+        except ValueError:
+            raise ConfigError(f"expected {kind.expected}, got {raw!r}", line) from None
 
     def finish(self):
         leftover = [k for k in self.entries if k not in self.used]
@@ -303,143 +502,22 @@ def _split_sections(text: str) -> dict[str, dict[str, tuple[str, int]]]:
 def parse_config(text: str) -> ExperimentConfig:
     """Parse config text into a validated :class:`ExperimentConfig`."""
     raw = _split_sections(text)
-    for required in ("experiment", "model", "graph", "regression", "gains"):
-        if required not in raw:
-            raise ConfigError(f"missing section [{required}]")
-
-    exp = _SectionView("experiment", raw["experiment"])
-    name = exp.take("name", "str", default="custom")
-    seed = exp.take("seed", "int", default=0)
-    horizon = exp.take("horizon", "int", required=True)
-    runs = exp.take("runs", "int", default=1)
-    record_every = exp.take("record_every", "int", default=1)
-    out = exp.take("out", "str", default="")
-    exp.finish()
-
-    model = _SectionView("model", raw["model"])
-    nodes = model.take("nodes", "int", required=True)
-    dim = model.take("dim", "int", required=True)
-    if nodes < 1 or dim < 1:
-        raise ConfigError("[model] nodes and dim must be positive")
-    node_dims_vec = model.take("node_dims", "vector", default=tuple(float(dim) for _ in range(nodes)))
-    node_dims = tuple(int(d) for d in node_dims_vec)
-    x0 = model.take("x0", "vector", required=True)
-    init = model.take_family("init_", nodes, "vector")
-    model.finish()
-
-    g = _SectionView("graph", raw["graph"])
-    gkind = g.take("kind", "str", required=True)
-    if gkind == "fixed":
-        graph = GraphConfig(kind=gkind, adjacency=g.take("adjacency", "matrix", required=True))
-    elif gkind == "alternating-uniform":
-        graph = GraphConfig(
-            kind=gkind,
-            even_low=g.take("even_low", "float", required=True),
-            even_high=g.take("even_high", "float", required=True),
-            odd_low=g.take("odd_low", "float", required=True),
-            odd_high=g.take("odd_high", "float", required=True),
-            _nodes=nodes,
-        )
-    elif gkind == "iid-uniform":
-        graph = GraphConfig(
-            kind=gkind,
-            low=g.take("low", "float", required=True),
-            high=g.take("high", "float", required=True),
-            _nodes=nodes,
-        )
-    elif gkind == "markov-switching":
-        n_states = g.take("states", "int", required=True)
-        if n_states < 1:
-            raise ConfigError("[graph] states must be positive")
-        graph = GraphConfig(
-            kind=gkind,
-            states=g.take_family("state_", n_states, "matrix"),
-            transition=g.take("transition", "matrix", required=True),
-            initial_state=g.take("initial_state", "int", default=0),
-        )
-    else:
-        raise ConfigError(f"[graph] unknown kind {gkind!r}")
-    g.finish()
-
-    r = _SectionView("regression", raw["regression"])
-    rkind = r.take("kind", "str", required=True)
-    if rkind == "fixed":
-        reg = RegressionConfig(kind=rkind, h_nodes=r.take_family("h_", nodes, "matrix"))
-    elif rkind == "entrywise-uniform":
-        reg = RegressionConfig(
-            kind=rkind,
-            base=r.take_family("base_", nodes, "matrix"),
-            coef=r.take_family("coef_", nodes, "matrix"),
-            low=r.take("low", "float", default=0.0),
-            high=r.take("high", "float", default=1.0),
-        )
-    elif rkind == "bernoulli-failure":
-        reg = RegressionConfig(
-            kind=rkind,
-            coef=r.take_family("pattern_", nodes, "matrix"),
-            active_prob=r.take("active_prob", "float", required=True),
-        )
-    elif rkind == "ar-driven":
-        ar_init = r.take("ar_init", "matrix", default=None)
-        reg = RegressionConfig(kind=rkind, ar_init=ar_init)
-    else:
-        raise ConfigError(f"[regression] unknown kind {rkind!r}")
-    r.finish()
-
-    noise = NoiseConfig()
-    if "noise" in raw:
-        nv = _SectionView("noise", raw["noise"])
-        noise = NoiseConfig(
-            measurement_kind=nv.take("measurement_kind", "str", default="gaussian"),
-            measurement_std=nv.take("measurement_std", "float", default=1.0),
-            channel_kind=nv.take("channel_kind", "str", default="gaussian"),
-            channel_std=nv.take("channel_std", "float", default=1.0),
-            sigma_f=nv.take("sigma_f", "float", default=0.1),
-            b_f=nv.take("b_f", "float", default=0.1),
-        )
-        nv.finish()
-
-    gv = _SectionView("gains", raw["gains"])
-    gains = GainConfig(
-        a_coef=gv.take("a_coef", "float", required=True),
-        a_exp=gv.take("a_exp", "float", required=True),
-        b_coef=gv.take("b_coef", "float", required=True),
-        b_exp=gv.take("b_exp", "float", required=True),
-        lambda_coef=gv.take("lambda_coef", "float", default=0.0),
-        lambda_exp=gv.take("lambda_exp", "float", default=0.0),
-    )
-    gv.finish()
-
-    excitation = ExcitationConfig()
-    if "excitation" in raw:
-        ev = _SectionView("excitation", raw["excitation"])
-        excitation = ExcitationConfig(
-            window=ev.take("window", "int", default=2),
-            theta1=ev.take("theta1", "float", default=0.5),
-            theta2=ev.take("theta2", "float", default=0.2),
-            rho0=ev.take("rho0", "float", default=5.0),
-        )
-        ev.finish()
-
-    cfg = ExperimentConfig(
-        name=name,
-        seed=seed,
-        horizon=horizon,
-        runs=runs,
-        record_every=record_every,
-        out=out,
-        nodes=nodes,
-        dim=dim,
-        node_dims=node_dims,
-        x0=x0,
-        init=init,
-        graph=graph,
-        regression=reg,
-        noise=noise,
-        gains=gains,
-        excitation=excitation,
-    )
-    return cfg.validate()
+    for section in _SECTIONS.values():
+        if section.required and section.name not in raw:
+            raise ConfigError(f"missing section [{section.name}]")
+    top: dict = {}
+    for section in _SECTIONS.values():
+        view = _SectionView(section.name, raw.get(section.name, {}))
+        got = {} if section.cls else top
+        scope = ChainMap(got, top)
+        for key in section.keys:
+            got[key.attr] = view.take(key, scope)
+        for key in section.kind_keys(got["kind"] if section.kinds else None):
+            got[key.attr] = view.take(key, scope)
+        view.finish()
+        if section.cls:
+            top[section.name] = section.cls(**got)
+    return ExperimentConfig(**top).validate()
 
 
 def load_config(path) -> ExperimentConfig:
@@ -447,121 +525,27 @@ def load_config(path) -> ExperimentConfig:
         return parse_config(fh.read())
 
 
-# ---------------------------------------------------------------------------
-# rendering
-
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
-def _fmt_vector(v) -> str:
-    return " ".join(_fmt(float(e)) for e in v)
-
-
-def _fmt_matrix(m) -> str:
-    return " ; ".join(_fmt_vector(row) for row in m)
-
-
 def render_config(cfg: ExperimentConfig) -> str:
     """Render a config to canonical text (fixed section and key order)."""
-    lines = ["[experiment]"]
-    lines.append(f"name = {cfg.name}")
-    lines.append(f"seed = {cfg.seed}")
-    lines.append(f"horizon = {cfg.horizon}")
-    lines.append(f"runs = {cfg.runs}")
-    lines.append(f"record_every = {cfg.record_every}")
-    if cfg.out:
-        lines.append(f"out = {cfg.out}")
-
-    lines.append("")
-    lines.append("[model]")
-    lines.append(f"nodes = {cfg.nodes}")
-    lines.append(f"dim = {cfg.dim}")
-    lines.append(f"node_dims = {' '.join(str(d) for d in cfg.node_dims)}")
-    lines.append(f"x0 = {_fmt_vector(cfg.x0)}")
-    for i, row in enumerate(cfg.init, 1):
-        lines.append(f"init_{i} = {_fmt_vector(row)}")
-
-    lines.append("")
-    lines.append("[graph]")
-    lines.append(f"kind = {cfg.graph.kind}")
-    if cfg.graph.kind == "fixed":
-        lines.append(f"adjacency = {_fmt_matrix(cfg.graph.adjacency)}")
-    elif cfg.graph.kind == "alternating-uniform":
-        lines.append(f"even_low = {_fmt(cfg.graph.even_low)}")
-        lines.append(f"even_high = {_fmt(cfg.graph.even_high)}")
-        lines.append(f"odd_low = {_fmt(cfg.graph.odd_low)}")
-        lines.append(f"odd_high = {_fmt(cfg.graph.odd_high)}")
-    elif cfg.graph.kind == "iid-uniform":
-        lines.append(f"low = {_fmt(cfg.graph.low)}")
-        lines.append(f"high = {_fmt(cfg.graph.high)}")
-    else:
-        lines.append(f"states = {len(cfg.graph.states)}")
-        for i, s in enumerate(cfg.graph.states, 1):
-            lines.append(f"state_{i} = {_fmt_matrix(s)}")
-        lines.append(f"transition = {_fmt_matrix(cfg.graph.transition)}")
-        lines.append(f"initial_state = {cfg.graph.initial_state}")
-
-    lines.append("")
-    lines.append("[regression]")
-    lines.append(f"kind = {cfg.regression.kind}")
-    if cfg.regression.kind == "fixed":
-        for i, h in enumerate(cfg.regression.h_nodes, 1):
-            lines.append(f"h_{i} = {_fmt_matrix(h)}")
-    elif cfg.regression.kind == "entrywise-uniform":
-        for i, b in enumerate(cfg.regression.base, 1):
-            lines.append(f"base_{i} = {_fmt_matrix(b)}")
-        for i, c in enumerate(cfg.regression.coef, 1):
-            lines.append(f"coef_{i} = {_fmt_matrix(c)}")
-        lines.append(f"low = {_fmt(cfg.regression.low)}")
-        lines.append(f"high = {_fmt(cfg.regression.high)}")
-    elif cfg.regression.kind == "bernoulli-failure":
-        for i, c in enumerate(cfg.regression.coef, 1):
-            lines.append(f"pattern_{i} = {_fmt_matrix(c)}")
-        lines.append(f"active_prob = {_fmt(cfg.regression.active_prob)}")
-    else:
-        if cfg.regression.ar_init is not None:
-            lines.append(f"ar_init = {_fmt_matrix(cfg.regression.ar_init)}")
-
-    lines.append("")
-    lines.append("[noise]")
-    lines.append(f"measurement_kind = {cfg.noise.measurement_kind}")
-    lines.append(f"measurement_std = {_fmt(cfg.noise.measurement_std)}")
-    lines.append(f"channel_kind = {cfg.noise.channel_kind}")
-    lines.append(f"channel_std = {_fmt(cfg.noise.channel_std)}")
-    lines.append(f"sigma_f = {_fmt(cfg.noise.sigma_f)}")
-    lines.append(f"b_f = {_fmt(cfg.noise.b_f)}")
-
-    lines.append("")
-    lines.append("[gains]")
-    lines.append(f"a_coef = {_fmt(cfg.gains.a_coef)}")
-    lines.append(f"a_exp = {_fmt(cfg.gains.a_exp)}")
-    lines.append(f"b_coef = {_fmt(cfg.gains.b_coef)}")
-    lines.append(f"b_exp = {_fmt(cfg.gains.b_exp)}")
-    lines.append(f"lambda_coef = {_fmt(cfg.gains.lambda_coef)}")
-    lines.append(f"lambda_exp = {_fmt(cfg.gains.lambda_exp)}")
-
-    lines.append("")
-    lines.append("[excitation]")
-    lines.append(f"window = {cfg.excitation.window}")
-    lines.append(f"theta1 = {_fmt(cfg.excitation.theta1)}")
-    lines.append(f"theta2 = {_fmt(cfg.excitation.theta2)}")
-    lines.append(f"rho0 = {_fmt(cfg.excitation.rho0)}")
-    lines.append("")
-    return "\n".join(lines)
+    blocks = []
+    for section in _SECTIONS.values():
+        owner = getattr(cfg, section.name) if section.cls else cfg
+        lines = [f"[{section.name}]"]
+        for key in (*section.keys, *section.kind_keys(owner.kind if section.kinds else None)):
+            lines += key.render(getattr(owner, key.attr))
+        blocks.append("\n".join(lines))
+    return "\n\n".join(blocks) + "\n"
 
 
 # ---------------------------------------------------------------------------
 # presets: the three-node benchmark used throughout the tests and demos
 
-def _benchmark_config(name, a_coef, a_exp, lam_coef, lam_exp, horizon, runs, seed) -> ExperimentConfig:
+def _benchmark_config(name, a_coef, a_exp, lam_coef, lam_exp, runs) -> ExperimentConfig:
     zero3 = (0.0, 0.0, 0.0)
     return ExperimentConfig(
         name=name,
-        seed=seed,
-        horizon=horizon,
+        seed=42,
+        horizon=100_000,
         runs=runs,
         record_every=100,
         nodes=3,
@@ -575,7 +559,6 @@ def _benchmark_config(name, a_coef, a_exp, lam_coef, lam_exp, horizon, runs, see
             even_high=1.0,
             odd_low=-0.5,
             odd_high=0.5,
-            _nodes=3,
         ),
         regression=RegressionConfig(
             kind="entrywise-uniform",
@@ -592,7 +575,6 @@ def _benchmark_config(name, a_coef, a_exp, lam_coef, lam_exp, horizon, runs, see
             low=0.0,
             high=1.0,
         ),
-        noise=NoiseConfig(),
         gains=GainConfig(
             a_coef=a_coef,
             a_exp=a_exp,
@@ -601,29 +583,28 @@ def _benchmark_config(name, a_coef, a_exp, lam_coef, lam_exp, horizon, runs, see
             lambda_coef=lam_coef,
             lambda_exp=lam_exp,
         ),
-        excitation=ExcitationConfig(window=2, theta1=0.5, theta2=0.2, rho0=5.0),
     )
 
 
-_PRESETS: dict[str, Callable[[], ExperimentConfig]] = {
-    "setting-i": lambda: _benchmark_config("setting-i", 1.0, 0.6, 1.0, 2.0, 100_000, 10, 42),
-    "setting-ii": lambda: _benchmark_config("setting-ii", 1.0, 0.6, 1.0, 3.0, 100_000, 10, 42),
-    "setting-iii": lambda: _benchmark_config("setting-iii", 1.0, 0.8, 1.0, 2.0, 100_000, 10, 42),
-    "setting-iv": lambda: _benchmark_config("setting-iv", 1.0, 0.8, 1.0, 3.0, 100_000, 10, 42),
-    "setting-v": lambda: _benchmark_config("setting-v", 1.0, 0.6, 0.0, 0.0, 100_000, 10, 42),
-    "setting-vi": lambda: _benchmark_config("setting-vi", 1.0, 0.8, 0.0, 0.0, 100_000, 10, 42),
-    "regret": lambda: _benchmark_config("regret", 0.1, 0.6, 0.2, 1.2, 100_000, 50, 42),
+# name: (a_coef = b_coef, a_exp = b_exp, lambda_coef, lambda_exp, runs, summary)
+_PRESETS = {
+    "setting-i": (1.0, 0.6, 1.0, 2.0, 10,
+                  "slow gain decay (0.6) with fast-vanishing regularizer (exp 2)"),
+    "setting-ii": (1.0, 0.6, 1.0, 3.0, 10,
+                   "slow gain decay (0.6) with faster-vanishing regularizer (exp 3)"),
+    "setting-iii": (1.0, 0.8, 1.0, 2.0, 10,
+                    "fast gain decay (0.8) with fast-vanishing regularizer (exp 2)"),
+    "setting-iv": (1.0, 0.8, 1.0, 3.0, 10,
+                   "fast gain decay (0.8) with faster-vanishing regularizer (exp 3)"),
+    "setting-v": (1.0, 0.6, 0.0, 0.0, 10,
+                  "slow gain decay (0.6), no regularizer"),
+    "setting-vi": (1.0, 0.8, 0.0, 0.0, 10,
+                   "fast gain decay (0.8), no regularizer"),
+    "regret": (0.1, 0.6, 0.2, 1.2, 50,
+               "small gains 0.1 (k+1)^-0.6 for regret experiments, 50 runs"),
 }
 
-PRESET_SUMMARIES = {
-    "setting-i": "slow gain decay (0.6) with fast-vanishing regularizer (exp 2)",
-    "setting-ii": "slow gain decay (0.6) with faster-vanishing regularizer (exp 3)",
-    "setting-iii": "fast gain decay (0.8) with fast-vanishing regularizer (exp 2)",
-    "setting-iv": "fast gain decay (0.8) with faster-vanishing regularizer (exp 3)",
-    "setting-v": "slow gain decay (0.6), no regularizer",
-    "setting-vi": "fast gain decay (0.8), no regularizer",
-    "regret": "small gains 0.1 (k+1)^-0.6 for regret experiments, 50 runs",
-}
+PRESET_SUMMARIES = {name: row[-1] for name, row in _PRESETS.items()}
 
 
 def preset_names() -> tuple[str, ...]:
@@ -635,7 +616,7 @@ def get_preset(name: str) -> ExperimentConfig:
     key = name.strip().lower()
     if key not in _PRESETS:
         raise ConfigError(f"unknown preset {name!r}; available: {', '.join(_PRESETS)}")
-    return _PRESETS[key]().validate()
+    return _benchmark_config(key, *_PRESETS[key][:-1]).validate()
 
 
 def with_overrides(cfg: ExperimentConfig, seed=None, runs=None, horizon=None, out=None) -> ExperimentConfig:

@@ -376,7 +376,7 @@ class SimulationModel:
                 else np.asarray(config.regression.ar_init, dtype=float)
             )
         return cls(
-            graph=config.graph.to_process(),
+            graph=config.graph.to_process(config.nodes),
             regression=rp,
             measurement=config.noise.measurement(),
             channel=config.noise.channel(),
@@ -420,6 +420,8 @@ def _default_chunk(runs: int, nodes: int, dim: int, rows: int) -> int:
     return max(16, _CHUNK_FLOATS // (runs * per_step))
 
 
+# a diverging run overflows to inf and NaN; first_nonfinite_step reports it
+@np.errstate(over="ignore", invalid="ignore")
 def simulate(
     model: SimulationModel,
     seeds,

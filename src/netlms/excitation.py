@@ -475,7 +475,7 @@ def pe_diagnostic(config: ExperimentConfig, windows: int | None = None) -> Excit
     if windows is None:
         windows = max(1, (config.horizon + 1) // h)
     _check_window_args(h, windows)
-    gp = config.graph.to_process()
+    gp = config.graph.to_process(config.nodes)
     rp = config.regression.to_process(config.nodes, config.dim)
     gains = GainSchedule.from_config(config)
     rho0 = config.excitation.rho0

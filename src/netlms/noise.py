@@ -21,6 +21,7 @@ from .errors import InvalidInputError
 from .linalg import as_matrix, ordered_sum, spectral_norm, sym_eigmax
 
 __all__ = [
+    "NOISE_KINDS",
     "NoiseIntensity",
     "MeasurementNoise",
     "ChannelNoise",
@@ -33,6 +34,13 @@ __all__ = [
     "verify_A1_A2_bounds",
 ]
 
+NOISE_KINDS = ("zero", "gaussian")
+
+
+def _finite_nonnegative(value) -> bool:
+    v = np.asarray(value, dtype=float)
+    return bool(np.all(np.isfinite(v)) and np.all(v >= 0))
+
 
 @dataclass(frozen=True)
 class NoiseIntensity:
@@ -43,8 +51,8 @@ class NoiseIntensity:
     bias: float
 
     def __post_init__(self):
-        if self.sigma < 0 or self.bias < 0:
-            raise InvalidInputError("intensity coefficients must be nonnegative")
+        if not _finite_nonnegative((self.sigma, self.bias)):
+            raise InvalidInputError("intensity coefficients must be finite and nonnegative")
 
     def __call__(self, diff) -> float:
         d = np.asarray(diff, dtype=float)
@@ -69,10 +77,10 @@ class MeasurementNoise:
     std: float | np.ndarray = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("zero", "gaussian"):
+        if self.kind not in NOISE_KINDS:
             raise InvalidInputError(f"unknown measurement-noise kind {self.kind!r}")
-        if np.any(np.asarray(self.std) < 0):
-            raise InvalidInputError("std must be nonnegative")
+        if not _finite_nonnegative(self.std):
+            raise InvalidInputError("std must be finite and nonnegative")
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         if self.kind == "zero":
@@ -94,10 +102,10 @@ class ChannelNoise:
     std: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("zero", "gaussian"):
+        if self.kind not in NOISE_KINDS:
             raise InvalidInputError(f"unknown channel-noise kind {self.kind!r}")
-        if self.std < 0:
-            raise InvalidInputError("std must be nonnegative")
+        if not _finite_nonnegative(self.std):
+            raise InvalidInputError("std must be finite and nonnegative")
 
     def sample(self, rng: np.random.Generator, shape) -> np.ndarray:
         if self.kind == "zero":

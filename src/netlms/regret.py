@@ -108,6 +108,7 @@ def oracle_parameter(
     return np.linalg.solve(gram, gram @ x0)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a diverged run folds to inf or NaN
 def fold_runs(samples) -> tuple[np.ndarray, np.ndarray]:
     """Across-run mean and sum of squared deviations of equally shaped
     per-run arrays, folded one run at a time in order (Welford), so the

@@ -172,7 +172,7 @@ def test_03_one_way_pair_frozen_sensor_surd_form():
 
 def test_04_benchmark_window_constants():
     cfg = get_preset("setting-i")
-    gp = cfg.graph.to_process()
+    gp = cfg.graph.to_process(cfg.nodes)
     rp = cfg.regression.to_process(cfg.nodes, cfg.dim)
     exc = cfg.excitation
 
@@ -269,7 +269,7 @@ def test_10_window_lower_bound_zero_violations():
             if not rep.passed:
                 failures.append((trial, widx, rep.margin, rep.note))
     cfg = get_preset("setting-i")
-    gp = cfg.graph.to_process()
+    gp = cfg.graph.to_process(cfg.nodes)
     rp = cfg.regression.to_process(cfg.nodes, cfg.dim)
     for widx in range(10):
         rep = lemma_lower_bound_check(gp, rp, cfg.excitation.window,

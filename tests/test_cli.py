@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -104,6 +105,18 @@ def test_config_error_reports_line(tmp_path, capsys):
         "horizon = 100000", "horizon = many"))
     assert main(["run", "--config", str(broken)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["channel_kind = gausian", "measurement_std = -2.0",
+                                 "sigma_f = -0.1", "sigma_f = nan"])
+def test_audit_rejects_noise_outside_the_premises(tmp_path, capsys, bad):
+    text = render_config(get_preset("setting-i"))
+    key = bad.split(" = ")[0]
+    broken = tmp_path / "broken.cfg"
+    broken.write_text(re.sub(rf"^{key} = .*$", bad, text, flags=re.M))
+    assert main(["audit", "--config", str(broken)]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and f"[noise] {key}" in err
 
 
 def test_bad_usage_exits_two():

@@ -1,8 +1,18 @@
 """Config grammar: round trips, defaults, and line-numbered errors."""
 
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netlms.config import (
+    ExcitationConfig,
+    ExperimentConfig,
+    GainConfig,
+    GraphConfig,
+    NoiseConfig,
+    RegressionConfig,
     get_preset,
     parse_config,
     preset_names,
@@ -10,6 +20,7 @@ from netlms.config import (
     with_overrides,
 )
 from netlms.errors import ConfigError
+from netlms.noise import NOISE_KINDS
 
 MINIMAL = """
 [experiment]
@@ -158,3 +169,156 @@ def test_get_preset_case_insensitive():
     assert get_preset("SETTING-I") == get_preset("setting-i")
     with pytest.raises(Exception):
         get_preset("setting-xyz")
+
+
+def test_omitted_keys_take_the_dataclass_defaults():
+    """MINIMAL gives the [gains] keys at GainConfig's defaults and omits
+    the lambda keys, [noise] and [excitation]."""
+    cfg = parse_config(MINIMAL)
+    assert cfg.gains == GainConfig()
+    assert cfg.noise == NoiseConfig() and cfg.excitation == ExcitationConfig()
+
+
+def test_fractional_node_dims_rejected():
+    text = MINIMAL.replace("node_dims = 1 1", "node_dims = 1.7 1")
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert "integers" in str(err.value)
+    assert err.value.line == text.splitlines().index("node_dims = 1.7 1") + 1
+
+
+@pytest.mark.parametrize(
+    "section, line",
+    [
+        ("noise", "channel_kind = gausian"),
+        ("noise", "measurement_kind = laplace"),
+        ("noise", "measurement_std = -2"),
+        ("noise", "channel_std = inf"),
+        ("noise", "sigma_f = -0.1"),
+        ("noise", "sigma_f = nan"),
+        ("noise", "b_f = nan"),
+        ("gains", "lambda_coef = -1.0"),
+        ("gains", "lambda_exp = nan"),
+        ("gains", "b_exp = inf"),
+    ],
+)
+def test_noise_and_gain_values_outside_the_premises_rejected(section, line):
+    key = line.split(" = ")[0]
+    if section == "gains":  # MINIMAL ends in [gains]
+        text = re.sub(rf"^{key} = .*$\n?", "", MINIMAL, flags=re.M) + line + "\n"
+    else:
+        text = MINIMAL + f"\n[noise]\n{line}\n"
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert f"[{section}] {key}" in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# round trip over every graph and regression kind
+
+GRAPH_KINDS = ("fixed", "alternating-uniform", "iid-uniform", "markov-switching")
+REGRESSION_KINDS = ("fixed", "entrywise-uniform", "bernoulli-failure", "ar-driven")
+# mostly floats whose shortest repr needs 17 digits, plus a few that do
+# (0.1 + 0.2) or that sit at the edges of the format
+FLOATS = st.one_of(
+    st.floats(-1e6, 1e6),
+    st.sampled_from([0.1 + 0.2, 1 / 3, 5e-324, -0.0, 1e300]),
+)
+NONNEGATIVE = FLOATS.map(abs)
+WORDS = st.text("abcxyz019-_", min_size=1, max_size=8)
+
+
+def _random_config(draw, graph_kind, regression_kind) -> ExperimentConfig:
+    nodes, dim = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    ar = regression_kind == "ar-driven"
+    node_dims = (1,) * nodes if ar else tuple(draw(st.integers(1, 3)) for _ in range(nodes))
+
+    def vector(n):
+        return tuple(draw(FLOATS) for _ in range(n))
+
+    def matrices(shapes):
+        return tuple(tuple(vector(dim) for _ in range(rows)) for rows in shapes)
+
+    def low_high():
+        return sorted(draw(FLOATS) for _ in range(2))
+
+    def adjacency():
+        return tuple(tuple(0.0 if i == j else draw(FLOATS) for j in range(nodes)) for i in range(nodes))
+
+    if graph_kind == "fixed":
+        graph = GraphConfig(graph_kind, adjacency=adjacency())
+    elif graph_kind == "alternating-uniform":
+        (even_low, even_high), (odd_low, odd_high) = low_high(), low_high()
+        graph = GraphConfig(graph_kind, even_low=even_low, even_high=even_high,
+                            odd_low=odd_low, odd_high=odd_high)
+    elif graph_kind == "iid-uniform":
+        low, high = low_high()
+        graph = GraphConfig(graph_kind, low=low, high=high)
+    else:
+        n_states = draw(st.integers(1, 3))
+        weights = [[draw(st.floats(0.01, 1.0)) for _ in range(n_states)] for _ in range(n_states)]
+        graph = GraphConfig(
+            graph_kind,
+            states=tuple(adjacency() for _ in range(n_states)),
+            transition=tuple(tuple(w / sum(row) for w in row) for row in weights),
+            initial_state=draw(st.integers(0, n_states - 1)),
+        )
+
+    if regression_kind == "fixed":
+        reg = RegressionConfig(regression_kind, h_nodes=matrices(node_dims))
+    elif regression_kind == "entrywise-uniform":
+        low, high = low_high()
+        reg = RegressionConfig(regression_kind, base=matrices(node_dims),
+                               coef=matrices(node_dims), low=low, high=high)
+    elif regression_kind == "bernoulli-failure":
+        reg = RegressionConfig(regression_kind, coef=matrices(node_dims),
+                               active_prob=draw(st.floats(0.0, 1.0)))
+    else:
+        ar_init = matrices([nodes])[0] if draw(st.booleans()) else None
+        reg = RegressionConfig(regression_kind, ar_init=ar_init)
+
+    return ExperimentConfig(
+        name=draw(WORDS),
+        seed=draw(st.integers(0, 2**64)),
+        horizon=draw(st.integers(0, 10**6)),
+        runs=draw(st.integers(1, 100)),
+        record_every=draw(st.integers(1, 1000)),
+        out=draw(st.one_of(st.just(""), WORDS.map(lambda w: f"runs/{w}"))),
+        nodes=nodes,
+        dim=dim,
+        node_dims=node_dims,
+        x0=vector(dim),
+        init=tuple(vector(dim) for _ in range(nodes)),
+        graph=graph,
+        regression=reg,
+        noise=NoiseConfig(
+            measurement_kind=draw(st.sampled_from(NOISE_KINDS)),
+            measurement_std=draw(NONNEGATIVE),
+            channel_kind=draw(st.sampled_from(NOISE_KINDS)),
+            channel_std=draw(NONNEGATIVE),
+            sigma_f=draw(NONNEGATIVE),
+            b_f=draw(NONNEGATIVE),
+        ),
+        gains=GainConfig(*(draw(NONNEGATIVE) for _ in range(6))),
+        excitation=ExcitationConfig(
+            window=draw(st.integers(1, 50)),
+            theta1=draw(FLOATS),
+            theta2=draw(FLOATS),
+            rho0=draw(FLOATS),
+        ),
+    ).validate()
+
+
+@pytest.mark.parametrize("graph_kind", GRAPH_KINDS)
+@pytest.mark.parametrize("regression_kind", REGRESSION_KINDS)
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_every_kind_round_trips(graph_kind, regression_kind, data):
+    cfg = _random_config(data.draw, graph_kind, regression_kind)
+    text = render_config(cfg)
+    again = parse_config(text)
+    assert again == cfg
+    assert render_config(again) == text
+    # optional keys left unset are left out
+    assert ("\nout = " in text) == bool(cfg.out)
+    assert ("\nar_init = " in text) == (cfg.regression.ar_init is not None)

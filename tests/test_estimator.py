@@ -183,7 +183,7 @@ def test_first_transition_matches_manual_step():
     rec = run_trajectory(cfg, substream(cfg.seed, 2))
     # replay the first update from the run's per-source substreams
     graph_rng, regression_rng, noise_rng, channel_rng = source_streams(substream(cfg.seed, 2))
-    gp = cfg.graph.to_process()
+    gp = cfg.graph.to_process(cfg.nodes)
     rp = cfg.regression.to_process(cfg.nodes, cfg.dim)
     meas = cfg.noise.measurement()
     chan = cfg.noise.channel()
@@ -332,8 +332,8 @@ def _kind_config(graph_kind, regression_kind):
         "fixed": GraphConfig(kind="fixed",
                              adjacency=((0.0, 0.5, 0.2), (0.3, 0.0, 0.4), (0.6, 0.1, 0.0))),
         "alternating-uniform": GraphConfig(kind="alternating-uniform", even_low=0.0, even_high=1.0,
-                                           odd_low=-0.5, odd_high=0.5, _nodes=3),
-        "iid-uniform": GraphConfig(kind="iid-uniform", low=0.0, high=1.0, _nodes=3),
+                                           odd_low=-0.5, odd_high=0.5),
+        "iid-uniform": GraphConfig(kind="iid-uniform", low=0.0, high=1.0),
         "markov-switching": GraphConfig(
             kind="markov-switching",
             states=(((0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (1.0, 0.0, 0.0)),
@@ -434,8 +434,7 @@ def test_nonfinite_state_fails_the_bound_checks():
     cfg = get_preset("setting-i")
     cfg = dataclasses.replace(
         cfg, horizon=1000, gains=dataclasses.replace(cfg.gains, a_coef=50.0, b_coef=50.0))
-    with np.errstate(all="ignore"):
-        rec = run_trajectory(cfg, substream(cfg.seed, 0))
+    rec = run_trajectory(cfg, substream(cfg.seed, 0))
     rep = rec.bound_report
     first = rep.first_nonfinite_step
     assert first is not None and 0 < first <= cfg.horizon

@@ -60,7 +60,7 @@ def test_gainless_info_dominates_scaled_by_min_gain():
     """With PSD summands, the gain-weighted eigenvalue is at least the
     smallest windowed gain times the gainless one."""
     cfg = get_preset("setting-i")
-    gp = cfg.graph.to_process()
+    gp = cfg.graph.to_process(cfg.nodes)
     rp = cfg.regression.to_process(cfg.nodes, cfg.dim)
     sched = GainSchedule.from_config(cfg)
     h = cfg.excitation.window
@@ -73,7 +73,7 @@ def test_gainless_info_dominates_scaled_by_min_gain():
 
 def test_benchmark_joint_connectivity_value():
     cfg = get_preset("setting-i")
-    gp = cfg.graph.to_process()
+    gp = cfg.graph.to_process(cfg.nodes)
     rep = check_definition1(gp, window=2, theta1=0.5, windows=25)
     assert rep.passed
     # even-step mean graph is complete with weight 1/2, odd-step mean is
@@ -118,7 +118,7 @@ def test_markov_connectivity_quantifies_over_states():
 
 def test_lower_bound_on_benchmark_window():
     cfg = get_preset("setting-i")
-    gp = cfg.graph.to_process()
+    gp = cfg.graph.to_process(cfg.nodes)
     rp = cfg.regression.to_process(cfg.nodes, cfg.dim)
     rep = lemma_lower_bound_check(gp, rp, window=2, rho0=5.0, window_index=0)
     assert rep.passed and rep.premise_ok
@@ -135,7 +135,7 @@ def test_lower_bound_on_benchmark_window():
 
 def test_lower_bound_across_many_windows():
     cfg = get_preset("setting-iii")
-    gp = cfg.graph.to_process()
+    gp = cfg.graph.to_process(cfg.nodes)
     rp = cfg.regression.to_process(cfg.nodes, cfg.dim)
     for w in range(12):
         rep = lemma_lower_bound_check(gp, rp, window=2, rho0=5.0, window_index=w)
@@ -230,7 +230,7 @@ def test_pe_diagnostic_flags_starved_excitation():
 
 def test_windowed_checks_validate_arguments():
     cfg = get_preset("setting-i")
-    gp = cfg.graph.to_process()
+    gp = cfg.graph.to_process(cfg.nodes)
     with pytest.raises(InvalidInputError):
         check_definition1(gp, window=0, theta1=0.5, windows=3)
     with pytest.raises(InvalidInputError):
@@ -242,7 +242,7 @@ def test_windowed_checks_validate_arguments():
 def test_pe_diagnostic_on_markov_switching_takes_state_uniform_minimum(markov_pair):
     cfg = markov_pair
     rep = pe_diagnostic(cfg, windows=4)
-    gp = cfg.graph.to_process()
+    gp = cfg.graph.to_process(cfg.nodes)
     rp = cfg.regression.to_process(cfg.nodes, cfg.dim)
     gains = GainSchedule.from_config(cfg)
     h = cfg.excitation.window

@@ -149,7 +149,7 @@ def test_window_quantities_match_oracle(model, k, data):
 
 def test_pe_diagnostic_series_match_oracle_state_minimum(markov_pair):
     cfg = markov_pair
-    gp = cfg.graph.to_process()
+    gp = cfg.graph.to_process(cfg.nodes)
     rp = cfg.regression.to_process(cfg.nodes, cfg.dim)
     gains = GainSchedule.from_config(cfg)
     h, rho0, windows = cfg.excitation.window, cfg.excitation.rho0, 70

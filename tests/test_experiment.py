@@ -8,8 +8,14 @@ import os
 import numpy as np
 import pytest
 
-from netlms.config import RegressionConfig, get_preset, parse_config, with_overrides
-from netlms.errors import InvalidInputError, UnsupportedAnalyticError
+from netlms.config import (
+    NoiseConfig,
+    RegressionConfig,
+    get_preset,
+    parse_config,
+    with_overrides,
+)
+from netlms.errors import ConfigError, InvalidInputError, UnsupportedAnalyticError
 from netlms.estimator import run_trajectory, substream
 from netlms.experiment import default_out_dir, run_experiment
 
@@ -191,9 +197,8 @@ def test_diverging_run_is_flagged_in_the_manifest(tmp_path):
     cfg = dataclasses.replace(
         cfg, horizon=1000, runs=2, record_every=250,
         gains=dataclasses.replace(cfg.gains, a_coef=50.0, b_coef=50.0))
-    with np.errstate(all="ignore"):
-        art = run_experiment(cfg, out_dir=str(tmp_path))
-        recs = [run_trajectory(cfg, substream(cfg.seed, r)) for r in range(cfg.runs)]
+    art = run_experiment(cfg, out_dir=str(tmp_path))
+    recs = [run_trajectory(cfg, substream(cfg.seed, r)) for r in range(cfg.runs)]
     man = json.load(open(art.manifest_file))
     firsts = [rec.bound_report.first_nonfinite_step for rec in recs]
     assert None not in firsts
@@ -256,3 +261,19 @@ def test_audit_rejection_writes_no_files(tmp_path):
         with pytest.raises(error):
             run_experiment(cfg, out_dir=str(out))
         assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("noise", [
+    NoiseConfig(channel_kind="gausian"),
+    NoiseConfig(measurement_std=-2.0),
+    NoiseConfig(sigma_f=-0.1),
+    NoiseConfig(sigma_f=float("nan")),
+])
+def test_noise_outside_the_premises_writes_nothing(tmp_path, noise):
+    """run_experiment validates the config before it makes the output
+    directory, so bad noise settings leave no directory behind."""
+    cfg = dataclasses.replace(with_overrides(get_preset("setting-i"), runs=2, horizon=50), noise=noise)
+    out = tmp_path / "out"
+    with pytest.raises(ConfigError, match=r"\[noise\]"):
+        run_experiment(cfg, out_dir=str(out))
+    assert not out.exists()

@@ -38,6 +38,11 @@ def test_intensity_rejects_negative_coefficients():
         NoiseIntensity(sigma=-0.1, bias=0.0)
     with pytest.raises(InvalidInputError):
         NoiseIntensity(sigma=0.0, bias=-1.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(InvalidInputError):
+            NoiseIntensity(sigma=bad, bias=0.1)
+        with pytest.raises(InvalidInputError):
+            NoiseIntensity(sigma=0.1, bias=bad)
 
 
 def test_received_message_formula(rng):
@@ -140,14 +145,18 @@ def test_measurement_noise_moments(rng):
     assert zero.second_moment(7) == 0.0 and np.abs(zero.sample(rng, 7)).max() == 0.0
     with pytest.raises(InvalidInputError):
         MeasurementNoise(kind="laplace")
+    for bad in (-1.0, np.nan, np.array([1.0, np.nan])):
+        with pytest.raises(InvalidInputError):
+            MeasurementNoise(std=bad)
 
 
 def test_channel_noise_moments(rng):
     chan = ChannelNoise(kind="gaussian", std=0.5)
     assert chan.second_moment(8) == pytest.approx(2.0)
     assert chan.sample(rng, (2, 2, 3)).shape == (2, 2, 3)
-    with pytest.raises(InvalidInputError):
-        ChannelNoise(std=-1.0)
+    for bad in (-1.0, np.nan, np.inf):
+        with pytest.raises(InvalidInputError):
+            ChannelNoise(std=bad)
 
 
 def test_empty_slice_rejected():

@@ -145,7 +145,7 @@ def test_zero_sensors_zero_regret():
     cfg = ExperimentConfig(
         name="zero", seed=7, horizon=50, runs=2, nodes=2, dim=2, node_dims=(1, 1),
         x0=(1.0, -1.0), init=((0.0, 0.0), (0.5, 0.5)),
-        graph=GraphConfig(kind="iid-uniform", low=0.0, high=1.0, _nodes=2),
+        graph=GraphConfig(kind="iid-uniform", low=0.0, high=1.0),
         regression=RegressionConfig(kind="fixed",
                                     h_nodes=(((0.0, 0.0),), ((0.0, 0.0),))),
     ).validate()
