@@ -68,7 +68,6 @@ from .graphs import (
     gamma1_membership,
     iid_uniform_graph,
     markov_switching_graph,
-    sample_graph,
     stationary_distribution,
 )
 from .noise import ChannelNoise, MeasurementNoise, NoiseIntensity, verify_A1_A2_bounds
@@ -78,7 +77,6 @@ from .regression import (
     entrywise_uniform_regression,
     fixed_regression,
     freeze_regression,
-    sample_regression,
 )
 from .regret import (
     RegretSeries,
@@ -103,11 +101,11 @@ __all__ = [
     "UnsupportedAnalyticError",
     # processes
     "fixed_graph", "alternating_uniform_graph", "iid_uniform_graph",
-    "markov_switching_graph", "custom_graph", "sample_graph",
+    "markov_switching_graph", "custom_graph",
     "stationary_distribution", "gamma1_membership",
     "fixed_regression", "entrywise_uniform_regression",
     "bernoulli_failure_regression", "ar_driven_regression",
-    "freeze_regression", "sample_regression",
+    "freeze_regression",
     "MeasurementNoise", "ChannelNoise", "NoiseIntensity",
     "verify_A1_A2_bounds",
     # estimator

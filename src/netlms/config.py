@@ -173,9 +173,12 @@ class ExperimentConfig:
             fail(f"[model] x0 must have {self.dim} entries, got {len(self.x0)}")
         if len(self.init) != self.nodes or any(len(r) != self.dim for r in self.init):
             fail(f"[model] need init_1..init_{self.nodes}, each with {self.dim} entries")
-        # the noise laws and the gains: every kind is a noise kind, every
-        # number finite and nonnegative
-        for section in ("noise", "gains"):
+        rho0 = self.excitation.rho0
+        if not (math.isfinite(rho0) and rho0 > 0):
+            fail(f"[excitation] rho0 must be finite and positive, got {rho0!r}")
+        # the noise laws, the gains and the excitation thresholds: every
+        # kind is a noise kind, every number finite and nonnegative
+        for section in ("noise", "gains", "excitation"):
             part = getattr(self, section)
             for f in fields(part):
                 value = getattr(part, f.name)

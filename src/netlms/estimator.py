@@ -8,14 +8,17 @@ and a vanishing ridge-style shrinkage pulling the estimate toward zero:
                + b(k) sum_j w_ij (mu_ji - x_i)
                - lambda(k) x_i.
 
-``node_step`` evaluates exactly that; ``compact_step`` evaluates the
-equivalent stacked recursion built from the graph Laplacian, the
-block-diagonal observation matrix and the stacked noise factors.  The two
-must agree to machine precision on identical draws — that equivalence is
-the main structural test of the package, and both serve as oracles for
+``node_step`` evaluates exactly that, node by node; ``compact_step``
+evaluates the equivalent stacked recursion built from the graph
+Laplacian, the block-diagonal observation matrix and the stacked noise
+factors.  Both take plain arrays: the estimates, the adjacency, each
+node's ``H_i`` and ``y_i``, the channel draws and the gains.  The two must
+agree to machine precision on identical draws — that equivalence is the
+main structural test of the package, and both serve as oracles for
 :func:`simulate`, the kernel every simulation goes through: it advances a
 batch of runs together, draws each exogenous source in blocks of steps
-and folds the recorded statistics once per block.
+(:func:`graphs.graph_block`, :func:`regression.regression_block`) and
+folds the recorded statistics once per block.
 """
 
 from __future__ import annotations
@@ -26,8 +29,8 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .errors import InvalidInputError
-from .graphs import GraphProcess, GraphSample, graph_block
-from .linalg import ordered_sum
+from .graphs import GraphProcess, graph_block
+from .linalg import block_diag, laplacian, ordered_sum
 from .noise import (
     BoundCheckReport,
     BoundTally,
@@ -37,12 +40,11 @@ from .noise import (
     build_WM,
     norm_bound_sides,
 )
-from .regression import RegressionProcess, RegressionSample, regression_block
+from .regression import RegressionProcess, regression_block
 
 __all__ = [
     "GainSchedule",
     "GainConditionReport",
-    "EstimatorState",
     "TrajectoryRecord",
     "validate_gains",
     "node_step",
@@ -205,51 +207,45 @@ def validate_gains(schedule: GainSchedule, mode: str = "C1") -> GainConditionRep
     return GainConditionReport(mode=mode, passed=all(ok for _, ok, _ in checks), checks=tuple(checks))
 
 
-@dataclass(slots=True)
-class EstimatorState:
-    """Estimates of all nodes at one step; ``estimates`` has shape (N, n)."""
-
-    step: int
-    estimates: np.ndarray
-    x0: np.ndarray
-
-
 def node_step(
-    state: EstimatorState,
-    graph: GraphSample,
-    regression: RegressionSample,
+    estimates: np.ndarray,
+    adjacency: np.ndarray,
+    h_nodes,
+    y_nodes,
     messages: np.ndarray,
     gains: tuple[float, float, float],
-) -> EstimatorState:
-    """One update in per-node form.
+) -> np.ndarray:
+    """One update in per-node form; returns the new ``(N, n)`` estimates.
 
-    ``messages[i, j]`` is the (noisy) message node ``i`` received from
-    node ``j``; entries for pairs with zero weight are ignored.  Messages
-    must be present (finite) for every j with ``w_ij != 0``.
+    ``h_nodes[i]`` and ``y_nodes[i]`` are node ``i``'s ``(n_i, n)``
+    observation matrix and ``n_i`` measurements.  ``messages[i, j]`` is
+    the (noisy) message node ``i`` received from node ``j``; entries for
+    pairs with zero weight are ignored.  Messages must be present (finite)
+    for every j with ``w_ij != 0``.
     """
     a, b, lam = gains
-    x = state.estimates
-    w = graph.adjacency
-    h = regression.h_stacked
-    # per-row residual against the owning node's estimate, then fold the
-    # weighted rows back into per-node innovation vectors
-    resid = regression.y - np.einsum("rn,rn->r", h, x[regression._row_node])
-    innov = np.add.reduceat(h * resid[:, None], regression._starts, axis=0)
-    consensus = np.einsum("ij,ijn->in", w, messages) - w.sum(axis=1)[:, None] * x
-    new_x = (1.0 - lam) * x + a * innov + b * consensus
-    return EstimatorState(step=state.step + 1, estimates=new_x, x0=state.x0)
+    x = np.asarray(estimates, dtype=float)
+    w = np.asarray(adjacency, dtype=float)
+    new_x = np.empty_like(x)
+    for i, (h, y) in enumerate(zip(h_nodes, y_nodes)):
+        innovation = h.T @ (y - h @ x[i])
+        consensus = w[i] @ (messages[i] - x[i])
+        new_x[i] = (1.0 - lam) * x[i] + a * innovation + b * consensus
+    return new_x
 
 
 def compact_step(
-    state: EstimatorState,
-    graph: GraphSample,
-    regression: RegressionSample,
+    estimates: np.ndarray,
+    adjacency: np.ndarray,
+    h_nodes,
+    y_nodes,
     xi: np.ndarray,
     gains: tuple[float, float, float],
-    intensity,
-) -> EstimatorState:
+    intensity: NoiseIntensity,
+) -> np.ndarray:
     """One update in stacked form: ``x+ = P x + a H^T y + b W M xi`` with
-    ``P = (1 - lam) I - b (L (x) I_n) - a H^T H``.
+    ``P = (1 - lam) I - b (L (x) I_n) - a H^T H``; returns the new
+    ``(N, n)`` estimates.
 
     ``xi`` may be shaped ``(N, N, n)`` (receiver-major, like the message
     draws) or already flat of length ``N^2 n``.  Mathematically identical
@@ -257,23 +253,24 @@ def compact_step(
     two can be checked against each other.
     """
     a, b, lam = gains
-    x = state.estimates
+    x = np.asarray(estimates, dtype=float)
     n_nodes, dim = x.shape
     xf = x.reshape(-1)
-    hb = regression.h_block
-    lap_big = np.kron(graph.laplacian, np.eye(dim))
+    hb = block_diag(h_nodes)
+    y = np.concatenate(y_nodes)
+    lap_big = np.kron(laplacian(adjacency), np.eye(dim))
     xi_flat = np.asarray(xi, dtype=float).reshape(-1)
     if xi_flat.shape[0] != n_nodes * n_nodes * dim:
         raise InvalidInputError("xi must have N^2 n entries")
-    w, m = build_WM(graph.adjacency, x, intensity)
+    w, m = build_WM(adjacency, x, intensity)
     new_flat = (
         (1.0 - lam) * xf
         - b * (lap_big @ xf)
         - a * (hb.T @ (hb @ xf))
-        + a * (hb.T @ regression.y)
+        + a * (hb.T @ y)
         + b * (w @ (m @ xi_flat))
     )
-    return EstimatorState(step=state.step + 1, estimates=new_flat.reshape(n_nodes, dim), x0=state.x0)
+    return new_flat.reshape(n_nodes, dim)
 
 
 @dataclass
@@ -285,9 +282,8 @@ class TrajectoryRecord:
     draws, so ``v[k]`` is the total squared error ``sum_i |x_i(k) - x0|^2``
     and ``excess_losses[k, i]`` the per-step quantity
     ``0.5 sum_j |H_j(k) (x_i(k) - x0)|^2`` whose cumulative sums estimate
-    regret.  ``cum_losses`` accumulates the raw losses
-    ``0.5 sum_j |H_j(k) x_i(k) - y_j(k)|^2``.  Records simulated together
-    may share (read-only) storage for ``steps`` and ``gains_used``.
+    regret.  Records simulated together may share (read-only) storage for
+    ``steps`` and ``gains_used``.
     """
 
     seed: int
@@ -297,7 +293,6 @@ class TrajectoryRecord:
     err_norms: np.ndarray
     est_norms: np.ndarray
     gains_used: np.ndarray
-    cum_losses: np.ndarray
     excess_losses: np.ndarray
     x_final: np.ndarray
     x0: np.ndarray
@@ -392,14 +387,13 @@ class SimulationModel:
 class ChunkStats:
     """Statistics of rows ``start .. start + K - 1`` of every run of a
     batch.  ``v`` is ``(K, R)``; the other arrays are ``(K, N, R)``:
-    error and estimate norms per node, cumulative raw losses, per-step
-    excess losses and their cumulative sums (see :class:`TrajectoryRecord`)."""
+    error and estimate norms per node, per-step excess losses and their
+    cumulative sums (see :class:`TrajectoryRecord`)."""
 
     start: int
     v: np.ndarray
     err_norms: np.ndarray
     est_norms: np.ndarray
-    cum_losses: np.ndarray
     excess_losses: np.ndarray
     cum_excess: np.ndarray
 
@@ -477,7 +471,6 @@ def simulate(
     graph_state = None
     ar_hist = None if model.ar_init is None else np.repeat(model.ar_init[:, :, None], runs, axis=2)
     tally = BoundTally(runs) if check_bounds else None
-    carry_loss = np.zeros((n_nodes, runs))
     carry_excess = np.zeros((n_nodes, runs))
     add = np.add.reduce
     for start in range(0, horizon + 1, chunk):
@@ -541,18 +534,14 @@ def simulate(
         hx = states[:, 0, :, None] * h[:, None, :, 0]
         for q in range(1, dim):
             hx += states[:, q, :, None] * h[:, None, :, q]
-        resid = y[:, None] - hx
-        losses = 0.5 * ordered_sum(resid * resid, 2)
         hx -= y_clean[:, None]
         excess = 0.5 * ordered_sum(hx * hx, 2)
-        # carrying into the first row keeps the running sums sequential,
+        # carrying into the first row keeps the running sum sequential,
         # hence independent of the chunk size
-        losses[0] += carry_loss
-        cum_losses = np.cumsum(losses, axis=0)
         cum_excess = excess.copy()
         cum_excess[0] += carry_excess
         cum_excess = np.cumsum(cum_excess, axis=0)
-        carry_loss, carry_excess = cum_losses[-1], cum_excess[-1]
+        carry_excess = cum_excess[-1]
         if tally is not None:
             w_lhs, w_rhs, m_lhs, m_rhs = norm_bound_sides(
                 adj.transpose(0, 3, 1, 2), states.transpose(0, 3, 2, 1), model.intensity, v
@@ -564,7 +553,6 @@ def simulate(
                 v=v,
                 err_norms=np.sqrt(per_err),
                 est_norms=np.sqrt(ordered_sum(states * states, 1)),
-                cum_losses=cum_losses,
                 excess_losses=excess,
                 cum_excess=cum_excess,
             )
@@ -579,7 +567,7 @@ def _records(config, seeds, horizon, check_bounds, label) -> list[TrajectoryReco
     model = SimulationModel.from_config(config)
     rows, runs, n_nodes = horizon + 1, len(seeds), config.nodes
     v = np.empty((runs, rows))
-    err_norms, est_norms, cum_losses, excess = (np.empty((runs, rows, n_nodes)) for _ in range(4))
+    err_norms, est_norms, excess = (np.empty((runs, rows, n_nodes)) for _ in range(3))
 
     def fold(stats: ChunkStats) -> None:
         span = slice(stats.start, stats.start + stats.v.shape[0])
@@ -587,7 +575,6 @@ def _records(config, seeds, horizon, check_bounds, label) -> list[TrajectoryReco
         for dst, src in (
             (err_norms, stats.err_norms),
             (est_norms, stats.est_norms),
-            (cum_losses, stats.cum_losses),
             (excess, stats.excess_losses),
         ):
             dst[:, span] = src.transpose(2, 0, 1)
@@ -606,7 +593,6 @@ def _records(config, seeds, horizon, check_bounds, label) -> list[TrajectoryReco
             err_norms=err_norms[r],
             est_norms=est_norms[r],
             gains_used=gains_used,
-            cum_losses=cum_losses[r],
             excess_losses=excess[r],
             x_final=x_final[r],
             x0=model.x0,

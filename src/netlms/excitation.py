@@ -514,7 +514,8 @@ def pe_diagnostic(config: ExperimentConfig, windows: int | None = None) -> Excit
 
     bound = LowerBoundSummary(
         windows_checked=windows,
-        violations=int((margins < -_BOUND_ATOL).sum()),
+        # ``not >=`` rather than ``<``: NaN margins are violations
+        violations=int((~(margins >= -_BOUND_ATOL)).sum()),
         min_margin=float(margins.min()),
         premise_ok=premise_ok,
     )

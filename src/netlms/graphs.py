@@ -19,6 +19,10 @@ Four built-in kinds cover the models used throughout:
 
 A ``custom`` kind wraps an arbitrary sampler; conditional expectations for
 it fall back to Monte Carlo averaging.
+
+Every draw goes through :func:`graph_block`, which returns the
+adjacencies of a block of consecutive steps for a batch of runs; one step
+is a block of one.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ from .linalg import as_matrix, laplacian, symmetrize
 
 __all__ = [
     "GraphProcess",
-    "GraphSample",
     "ConditionalExpectation",
     "Gamma1Report",
     "fixed_graph",
@@ -41,7 +44,6 @@ __all__ = [
     "iid_uniform_graph",
     "markov_switching_graph",
     "custom_graph",
-    "sample_graph",
     "graph_block",
     "conditional_expected_adjacency",
     "conditional_expected_sym_laplacian",
@@ -74,37 +76,6 @@ class GraphProcess:
             raise InvalidInputError(f"unknown graph kind {self.kind!r}")
         if self.nodes < 1:
             raise InvalidInputError("graph needs at least one node")
-
-
-class GraphSample:
-    """One realized graph: adjacency plus its (symmetrized) Laplacian.
-
-    ``state`` is the realized Markov state for markov-switching processes,
-    ``None`` otherwise.  The Laplacians are derived views computed on
-    first access.
-    """
-
-    __slots__ = ("step", "adjacency", "state", "_laplacian", "_sym_laplacian")
-
-    def __init__(self, step: int, adjacency: np.ndarray, state: int | None = None):
-        self.step = step
-        self.adjacency = adjacency
-        self.state = state
-        self._laplacian = None
-        self._sym_laplacian = None
-
-    @property
-    def laplacian(self) -> np.ndarray:
-        if self._laplacian is None:
-            self._laplacian = _laplacian_unchecked(self.adjacency)
-        return self._laplacian
-
-    @property
-    def sym_laplacian(self) -> np.ndarray:
-        if self._sym_laplacian is None:
-            lap = self.laplacian
-            self._sym_laplacian = 0.5 * (lap + lap.T)
-        return self._sym_laplacian
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,12 +192,6 @@ def _check_transition(p, n_states: int) -> np.ndarray:
     return m
 
 
-def _laplacian_unchecked(a: np.ndarray) -> np.ndarray:
-    out = -a.copy()
-    out[np.arange(a.shape[0]), np.arange(a.shape[0])] = a.sum(axis=1)
-    return out
-
-
 def graph_block(
     process: GraphProcess,
     start: int,
@@ -291,26 +256,6 @@ def graph_block(
         for j, k in enumerate(steps):
             a[j, :, :, r] = _check_adjacency(np.array(process.sampler(k, rng), dtype=float), n)
     return a, None
-
-
-def sample_graph(
-    process: GraphProcess,
-    step: int,
-    rng: np.random.Generator,
-    prev_state: int | None = None,
-) -> GraphSample:
-    """Draw the graph at ``step``.
-
-    For markov-switching processes the chain state must be threaded by the
-    caller: pass the state realized at ``step - 1`` via ``prev_state``
-    (step 0 starts from the process's ``initial_state`` and ignores it).
-    The realized state is returned on the sample.
-    """
-    if step < 0:
-        raise InvalidInputError("step must be nonnegative")
-    a, states = graph_block(process, step, 1, [rng], None if prev_state is None else [prev_state])
-    return GraphSample(step=step, adjacency=a[0, :, :, 0].copy(),
-                       state=None if states is None else int(states[0]))
 
 
 def _mean_adjacency(process: GraphProcess, step: int) -> np.ndarray:

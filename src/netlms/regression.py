@@ -16,6 +16,10 @@ matrix ``H_i(k)`` of shape ``(n_i, n)``.  Process kinds:
     ``n`` outputs and the unknown parameter is the AR coefficient vector,
     so ``y_i(k) = H_i(k) x0 + v_i(k)`` is the recursion itself.
 
+Every draw goes through :func:`regression_block`, which returns the
+stacked matrices and measurements of a block of consecutive steps for a
+batch of runs; one step is a block of one.
+
 Entrywise-uniform and bernoulli-failure have closed-form conditional
 Grams; ar-driven does not (its regressor is a function of past outputs)
 and must go through the explicit Monte Carlo helper.
@@ -34,13 +38,11 @@ from .noise import MeasurementNoise
 
 __all__ = [
     "RegressionProcess",
-    "RegressionSample",
     "fixed_regression",
     "entrywise_uniform_regression",
     "bernoulli_failure_regression",
     "ar_driven_regression",
     "freeze_regression",
-    "sample_regression",
     "regression_block",
     "conditional_expected_node_gram",
     "conditional_expected_gram",
@@ -72,7 +74,6 @@ class RegressionProcess:
     _active_flat: np.ndarray | None = field(default=None, repr=False)
     _active_scale: np.ndarray | None = field(default=None, repr=False)
     _row_node: np.ndarray | None = field(default=None, repr=False)
-    _starts: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -80,7 +81,6 @@ class RegressionProcess:
         setattr_ = object.__setattr__
         setattr_(self, "offsets", _offsets(self.node_dims))
         setattr_(self, "_row_node", np.repeat(np.arange(self.nodes), self.node_dims))
-        setattr_(self, "_starts", np.asarray(self.offsets[:-1], dtype=np.intp))
         if self.kind == "fixed":
             setattr_(self, "_stacked", _lock(np.concatenate(self.h_nodes, axis=0)))
         elif self.kind == "entrywise-uniform":
@@ -95,37 +95,6 @@ class RegressionProcess:
     @property
     def total_rows(self) -> int:
         return sum(self.node_dims)
-
-
-class RegressionSample:
-    """One step's realized observation model.
-
-    Attributes: ``step``; ``h_nodes`` (tuple of per-node ``(n_i, n)``
-    matrices); ``h_stacked`` (all rows stacked, ``(sum n_i, n)``);
-    ``h_block`` (block-diagonal ``(sum n_i, N n)``, built on first use);
-    ``y`` (stacked measurements); ``y_clean`` (the noise-free part
-    ``H x0``); ``offsets`` (row offset of each node's block).
-    """
-
-    __slots__ = ("step", "h_nodes", "h_stacked", "y", "y_clean", "offsets",
-                 "_row_node", "_starts", "_h_block")
-
-    def __init__(self, step, h_nodes, h_stacked, y, y_clean, offsets, row_node, starts):
-        self.step = step
-        self.h_nodes = h_nodes
-        self.h_stacked = h_stacked
-        self.y = y
-        self.y_clean = y_clean
-        self.offsets = offsets
-        self._row_node = row_node
-        self._starts = starts
-        self._h_block = None
-
-    @property
-    def h_block(self) -> np.ndarray:
-        if self._h_block is None:
-            self._h_block = block_diag(self.h_nodes)
-        return self._h_block
 
 
 def _offsets(node_dims) -> tuple[int, ...]:
@@ -229,9 +198,10 @@ def freeze_regression(
     any cut is the realized ``H^T H`` — which is exactly what the fixed
     kind returns.
     """
-    noise = MeasurementNoise(kind="zero", std=0.0)
-    sample = sample_regression(process, np.zeros(process.dim), 0, noise, rng, ar_history)
-    return fixed_regression([h.copy() for h in sample.h_nodes])
+    hist = None if ar_history is None else np.asarray(ar_history, dtype=float)[..., None]
+    no_noise = np.zeros((1, process.total_rows, 1))
+    h = regression_block(process, np.zeros(process.dim), 1, [rng], no_noise, hist)[0]
+    return fixed_regression([b.copy() for b in np.split(h[0, :, :, 0], process.offsets[1:-1])])
 
 
 def _regressor_block(process: RegressionProcess, count: int, rngs) -> np.ndarray:
@@ -289,7 +259,10 @@ def regression_block(
     draws nothing itself: its regressor is the output history, driven by
     the measurement noise.
     """
-    weights = np.asarray(x0, dtype=float)[:, None]
+    weights = np.asarray(x0, dtype=float)
+    if weights.shape != (process.dim,):
+        raise InvalidInputError(f"x0 must have shape ({process.dim},), got {weights.shape}")
+    weights = weights[:, None]
     if process.kind != "ar-driven":
         h = _regressor_block(process, count, rngs)
         y_clean = ordered_sum(h * weights, 2)
@@ -302,37 +275,6 @@ def regression_block(
         y_clean[j] = ordered_sum(hist * weights, 1)
         hist = np.concatenate([(y_clean[j] + noise_draws[j])[:, None], hist[:, :-1]], axis=1)
     return h, y_clean, y_clean + noise_draws, hist
-
-
-def sample_regression(
-    process: RegressionProcess,
-    x0,
-    step: int,
-    noise: MeasurementNoise,
-    rng: np.random.Generator,
-    ar_history: np.ndarray | None = None,
-) -> RegressionSample:
-    """Draw the observation model and measurements at one step.
-
-    ``ar_history`` (ar-driven only) carries each node's last ``order``
-    outputs, newest first; the caller threads it between steps.
-    """
-    if step < 0:
-        raise InvalidInputError("step must be nonnegative")
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (process.dim,):
-        raise InvalidInputError(f"x0 must have shape ({process.dim},), got {x0.shape}")
-    if process.kind == "ar-driven":
-        h_stacked = _check_ar_history(process, ar_history).copy()
-    else:
-        h_stacked = _regressor_block(process, 1, [rng])[0, :, :, 0]
-    y_clean = ordered_sum(h_stacked * x0, 1)
-    y = y_clean + noise.sample(rng, h_stacked.shape[0])
-    off = process.offsets
-    h_nodes = tuple(h_stacked[off[i] : off[i + 1]] for i in range(process.nodes))
-    return RegressionSample(
-        step, h_nodes, h_stacked, y, y_clean, off, process._row_node, process._starts
-    )
 
 
 def conditional_expected_node_gram(process: RegressionProcess, node: int, step: int = 0) -> np.ndarray:
@@ -420,25 +362,19 @@ def monte_carlo_expected_gram(
     default) up to ``step``, so the estimate is the unconditional Gram
     given that initial history.
     """
-    if samples < 1:
-        raise InvalidInputError("samples must be positive")
-    x0 = np.asarray(x0, dtype=float)
+    if samples < 1 or step < 0:
+        raise InvalidInputError("samples must be positive and step nonnegative")
+    count = step + 1 if process.kind == "ar-driven" else 1
+    hist = None
+    if process.kind == "ar-driven":
+        start = np.zeros((process.nodes, process.dim)) if ar_init is None else ar_init
+        hist = np.asarray(start, dtype=float)[..., None]
     size = process.nodes * process.dim
     acc = np.zeros((size, size))
     for _ in range(samples):
-        if process.kind == "ar-driven":
-            hist = (
-                np.zeros((process.nodes, process.dim))
-                if ar_init is None
-                else np.asarray(ar_init, dtype=float).copy()
-            )
-            sample = None
-            for k in range(step + 1):
-                sample = sample_regression(process, x0, k, noise, rng, hist)
-                hist = np.concatenate([sample.y[:, None], hist[:, :-1]], axis=1)
-        else:
-            sample = sample_regression(process, x0, step, noise, rng)
-        hb = sample.h_block
+        draws = noise.sample(rng, (count, process.total_rows))[..., None]
+        h = regression_block(process, x0, count, [rng], draws, hist)[0]
+        hb = block_diag(np.split(h[-1, :, :, 0], process.offsets[1:-1]))
         acc += hb.T @ hb
     return ConditionalExpectation(matrix=acc / samples, exactness="monte-carlo", samples=samples)
 

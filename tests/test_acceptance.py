@@ -19,7 +19,6 @@ import pytest
 
 from netlms.config import get_preset, with_overrides
 from netlms.estimator import (
-    EstimatorState,
     GainSchedule,
     compact_step,
     node_step,
@@ -37,14 +36,14 @@ from netlms.experiment import run_experiment
 from netlms.graphs import (
     alternating_uniform_graph,
     fixed_graph,
+    graph_block,
     iid_uniform_graph,
-    sample_graph,
 )
 from netlms.noise import MeasurementNoise, NoiseIntensity, received_messages
 from netlms.regression import (
     entrywise_uniform_regression,
     fixed_regression,
-    sample_regression,
+    regression_block,
     support_gram_norm_bound,
 )
 from netlms.regret import lemma_regret_bound_check, mar
@@ -137,16 +136,19 @@ def test_01_node_form_matches_stacked_form():
         rp = entrywise_uniform_regression(base, coef, 0.0, 1.0)
         x0 = rng.normal(size=dim)
         x = rng.normal(size=(n_nodes, dim))
-        gs = sample_graph(gp, trial, rng)
-        reg = sample_regression(rp, x0, trial, MeasurementNoise(kind="gaussian", std=1.0), rng)
+        adj = graph_block(gp, trial, 1, [rng])[0][0, :, :, 0]
+        noise = MeasurementNoise(kind="gaussian", std=1.0).sample(rng, (1, rp.total_rows, 1))
+        h, _, y, _ = regression_block(rp, x0, 1, [rng], noise)
+        split = rp.offsets[1:-1]
+        h_nodes, y_nodes = np.split(h[0, :, :, 0], split), np.split(y[0, :, 0], split)
         xi = rng.standard_normal((n_nodes, n_nodes, dim))
         gains = (float(rng.uniform(0.05, 1.0)), float(rng.uniform(0.05, 1.0)),
                  float(rng.uniform(0.0, 0.5)))
         inten = NoiseIntensity(float(rng.uniform(0.0, 0.5)), float(rng.uniform(0.0, 0.5)))
         msgs = received_messages(x, inten, xi)
-        out_a = node_step(EstimatorState(step=0, estimates=x.copy(), x0=x0), gs, reg, msgs, gains)
-        out_b = compact_step(EstimatorState(step=0, estimates=x.copy(), x0=x0), gs, reg, xi, gains, inten)
-        worst = max(worst, float(np.abs(out_a.estimates - out_b.estimates).max()))
+        out_a = node_step(x, adj, h_nodes, y_nodes, msgs, gains)
+        out_b = compact_step(x, adj, h_nodes, y_nodes, xi, gains, inten)
+        worst = max(worst, float(np.abs(out_a - out_b).max()))
     elapsed = time.perf_counter() - start
     assert worst <= 1e-12, f"worst coordinate gap {worst:.3e}"
     assert elapsed < 10.0, f"took {elapsed:.1f}s"

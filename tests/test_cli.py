@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+import netlms
 from netlms.cli import main
 from netlms.config import get_preset, parse_config, preset_names, render_config
 
@@ -129,7 +130,10 @@ def test_bad_usage_exits_two():
 
 
 def test_module_entry_point():
+    # the child finds the same package as this process, installed or not
+    src = os.path.dirname(os.path.dirname(netlms.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "netlms", "presets"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert "setting-i" in proc.stdout

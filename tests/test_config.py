@@ -200,6 +200,15 @@ def test_fractional_node_dims_rejected():
         ("gains", "lambda_coef = -1.0"),
         ("gains", "lambda_exp = nan"),
         ("gains", "b_exp = inf"),
+        # the excitation thresholds too: a NaN would read as a passing audit
+        ("excitation", "theta1 = nan"),
+        ("excitation", "theta1 = -0.5"),
+        ("excitation", "theta2 = -3"),
+        ("excitation", "theta2 = inf"),
+        ("excitation", "rho0 = nan"),
+        ("excitation", "rho0 = 0"),
+        ("excitation", "rho0 = -1"),
+        ("excitation", "rho0 = inf"),
     ],
 )
 def test_noise_and_gain_values_outside_the_premises_rejected(section, line):
@@ -207,7 +216,7 @@ def test_noise_and_gain_values_outside_the_premises_rejected(section, line):
     if section == "gains":  # MINIMAL ends in [gains]
         text = re.sub(rf"^{key} = .*$\n?", "", MINIMAL, flags=re.M) + line + "\n"
     else:
-        text = MINIMAL + f"\n[noise]\n{line}\n"
+        text = MINIMAL + f"\n[{section}]\n{line}\n"
     with pytest.raises(ConfigError) as err:
         parse_config(text)
     assert f"[{section}] {key}" in str(err.value)
@@ -225,6 +234,7 @@ FLOATS = st.one_of(
     st.sampled_from([0.1 + 0.2, 1 / 3, 5e-324, -0.0, 1e300]),
 )
 NONNEGATIVE = FLOATS.map(abs)
+POSITIVE = NONNEGATIVE.filter(lambda v: v > 0)
 WORDS = st.text("abcxyz019-_", min_size=1, max_size=8)
 
 
@@ -302,9 +312,9 @@ def _random_config(draw, graph_kind, regression_kind) -> ExperimentConfig:
         gains=GainConfig(*(draw(NONNEGATIVE) for _ in range(6))),
         excitation=ExcitationConfig(
             window=draw(st.integers(1, 50)),
-            theta1=draw(FLOATS),
-            theta2=draw(FLOATS),
-            rho0=draw(FLOATS),
+            theta1=draw(NONNEGATIVE),
+            theta2=draw(NONNEGATIVE),
+            rho0=draw(POSITIVE),
         ),
     ).validate()
 

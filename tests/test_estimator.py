@@ -5,6 +5,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from netlms.config import (
     ExperimentConfig,
@@ -18,7 +21,6 @@ from netlms.config import (
 from netlms import estimator
 from netlms.errors import InvalidInputError
 from netlms.estimator import (
-    EstimatorState,
     GainSchedule,
     SimulationModel,
     compact_step,
@@ -31,21 +33,24 @@ from netlms.estimator import (
     validate_gains,
 )
 from netlms.linalg import sym_eigmax
-from netlms.graphs import custom_graph, iid_uniform_graph, sample_graph
-from netlms.noise import ChannelNoise, MeasurementNoise, NoiseIntensity, received_messages
-from netlms.regression import entrywise_uniform_regression, sample_regression
+from netlms.graphs import custom_graph, graph_block, iid_uniform_graph
+from netlms.noise import MeasurementNoise, NoiseIntensity, received_messages
+from netlms.regression import entrywise_uniform_regression, regression_block
 
 
-ZERO_NOISE = MeasurementNoise(kind="zero", std=0.0)
-
-
-def _replay_regression(process, x0, step, noise, regression_rng, noise_rng, ar_history=None):
-    """One step's observation model drawn the way the simulation kernel
-    draws it: matrices from the regressor substream, measurement noise
-    from its own substream."""
-    reg = sample_regression(process, x0, step, ZERO_NOISE, regression_rng, ar_history)
-    reg.y = reg.y_clean + noise.sample(noise_rng, reg.y.size)
-    return reg
+def _draw_step(graph, regression, x0, noise, step, rngs, graph_state=None, ar_history=None):
+    """One run's draws at ``step`` as blocks of one step, from the
+    generators ``(graph, regression, measurement)`` in ``rngs``: the
+    adjacency, each node's H_i and y_i, and the graph state and ar history
+    to thread into the next step."""
+    graph_rng, regression_rng, noise_rng = rngs
+    adj, graph_state = graph_block(graph, step, 1, [graph_rng], graph_state)
+    draws = noise.sample(noise_rng, (1, regression.total_rows))[..., None]
+    hist = None if ar_history is None else ar_history[..., None]
+    h, _, y, hist = regression_block(regression, x0, 1, [regression_rng], draws, hist)
+    split = regression.offsets[1:-1]
+    return (adj[0, :, :, 0], np.split(h[0, :, :, 0], split), np.split(y[0, :, 0], split),
+            graph_state, None if hist is None else hist[..., 0])
 
 
 def _schedule(a_exp=0.6, b_exp=0.6, lam_coef=1.0, lam_exp=2.0, a_coef=1.0, b_coef=1.0):
@@ -103,28 +108,49 @@ def test_node_and_compact_steps_agree():
     rng, gp, rp, x0, x = _tiny_setup()
     intensity = NoiseIntensity(0.1, 0.1)
     meas = MeasurementNoise(kind="gaussian", std=1.0)
-    state_a = EstimatorState(step=0, estimates=x.copy(), x0=x0)
-    state_b = EstimatorState(step=0, estimates=x.copy(), x0=x0)
+    x_node, x_compact = x.copy(), x.copy()
     for k in range(5):
-        gs = sample_graph(gp, k, rng)
-        reg = sample_regression(rp, x0, k, meas, rng)
+        adj, h, y, _, _ = _draw_step(gp, rp, x0, meas, k, (rng, rng, rng))
         xi = rng.standard_normal((3, 3, 2))
         gains = _schedule().at(k)
-        msgs = received_messages(state_a.estimates, intensity, xi)
-        state_a = node_step(state_a, gs, reg, msgs, gains)
-        state_b = compact_step(state_b, gs, reg, xi, gains, intensity)
-        assert np.abs(state_a.estimates - state_b.estimates).max() < 1e-12
-    assert state_a.step == 5
+        msgs = received_messages(x_node, intensity, xi)
+        x_node = node_step(x_node, adj, h, y, msgs, gains)
+        x_compact = compact_step(x_compact, adj, h, y, xi, gains, intensity)
+        assert np.abs(x_node - x_compact).max() < 1e-12
+
+
+UNIT = st.floats(-1.0, 1.0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_node_and_compact_step_agree_on_random_inputs(data):
+    """Any N, n and row counts, links that are zero or negative,
+    intensities and gains: the two forms agree to 1e-12."""
+    n_nodes, dim = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 4))
+    node_dims = data.draw(st.lists(st.integers(1, 3), min_size=n_nodes, max_size=n_nodes))
+    adj = data.draw(hnp.arrays(float, (n_nodes, n_nodes), elements=st.one_of(st.just(0.0), UNIT)))
+    np.fill_diagonal(adj, 0.0)
+    h = [data.draw(hnp.arrays(float, (rows, dim), elements=UNIT)) for rows in node_dims]
+    y = [data.draw(hnp.arrays(float, rows, elements=UNIT)) for rows in node_dims]
+    x = data.draw(hnp.arrays(float, (n_nodes, dim), elements=UNIT))
+    xi = data.draw(hnp.arrays(float, (n_nodes, n_nodes, dim), elements=UNIT))
+    intensity = NoiseIntensity(data.draw(st.floats(0.0, 1.0)), data.draw(st.floats(0.0, 1.0)))
+    gains = tuple(data.draw(st.floats(0.0, 1.0)) for _ in range(3))
+    msgs = received_messages(x, intensity, xi)
+    node = node_step(x, adj, h, y, msgs, gains)
+    compact = compact_step(x, adj, h, y, xi, gains, intensity)
+    assert np.abs(node - compact).max() <= 1e-12
 
 
 def test_regularization_pulls_toward_origin():
     """With zero gains, one step is exactly the shrinkage map (1 - lam) x."""
     rng, gp, rp, x0, x = _tiny_setup()
-    gs = sample_graph(gp, 0, rng)
-    reg = sample_regression(rp, x0, 0, MeasurementNoise(kind="zero", std=0.0), rng)
+    zero = MeasurementNoise(kind="zero", std=0.0)
+    adj, h, y, _, _ = _draw_step(gp, rp, x0, zero, 0, (rng, rng, rng))
     msgs = received_messages(x, NoiseIntensity(0.0, 0.0), np.zeros((3, 3, 2)))
-    out = node_step(EstimatorState(0, x.copy(), x0), gs, reg, msgs, (0.0, 0.0, 0.25))
-    assert np.allclose(out.estimates, 0.75 * x)
+    out = node_step(x, adj, h, y, msgs, (0.0, 0.0, 0.25))
+    assert np.allclose(out, 0.75 * x)
 
 
 def test_single_node_stochastic_gradient_converges():
@@ -182,21 +208,13 @@ def test_first_transition_matches_manual_step():
     cfg = with_overrides(get_preset("setting-i"), horizon=1, runs=1)
     rec = run_trajectory(cfg, substream(cfg.seed, 2))
     # replay the first update from the run's per-source substreams
-    graph_rng, regression_rng, noise_rng, channel_rng = source_streams(substream(cfg.seed, 2))
-    gp = cfg.graph.to_process(cfg.nodes)
-    rp = cfg.regression.to_process(cfg.nodes, cfg.dim)
-    meas = cfg.noise.measurement()
-    chan = cfg.noise.channel()
-    intensity = cfg.noise.intensity()
-    x0 = np.asarray(cfg.x0)
-    gs = sample_graph(gp, 0, graph_rng)
-    reg = _replay_regression(rp, x0, 0, meas, regression_rng, noise_rng)
-    xi = chan.sample(channel_rng, (3, 3, 3))
-    x = np.asarray(cfg.init, dtype=float)
-    msgs = received_messages(x, intensity, xi)
-    nxt = node_step(EstimatorState(0, x, x0), gs, reg, msgs,
-                    GainSchedule.from_config(cfg).at(0))
-    manual_v = float(((nxt.estimates - x0) ** 2).sum())
+    *rngs, channel_rng = source_streams(substream(cfg.seed, 2))
+    model = SimulationModel.from_config(cfg)
+    adj, h, y, _, _ = _draw_step(model.graph, model.regression, model.x0, model.measurement, 0, rngs)
+    xi = model.channel.sample(channel_rng, (3, 3, 3))
+    msgs = received_messages(model.init, model.intensity, xi)
+    nxt = node_step(model.init, adj, h, y, msgs, model.gains.at(0))
+    manual_v = float(((nxt - model.x0) ** 2).sum())
     assert rec.v[1] == pytest.approx(manual_v, rel=1e-12)
 
 
@@ -204,15 +222,13 @@ def test_excess_losses_definition():
     cfg = with_overrides(get_preset("setting-i"), horizon=60, runs=1)
     rec = run_trajectory(cfg, substream(cfg.seed, 1))
     assert np.all(rec.excess_losses >= 0.0)
-    assert np.all(np.diff(rec.cum_losses, axis=0) >= 0.0)
     # at step 0 every node's excess is 0.5 ||H (x_i - x0)||^2 over the
-    # stacked rows; verify node 0 by replaying the regressor substream
-    _, regression_rng, noise_rng, _ = source_streams(substream(cfg.seed, 1))
-    rp = cfg.regression.to_process(cfg.nodes, cfg.dim)
-    reg = _replay_regression(rp, np.asarray(cfg.x0), 0, cfg.noise.measurement(),
-                             regression_rng, noise_rng)
-    diff = np.asarray(cfg.init[0], dtype=float) - np.asarray(cfg.x0)
-    manual = 0.5 * float(np.sum((reg.h_stacked @ diff) ** 2))
+    # stacked rows; verify node 0 by replaying the run's substreams
+    *rngs, _ = source_streams(substream(cfg.seed, 1))
+    model = SimulationModel.from_config(cfg)
+    _, h, _, _, _ = _draw_step(model.graph, model.regression, model.x0, model.measurement, 0, rngs)
+    diff = model.init[0] - model.x0
+    manual = 0.5 * float(np.sum((np.concatenate(h) @ diff) ** 2))
     assert rec.excess_losses[0, 0] == pytest.approx(manual, rel=1e-12)
 
 
@@ -249,7 +265,7 @@ def test_horizon_zero_records_initial_state_only():
 # the batched kernel: determinism and the per-step oracles
 
 RECORD_FIELDS = ("steps", "v", "err_norms", "est_norms", "gains_used",
-                 "cum_losses", "excess_losses", "x_final", "x0")
+                 "excess_losses", "x_final", "x0")
 
 
 def _assert_same_record(a, b):
@@ -367,21 +383,16 @@ def _replay(model, seed, horizon):
     n_nodes, dim = model.init.shape
     node_x = [model.init.copy()]
     compact_x = [model.init.copy()]
-    prev, hist = None, model.ar_init
+    graph_state, hist = None, model.ar_init
     for k in range(horizon):
-        gs = sample_graph(model.graph, k, graph_rng, prev)
-        prev = gs.state
-        reg = _replay_regression(model.regression, model.x0, k, model.measurement,
-                                 regression_rng, noise_rng, hist)
-        if hist is not None:
-            hist = np.concatenate([reg.y[:, None], hist[:, :-1]], axis=1)
+        adj, h, y, graph_state, hist = _draw_step(
+            model.graph, model.regression, model.x0, model.measurement, k,
+            (graph_rng, regression_rng, noise_rng), graph_state, hist)
         xi = model.channel.sample(channel_rng, (n_nodes, n_nodes, dim))
         gains = model.gains.at(k)
         msgs = received_messages(node_x[-1], model.intensity, xi)
-        node_x.append(node_step(EstimatorState(k, node_x[-1], model.x0), gs, reg, msgs,
-                                gains).estimates)
-        compact_x.append(compact_step(EstimatorState(k, compact_x[-1], model.x0), gs, reg, xi,
-                                      gains, model.intensity).estimates)
+        node_x.append(node_step(node_x[-1], adj, h, y, msgs, gains))
+        compact_x.append(compact_step(compact_x[-1], adj, h, y, xi, gains, model.intensity))
     return node_x, compact_x
 
 

@@ -5,6 +5,7 @@ stationary-regime audit."""
 import numpy as np
 import pytest
 
+from netlms import excitation
 from netlms.config import get_preset, with_overrides
 from netlms.errors import InvalidInputError, NoUniqueStationaryError
 from netlms.estimator import GainSchedule
@@ -237,6 +238,16 @@ def test_windowed_checks_validate_arguments():
         check_definition1(gp, window=2, theta1=0.5, windows=0)
     with pytest.raises(InvalidInputError):
         pe_diagnostic(cfg, windows=0)
+
+
+def test_pe_diagnostic_counts_nonfinite_margins_as_violations(monkeypatch):
+    """A NaN lower-bound margin is a violation, never a silent pass."""
+    cfg = get_preset("setting-i")
+    assert pe_diagnostic(cfg, windows=6).bound_check.violations == 0
+    rhs = excitation._bound_rhs
+    monkeypatch.setattr(excitation, "_bound_rhs", lambda *args: np.nan * rhs(*args))
+    summary = pe_diagnostic(cfg, windows=6).bound_check
+    assert summary.violations == 6 and np.isnan(summary.min_margin)
 
 
 def test_pe_diagnostic_on_markov_switching_takes_state_uniform_minimum(markov_pair):

@@ -11,12 +11,13 @@ from netlms.graphs import (
     custom_graph,
     fixed_graph,
     gamma1_membership,
+    graph_block,
     iid_uniform_graph,
     is_conditionally_balanced,
     markov_switching_graph,
-    sample_graph,
     stationary_distribution,
 )
+from netlms.linalg import laplacian
 
 
 @pytest.fixture
@@ -27,10 +28,10 @@ def rng():
 def test_fixed_graph_round_trip(rng):
     a = np.array([[0.0, 2.0], [0.5, 0.0]])
     gp = fixed_graph(a)
-    gs = sample_graph(gp, 3, rng)
-    assert np.array_equal(gs.adjacency, a)
-    assert np.allclose(gs.laplacian, [[2.0, -2.0], [-0.5, 0.5]])
-    assert np.array_equal(gs.sym_laplacian, gs.sym_laplacian.T)
+    block, state = graph_block(gp, 3, 4, [rng, rng])
+    assert block.shape == (4, 2, 2, 2) and state is None
+    assert all(np.array_equal(block[k, :, :, r], a) for k in range(4) for r in range(2))
+    assert np.allclose(laplacian(block[0, :, :, 0]), [[2.0, -2.0], [-0.5, 0.5]])
 
 
 def test_self_loops_rejected():
@@ -40,10 +41,10 @@ def test_self_loops_rejected():
 
 def test_uniform_sampling_zero_diagonal_and_range(rng):
     gp = iid_uniform_graph(4, (0.25, 0.75))
-    for k in range(5):
-        gs = sample_graph(gp, k, rng)
-        assert np.all(np.diagonal(gs.adjacency) == 0.0)
-        off = gs.adjacency[~np.eye(4, dtype=bool)]
+    block, _ = graph_block(gp, 0, 5, [rng])
+    for adjacency in block[..., 0]:
+        assert np.all(np.diagonal(adjacency) == 0.0)
+        off = adjacency[~np.eye(4, dtype=bool)]
         assert off.min() >= 0.25 and off.max() <= 0.75
 
 
@@ -92,12 +93,11 @@ def test_markov_sampling_follows_chain(rng):
     a0 = _zero_diag(np.ones((2, 2)))
     a1 = np.zeros((2, 2))
     gp = markov_switching_graph([a0, a1], np.eye(2), initial_state=1)
-    prev = None
+    state = None
     for k in range(4):  # identity transition: chain absorbed in state 1
-        gs = sample_graph(gp, k, rng, prev_state=prev)
-        prev = gs.state
-        assert gs.state == 1
-        assert np.array_equal(gs.adjacency, a1)
+        block, state = graph_block(gp, k, 1, [rng], state)
+        assert state.tolist() == [1]
+        assert np.array_equal(block[0, :, :, 0], a1)
 
 
 def test_sym_laplacian_expectation_consistency():

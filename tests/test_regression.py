@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from netlms.errors import InvalidInputError, UnsupportedAnalyticError
+from netlms.linalg import block_diag
 from netlms.noise import MeasurementNoise
 from netlms.regression import (
     ar_driven_regression,
@@ -14,12 +15,22 @@ from netlms.regression import (
     fixed_regression,
     freeze_regression,
     monte_carlo_expected_gram,
-    sample_regression,
+    regression_block,
     spatio_temporal_gram,
     support_gram_norm_bound,
 )
 
 ZERO_NOISE = MeasurementNoise(kind="zero", std=0.0)
+
+
+def _draw(rp, x0, rng, count=1, noise=ZERO_NOISE, ar_history=None):
+    """``count`` steps of one run: the stacked matrices ``(count, sum n_i,
+    n)``, the noise-free outputs and the measurements ``(count, sum n_i)``
+    and the ar history after the block."""
+    draws = noise.sample(rng, (count, rp.total_rows))[..., None]
+    hist = None if ar_history is None else np.asarray(ar_history, dtype=float)[..., None]
+    h, y_clean, y, hist = regression_block(rp, np.asarray(x0, dtype=float), count, [rng], draws, hist)
+    return h[..., 0], y_clean[..., 0], y[..., 0], None if hist is None else hist[..., 0]
 
 
 @pytest.fixture
@@ -38,12 +49,15 @@ def test_fixed_sampling_and_measurements(rng):
     h = [np.array([[1.0, 0.0]]), np.array([[0.0, 2.0]])]
     rp = fixed_regression(h)
     x0 = np.array([3.0, -1.0])
-    s = sample_regression(rp, x0, 0, ZERO_NOISE, rng)
-    assert np.array_equal(s.h_nodes[0], h[0])
-    assert np.allclose(s.y, [3.0, -2.0])
-    assert np.array_equal(s.y, s.y_clean)
-    noisy = sample_regression(rp, x0, 0, MeasurementNoise(kind="gaussian", std=1.0), rng)
-    assert not np.array_equal(noisy.y, noisy.y_clean)
+    h_drawn, y_clean, y, _ = _draw(rp, x0, rng)
+    assert np.array_equal(h_drawn[0], np.concatenate(h))
+    assert np.allclose(y, [[3.0, -2.0]])
+    assert np.array_equal(y, y_clean)
+    _, y_clean, y, _ = _draw(rp, x0, rng, noise=MeasurementNoise(kind="gaussian", std=1.0))
+    assert not np.array_equal(y, y_clean)
+    # one x0 entry would broadcast over both columns
+    with pytest.raises(InvalidInputError):
+        _draw(rp, x0[:1], rng)
 
 
 def test_entrywise_second_moment_quadrature():
@@ -81,32 +95,31 @@ def test_bernoulli_gram_scales_with_probability():
 
 def test_bernoulli_degenerate_probabilities(rng):
     c = [np.eye(2)]
-    always = sample_regression(bernoulli_failure_regression(c, 1.0), np.ones(2), 0, ZERO_NOISE, rng)
-    assert np.array_equal(always.h_nodes[0], np.eye(2))
-    never = sample_regression(bernoulli_failure_regression(c, 0.0), np.ones(2), 0, ZERO_NOISE, rng)
-    assert np.abs(never.h_nodes[0]).max() == 0.0
+    always, _, _, _ = _draw(bernoulli_failure_regression(c, 1.0), np.ones(2), rng)
+    assert np.array_equal(always[0], np.eye(2))
+    never, _, _, _ = _draw(bernoulli_failure_regression(c, 0.0), np.ones(2), rng)
+    assert np.abs(never[0]).max() == 0.0
 
 
 def test_ar_regressor_is_lagged_output(rng):
     rp = ar_driven_regression(nodes=2, order=2)
     theta = np.array([0.5, -0.25])
     hist = np.array([[1.0, 2.0], [0.0, 1.0]])
-    s = sample_regression(rp, theta, 0, ZERO_NOISE, rng, ar_history=hist)
+    h, _, y, after = _draw(rp, theta, rng, count=2, ar_history=hist)
     # regressor rows are the histories; outputs follow the recursion exactly
-    assert np.array_equal(s.h_stacked, hist)
-    assert np.allclose(s.y, hist @ theta)
+    assert np.array_equal(h[0], hist)
+    assert np.allclose(y[0], hist @ theta)
     # threading: newest output becomes the first lag
-    nxt = np.concatenate([s.y[:, None], hist[:, :-1]], axis=1)
-    s2 = sample_regression(rp, theta, 1, ZERO_NOISE, rng, ar_history=nxt)
-    assert np.allclose(s2.h_stacked[:, 0], s.y)
+    assert np.array_equal(h[1], np.column_stack([y[0], hist[:, 0]]))
+    assert np.array_equal(after, np.column_stack([y[1], y[0]]))
 
 
 def test_ar_requires_history(rng):
     rp = ar_driven_regression(2, 2)
     with pytest.raises(InvalidInputError):
-        sample_regression(rp, np.zeros(2), 0, ZERO_NOISE, rng)
+        _draw(rp, np.zeros(2), rng)
     with pytest.raises(InvalidInputError):
-        sample_regression(rp, np.zeros(2), 0, ZERO_NOISE, rng, ar_history=np.zeros((3, 2)))
+        _draw(rp, np.zeros(2), rng, ar_history=np.zeros((3, 2)))
     with pytest.raises(UnsupportedAnalyticError):
         conditional_expected_node_gram(rp, 0)
 
@@ -132,21 +145,21 @@ def test_freeze_regression_fixes_the_draw(rng):
     rp = _benchmark_entrywise()
     frozen = freeze_regression(rp, rng)
     assert frozen.kind == "fixed"
-    s1 = sample_regression(frozen, np.zeros(2), 0, ZERO_NOISE, np.random.default_rng(1))
-    s2 = sample_regression(frozen, np.zeros(2), 9, ZERO_NOISE, np.random.default_rng(2))
-    assert np.array_equal(s1.h_stacked, s2.h_stacked)
+    h1, _, _, _ = _draw(frozen, np.zeros(2), np.random.default_rng(1), count=9)
+    h2, _, _, _ = _draw(frozen, np.zeros(2), np.random.default_rng(2))
+    assert all(np.array_equal(h, h2[0]) for h in h1)
     # the frozen draw stays inside the support base + coef * [0, 1]
     lo = np.array([[0.5, 0.0], [0.0, 0.5], [0.5, 0.5]])
-    assert np.all(s1.h_stacked >= lo - 1e-12)
-    assert np.all(s1.h_stacked <= lo + 1.0 + 1e-12)
+    assert np.all(h2[0] >= lo - 1e-12)
+    assert np.all(h2[0] <= lo + 1.0 + 1e-12)
 
 
 def test_support_gram_norm_bound_dominates_draws(rng):
     rp = _benchmark_entrywise()
     bound = support_gram_norm_bound(rp)
-    for k in range(200):
-        s = sample_regression(rp, np.zeros(2), k, ZERO_NOISE, rng)
-        top = max(np.linalg.norm(h, 2) ** 2 for h in s.h_nodes)
+    h, _, _, _ = _draw(rp, np.zeros(2), rng, count=200)
+    for stacked in h:
+        top = max(np.linalg.norm(h_i, 2) ** 2 for h_i in np.split(stacked, rp.offsets[1:-1]))
         assert top <= bound + 1e-12
 
 
@@ -155,6 +168,22 @@ def test_node_dims_offsets():
     rp = fixed_regression(h)
     assert rp.node_dims == (2, 3, 1)
     assert rp.offsets == (0, 2, 5, 6)
-    s = sample_regression(rp, np.zeros(3), 0, ZERO_NOISE, np.random.default_rng(0))
-    assert s.h_stacked.shape == (6, 3)
-    assert s.h_block.shape == (6, 9)
+    h, _, _, _ = _draw(rp, np.zeros(3), np.random.default_rng(0))
+    assert h.shape == (1, 6, 3)
+    assert block_diag(np.split(h[0], rp.offsets[1:-1])).shape == (6, 9)
+
+
+def test_ar_monte_carlo_gram_and_freeze_replay_the_recursion(rng):
+    """Without noise the ar-driven recursion is deterministic: the Monte
+    Carlo Gram at step 2 is the Gram of the hand-computed regressors, and
+    freezing keeps the step-0 regressor, the history itself."""
+    rp = ar_driven_regression(nodes=2, order=2)
+    theta = np.array([0.5, -0.25])
+    hist = np.array([[1.0, 2.0], [0.0, 1.0]])
+    # y(0) = (0, -0.25), y(1) = (-0.25, -0.125)
+    h2 = [np.array([[-0.25, 0.0]]), np.array([[-0.125, -0.25]])]
+    mc = monte_carlo_expected_gram(rp, theta, 2, ZERO_NOISE, rng, samples=2, ar_init=hist)
+    assert np.array_equal(mc.matrix, block_diag([h.T @ h for h in h2]))
+    frozen = freeze_regression(rp, rng, hist)
+    assert frozen.kind == "fixed"
+    assert np.array_equal(np.concatenate(frozen.h_nodes), hist)
