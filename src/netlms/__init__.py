@@ -70,13 +70,12 @@ from .graphs import (
     markov_switching_graph,
     stationary_distribution,
 )
-from .noise import ChannelNoise, MeasurementNoise, NoiseIntensity, verify_A1_A2_bounds
+from .noise import ChannelNoise, MeasurementNoise, NoiseIntensity
 from .regression import (
     ar_driven_regression,
     bernoulli_failure_regression,
     entrywise_uniform_regression,
     fixed_regression,
-    freeze_regression,
 )
 from .regret import (
     RegretSeries,
@@ -105,9 +104,7 @@ __all__ = [
     "stationary_distribution", "gamma1_membership",
     "fixed_regression", "entrywise_uniform_regression",
     "bernoulli_failure_regression", "ar_driven_regression",
-    "freeze_regression",
     "MeasurementNoise", "ChannelNoise", "NoiseIntensity",
-    "verify_A1_A2_bounds",
     # estimator
     "GainSchedule", "validate_gains", "node_step", "compact_step",
     "run_trajectory", "run_trajectories", "substream", "TrajectoryRecord",

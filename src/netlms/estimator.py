@@ -399,19 +399,64 @@ class ChunkStats:
 
 
 # Steps per chunk: as many as keep a chunk's arrays near this many floats
-# (512 KB), but at least 16.  The per-chunk cost is paid per run and
-# source, so one run wants long chunks and a batch short ones.  In a sweep
-# of fixed chunk sizes (3x3 presets, one BLAS thread), one 3e4-step run
-# ran 2.3x faster at 425 steps than at 16, 4 % faster again at 1024, and
-# peaked 4 MB higher at 4096; 20 runs ran 5 % faster at 64 steps than at
-# 21 but peaked 2 MB higher.  For 50 runs the budget alone gives 8 steps,
-# 25-50 % slower per run-step than 16.
-_CHUNK_FLOATS = 1 << 16
+# (768 KB), but at least 16.  ``per_step`` counts, per run and step, the
+# fused operator (``n + 2N + 1`` slots per output), the step input ``z``,
+# the channel draws and the regression arrays.  The per-chunk cost is paid
+# per run and source, so one run wants long chunks and a batch short ones.
+# In a sweep of fixed chunk sizes (setting-i for one run, regret for 20 and
+# 50, one BLAS thread, best CPU time of 3 in two passes), one 3e4-step run
+# took 36 us per step at 64 steps, 21 at 491 (its default) and 19-22 at
+# 1024-2048, which peaked 1.3-5.8 MB higher; 20 runs took 8.5 us per
+# run-step at 16 steps, 6.7 at 24 (the default) and 4.5-5.4 at 32-64,
+# which peaked 0.4-2.4 MB higher; 50 runs took 5.6 us at 16 and 4.0 at 64,
+# 8 MB higher.
+_CHUNK_FLOATS = 3 << 15
 
 
 def _default_chunk(runs: int, nodes: int, dim: int, rows: int) -> int:
-    per_step = dim * dim * nodes + nodes * nodes * (2 * dim + 1) + rows * (dim + nodes + 2)
+    width = dim * nodes
+    per_step = (dim + 2 * nodes + 1) * width + width + nodes * nodes * (dim + 1) + 1
+    per_step += rows * (dim + nodes + 2)
     return max(16, _CHUNK_FLOATS // (runs * per_step))
+
+
+def _fused_operator(model, link_noise, start, updates, adj, h, y, xi):
+    """``op[k, s, q', i]``, the weight of slot ``s`` of output ``(q', i)`` at
+    step ``start + k`` (see :func:`simulate`), for a chunk's ``updates``
+    steps.  Scales ``xi`` in place."""
+    n_nodes, dim = model.init.shape
+    slots = dim + n_nodes * (2 if link_noise else 1) + 1
+    op = np.empty((updates, slots, dim, n_nodes, adj.shape[-1]))
+    if updates == 0:
+        return op
+    comp_diag = np.arange(dim)
+    a, b, lam = (g[:, None, None, None] for g in model.gains.table(range(start, start + updates)).T)
+    hu, au_t = h[:updates], adj[:updates].transpose(0, 2, 1, 3)
+    # -b L_ik: b a_ik off the diagonal, -b sum_j a_ij on it
+    consensus = op[:, dim : dim + n_nodes]
+    np.multiply(au_t[:, :, None], b[:, None], out=consensus)
+    degree = ordered_sum(adj[:updates], 2)
+    offsets = model.regression.offsets
+    for i, span in enumerate(map(range, offsets[:-1], offsets[1:])):
+        # own[k, q, q'] = entry (q', q) of (1 - lam) I - a H_i^T H_i;
+        # H_i^T H_i is exactly symmetric, so the transpose is free
+        own = op[:, :dim, :, i]
+        # row by row, in order: the Gram's outer products stay small
+        np.multiply(hu[:, span[0], :, None], hu[:, span[0], None, :], out=own)
+        for row in span[1:]:
+            own += hu[:, row, :, None] * hu[:, row, None, :]
+        own *= -a
+        own[:, comp_diag, comp_diag] += 1.0 - lam[:, 0]
+        np.multiply(degree[:, None, i], -b[:, 0], out=consensus[:, i, :, i])
+        np.multiply(ordered_sum(hu[:, span] * y[:updates, span, None], 1), a[:, 0],
+                    out=op[:, -1, :, i])
+    # link noise sum_j a_ij f_ij xi_ij: its bias part is exogenous
+    axi = xi[:updates]
+    axi *= au_t[:, :, None]
+    op[:, -1] += (b * model.intensity.bias) * ordered_sum(axi, 1)
+    if link_noise:
+        np.multiply(axi, b[:, None] * model.intensity.sigma, out=op[:, dim + n_nodes : -1])
+    return op
 
 
 # a diverging run overflows to inf and NaN; first_nonfinite_step reports it
@@ -427,17 +472,28 @@ def simulate(
 
     Each run draws its graph, regressors, measurement noise and channel
     noise from its own per-source substreams (:func:`source_streams`), in
-    blocks of :func:`_default_chunk` steps.  Every draw is exogenous: only the link
-    intensity ``f(x)`` depends on the estimates, and it scales pre-drawn
-    channel noise.  So each chunk precomputes, for all its steps, the
-    pieces of the stacked recursion
+    blocks of :func:`_default_chunk` steps.  Every draw is exogenous: only
+    the link intensity ``f(x)`` depends on the estimates, and it scales
+    pre-drawn channel noise.  So the recursion
 
         x_i+ = ((1 - lam) I - a H_i^T H_i) x_i - b (L x)_i + a H_i^T y_i
-               + b sum_j a_ij (bias + sigma |x_j - x_i|) xi_ij,
+               + b sum_j a_ij (bias + sigma |x_j - x_i|) xi_ij
 
-    and the loop over steps evaluates only what involves the state.  The
-    values of a run depend neither on the block size nor on the other
-    runs of the batch.
+    is affine in ``z = [x, dist, 1]``, where ``dist`` holds the distances
+    ``|x_j - x_i|`` (only when the link noise depends on the state).  Each
+    chunk builds, for all its steps, one fused operator over the entries
+    of ``z`` that each output reads: component ``q'`` of ``x_i+`` is the
+    sum, in slot order, of
+
+    - ``x_i``'s components times column ``q'`` of the own block
+      ``(1 - lam) I - a H_i^T H_i``;
+    - component ``q'`` of every ``x_k`` times ``-b L_ik``;
+    - every distance ``|x_j - x_i|`` times ``b sigma a_ij xi_ij``;
+    - 1 times the exogenous ``a H_i^T y_i + b bias sum_j a_ij xi_ij``.
+
+    A step is then the distances, one gather of ``z`` into those slots,
+    one multiply and one ordered sum over the slots.  The values of a run
+    depend neither on the block size nor on the other runs of the batch.
 
     ``on_chunk`` receives one :class:`ChunkStats` per chunk, in step
     order; rows ``0..horizon`` are covered, row ``horizon`` without an
@@ -453,11 +509,9 @@ def simulate(
     gp, rp, x0 = model.graph, model.regression, model.x0
     n_nodes, dim = model.init.shape
     rows = rp.total_rows
-    node_rows = [range(lo, hi) for lo, hi in zip(rp.offsets[:-1], rp.offsets[1:])]
     chunk = _default_chunk(runs, n_nodes, dim, rows)
-    sigma, bias = model.intensity.sigma, model.intensity.bias
     # the state-dependent part of the link noise vanishes without sigma
-    link_noise = sigma > 0.0 and model.channel.kind != "zero"
+    link_noise = model.intensity.sigma > 0.0 and model.channel.kind != "zero"
     node_diag, comp_diag = np.arange(n_nodes), np.arange(dim)
 
     # Runs sit on the last axis of every array and states are stored
@@ -466,6 +520,24 @@ def simulate(
     # numpy reduction over a leading axis of a C-ordered array (which
     # numpy adds up in order), so a run rounds the same way alone, in any
     # batch and with any chunk size.
+    #
+    # Rows of z: the state, the distances |x_j - x_i| at j N + i (left
+    # unset and unread without link noise), the 1.  gather[s, p] is the
+    # row of z in slot s of output p = q' N + i.
+    width = dim * n_nodes
+    inputs = width + n_nodes * n_nodes + 1
+    out_comp, out_node = np.divmod(np.arange(width), n_nodes)
+    gather = np.concatenate(
+        [
+            comp_diag[:, None] * n_nodes + out_node,  # x_i[q]
+            out_comp * n_nodes + node_diag[:, None],  # x_k[q']
+            *([width + node_diag[:, None] * n_nodes + out_node] if link_noise else []),
+            np.full((1, width), inputs - 1),
+        ]
+    )
+    gathered = np.empty((len(gather), width, runs))
+    diff = np.empty((dim, n_nodes, n_nodes, runs))
+
     x = np.repeat(model.init.T[:, :, None], runs, axis=2)
     graph_rngs, regression_rngs, noise_rngs, channel_rngs = zip(*streams)
     graph_state = None
@@ -480,53 +552,46 @@ def simulate(
         adj, graph_state = graph_block(gp, start, count, graph_rngs, graph_state)
         noise = np.stack([model.measurement.sample(g, (count, rows)) for g in noise_rngs], axis=-1)
         h, y_clean, y, ar_hist = regression_block(rp, x0, count, regression_rngs, noise, ar_hist)
+        del noise
         # channel noise indexed (step, sender j, component, receiver i, run)
         shape = (count, n_nodes, n_nodes, dim)
         xi = np.stack(
             [model.channel.sample(g, shape).transpose(0, 2, 3, 1) for g in channel_rngs], axis=-1
         )
 
-        if updates > 0:
-            gains = model.gains.table(range(start, start + updates))
-            a, b, lam = (g[:, None, None, None] for g in gains.T)
-            hu, au = h[:updates], adj[:updates]
-            # own[k, q, q', i] = entry (q', q) of (1 - lam) I - a H_i^T H_i;
-            # H_i^T H_i is exactly symmetric, so the transpose is free
-            own = np.empty((updates, dim, dim, n_nodes, runs))
-            hty = np.empty((updates, dim, n_nodes, runs))
-            for i, span in enumerate(node_rows):
-                # row by row, in order: the Gram's outer products stay small
-                own[:, :, :, i] = hu[:, span[0], :, None] * hu[:, span[0], None, :]
-                for row in span[1:]:
-                    own[:, :, :, i] += hu[:, row, :, None] * hu[:, row, None, :]
-                hty[:, :, i] = ordered_sum(hu[:, span] * y[:updates, span, None], 1)
-            own *= -a[..., None]
-            own[:, comp_diag, comp_diag] += 1.0 - lam
-            # b L^T, indexed (step, k, i): the weight of x_k in (b L x)_i
-            lap_t = np.negative(au.transpose(0, 2, 1, 3), order="C")
-            lap_t[:, node_diag, node_diag] = ordered_sum(au, 2)
-            lap_t *= b
-            # link noise sum_j a_ij f_ij xi_ij: its bias part is exogenous
-            axi = xi[:updates]
-            axi *= au.transpose(0, 2, 1, 3)[:, :, None]
-            const = a * hty + (b * bias) * ordered_sum(axi, 1)
-            axi *= b[..., None] * sigma
+        op = _fused_operator(model, link_noise, start, updates, adj, h, y, xi)
+        # release what only the operator reads, and below the operator
+        # itself, before the next chunk's draws: this keeps peak memory down
+        del xi, y
 
-        # row j holds the state entering step start + j; one spare row
-        states = np.empty((count + 1, dim, n_nodes, runs))
+        # z[k] is the input of step start + k; one spare row for the state
+        # after the chunk's last update
+        z = np.empty((count + 1, inputs, runs))
+        z[:, -1] = 1.0
+        states = z[:, :width].reshape(count + 1, dim, n_nodes, runs)
         states[0] = x
-        for j in range(updates):
-            x, nxt = states[j], states[j + 1]
-            add(own[j] * x[:, None], 0, out=nxt)
-            nxt -= add(lap_t[j] * x[:, :, None], 1)
-            nxt += const[j]
+        # per step: the senders' and receivers' states broadcast to
+        # [q, k, i] for the distances x_k - x_i, and the distance rows of z
+        steps = zip(
+            op.reshape(updates, len(gather), width, runs),
+            z,
+            z[1:, :width],
+            states[:, :, :, None],
+            states[:, :, None],
+            z[:, width:-1].reshape(count + 1, n_nodes, n_nodes, runs),
+        )
+        for op_j, z_j, next_x, senders, receivers, dist in steps:
             if link_noise:
-                d = x[:, :, None] - x[:, None]  # x_j - x_i at [q, j, i]
-                dist = np.sqrt(add(d * d, 0))
-                nxt += add(dist[:, None] * axi[j], 0)
+                np.subtract(senders, receivers, out=diff)
+                np.square(diff, out=diff)
+                add(diff, 0, out=dist)
+                np.sqrt(dist, out=dist)
+            np.take(z_j, gather, axis=0, out=gathered, mode="clip")
+            np.multiply(op_j, gathered, out=gathered)
+            add(gathered, 0, out=next_x)
+        del steps, op
         x = states[updates].copy()
         states = states[:count]
-
         err = states - x0[:, None, None]
         per_err = ordered_sum(err * err, 1)
         v = ordered_sum(per_err, 1)

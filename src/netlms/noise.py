@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .linalg import as_matrix, ordered_sum, spectral_norm, sym_eigmax
+from .linalg import as_matrix, ordered_sum, sym_eigmax
 
 __all__ = [
     "NOISE_KINDS",
@@ -28,10 +28,8 @@ __all__ = [
     "BoundCheckReport",
     "BoundTally",
     "norm_bound_sides",
-    "received_message",
     "received_messages",
     "build_WM",
-    "verify_A1_A2_bounds",
 ]
 
 NOISE_KINDS = ("zero", "gaussian")
@@ -116,21 +114,6 @@ class ChannelNoise:
         if self.kind == "zero":
             return 0.0
         return float(size) * self.std**2
-
-
-def received_message(x_j, x_i, intensity: NoiseIntensity, xi_draw) -> np.ndarray:
-    """One corrupted message: ``x_j + f(x_j - x_i) * xi``.
-
-    ``xi_draw`` may be a scalar or a vector matching the state dimension.
-    """
-    xj = np.asarray(x_j, dtype=float)
-    xi_state = np.asarray(x_i, dtype=float)
-    if xj.shape != xi_state.shape:
-        raise InvalidInputError("sender and receiver states must share a shape")
-    xi = np.asarray(xi_draw, dtype=float)
-    if xi.ndim not in (0, 1) or (xi.ndim == 1 and xi.shape != xj.shape):
-        raise InvalidInputError("xi_draw must be a scalar or match the state dimension")
-    return xj + intensity(xj - xi_state) * xi
 
 
 def received_messages(states, intensity: NoiseIntensity, xi: np.ndarray) -> np.ndarray:
@@ -260,40 +243,3 @@ class BoundTally:
             )
             for r in range(self.w_bad.size)
         ]
-
-
-def verify_A1_A2_bounds(
-    adjacencies,
-    state_seq,
-    intensity: NoiseIntensity,
-    x0,
-    build_matrices: bool = True,
-) -> BoundCheckReport:
-    """Check the norm bounds at every step of a recorded slice.
-
-    ``adjacencies`` and ``state_seq`` are step-aligned sequences of ``(N, N)``
-    and ``(N, n)`` arrays.  The right-hand sides always come from
-    :func:`norm_bound_sides`; with ``build_matrices`` the stacked ``W`` and
-    ``M`` are constructed explicitly and their spectral norms used on the
-    left-hand sides, otherwise the closed forms are used.
-    """
-    adjs = [np.asarray(a, dtype=float) for a in adjacencies]
-    states = [np.asarray(x, dtype=float) for x in state_seq]
-    steps = min(len(adjs), len(states))
-    if steps == 0:
-        raise InvalidInputError("empty trajectory slice")
-    a = np.stack(adjs[:steps])
-    x = np.stack(states[:steps])
-    err = x - np.asarray(x0, dtype=float)
-    v_total = ordered_sum(ordered_sum(err * err, -1), -1)
-    w_lhs, w_rhs, m_lhs, m_rhs = norm_bound_sides(a, x, intensity, v_total)
-    if build_matrices:
-        w_lhs = np.empty(steps)
-        m_lhs = np.empty(steps)
-        for k in range(steps):
-            w, m = build_WM(a[k], x[k], intensity)
-            w_lhs[k] = spectral_norm(w)
-            m_lhs[k] = spectral_norm(m) ** 2
-    tally = BoundTally(1)
-    tally.add((w_rhs - w_lhs)[:, None], (m_rhs - m_lhs)[:, None], v_total[:, None])
-    return tally.reports()[0]

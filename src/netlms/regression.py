@@ -42,7 +42,6 @@ __all__ = [
     "entrywise_uniform_regression",
     "bernoulli_failure_regression",
     "ar_driven_regression",
-    "freeze_regression",
     "regression_block",
     "conditional_expected_node_gram",
     "conditional_expected_gram",
@@ -184,24 +183,6 @@ def ar_driven_regression(nodes: int, order: int) -> RegressionProcess:
         dim=int(order),
         node_dims=(1,) * int(nodes),
     )
-
-
-def freeze_regression(
-    process: RegressionProcess,
-    rng: np.random.Generator,
-    ar_history: np.ndarray | None = None,
-) -> RegressionProcess:
-    """Draw the observation matrices once (at step 0) and reuse them
-    forever, returning a fixed-kind process.
-
-    A frozen draw is measurable from step 0 on, so its conditional Gram at
-    any cut is the realized ``H^T H`` — which is exactly what the fixed
-    kind returns.
-    """
-    hist = None if ar_history is None else np.asarray(ar_history, dtype=float)[..., None]
-    no_noise = np.zeros((1, process.total_rows, 1))
-    h = regression_block(process, np.zeros(process.dim), 1, [rng], no_noise, hist)[0]
-    return fixed_regression([b.copy() for b in np.split(h[0, :, :, 0], process.offsets[1:-1])])
 
 
 def _regressor_block(process: RegressionProcess, count: int, rngs) -> np.ndarray:

@@ -408,7 +408,12 @@ def _kernel_states(model, seeds, horizon):
 @pytest.mark.parametrize("graph_kind",
                          ["fixed", "alternating-uniform", "iid-uniform", "markov-switching"])
 def test_kernel_step_matches_node_and_compact_steps(graph_kind, regression_kind, two_step_chunks):
-    cfg = _kind_config(graph_kind, regression_kind)
+    _assert_kernel_matches_oracles(_kind_config(graph_kind, regression_kind))
+
+
+def _assert_kernel_matches_oracles(cfg):
+    """Two runs of the kernel against their per-step replays through
+    ``node_step`` and ``compact_step``, to 1e-12."""
     model = SimulationModel.from_config(cfg)
     seeds = [np.random.SeedSequence(cfg.seed, spawn_key=(r,)) for r in range(2)]
     v, final = _kernel_states(model, seeds, cfg.horizon)
@@ -418,6 +423,71 @@ def test_kernel_step_matches_node_and_compact_steps(graph_kind, regression_kind,
             assert np.abs(xa - xb).max() <= 1e-12
             assert abs(v[k, r] - float(((xa - model.x0) ** 2).sum())) <= 1e-12 * max(1.0, v[k, r])
         assert np.abs(final[r] - node_x[-1]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("noise", [{"sigma_f": 0.0}, {"channel_kind": "zero"}],
+                         ids=["sigma_f=0", "zero-channel"])
+@pytest.mark.parametrize("graph_kind, regression_kind",
+                         [("iid-uniform", "entrywise-uniform"), ("markov-switching", "ar-driven")])
+def test_kernel_without_link_noise_matches_node_and_compact_steps(
+        graph_kind, regression_kind, noise, two_step_chunks):
+    """Without state-dependent link noise the fused operator has no
+    distance slots; the bias part of the channel noise stays."""
+    cfg = _kind_config(graph_kind, regression_kind)
+    _assert_kernel_matches_oracles(
+        dataclasses.replace(cfg, noise=dataclasses.replace(cfg.noise, **noise)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_kernel_invariants_on_random_shapes(data):
+    """Any N, n, row counts, batch and chunk size, with and without link
+    noise: a run is bit-identical alone, in any batch and at any chunk
+    size, and within 1e-12 of its ``compact_step`` replay."""
+    n_nodes, dim = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3))
+    node_dims = tuple(data.draw(st.lists(st.integers(1, 3), min_size=n_nodes, max_size=n_nodes)))
+    runs = data.draw(st.integers(1, 3))
+    chunks = data.draw(st.lists(st.integers(1, 5), min_size=2, max_size=2))
+    sigma_f, channel_kind = data.draw(
+        st.sampled_from([(0.3, "gaussian"), (0.0, "gaussian"), (0.3, "zero")]))
+
+    def matrices():
+        return tuple(tuple(tuple(data.draw(UNIT) for _ in range(dim)) for _ in range(rows))
+                     for rows in node_dims)
+
+    cfg = ExperimentConfig(
+        name="shapes", seed=data.draw(st.integers(0, 2**32)), horizon=data.draw(st.integers(0, 7)),
+        runs=runs, nodes=n_nodes, dim=dim, node_dims=node_dims,
+        x0=tuple(data.draw(UNIT) for _ in range(dim)),
+        init=tuple(tuple(data.draw(UNIT) for _ in range(dim)) for _ in range(n_nodes)),
+        graph=GraphConfig(kind="iid-uniform", low=-0.5, high=1.0),
+        regression=RegressionConfig(kind="entrywise-uniform", base=matrices(), coef=matrices(),
+                                    low=-0.5, high=0.5),
+        noise=NoiseConfig(measurement_std=0.5, channel_kind=channel_kind, channel_std=0.7,
+                          sigma_f=sigma_f, b_f=0.2),
+        gains=GainConfig(a_coef=0.5, a_exp=0.6, b_coef=0.4, b_exp=0.6,
+                         lambda_coef=0.3, lambda_exp=2.0),
+    ).validate()
+    model = SimulationModel.from_config(cfg)
+    seeds = [np.random.SeedSequence(cfg.seed, spawn_key=(r,)) for r in range(runs)]
+    with pytest.MonkeyPatch.context() as mp:
+        _pin_chunk(mp, chunks[0])
+        stats, final, reports = _kernel_outputs(cfg, range(runs))
+        _pin_chunk(mp, chunks[1])
+        backwards = _kernel_outputs(cfg, range(runs)[::-1])
+        for r in range(runs):
+            alone = _kernel_outputs(cfg, [r])
+            for other, col in ((alone, 0), (backwards, runs - 1 - r)):
+                for name, value in stats.items():
+                    assert np.array_equal(other[0][name][..., col], value[..., r]), name
+                assert np.array_equal(other[1][col], final[r])
+                assert other[2][col] == reports[r]
+    for r, seed in enumerate(seeds):
+        _, compact_x = _replay(model, seed, cfg.horizon)
+        scale = max(1.0, np.abs(compact_x[-1]).max())
+        assert np.abs(final[r] - compact_x[-1]).max() <= 1e-12 * scale
+        v = [float(((x - model.x0) ** 2).sum()) for x in compact_x]
+        assert np.allclose(stats["v"][:, r], v, rtol=1e-12, atol=1e-12)
 
 
 def test_kernel_custom_graph_calls_its_sampler_per_step(two_step_chunks):

@@ -4,15 +4,20 @@ import dataclasses
 import hashlib
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netlms.config import (
+    GraphConfig,
     NoiseConfig,
     RegressionConfig,
     get_preset,
     parse_config,
+    preset_names,
     with_overrides,
 )
 from netlms.errors import ConfigError, InvalidInputError, UnsupportedAnalyticError
@@ -76,7 +81,7 @@ def test_aggregate_schema(artifacts, small_cfg):
 
 def test_manifest_digests_and_fields(artifacts, small_cfg):
     man = json.load(open(artifacts.manifest_file))
-    assert man["schema"] == 2
+    assert man["schema"] == 3
     assert man["seed"] == small_cfg.seed and man["runs"] == small_cfg.runs
     assert man["bound_checks"]["w_violations"] == 0
     assert man["bound_checks"]["m_violations"] == 0
@@ -190,6 +195,31 @@ def test_uneven_worker_split_is_byte_identical(small_cfg, tmp_path):
     assert seq.keys() == par.keys()
     for name in seq:
         assert seq[name] == par[name], name
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_worker_count_does_not_change_the_files(data):
+    """Random small configs: every artifact is byte-identical for one and
+    two workers."""
+    cfg = with_overrides(
+        get_preset(data.draw(st.sampled_from(preset_names()))),
+        seed=data.draw(st.integers(0, 2**32)),
+        runs=data.draw(st.integers(2, 5)),
+        horizon=data.draw(st.integers(10, 120)),
+    )
+    noise = data.draw(st.sampled_from([{}, {"sigma_f": 0.0}, {"channel_kind": "zero"}]))
+    low = data.draw(st.floats(-0.5, 0.5))
+    graph = data.draw(st.sampled_from(
+        [cfg.graph, GraphConfig(kind="iid-uniform", low=low, high=low + 1.0)]))
+    cfg = dataclasses.replace(
+        cfg, record_every=data.draw(st.integers(1, 40)), graph=graph,
+        noise=dataclasses.replace(cfg.noise, **noise))
+    fmt = data.draw(st.sampled_from(["csv", "json"]))
+    with tempfile.TemporaryDirectory() as tmp:
+        seq = _file_bytes(run_experiment(cfg, os.path.join(tmp, "seq"), fmt, workers=1))
+        par = _file_bytes(run_experiment(cfg, os.path.join(tmp, "par"), fmt, workers=2))
+    assert seq == par
 
 
 def test_diverging_run_is_flagged_in_the_manifest(tmp_path):

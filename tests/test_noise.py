@@ -4,19 +4,55 @@ import numpy as np
 import pytest
 
 from netlms.errors import InvalidInputError
-from netlms.linalg import spectral_norm
+from netlms.linalg import ordered_sum, spectral_norm
 from netlms.noise import (
     BoundCheckReport,
+    BoundTally,
     ChannelNoise,
     MeasurementNoise,
     NoiseIntensity,
     build_WM,
-    received_message,
+    norm_bound_sides,
     received_messages,
-    verify_A1_A2_bounds,
 )
 
 BENCH = NoiseIntensity(sigma=0.1, bias=0.1)
+
+
+def received_message(x_j, x_i, intensity, xi_draw):
+    """One corrupted message ``x_j + f(x_j - x_i) * xi``, the scalar form of
+    ``received_messages``."""
+    x_j, x_i = np.asarray(x_j, dtype=float), np.asarray(x_i, dtype=float)
+    return x_j + intensity(x_j - x_i) * np.asarray(xi_draw, dtype=float)
+
+
+def verify_A1_A2_bounds(adjacencies, state_seq, intensity, x0, build_matrices=True):
+    """Check the norm bounds at every step of a recorded slice.
+
+    ``adjacencies`` and ``state_seq`` are step-aligned sequences of ``(N, N)``
+    and ``(N, n)`` arrays.  The right-hand sides always come from
+    ``norm_bound_sides``; with ``build_matrices`` the stacked ``W`` and
+    ``M`` are constructed explicitly and their spectral norms used on the
+    left-hand sides, otherwise the closed forms are used.
+    """
+    steps = min(len(adjacencies), len(state_seq))
+    if steps == 0:
+        raise InvalidInputError("empty trajectory slice")
+    a = np.stack([np.asarray(m, dtype=float) for m in adjacencies[:steps]])
+    x = np.stack([np.asarray(s, dtype=float) for s in state_seq[:steps]])
+    err = x - np.asarray(x0, dtype=float)
+    v_total = ordered_sum(ordered_sum(err * err, -1), -1)
+    w_lhs, w_rhs, m_lhs, m_rhs = norm_bound_sides(a, x, intensity, v_total)
+    if build_matrices:
+        w_lhs = np.empty(steps)
+        m_lhs = np.empty(steps)
+        for k in range(steps):
+            w, m = build_WM(a[k], x[k], intensity)
+            w_lhs[k] = spectral_norm(w)
+            m_lhs[k] = spectral_norm(m) ** 2
+    tally = BoundTally(1)
+    tally.add((w_rhs - w_lhs)[:, None], (m_rhs - m_lhs)[:, None], v_total[:, None])
+    return tally.reports()[0]
 
 
 @pytest.fixture

@@ -13,7 +13,6 @@ from netlms.regression import (
     conditional_expected_node_gram,
     entrywise_uniform_regression,
     fixed_regression,
-    freeze_regression,
     monte_carlo_expected_gram,
     regression_block,
     spatio_temporal_gram,
@@ -21,6 +20,20 @@ from netlms.regression import (
 )
 
 ZERO_NOISE = MeasurementNoise(kind="zero", std=0.0)
+
+
+def freeze_regression(process, rng, ar_history=None):
+    """Draw the observation matrices once (at step 0) and return the fixed
+    process that reuses them forever.
+
+    A frozen draw is measurable from step 0 on, so its conditional Gram at
+    any cut is the realized ``H^T H``, which is what the fixed kind
+    returns.
+    """
+    hist = None if ar_history is None else np.asarray(ar_history, dtype=float)[..., None]
+    no_noise = np.zeros((1, process.total_rows, 1))
+    h = regression_block(process, np.zeros(process.dim), 1, [rng], no_noise, hist)[0]
+    return fixed_regression([b.copy() for b in np.split(h[0, :, :, 0], process.offsets[1:-1])])
 
 
 def _draw(rp, x0, rng, count=1, noise=ZERO_NOISE, ar_history=None):
