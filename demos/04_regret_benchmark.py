@@ -14,7 +14,6 @@ import numpy as np
 from netlms import (
     get_preset,
     lemma_regret_bound_check,
-    mar,
     oracle_parameter,
     regret_series,
     run_trajectories,
@@ -30,15 +29,15 @@ def main():
     records = run_trajectories(cfg, range(RUNS), check_bounds=False)
     oracle = oracle_parameter(cfg.regression.to_process(cfg.nodes, cfg.dim),
                               np.asarray(cfg.x0, dtype=float), cfg.horizon)
-    series = regret_series(records, tau=cfg.gains.a_exp, oracle=oracle)
+    series = regret_series(records, tau=cfg.gains.a_exp)
 
     print(f"regret preset at reduced scale: {RUNS} runs, horizon {HORIZON}")
-    print(f"comparator parameter (equals x0): {np.array2string(series.oracle, precision=6)}\n")
+    print(f"comparator parameter (equals x0): {np.array2string(oracle, precision=6)}\n")
 
     print("        T    worst-node regret        MAR(T)")
     for t in (100, 1_000, 5_000, 20_000):
         worst = series.regret[t].max()
-        print(f"{t:9d}    {worst:17.2f}    {mar(records, t, tau=cfg.gains.a_exp):10.3f}")
+        print(f"{t:9d}    {worst:17.2f}    {series.mar[t]:10.3f}")
 
     # sublinear growth: ten times the steps, much less than ten times the bill
     r1, r2 = series.regret[2_000].max(), series.regret[20_000].max()

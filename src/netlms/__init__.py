@@ -11,9 +11,9 @@ and CLI that write reproducible on-disk artifacts.
 
 The usual entry points:
 
->>> from netlms import get_preset, run_trajectory, substream
+>>> from netlms import get_preset, run_trajectory, substream, with_overrides
 >>> cfg = get_preset("setting-i")
->>> rec = run_trajectory(cfg, substream(cfg.seed, 0), horizon=1000)
+>>> rec = run_trajectory(with_overrides(cfg, horizon=1000), substream(cfg.seed, 0))
 >>> float(rec.v[0])
 626.0
 """
@@ -79,7 +79,6 @@ from .regression import (
 )
 from .regret import (
     RegretSeries,
-    empirical_regret,
     lemma_regret_bound_check,
     mar,
     oracle_parameter,
@@ -112,7 +111,7 @@ __all__ = [
     "ExcitationReport", "info_matrix", "lambda_min_window",
     "check_definition1", "check_definition2", "lemma_lower_bound_check",
     "corollary1_stationary_check", "pe_diagnostic",
-    "RegretSeries", "oracle_parameter", "empirical_regret", "mar",
+    "RegretSeries", "oracle_parameter", "mar",
     "regret_series", "lemma_regret_bound_check",
     # batch runner
     "ExperimentArtifacts", "run_experiment", "default_out_dir",

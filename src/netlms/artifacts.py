@@ -29,7 +29,8 @@ __all__ = [
 # Version of every artifact layout and of the simulator's random stream.
 # 2: one substream per (run, source), drawn in blocks.
 # 3: the same draws; each step is one fused sum, which rounds differently.
-SCHEMA = 3
+# 4: the audit's gain-weighted series take the simulator's gain table.
+SCHEMA = 4
 # Cap on excitation windows serialized into the artifact; keeps the JSON
 # a few hundred KB even for very long horizons.
 AUDIT_WINDOW_CAP = 2000

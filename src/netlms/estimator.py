@@ -81,22 +81,21 @@ class GainSchedule:
         if any(not np.isfinite(v) or v < 0 for v in vals):
             raise InvalidInputError("gain coefficients and exponents must be finite and nonnegative")
 
-    def a(self, k: int) -> float:
-        return self.a_coef * (k + 1) ** -self.a_exp
-
-    def b(self, k: int) -> float:
-        return self.b_coef * (k + 1) ** -self.b_exp
-
-    def lam(self, k: int) -> float:
-        return self.lam_coef * (k + 1) ** -self.lam_exp
-
     def at(self, k: int) -> tuple[float, float, float]:
-        return self.a(k), self.b(k), self.lam(k)
+        """``a, b, lam`` at step ``k`` from scalar powers: the oracle that
+        replays single steps in the tests.  It may differ from
+        :meth:`table`, which the simulator and the audit read, by an ulp."""
+        k1 = k + 1
+        return (
+            self.a_coef * k1**-self.a_exp,
+            self.b_coef * k1**-self.b_exp,
+            self.lam_coef * k1**-self.lam_exp,
+        )
 
     def table(self, steps) -> np.ndarray:
         """``(len(steps), 3)`` array of ``a, b, lam`` at ``steps``, from one
-        elementwise power per gain (which may differ from :meth:`at` by an
-        ulp, but not with the other steps in the table)."""
+        elementwise power per gain, so a step's gains do not depend on the
+        other steps in the table."""
         k1 = np.asarray(steps, dtype=float) + 1.0
         return np.column_stack(
             [
@@ -307,7 +306,12 @@ def substream(master_seed: int, index: int) -> np.random.Generator:
     generator itself: they spawn one substream per source from its seed
     sequence (see :func:`source_streams`).
     """
-    return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(index,)))
+    return np.random.default_rng(_run_seed(master_seed, index))
+
+
+def _run_seed(master_seed: int, run) -> np.random.SeedSequence:
+    """Seed sequence of run ``run`` under ``master_seed``."""
+    return np.random.SeedSequence(master_seed, spawn_key=(int(run),))
 
 
 # Exogenous random sources of a run, in spawn-key order.
@@ -625,55 +629,61 @@ def simulate(
     return np.ascontiguousarray(x.transpose(2, 1, 0)), None if tally is None else tally.reports()
 
 
-def _records(config, seeds, horizon, check_bounds, label) -> list[TrajectoryRecord]:
-    horizon = config.horizon if horizon is None else int(horizon)
-    if horizon < 0:
-        raise InvalidInputError("horizon must be nonnegative")
+def _sample_runs(config, seeds, grid, fields, check_bounds=True):
+    """Simulate one run per seed for ``config.horizon`` updates and keep the
+    :class:`ChunkStats` ``fields`` at the sorted step array ``grid``, runs
+    first: ``(R, len(grid))`` for ``v``, ``(R, len(grid), N)`` for the
+    others.  Returns those arrays by field, the final states and the bound
+    reports of :func:`simulate`."""
+    runs, nodes = len(seeds), config.nodes
+    out = {f: np.empty((runs, len(grid), nodes)[: 2 if f == "v" else 3]) for f in fields}
+
+    def on_chunk(stats: ChunkStats) -> None:
+        lo, hi = np.searchsorted(grid, (stats.start, stats.start + len(stats.v)))
+        at = grid[lo:hi] - stats.start
+        for f, dst in out.items():
+            src = getattr(stats, f).take(at, axis=0)
+            dst[:, lo:hi] = src.transpose(-1, *range(src.ndim - 1))
+
     model = SimulationModel.from_config(config)
-    rows, runs, n_nodes = horizon + 1, len(seeds), config.nodes
-    v = np.empty((runs, rows))
-    err_norms, est_norms, excess = (np.empty((runs, rows, n_nodes)) for _ in range(3))
+    return (out, *simulate(model, seeds, config.horizon, on_chunk, check_bounds))
 
-    def fold(stats: ChunkStats) -> None:
-        span = slice(stats.start, stats.start + stats.v.shape[0])
-        v[:, span] = stats.v.T
-        for dst, src in (
-            (err_norms, stats.err_norms),
-            (est_norms, stats.est_norms),
-            (excess, stats.excess_losses),
-        ):
-            dst[:, span] = src.transpose(2, 0, 1)
 
-    x_final, reports = simulate(model, seeds, horizon, fold, check_bounds)
+def _records(config, seeds, check_bounds, label) -> list[TrajectoryRecord]:
+    rows = config.horizon + 1
     steps = np.arange(rows)
-    gains_used = model.gains.table(steps)
+    got, x_final, reports = _sample_runs(
+        config, seeds, steps, ("v", "err_norms", "est_norms", "excess_losses"), check_bounds
+    )
+    gains_used = GainSchedule.from_config(config).table(steps)
     for shared in (steps, gains_used):
         shared.flags.writeable = False
+    x0 = np.asarray(config.x0, dtype=float)
     return [
         TrajectoryRecord(
             seed=label,
-            horizon=horizon,
+            horizon=config.horizon,
             steps=steps,
-            v=v[r],
-            err_norms=err_norms[r],
-            est_norms=est_norms[r],
+            v=got["v"][r],
+            err_norms=got["err_norms"][r],
+            est_norms=got["est_norms"][r],
             gains_used=gains_used,
-            excess_losses=excess[r],
+            excess_losses=got["excess_losses"][r],
             x_final=x_final[r],
-            x0=model.x0,
+            x0=x0,
             bound_report=None if reports is None else reports[r],
         )
-        for r in range(runs)
+        for r in range(len(seeds))
     ]
 
 
 def run_trajectory(
     config: ExperimentConfig,
     seed,
-    horizon: int | None = None,
     check_bounds: bool = True,
 ) -> TrajectoryRecord:
-    """Simulate one run: the batch kernel :func:`simulate` with ``R = 1``.
+    """Simulate one run of ``config.horizon`` updates: the batch kernel
+    :func:`simulate` with ``R = 1``.
 
     ``seed`` may be an int, a ``SeedSequence``, or a ``Generator`` or
     ``BitGenerator``; a generator contributes only its seed sequence, so
@@ -685,7 +695,7 @@ def run_trajectory(
     ``T`` complete that row's losses.
     """
     label = int(seed) if isinstance(seed, (int, np.integer)) else -1
-    return _records(config, [_seed_sequence(seed)], horizon, check_bounds, label)[0]
+    return _records(config, [_seed_sequence(seed)], check_bounds, label)[0]
 
 
 def run_trajectories(
@@ -698,5 +708,4 @@ def run_trajectories(
     ``run_trajectory(config, substream(config.seed, runs[i]))`` bit for
     bit, whatever the batch.
     """
-    seeds = [np.random.SeedSequence(config.seed, spawn_key=(int(r),)) for r in runs]
-    return _records(config, seeds, None, check_bounds, -1)
+    return _records(config, [_run_seed(config.seed, r) for r in runs], check_bounds, -1)

@@ -183,8 +183,8 @@ def _window_pass(graph_process, window, ks, state_at_cut, gram=None, gains=None)
     gainless = ordered_sum(big + gram, axis=1)
     if gains is None:
         return gaps, gainless, None
-    # GainSchedule.at, not .table: the table's powers may differ by an ulp
-    ab = np.array([[gains.at(i)[:2] for i in s] for s in steps])
+    # the gains the simulator steps with
+    ab = gains.table(np.ravel(steps)).reshape(len(ks), window, 3)
     a, b = ab[..., 0, None, None], ab[..., 1, None, None]
     return gaps, gainless, ordered_sum(b * big + a * gram, axis=1)
 

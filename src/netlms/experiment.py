@@ -36,9 +36,9 @@ import numpy as np
 from .artifacts import SCHEMA, audit_windows, excitation_payload, sha256, write_json, write_table
 from .config import ExperimentConfig, render_config
 from .errors import InvalidInputError
-from .estimator import ChunkStats, SimulationModel, simulate
+from .estimator import _run_seed, _sample_runs
 from .excitation import ExcitationReport, pe_diagnostic
-from .regret import fold_runs, normalized_max_regret
+from .regret import _summary
 
 __all__ = ["ExperimentArtifacts", "run_experiment", "default_out_dir"]
 
@@ -77,33 +77,19 @@ def _record_indices(rows: int, every: int) -> np.ndarray:
     return idx
 
 
+# the chunk statistics each worker keeps at the record grid
+_FIELDS = ("v", "err_norms", "est_norms", "cum_excess")
+
+
 def _simulate_runs(args):
     """Worker: simulate runs ``first .. first + count - 1`` together and
-    reduce them to the artifact-sized pieces.
-
-    Returns the thinned trajectory tables ``(count, steps, 2 + 2N)``, the
-    regret contributions (cumulative excess losses, summed at full
-    resolution and sampled at the recorded steps) and one bound-check
-    report per run.
-    """
+    keep, at the record grid ``idx``, V, both norms and the cumulative
+    excess losses (summed at full resolution), plus one bound-check report
+    per run."""
     config, first, count, idx = args
-    n = config.nodes
-    runs = range(first, first + count)
-    seeds = [np.random.SeedSequence(config.seed, spawn_key=(r,)) for r in runs]
-    tables = np.empty((count, idx.size, 2 + 2 * n))
-    tables[:, :, 0] = idx
-    regret = np.empty((count, idx.size, n))
-
-    def fold(stats: ChunkStats) -> None:
-        lo, hi = np.searchsorted(idx, (stats.start, stats.start + stats.v.shape[0]))
-        at = idx[lo:hi] - stats.start
-        tables[:, lo:hi, 1] = stats.v[at].T
-        tables[:, lo:hi, 2 : 2 + n] = stats.err_norms[at].transpose(2, 0, 1)
-        tables[:, lo:hi, 2 + n :] = stats.est_norms[at].transpose(2, 0, 1)
-        regret[:, lo:hi] = stats.cum_excess[at].transpose(2, 0, 1)
-
-    _, reports = simulate(SimulationModel.from_config(config), seeds, config.horizon, fold)
-    return tables, regret, reports
+    seeds = [_run_seed(config.seed, r) for r in range(first, first + count)]
+    got, _, reports = _sample_runs(config, seeds, idx, _FIELDS)
+    return got, reports
 
 
 def run_experiment(
@@ -140,9 +126,8 @@ def run_experiment(
     else:
         with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
             results = list(pool.map(_simulate_runs, jobs))
-    tables = np.concatenate([r[0] for r in results])
-    regret = np.concatenate([r[1] for r in results])
-    reports = [br for r in results for br in r[2]]
+    got = {f: np.concatenate([r[0][f] for r in results]) for f in _FIELDS}
+    reports = [br for r in results for br in r[1]]
 
     n = config.nodes
     run_cols = ["step", "V"] + [f"err_norm_{i + 1}" for i in range(n)] + [
@@ -150,17 +135,15 @@ def run_experiment(
     ]
     ext = "csv" if fmt == "csv" else "json"
     run_files = []
-    for i, table in enumerate(tables):
+    for i in range(config.runs):
         path = os.path.join(out, f"run_{i:04d}.{ext}")
+        table = np.column_stack([idx, got["v"][i], got["err_norms"][i], got["est_norms"][i]])
         write_table(path, fmt, run_cols, table)
         run_files.append(path)
-    mean_v, _ = fold_runs(tables[:, :, 1])
-    mean_regret, _ = fold_runs(regret)
 
-    steps = idx.astype(float)
-    mar = normalized_max_regret(mean_regret, steps, config.gains.a_exp)
+    series = _summary(zip(got["cum_excess"], got["v"]), idx, config.gains.a_exp)
     agg_cols = ["step", "mean_V"] + [f"regret_{i + 1}" for i in range(n)] + ["mar"]
-    agg_rows = np.column_stack([steps, mean_v, mean_regret, mar])
+    agg_rows = np.column_stack([idx, series.mean_v, series.regret, series.mar])
     aggregate_file = os.path.join(out, f"aggregate.{ext}")
     write_table(aggregate_file, fmt, agg_cols, agg_rows)
 

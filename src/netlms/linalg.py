@@ -15,7 +15,6 @@ __all__ = [
     "symmetrize",
     "sym_eigenvalues",
     "block_diag",
-    "spectral_norm",
     "sym_eigmax",
 ]
 
@@ -87,16 +86,6 @@ def block_diag(blocks) -> np.ndarray:
         r += m.shape[0]
         c += m.shape[1]
     return out
-
-
-def spectral_norm(a) -> float:
-    """Largest singular value, computed as sqrt of the top eigenvalue of A^T A."""
-    m = as_matrix(a, "matrix")
-    if m.size == 0:
-        return 0.0
-    gram = m.T @ m
-    top = float(sym_eigenvalues(0.5 * (gram + gram.T))[-1])
-    return float(np.sqrt(max(top, 0.0)))
 
 
 def sym_eigmax(g: np.ndarray) -> np.ndarray:

@@ -18,30 +18,27 @@ import numpy as np
 
 from .errors import InvalidInputError, UnobservableHorizonError
 from .estimator import TrajectoryRecord
-from .regression import RegressionProcess, conditional_expected_node_gram
+from .regression import RegressionProcess, spatio_temporal_gram
 
 __all__ = [
     "RegretSeries",
     "RegretBoundReport",
     "oracle_parameter",
-    "empirical_regret",
     "mar",
     "lemma_regret_bound_check",
     "regret_series",
-    "fold_runs",
-    "normalized_max_regret",
 ]
 
 
 @dataclass(frozen=True, eq=False)
 class RegretSeries:
-    """Per-step regret statistics folded over a batch of runs.
+    """Regret statistics folded over a batch of runs, at ``steps``.
 
-    ``regret[t, i]`` estimates node ``i``'s regret at horizon ``t`` (mean
-    over runs of the cumulative excess loss), ``regret_se`` its standard
-    error across runs, ``mar[t]`` the maximum regret over nodes normalized
-    by ``t^(1-tau) ln t`` (``nan`` below ``t = 2``), and ``mean_v`` the
-    across-run mean of the total squared estimation error.
+    ``regret[t, i]`` estimates node ``i``'s regret at horizon ``steps[t]``
+    (mean over runs of the cumulative excess loss), ``regret_se`` its
+    standard error across runs, ``mar[t]`` the maximum regret over nodes
+    normalized by ``t^(1-tau) ln t`` (``nan`` below ``t = 2``), and
+    ``mean_v`` the across-run mean of the total squared estimation error.
     """
 
     steps: np.ndarray
@@ -49,7 +46,6 @@ class RegretSeries:
     regret_se: np.ndarray
     mar: np.ndarray
     mean_v: np.ndarray
-    oracle: np.ndarray | None
     runs: int
     tau: float
 
@@ -95,10 +91,7 @@ def oracle_parameter(
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (process.dim,):
         raise InvalidInputError(f"x0 must have shape ({process.dim},), got {x0.shape}")
-    gram = np.zeros((process.dim, process.dim))
-    for t in range(horizon + 1):
-        for i in range(process.nodes):
-            gram += conditional_expected_node_gram(process, i, t)
+    gram = spatio_temporal_gram(process, 0, horizon + 1)
     eigs = np.linalg.eigvalsh(0.5 * (gram + gram.T))
     if eigs[-1] <= 0.0 or eigs[0] <= 1e-12 * eigs[-1]:
         raise UnobservableHorizonError(
@@ -108,33 +101,32 @@ def oracle_parameter(
     return np.linalg.solve(gram, gram @ x0)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a diverged run folds to inf or NaN
-def fold_runs(samples) -> tuple[np.ndarray, np.ndarray]:
-    """Across-run mean and sum of squared deviations of equally shaped
-    per-run arrays, folded one run at a time in order (Welford), so the
-    result does not depend on how the runs were batched."""
-    mean = m2 = None
-    for j, sample in enumerate(samples, start=1):
-        if mean is None:
-            mean = np.zeros(np.shape(sample))
-            m2 = np.zeros_like(mean)
-        delta = sample - mean
-        mean += delta / j
-        m2 += delta * (sample - mean)
-    if mean is None:
+# a diverged run folds to inf or NaN, and below t = 2 the normalizer is 0 ln 0
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _summary(runs, steps, tau: float) -> RegretSeries:
+    """Fold ``(cumulative excess losses, V)`` pairs, one run at a time in
+    run order (Welford), into a :class:`RegretSeries` at ``steps``.  The
+    result does not depend on how the runs were batched, and each run's
+    arrays can be dropped once folded."""
+    count = 0
+    for count, (cum, v) in enumerate(runs, start=1):
+        if count == 1:
+            mean, m2, mean_v = np.zeros(cum.shape), np.zeros(cum.shape), np.zeros(v.shape)
+        mean_v += (v - mean_v) / count
+        delta = cum - mean
+        mean += delta / count
+        m2 += delta * (cum - mean)
+    if count == 0:
         raise InvalidInputError("need at least one run")
-    return mean, m2
-
-
-def normalized_max_regret(regret, steps, tau: float) -> np.ndarray:
-    """Maximum over nodes (last axis) of ``regret`` at each of ``steps``,
-    divided by ``t^(1-tau) ln t``; ``nan`` below ``t = 2``, where the
-    normalizer is not positive."""
-    steps = np.asarray(steps, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        norm = steps ** (1.0 - tau) * np.log(steps)
-        ratio = np.max(regret, axis=-1) / np.where(steps >= 2, norm, 1.0)
-        return np.where(steps >= 2, ratio, np.nan)
+    # free the last run's arrays before the statistics below allocate: one
+    # run of 3e4 steps otherwise peaks about 1 MB higher
+    del cum, v, delta
+    se = np.sqrt(m2 / (count - 1) / count) if count > 1 else np.zeros_like(mean)
+    t = np.asarray(steps, dtype=float)
+    norm = np.where(t >= 2, t ** (1.0 - tau) * np.log(t), 1.0)
+    mar = np.where(t >= 2, np.max(mean, axis=-1) / norm, np.nan)
+    return RegretSeries(steps=steps, regret=mean, regret_se=se, mar=mar, mean_v=mean_v,
+                        runs=count, tau=float(tau))
 
 
 def _check_records(records) -> list[TrajectoryRecord]:
@@ -148,39 +140,7 @@ def _check_records(records) -> list[TrajectoryRecord]:
     return recs
 
 
-def empirical_regret(records, node: int, horizon: int) -> float:
-    """Monte Carlo regret estimate for one node at one horizon: the mean
-    over runs of the cumulative excess loss through step ``horizon``
-    (inclusive)."""
-    recs = _check_records(records)
-    rows, n_nodes = recs[0].excess_losses.shape
-    if not 0 <= node < n_nodes:
-        raise InvalidInputError("node index out of range")
-    if not 0 <= horizon < rows:
-        raise InvalidInputError(f"horizon must lie in [0, {rows - 1}]")
-    total = 0.0
-    for r in recs:
-        total += float(r.excess_losses[: horizon + 1, node].sum())
-    return total / len(recs)
-
-
-def mar(records, horizon: int, tau: float) -> float:
-    """Maximum-over-nodes regret at ``horizon``, normalized by
-    ``horizon^(1-tau) * ln(horizon)``.  Needs ``horizon >= 2`` for a
-    positive normalizer."""
-    if horizon < 2:
-        raise InvalidInputError("mar needs horizon >= 2 (positive log)")
-    recs = _check_records(records)
-    n_nodes = recs[0].excess_losses.shape[1]
-    regret = [empirical_regret(recs, i, horizon) for i in range(n_nodes)]
-    return float(normalized_max_regret(regret, horizon, tau))
-
-
-def regret_series(
-    records,
-    tau: float,
-    oracle: np.ndarray | None = None,
-) -> RegretSeries:
+def regret_series(records, tau: float) -> RegretSeries:
     """Fold a batch of runs into full per-step regret statistics.
 
     Computes, at every recorded step, the across-run mean and standard
@@ -188,25 +148,19 @@ def regret_series(
     error, and the normalized maximum regret, folding the runs in order.
     """
     recs = _check_records(records)
-    runs = len(recs)
-    mean_cum, m2_cum = fold_runs(np.cumsum(r.excess_losses, axis=0) for r in recs)
-    mean_v, _ = fold_runs(r.v for r in recs)
-    if runs > 1:
-        se = np.sqrt(m2_cum / (runs - 1) / runs)
-    else:
-        se = np.zeros_like(mean_cum)
-    steps = recs[0].steps
-    mar_series = normalized_max_regret(mean_cum, steps, tau)
-    return RegretSeries(
-        steps=steps,
-        regret=mean_cum,
-        regret_se=se,
-        mar=mar_series,
-        mean_v=mean_v,
-        oracle=None if oracle is None else np.asarray(oracle, dtype=float),
-        runs=runs,
-        tau=float(tau),
-    )
+    return _summary(((np.cumsum(r.excess_losses, axis=0), r.v) for r in recs), recs[0].steps, tau)
+
+
+def mar(records, horizon: int, tau: float) -> float:
+    """Maximum-over-nodes regret at ``horizon``, normalized by
+    ``horizon^(1-tau) * ln(horizon)``: entry ``horizon`` of
+    ``regret_series(records, tau).mar``.  Needs ``horizon >= 2`` for a
+    positive normalizer."""
+    recs = _check_records(records)
+    rows = recs[0].excess_losses.shape[0]
+    if not 2 <= horizon < rows:
+        raise InvalidInputError(f"mar needs a horizon in [2, {rows - 1}] (positive log)")
+    return float(regret_series(recs, tau).mar[horizon])
 
 
 def lemma_regret_bound_check(records, rho0: float, horizon: int | None = None) -> RegretBoundReport:

@@ -1,0 +1,38 @@
+"""The benchmark's contract with the package.
+
+Each workload of the benchmark (``perfbench/worker.py``) runs one round at
+its own sizes through the public API and passes the benchmark's own
+output checks, so a change that breaks what the benchmark calls fails
+here, not only in the benchmark.  ``perfbench/`` is only read.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+import netlms
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def worker():
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(PERFBENCH))  # the worker imports its checks by name
+        mp.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
+        spec = importlib.util.spec_from_file_location("perfbench_worker", PERFBENCH / "worker.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        yield module
+
+
+@pytest.mark.parametrize("workload", ["regret-batch", "long-run", "excitation-audit"])
+def test_one_benchmark_round_passes_its_checks(worker, workload, tmp_path):
+    make_config = worker.WORKLOADS[workload][0]
+    cfg = make_config(netlms, 601)
+    result = worker._round(netlms, workload, cfg, tmp_path / "work")
+    assert result["problems"] == []
+    assert result["failed"] == 0
+    assert result["attempted"] == worker.WORKLOADS[workload][2]

@@ -258,7 +258,7 @@ def test_horizon_zero_records_initial_state_only():
     assert rec.v.shape == (1,)
     assert np.array_equal(rec.x_final, np.asarray(cfg.init, dtype=float))
     with pytest.raises(InvalidInputError):
-        run_trajectory(cfg, substream(cfg.seed, 0), horizon=-1)
+        simulate(SimulationModel.from_config(cfg), [0], -1, lambda stats: None)
 
 
 # ---------------------------------------------------------------------------

@@ -51,7 +51,7 @@ def oracle_window(gp, rp, gains, k, window, state):
             gram[i * dim : (i + 1) * dim, i * dim : (i + 1) * dim] = (
                 conditional_expected_node_gram(rp, i, step)
             )
-        a, b = (1.0, 1.0) if gains is None else (gains.a(step), gains.b(step))
+        a, b = (1.0, 1.0) if gains is None else gains.at(step)[:2]
         weighted += b * np.kron(sym, np.eye(dim)) + a * gram
         gainless += np.kron(sym, np.eye(dim)) + gram
         lap_sum += sym

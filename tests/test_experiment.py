@@ -21,8 +21,9 @@ from netlms.config import (
     with_overrides,
 )
 from netlms.errors import ConfigError, InvalidInputError, UnsupportedAnalyticError
-from netlms.estimator import run_trajectory, substream
+from netlms.estimator import run_trajectories, run_trajectory, substream
 from netlms.experiment import default_out_dir, run_experiment
+from netlms.regret import regret_series
 
 
 @pytest.fixture(scope="module")
@@ -70,18 +71,71 @@ def test_aggregate_schema(artifacts, small_cfg):
     table = np.genfromtxt(artifacts.aggregate_file, delimiter=",", names=True)
     # mar undefined before step 2: written as nan
     assert np.isnan(table["mar"][0]) and np.isfinite(table["mar"][1:]).all()
-    # regret columns are means of cumulative excess losses across runs
-    runs = [run_trajectory(small_cfg, substream(small_cfg.seed, i))
-            for i in range(small_cfg.runs)]
-    cum = np.mean([np.cumsum(r.excess_losses, axis=0) for r in runs], axis=0)
-    assert np.allclose(table["regret_1"], cum[[0, 100, 200, 300], 0], rtol=1e-12)
-    mean_v = np.mean([r.v for r in runs], axis=0)
-    assert np.allclose(table["mean_V"], mean_v[[0, 100, 200, 300]], rtol=1e-12)
+
+
+def _read_table(path):
+    """Columns and rows of a CSV or JSON table, every cell parsed exactly
+    (JSON nulls as nan)."""
+    if path.endswith(".json"):
+        doc = json.load(open(path))
+        return doc["columns"], np.array(doc["rows"], dtype=float)
+    header, *lines = open(path).read().splitlines()
+    return header.split(","), np.array([[float(c) for c in line.split(",")] for line in lines])
+
+
+def _record_grid(cfg):
+    grid = list(range(0, cfg.horizon + 1, cfg.record_every))
+    return grid if grid[-1] == cfg.horizon else grid + [cfg.horizon]
+
+
+def _assert_aggregate_is_the_series(art, cfg):
+    """The aggregate table is regret_series of the same runs at the record
+    grid, bit for bit."""
+    grid = _record_grid(cfg)
+    series = regret_series(run_trajectories(cfg, range(cfg.runs)), cfg.gains.a_exp)
+    _, table = _read_table(art.aggregate_file)
+    want = np.column_stack(
+        [grid, series.mean_v[grid], series.regret[grid], series.mar[grid]])
+    assert np.array_equal(table, want, equal_nan=True)
+    for j, name in enumerate(art.aggregate):
+        assert np.array_equal(art.aggregate[name], want[:, j], equal_nan=True)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_aggregate_is_the_regret_series_at_the_record_grid(small_cfg, tmp_path, fmt):
+    # 70 does not divide the horizon of 300: the last row is step 300
+    cfg = dataclasses.replace(small_cfg, record_every=70)
+    _assert_aggregate_is_the_series(run_experiment(cfg, str(tmp_path), fmt), cfg)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_run_files_are_run_trajectory_rows(data):
+    """Random small configs: every run file holds run_trajectory's rows at
+    the record grid, and the aggregate is the regret series there, bit for
+    bit."""
+    cfg = with_overrides(
+        get_preset(data.draw(st.sampled_from(preset_names()))),
+        seed=data.draw(st.integers(0, 2**32)),
+        runs=data.draw(st.integers(1, 4)),
+        horizon=data.draw(st.integers(1, 150)),
+    )
+    cfg = dataclasses.replace(cfg, record_every=data.draw(st.integers(1, 40)))
+    fmt = data.draw(st.sampled_from(["csv", "json"]))
+    grid = _record_grid(cfg)
+    with tempfile.TemporaryDirectory() as tmp:
+        art = run_experiment(cfg, tmp, fmt)
+        for r, path in enumerate(art.run_files):
+            rec = run_trajectory(cfg, substream(cfg.seed, r))
+            want = np.column_stack(
+                [grid, rec.v[grid], rec.err_norms[grid], rec.est_norms[grid]])
+            assert np.array_equal(_read_table(path)[1], want)
+        _assert_aggregate_is_the_series(art, cfg)
 
 
 def test_manifest_digests_and_fields(artifacts, small_cfg):
     man = json.load(open(artifacts.manifest_file))
-    assert man["schema"] == 3
+    assert man["schema"] == 4
     assert man["seed"] == small_cfg.seed and man["runs"] == small_cfg.runs
     assert man["bound_checks"]["w_violations"] == 0
     assert man["bound_checks"]["m_violations"] == 0

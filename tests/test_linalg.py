@@ -8,7 +8,6 @@ from netlms.linalg import (
     as_matrix,
     block_diag,
     laplacian,
-    spectral_norm,
     sym_eigenvalues,
     symmetrize,
 )
@@ -81,14 +80,6 @@ def test_block_diag_rectangular():
     assert np.array_equal(out[5:, 6:], blocks[2])
     assert out[:2, 3:].max() == 0.0 and out[2:, :3].max() == 0.0
     assert block_diag([]).shape == (0, 0)
-
-
-def test_spectral_norm_against_svd():
-    rng = np.random.default_rng(8)
-    for shape in [(4, 4), (3, 5), (6, 2)]:
-        m = rng.normal(size=shape)
-        assert abs(spectral_norm(m) - np.linalg.svd(m, compute_uv=False)[0]) < 1e-10
-    assert spectral_norm(np.zeros((0, 0))) == 0.0
 
 
 def test_eigenvalue_residual_oracle():

@@ -19,7 +19,6 @@ from netlms.errors import (
 from netlms.estimator import run_trajectory, substream
 from netlms.regression import ar_driven_regression, fixed_regression
 from netlms.regret import (
-    empirical_regret,
     lemma_regret_bound_check,
     mar,
     oracle_parameter,
@@ -70,7 +69,8 @@ def test_oracle_input_validation():
 def test_regret_is_mean_cumulative_excess(bench_runs):
     cfg, runs = bench_runs
     manual = np.mean([r.excess_losses[:501, 1].sum() for r in runs])
-    assert empirical_regret(runs, node=1, horizon=500) == pytest.approx(manual, rel=1e-12)
+    series = regret_series(runs, tau=cfg.gains.a_exp)
+    assert series.regret[500, 1] == pytest.approx(manual, rel=1e-12)
 
 
 def test_regret_series_consistency(bench_runs):
@@ -81,32 +81,44 @@ def test_regret_series_consistency(bench_runs):
     # nondecreasing in the horizon (cumulative sums of nonnegative terms)
     assert np.all(np.diff(series.regret, axis=0) >= -1e-12)
     for node in range(cfg.nodes):
-        assert series.regret[640, node] == pytest.approx(
-            empirical_regret(runs, node, 640), rel=1e-12)
-    # normalized maximum regret agrees with the scalar helper
-    assert series.mar[800] == pytest.approx(mar(runs, 800, cfg.gains.a_exp), rel=1e-12)
+        manual = np.mean([r.excess_losses[:641, node].sum() for r in runs])
+        assert series.regret[640, node] == pytest.approx(manual, rel=1e-12)
+    # normalized maximum regret: the worst node's manual sum over t^(1-tau) ln t
+    worst = max(np.mean([r.excess_losses[:801, i].sum() for r in runs])
+                for i in range(cfg.nodes))
+    norm = 800 ** (1.0 - cfg.gains.a_exp) * np.log(800)
+    assert series.mar[800] == pytest.approx(worst / norm, rel=1e-12)
     assert np.isnan(series.mar[:2]).all() and np.isfinite(series.mar[2:]).all()
     assert np.all(series.regret_se >= 0.0)
 
 
-def test_mar_needs_two_steps(bench_runs):
+def test_mar_is_an_entry_of_the_series(bench_runs):
+    cfg, runs = bench_runs
+    tau = cfg.gains.a_exp
+    series = regret_series(runs, tau)
+    got = np.array([mar(runs, t, tau) for t in range(2, 801)])
+    assert np.array_equal(got, series.mar[2:])
+
+
+def test_mar_needs_a_recorded_horizon_of_two_steps_or_more(bench_runs):
     _, runs = bench_runs
+    for horizon in (-1, 0, 1, 801, 10_000):
+        with pytest.raises(InvalidInputError):
+            mar(runs, horizon, 0.6)
     with pytest.raises(InvalidInputError):
-        mar(runs, 1, 0.6)
+        mar([], 10, 0.6)
 
 
 def test_record_validation(bench_runs):
     _, runs = bench_runs
     with pytest.raises(InvalidInputError):
-        empirical_regret([], 0, 10)
-    with pytest.raises(InvalidInputError):
-        empirical_regret(runs, 99, 10)
-    with pytest.raises(InvalidInputError):
-        empirical_regret(runs, 0, 10_000)
+        regret_series([], tau=0.6)
     short = run_trajectory(with_overrides(get_preset("setting-i"), horizon=10),
                            substream(0, 0), check_bounds=False)
     with pytest.raises(InvalidInputError):
         regret_series([runs[0], short], tau=0.6)
+    with pytest.raises(InvalidInputError):
+        mar([runs[0], short], 5, 0.6)
 
 
 def test_accumulated_error_bound_on_benchmark(bench_runs):
@@ -151,8 +163,7 @@ def test_zero_sensors_zero_regret():
     ).validate()
     runs = [run_trajectory(cfg, substream(cfg.seed, i), check_bounds=False)
             for i in range(2)]
-    assert empirical_regret(runs, 0, 50) == 0.0
-    assert empirical_regret(runs, 1, 50) == 0.0
+    assert np.array_equal(regret_series(runs, tau=0.6).regret, np.zeros((51, 2)))
     rep = lemma_regret_bound_check(runs, rho0=1.0)
     assert rep.passed  # 0 <= bound trivially
 
