@@ -407,13 +407,13 @@ class ChunkStats:
 # fused operator (``n + 2N + 1`` slots per output), the step input ``z``,
 # the channel draws and the regression arrays.  The per-chunk cost is paid
 # per run and source, so one run wants long chunks and a batch short ones.
-# In a sweep of fixed chunk sizes (setting-i for one run, regret for 20 and
-# 50, one BLAS thread, best CPU time of 3 in two passes), one 3e4-step run
-# took 36 us per step at 64 steps, 21 at 491 (its default) and 19-22 at
-# 1024-2048, which peaked 1.3-5.8 MB higher; 20 runs took 8.5 us per
-# run-step at 16 steps, 6.7 at 24 (the default) and 4.5-5.4 at 32-64,
-# which peaked 0.4-2.4 MB higher; 50 runs took 5.6 us at 16 and 4.0 at 64,
-# 8 MB higher.
+# In a sweep of fixed chunk sizes (setting-i for one run, regret with 4000
+# steps for 20 and 50, one BLAS thread, best CPU time of 3 in four passes),
+# one 3e4-step run took 28 us per step at 64 steps, 15 at 491 (its
+# default) and 14-15 at 1024-2048, which peaked 1.4-5.6 MB higher; 20 runs
+# took 7.2 us per run-step at 16 steps, 5.2 at 24 (the default) and
+# 4.1-5.3 at 32-64, which peaked 0.3-2.6 MB higher; 50 runs took 5.0 us at
+# 16 and 4.0 at 64, 8.5 MB higher.
 _CHUNK_FLOATS = 3 << 15
 
 
@@ -427,40 +427,44 @@ def _default_chunk(runs: int, nodes: int, dim: int, rows: int) -> int:
 def _fused_operator(model, link_noise, start, updates, adj, h, y, xi):
     """``op[k, s, q', i]``, the weight of slot ``s`` of output ``(q', i)`` at
     step ``start + k`` (see :func:`simulate`), for a chunk's ``updates``
-    steps.  Scales ``xi`` in place."""
+    steps.  It is built as ``[s, q', i, k]`` with steps and runs last, so
+    each call below loops over ``updates * R`` contiguous values, and
+    returned as a transposed view.  Scales ``xi`` in place without link
+    noise."""
     n_nodes, dim = model.init.shape
     slots = dim + n_nodes * (2 if link_noise else 1) + 1
-    op = np.empty((updates, slots, dim, n_nodes, adj.shape[-1]))
-    if updates == 0:
-        return op
+    op = np.empty((slots, dim, n_nodes, updates, adj.shape[-1]))
     comp_diag = np.arange(dim)
-    a, b, lam = (g[:, None, None, None] for g in model.gains.table(range(start, start + updates)).T)
-    hu, au_t = h[:updates], adj[:updates].transpose(0, 2, 1, 3)
+    a, b, lam = (g[:, None] for g in model.gains.table(range(start, start + updates)).T)
+    # adj_t[j, i, k] = a_ij at step k; ht[row, q, k] = H_row[q]
+    adj_t = np.ascontiguousarray(adj[:updates].transpose(2, 1, 0, 3))
+    ht = np.ascontiguousarray(h[:updates].transpose(1, 2, 0, 3))
+    yt = y[:updates].transpose(1, 0, 2)
     # -b L_ik: b a_ik off the diagonal, -b sum_j a_ij on it
-    consensus = op[:, dim : dim + n_nodes]
-    np.multiply(au_t[:, :, None], b[:, None], out=consensus)
-    degree = ordered_sum(adj[:updates], 2)
+    consensus = op[dim : dim + n_nodes]
+    np.multiply(adj_t[:, None], b, out=consensus)
+    degree = ordered_sum(adj_t, 0)
     offsets = model.regression.offsets
-    for i, span in enumerate(map(range, offsets[:-1], offsets[1:])):
-        # own[k, q, q'] = entry (q', q) of (1 - lam) I - a H_i^T H_i;
+    for i, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:])):
+        # own[q, q'] = entry (q', q) of (1 - lam) I - a H_i^T H_i;
         # H_i^T H_i is exactly symmetric, so the transpose is free
-        own = op[:, :dim, :, i]
+        own = op[:dim, :, i]
         # row by row, in order: the Gram's outer products stay small
-        np.multiply(hu[:, span[0], :, None], hu[:, span[0], None, :], out=own)
-        for row in span[1:]:
-            own += hu[:, row, :, None] * hu[:, row, None, :]
+        np.multiply(ht[lo, :, None], ht[lo, None, :], out=own)
+        for row in range(lo + 1, hi):
+            own += ht[row, :, None] * ht[row, None, :]
         own *= -a
-        own[:, comp_diag, comp_diag] += 1.0 - lam[:, 0]
-        np.multiply(degree[:, None, i], -b[:, 0], out=consensus[:, i, :, i])
-        np.multiply(ordered_sum(hu[:, span] * y[:updates, span, None], 1), a[:, 0],
-                    out=op[:, -1, :, i])
+        own[comp_diag, comp_diag] += 1.0 - lam
+        np.multiply(degree[i], -b, out=consensus[i, :, i])
+        np.multiply(ordered_sum(ht[lo:hi] * yt[lo:hi, None], 0), a, out=op[-1, :, i])
     # link noise sum_j a_ij f_ij xi_ij: its bias part is exogenous
-    axi = xi[:updates]
-    axi *= au_t[:, :, None]
-    op[:, -1] += (b * model.intensity.bias) * ordered_sum(axi, 1)
+    axi = xi[:updates].transpose(1, 2, 3, 0, 4)
+    link = op[dim + n_nodes : -1] if link_noise else axi
+    np.multiply(axi, adj_t[:, None], out=link)
+    op[-1] += (b * model.intensity.bias) * ordered_sum(link, 0)
     if link_noise:
-        np.multiply(axi, b[:, None] * model.intensity.sigma, out=op[:, dim + n_nodes : -1])
-    return op
+        link *= b * model.intensity.sigma
+    return op.transpose(3, 0, 1, 2, 4)
 
 
 # a diverging run overflows to inf and NaN; first_nonfinite_step reports it
@@ -495,9 +499,13 @@ def simulate(
     - every distance ``|x_j - x_i|`` times ``b sigma a_ij xi_ij``;
     - 1 times the exogenous ``a H_i^T y_i + b bias sum_j a_ij xi_ij``.
 
-    A step is then the distances, one gather of ``z`` into those slots,
-    one multiply and one ordered sum over the slots.  The values of a run
-    depend neither on the block size nor on the other runs of the batch.
+    A step is then eight numpy calls, three without link noise: one take
+    of ``x_k[q]`` and ``x_i[q]`` for every pair into a flat buffer, their
+    difference, its square, an in-order sum over the components into the
+    distance rows of ``z`` and a square root (the link-noise part); then
+    one take of ``z`` into the operator's slots, one multiply and one
+    ordered sum over the slots.  The values of a run depend neither on
+    the block size nor on the other runs of the batch.
 
     ``on_chunk`` receives one :class:`ChunkStats` per chunk, in step
     order; rows ``0..horizon`` are covered, row ``horizon`` without an
@@ -540,7 +548,12 @@ def simulate(
         ]
     )
     gathered = np.empty((len(gather), width, runs))
-    diff = np.empty((dim, n_nodes, n_nodes, runs))
+    # pair_rows[:, (q N + k) N + i] = the rows of x_k[q] and x_i[q] in z
+    senders, receivers = np.divmod(np.arange(n_nodes * n_nodes), n_nodes)
+    pair_rows = (comp_diag[:, None] * n_nodes + np.stack([senders, receivers])[:, None]).reshape(2, -1)
+    pairs = np.empty((2, dim * n_nodes * n_nodes, runs))
+    sender_x, receiver_x = pairs
+    sq_diff = sender_x.reshape(dim, n_nodes * n_nodes, runs)
 
     x = np.repeat(model.init.T[:, :, None], runs, axis=2)
     graph_rngs, regression_rngs, noise_rngs, channel_rngs = zip(*streams)
@@ -574,25 +587,25 @@ def simulate(
         z[:, -1] = 1.0
         states = z[:, :width].reshape(count + 1, dim, n_nodes, runs)
         states[0] = x
-        # per step: the senders' and receivers' states broadcast to
-        # [q, k, i] for the distances x_k - x_i, and the distance rows of z
         steps = zip(
             op.reshape(updates, len(gather), width, runs),
             z,
             z[1:, :width],
-            states[:, :, :, None],
-            states[:, :, None],
-            z[:, width:-1].reshape(count + 1, n_nodes, n_nodes, runs),
+            z[:, width:-1],
         )
-        for op_j, z_j, next_x, senders, receivers, dist in steps:
+        # the calls take out by position and use ndarray.take, not
+        # np.take: at R = 1 a keyword out costs about 0.7 us per call and
+        # np.take's wrapper about 2 us
+        for op_j, z_j, next_x, dist in steps:
             if link_noise:
-                np.subtract(senders, receivers, out=diff)
-                np.square(diff, out=diff)
-                add(diff, 0, out=dist)
-                np.sqrt(dist, out=dist)
-            np.take(z_j, gather, axis=0, out=gathered, mode="clip")
-            np.multiply(op_j, gathered, out=gathered)
-            add(gathered, 0, out=next_x)
+                z_j.take(pair_rows, 0, pairs, "clip")
+                np.subtract(sender_x, receiver_x, sender_x)
+                np.square(sender_x, sender_x)
+                add(sq_diff, 0, None, dist)
+                np.sqrt(dist, dist)
+            z_j.take(gather, 0, gathered, "clip")
+            np.multiply(op_j, gathered, gathered)
+            add(gathered, 0, None, next_x)
         del steps, op
         x = states[updates].copy()
         states = states[:count]

@@ -198,9 +198,12 @@ def run_experiment(
 
 
 def _package_version() -> str:
-    try:
-        from importlib.metadata import version
+    """The installed netlms version, ``"unknown"`` when it is not installed
+    (run from a source tree); any other lookup failure propagates.  The
+    import stays here: it costs ``import netlms`` about 25 ms."""
+    import importlib.metadata
 
-        return version("netlms")
-    except Exception:
+    try:
+        return importlib.metadata.version("netlms")
+    except importlib.metadata.PackageNotFoundError:
         return "unknown"

@@ -175,11 +175,12 @@ def lemma_regret_bound_check(records, rho0: float, horizon: int | None = None) -
     if rho0 <= 0:
         raise InvalidInputError("rho0 must be positive")
     recs = _check_records(records)
-    series = regret_series(recs, tau=0.5)
-    rows, n_nodes = series.regret.shape
+    rows = recs[0].excess_losses.shape[0]
     last = rows - 1 if horizon is None else int(horizon)
     if not 0 <= last < rows:
         raise InvalidInputError(f"horizon must lie in [0, {rows - 1}]")
+    series = regret_series(recs, tau=0.5)
+    n_nodes = series.regret.shape[1]
 
     bound = 0.5 * n_nodes * rho0 * np.cumsum(series.mean_v)[: last + 1]
     regret = series.regret[: last + 1]

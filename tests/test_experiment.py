@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import importlib.metadata
 import json
 import os
 import tempfile
@@ -11,6 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from netlms import experiment
+from netlms.artifacts import SCHEMA
 from netlms.config import (
     GraphConfig,
     NoiseConfig,
@@ -148,6 +151,43 @@ def test_manifest_digests_and_fields(artifacts, small_cfg):
         path = os.path.join(artifacts.out_dir, name)
         assert hashlib.sha256(open(path, "rb").read()).hexdigest() == digest
     assert "timestamp" not in json.dumps(man).lower()
+
+
+# SHA-256 of the schema-4 files of the regret preset, 3 runs x 300 steps, CSV
+SCHEMA_4_DIGESTS = {
+    "run_0000.csv": "f3ef886b758833230aaf02d477edc154b41462435e25a2c97ea8d5ab6ff1fdb5",
+    "run_0001.csv": "be68306e97446f8dda6ef65900d6831ff50a4c4c53e10992927edd491cd7f17a",
+    "run_0002.csv": "c3f4f8fb2abb16685d915229532ca8e8c456673f634a7b94b9d0091fa58848fa",
+    "aggregate.csv": "acd02547715fcbd072fc63f3d01ac5865d346a34f0622269a196d2e45ff3d7cf",
+    "excitation.json": "065ee9597aa318a81960023bfde078e331a3d8290bb7bffb1b372823c1739d13",
+}
+
+
+def test_schema_pins_the_stream(tmp_path):
+    """The artifact bytes of one seed change only with ``SCHEMA``: a kernel
+    change that rounds any sum differently must bump it and these digests."""
+    assert SCHEMA == 4
+    cfg = with_overrides(get_preset("regret"), runs=3, horizon=300)
+    run_experiment(cfg, out_dir=str(tmp_path))
+    for name, digest in SCHEMA_4_DIGESTS.items():
+        got = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        assert got == digest, (
+            f"{name} changed without a SCHEMA bump (a numpy upgrade can also "
+            f"move these digests, numpy {np.__version__} here)")
+
+
+def test_package_version_hides_only_a_missing_package(monkeypatch):
+    def lookup(error):
+        def version(name):
+            raise error
+        return version
+
+    monkeypatch.setattr(importlib.metadata, "version", lookup(ValueError("broken metadata")))
+    with pytest.raises(ValueError, match="broken metadata"):
+        experiment._package_version()
+    monkeypatch.setattr(importlib.metadata, "version",
+                        lookup(importlib.metadata.PackageNotFoundError("netlms")))
+    assert experiment._package_version() == "unknown"
 
 
 def test_config_artifact_round_trips(artifacts, small_cfg):
