@@ -63,7 +63,6 @@ from .excitation import (
 from .experiment import ExperimentArtifacts, default_out_dir, run_experiment
 from .graphs import (
     alternating_uniform_graph,
-    custom_graph,
     fixed_graph,
     gamma1_membership,
     iid_uniform_graph,
@@ -99,7 +98,7 @@ __all__ = [
     "UnsupportedAnalyticError",
     # processes
     "fixed_graph", "alternating_uniform_graph", "iid_uniform_graph",
-    "markov_switching_graph", "custom_graph",
+    "markov_switching_graph",
     "stationary_distribution", "gamma1_membership",
     "fixed_regression", "entrywise_uniform_regression",
     "bernoulli_failure_regression", "ar_driven_regression",

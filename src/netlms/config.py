@@ -206,6 +206,13 @@ class ExperimentConfig:
             len(ai) != self.nodes or any(len(r) != self.dim for r in ai)
         ):
             fail(f"[regression] ar_init must be {self.nodes} rows of {self.dim} entries")
+        # a field its kind does not read would not survive the config text
+        for section in ("graph", "regression"):
+            part = getattr(self, section)
+            read = {"kind", *(key.attr for key in _SECTIONS[section].kind_keys(part.kind))}
+            for f in fields(part):
+                if f.name not in read and getattr(part, f.name) != f.default:
+                    fail(f"[{section}] {f.name} is not read by kind {part.kind!r}")
         return self
 
 

@@ -170,8 +170,7 @@ def _window_pass(graph_process, window, ks, state_at_cut, gram=None, gains=None)
     matter."""
     steps = [range(k * window, (k + 1) * window) for k in ks]
     laps = np.array([
-        [conditional_expected_sym_laplacian(graph_process, i, k * window - 1, state_at_cut).matrix
-         for i in s]
+        [conditional_expected_sym_laplacian(graph_process, i, k * window - 1, state_at_cut) for i in s]
         for k, s in zip(ks, steps)
     ])
     gaps = np.zeros(len(ks))
@@ -196,7 +195,7 @@ def _one_window(graph_process, regression_process, gains, window_index, window, 
         raise InvalidInputError("window_index must be nonnegative")
     if graph_process.nodes != regression_process.nodes:
         raise InvalidInputError("graph and regression disagree on the node count")
-    gram = conditional_expected_gram(regression_process, 0).matrix
+    gram = conditional_expected_gram(regression_process, 0)
     return _window_pass(graph_process, window, [window_index], state_at_cut, gram, gains)
 
 
@@ -348,8 +347,8 @@ def lemma_lower_bound_check(
     ``rho0`` dominating the Gram norm — are checked and reported; a
     failing premise fails the report without asserting the inequality.
     """
-    if rho0 <= 0:
-        raise InvalidInputError("rho0 must be positive")
+    if not (np.isfinite(rho0) and rho0 > 0):
+        raise InvalidInputError("rho0 must be finite and positive")
     gaps, gainless, _ = _one_window(graph_process, regression_process, None, window_index,
                                     window, state_at_cut)
     lambda2 = float(gaps[0])
@@ -481,7 +480,7 @@ def pe_diagnostic(config: ExperimentConfig, windows: int | None = None) -> Excit
     rho0 = config.excitation.rho0
     # the same at every step and cut for every kind with a closed form;
     # ar-driven raises here, before any window
-    gram = conditional_expected_gram(rp, 0).matrix
+    gram = conditional_expected_gram(rp, 0)
     if gp.nodes < 2:
         raise InvalidInputError("joint connectivity needs at least two nodes")
     gram_min = _pooled_gram_min(rp, h)

@@ -5,20 +5,19 @@ fixed node set.  Adjacency rows index receivers: ``A[i, j]`` is the weight
 node ``i`` places on the link from node ``j``, and the neighbour set of
 ``i`` at step ``k`` is ``{j : A[i, j] != 0}`` (negative weights included).
 
-Four built-in kinds cover the models used throughout:
+Three kinds cover the models used throughout:
 
 ``fixed``
     the same adjacency every step;
 ``alternating-uniform``
     i.i.d. uniform weights whose range alternates with step parity
     (even steps one range, odd steps another);
-``iid-uniform``
-    i.i.d. uniform weights, one range for all steps;
+    :func:`iid_uniform_graph` is its case with one range for all steps;
 ``markov-switching``
     a finite adjacency list driven by a Markov chain.
 
-A ``custom`` kind wraps an arbitrary sampler; conditional expectations for
-it fall back to Monte Carlo averaging.
+Each law's conditional mean adjacency has a closed form, which
+:func:`conditional_expected_adjacency` states once.
 
 Every draw goes through :func:`graph_block`, which returns the
 adjacencies of a block of consecutive steps for a batch of runs; one step
@@ -28,7 +27,6 @@ is a block of one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -37,13 +35,11 @@ from .linalg import as_matrix, laplacian, symmetrize
 
 __all__ = [
     "GraphProcess",
-    "ConditionalExpectation",
     "Gamma1Report",
     "fixed_graph",
     "alternating_uniform_graph",
     "iid_uniform_graph",
     "markov_switching_graph",
-    "custom_graph",
     "graph_block",
     "conditional_expected_adjacency",
     "conditional_expected_sym_laplacian",
@@ -52,7 +48,7 @@ __all__ = [
     "gamma1_membership",
 ]
 
-_KINDS = ("fixed", "alternating-uniform", "iid-uniform", "markov-switching", "custom")
+_KINDS = ("fixed", "alternating-uniform", "markov-switching")
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,12 +60,9 @@ class GraphProcess:
     adjacency: np.ndarray | None = None
     even_range: tuple[float, float] | None = None
     odd_range: tuple[float, float] | None = None
-    weight_range: tuple[float, float] | None = None
     states: tuple[np.ndarray, ...] | None = None
     transition: np.ndarray | None = None
     initial_state: int = 0
-    sampler: Callable[[int, np.random.Generator], np.ndarray] | None = None
-    mc_samples: int = 10_000
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -78,34 +71,21 @@ class GraphProcess:
             raise InvalidInputError("graph needs at least one node")
 
 
-@dataclass(frozen=True, eq=False)
-class ConditionalExpectation:
-    """A conditional mean matrix plus how it was obtained.
-
-    ``exactness`` is ``"analytic"`` for closed forms and ``"monte-carlo"``
-    for sample averages (``samples`` then holds the draw count).
-    """
-
-    matrix: np.ndarray
-    exactness: str
-    samples: int | None = None
-
-
 @dataclass(frozen=True)
 class Gamma1Report:
-    """Result of the conditional nonnegativity + balance membership test."""
+    """Result of the conditional nonnegativity + balance membership test.
+    ``exactness`` is always ``"analytic"`` (every kind has closed-form
+    means); ``excitation.json`` serializes it."""
 
     member: bool
     exactness: str
     detail: str
 
 
-def _check_adjacency(a, nodes: int | None = None) -> np.ndarray:
+def _check_adjacency(a) -> np.ndarray:
     m = as_matrix(a, "adjacency", square=True)
     if np.any(np.diagonal(m) != 0.0):
         raise InvalidInputError("adjacency has nonzero diagonal entries")
-    if nodes is not None and m.shape[0] != nodes:
-        raise InvalidInputError(f"adjacency must be {nodes}x{nodes}, got {m.shape}")
     m = m.copy()
     m.flags.writeable = False
     return m
@@ -135,12 +115,10 @@ def alternating_uniform_graph(nodes, even_range, odd_range) -> GraphProcess:
 
 
 def iid_uniform_graph(nodes, weight_range) -> GraphProcess:
-    """I.i.d. uniform weights with one range for every step."""
-    return GraphProcess(
-        kind="iid-uniform",
-        nodes=int(nodes),
-        weight_range=_check_range(weight_range, "weight_range"),
-    )
+    """I.i.d. uniform weights with one range for every step: the
+    alternating kind with equal ranges."""
+    r = _check_range(weight_range, "weight_range")
+    return alternating_uniform_graph(nodes, r, r)
 
 
 def markov_switching_graph(states, transition, initial_state: int = 0) -> GraphProcess:
@@ -163,19 +141,6 @@ def markov_switching_graph(states, transition, initial_state: int = 0) -> GraphP
         transition=p,
         initial_state=initial_state,
     )
-
-
-def custom_graph(nodes, sampler, mc_samples: int = 10_000) -> GraphProcess:
-    """Wrap a user sampler ``(step, rng) -> adjacency``.
-
-    Conditional expectations for this kind are Monte Carlo averages over
-    ``mc_samples`` fresh draws.
-    """
-    if not callable(sampler):
-        raise InvalidInputError("sampler must be callable")
-    if mc_samples < 1:
-        raise InvalidInputError("mc_samples must be positive")
-    return GraphProcess(kind="custom", nodes=int(nodes), sampler=sampler, mc_samples=int(mc_samples))
 
 
 def _check_transition(p, n_states: int) -> np.ndarray:
@@ -207,9 +172,8 @@ def graph_block(
     states ``(R,)`` realized at the last step (``None`` for the other
     kinds); ``prev_states`` are the states realized at ``start - 1``.
     Each run's generator is consumed step by step in a fixed order: one
-    uniform per adjacency cell (diagonal included), one uniform per Markov
-    transition (none at step 0), or whatever the custom sampler draws.  A
-    block of ``count`` steps therefore holds exactly the values of
+    uniform per adjacency cell (diagonal included) or one uniform per
+    Markov transition (none at step 0).  A block of ``count`` steps therefore holds exactly the values of
     ``count`` blocks of one step, and no run's values depend on the other
     runs, which keeps simulations independent of block size and batch.
     """
@@ -218,58 +182,32 @@ def graph_block(
     n, runs = process.nodes, len(rngs)
     if process.kind == "fixed":
         return np.broadcast_to(process.adjacency[None, :, :, None], (count, n, n, runs)), None
-    steps = range(start, start + count)
-    if process.kind in ("alternating-uniform", "iid-uniform"):
+    if process.kind == "alternating-uniform":
         a = np.stack([rng.random((count, n, n)) for rng in rngs], axis=-1)
-        if process.kind == "alternating-uniform":
-            # step parity picks the range: even steps first
-            for offset, (lo, hi) in enumerate((process.even_range, process.odd_range)):
-                cells = a[(start + offset) % 2 :: 2]
-                cells *= hi - lo
-                cells += lo
-        else:
-            lo, hi = process.weight_range
-            a *= hi - lo
-            a += lo
+        # step parity picks the range: even steps first
+        for offset, (lo, hi) in enumerate((process.even_range, process.odd_range)):
+            cells = a[(start + offset) % 2 :: 2]
+            cells *= hi - lo
+            cells += lo
         a[:, np.arange(n), np.arange(n)] = 0.0
         return a, None
-    if process.kind == "markov-switching":
-        if start > 0 and prev_states is None:
-            raise InvalidInputError("markov-switching sampling needs prev_state for step > 0")
-        cum = np.cumsum(process.transition, axis=1)
-        last = len(process.states) - 1
-        draws = iter(np.stack([rng.random(count - (start == 0)) for rng in rngs], axis=-1))
-        index = np.empty((count, runs), dtype=np.intp)
-        state = None if prev_states is None else np.asarray(prev_states, dtype=np.intp)
-        for j, k in enumerate(steps):
-            if k == 0:
-                state = np.full(runs, process.initial_state, dtype=np.intp)
-            else:
-                # searchsorted(cum[state], u, side="right") for every run
-                state = np.minimum((cum[state] <= next(draws)[:, None]).sum(axis=1), last)
-            index[j] = state
-        adjacency = np.stack(process.states, axis=-1)[:, :, index]
-        return np.ascontiguousarray(adjacency.transpose(2, 0, 1, 3)), state
-    # custom: the user sampler, one call per step and run
-    a = np.empty((count, n, n, runs))
-    for r, rng in enumerate(rngs):
-        for j, k in enumerate(steps):
-            a[j, :, :, r] = _check_adjacency(np.array(process.sampler(k, rng), dtype=float), n)
-    return a, None
-
-
-def _mean_adjacency(process: GraphProcess, step: int) -> np.ndarray:
-    """Unconditional mean adjacency at ``step`` for the independent kinds."""
-    n = process.nodes
-    if process.kind == "fixed":
-        return process.adjacency.copy()
-    if process.kind == "alternating-uniform":
-        lo, hi = process.even_range if step % 2 == 0 else process.odd_range
-    else:
-        lo, hi = process.weight_range
-    a = np.full((n, n), 0.5 * (lo + hi))
-    np.fill_diagonal(a, 0.0)
-    return a
+    # markov-switching
+    if start > 0 and prev_states is None:
+        raise InvalidInputError("markov-switching sampling needs prev_state for step > 0")
+    cum = np.cumsum(process.transition, axis=1)
+    last = len(process.states) - 1
+    draws = iter(np.stack([rng.random(count - (start == 0)) for rng in rngs], axis=-1))
+    index = np.empty((count, runs), dtype=np.intp)
+    state = None if prev_states is None else np.asarray(prev_states, dtype=np.intp)
+    for j, k in enumerate(range(start, start + count)):
+        if k == 0:
+            state = np.full(runs, process.initial_state, dtype=np.intp)
+        else:
+            # searchsorted(cum[state], u, side="right") for every run
+            state = np.minimum((cum[state] <= next(draws)[:, None]).sum(axis=1), last)
+        index[j] = state
+    adjacency = np.stack(process.states, axis=-1)[:, :, index]
+    return np.ascontiguousarray(adjacency.transpose(2, 0, 1, 3)), state
 
 
 def conditional_expected_adjacency(
@@ -277,21 +215,21 @@ def conditional_expected_adjacency(
     step: int,
     history_cut: int = -1,
     state_at_cut: int | None = None,
-    rng: np.random.Generator | None = None,
-) -> ConditionalExpectation:
+) -> np.ndarray:
     """``E[A(step) | F(history_cut)]``.
 
     For the independent kinds the answer is the unconditional mean (the
-    cut only orders the request).  For markov-switching the expectation is
-    ``sum_l P^m(s, l) A_l`` with ``m = step - cut`` transitions from the
-    state ``s`` realized at the cut; a cut below zero conditions on nothing
-    and starts the chain from its initial state at step 0.
+    cut only orders the request): the adjacency itself for the fixed kind,
+    the midpoint of the step's range off the diagonal for the alternating
+    kind.  For markov-switching the expectation is ``sum_l P^m(s, l) A_l``
+    with ``m = step - cut`` transitions from the state ``s`` realized at
+    the cut; a cut below zero conditions on nothing and starts the chain
+    from its initial state at step 0.
     """
     if step < 0:
         raise InvalidInputError("step must be nonnegative")
     if history_cut > step:
         raise InvalidInputError("history_cut must not exceed step")
-
     if process.kind == "markov-switching":
         if history_cut < 0:
             s, m = process.initial_state, step
@@ -302,29 +240,18 @@ def conditional_expected_adjacency(
                 raise InvalidInputError("state_at_cut out of range")
             s, m = int(state_at_cut), step - history_cut
         probs = np.linalg.matrix_power(process.transition, m)[s]
-        mean = np.tensordot(probs, np.stack(process.states), axes=1)
-        return ConditionalExpectation(matrix=mean, exactness="analytic")
-
-    if process.kind == "custom":
-        if rng is None:
-            rng = np.random.default_rng(0)
-        acc = np.zeros((process.nodes, process.nodes))
-        for _ in range(process.mc_samples):
-            acc += _check_adjacency(
-                np.array(process.sampler(step, rng), dtype=float), process.nodes
-            )
-        return ConditionalExpectation(
-            matrix=acc / process.mc_samples,
-            exactness="monte-carlo",
-            samples=process.mc_samples,
-        )
-
-    if history_cut == step and process.kind != "fixed":
+        return np.tensordot(probs, np.stack(process.states), axes=1)
+    if process.kind == "fixed":
+        return process.adjacency.copy()
+    if history_cut == step:
         raise InvalidInputError(
             "conditioning an independent draw on its own step needs the realization; "
             "use an earlier history cut"
         )
-    return ConditionalExpectation(matrix=_mean_adjacency(process, step), exactness="analytic")
+    lo, hi = process.even_range if step % 2 == 0 else process.odd_range
+    a = np.full((process.nodes, process.nodes), 0.5 * (lo + hi))
+    np.fill_diagonal(a, 0.0)
+    return a
 
 
 def conditional_expected_sym_laplacian(
@@ -332,40 +259,27 @@ def conditional_expected_sym_laplacian(
     step: int,
     history_cut: int = -1,
     state_at_cut: int | None = None,
-    rng: np.random.Generator | None = None,
-) -> ConditionalExpectation:
+) -> np.ndarray:
     """``E[sym-Laplacian(step) | F(history_cut)]``.
 
     The Laplacian and its symmetrization are linear in the adjacency, so
     this is exactly the symmetrized Laplacian of the conditional mean
     adjacency.
     """
-    ce = conditional_expected_adjacency(process, step, history_cut, state_at_cut, rng)
-    return ConditionalExpectation(
-        matrix=symmetrize(laplacian(ce.matrix)),
-        exactness=ce.exactness,
-        samples=ce.samples,
-    )
+    return symmetrize(laplacian(conditional_expected_adjacency(process, step, history_cut, state_at_cut)))
 
 
-def is_conditionally_balanced(
-    expected_adjacency,
-    nonneg_tol: float = 1e-12,
-    balance_tol: float = 1e-10,
-) -> bool:
-    """True when a conditional mean adjacency is entrywise nonnegative and
-    every node's expected in-weight equals its expected out-weight.
-
-    Accepts either a :class:`ConditionalExpectation` or a raw matrix.
-    """
-    m = getattr(expected_adjacency, "matrix", expected_adjacency)
-    m = as_matrix(m, "expected adjacency", square=True)
+def is_conditionally_balanced(expected_adjacency) -> bool:
+    """True when a conditional mean adjacency is entrywise nonnegative (to
+    1e-12) and every node's expected in-weight equals its expected
+    out-weight (to 1e-10 times the largest entry, or 1e-10 below 1)."""
+    m = as_matrix(expected_adjacency, "expected adjacency", square=True)
     if m.size == 0:
         return True
-    if float(m.min()) < -nonneg_tol:
+    if float(m.min()) < -1e-12:
         return False
     scale = max(1.0, float(np.abs(m).max()))
-    return bool(np.all(np.abs(m.sum(axis=1) - m.sum(axis=0)) <= balance_tol * scale))
+    return bool(np.all(np.abs(m.sum(axis=1) - m.sum(axis=0)) <= 1e-10 * scale))
 
 
 def gamma1_membership(process: GraphProcess) -> Gamma1Report:
@@ -373,42 +287,29 @@ def gamma1_membership(process: GraphProcess) -> Gamma1Report:
     produce is nonnegative and balanced.
 
     For markov-switching this checks the initial state's adjacency and the
-    one-step mixture from every state (exact); for the independent kinds it
-    checks the per-parity unconditional means; for custom processes it
-    checks a Monte Carlo mean.
+    one-step mixture from every state; for the independent kinds it checks
+    the unconditional means at steps 0 and 1, one per parity.
     """
     if process.kind == "markov-switching":
         mats = [("initial state", process.states[process.initial_state])]
-        for s in range(len(process.states)):
-            mix = np.tensordot(process.transition[s], np.stack(process.states), axes=1)
-            mats.append((f"one-step mean from state {s}", mix))
-        exactness = "analytic"
-    elif process.kind == "custom":
-        ce = conditional_expected_adjacency(process, 0, -1, rng=np.random.default_rng(0))
-        mats = [("monte-carlo mean", ce.matrix)]
-        exactness = "monte-carlo"
+        mats += [(f"one-step mean from state {s}", conditional_expected_adjacency(process, 1, 0, s))
+                 for s in range(len(process.states))]
     else:
-        steps = (0, 1) if process.kind == "alternating-uniform" else (0,)
-        mats = [(f"mean at step {k}", _mean_adjacency(process, k)) for k in steps]
-        exactness = "analytic"
+        mats = [(f"mean at step {k}", conditional_expected_adjacency(process, k)) for k in (0, 1)]
     for label, m in mats:
         if not is_conditionally_balanced(m):
-            return Gamma1Report(False, exactness, f"{label} is not nonnegative and balanced")
-    return Gamma1Report(True, exactness, "all conditional mean adjacencies nonnegative and balanced")
+            return Gamma1Report(False, "analytic", f"{label} is not nonnegative and balanced")
+    return Gamma1Report(True, "analytic", "all conditional mean adjacencies nonnegative and balanced")
 
 
-def stationary_distribution(
-    transition,
-    tol: float = 1e-12,
-    max_iter: int = 200_000,
-) -> np.ndarray:
+def stationary_distribution(transition) -> np.ndarray:
     """Unique stationary distribution of a row-stochastic matrix.
 
     Power iteration is run from the uniform distribution and from every
-    basis vector; all runs must converge to the same fixed point within
-    ``tol`` (L1 residual).  Chains without a unique reachable fixed point
-    (identity-like, reducible with several closed classes, periodic) raise
-    :class:`NoUniqueStationaryError`.
+    basis vector; within 200,000 steps all runs must converge to the same
+    fixed point, to an L1 residual of 1e-12.  Chains without a unique
+    reachable fixed point (identity-like, reducible with several closed
+    classes, periodic) raise :class:`NoUniqueStationaryError`.
     """
     p = _check_transition(transition, as_matrix(transition, "transition", square=True).shape[0])
     m = p.shape[0]
@@ -416,13 +317,13 @@ def stationary_distribution(
     fixed = []
     for x in starts:
         converged = False
-        for _ in range(max_iter):
+        for _ in range(200_000):
             nxt = x @ p
             s = nxt.sum()
             if s <= 0:
                 break
             nxt = nxt / s
-            if float(np.abs(nxt - x).sum()) <= tol:
+            if float(np.abs(nxt - x).sum()) <= 1e-12:
                 x = nxt
                 converged = True
                 break

@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError, UnsupportedAnalyticError
-from .graphs import ConditionalExpectation
 from .linalg import as_matrix, block_diag, ordered_sum
 from .noise import MeasurementNoise
 
@@ -289,7 +288,7 @@ def conditional_expected_gram(
     process: RegressionProcess,
     step: int,
     history_cut: int = -1,
-) -> ConditionalExpectation:
+) -> np.ndarray:
     """``E[H^T H | F(history_cut)]`` for the stacked block-diagonal
     observation matrix, an ``(N n) x (N n)`` block-diagonal result."""
     if step < 0:
@@ -302,7 +301,7 @@ def conditional_expected_gram(
             "use an earlier history cut"
         )
     blocks = [conditional_expected_node_gram(process, i, step) for i in range(process.nodes)]
-    return ConditionalExpectation(matrix=block_diag(blocks), exactness="analytic")
+    return block_diag(blocks)
 
 
 def spatio_temporal_gram(
@@ -335,7 +334,7 @@ def monte_carlo_expected_gram(
     rng: np.random.Generator,
     samples: int = 10_000,
     ar_init: np.ndarray | None = None,
-) -> ConditionalExpectation:
+) -> np.ndarray:
     """Monte Carlo estimate of ``E[H^T H]`` at ``step``.
 
     The explicit fallback for kinds without a closed form.  For ar-driven
@@ -357,7 +356,7 @@ def monte_carlo_expected_gram(
         h = regression_block(process, x0, count, [rng], draws, hist)[0]
         hb = block_diag(np.split(h[-1, :, :, 0], process.offsets[1:-1]))
         acc += hb.T @ hb
-    return ConditionalExpectation(matrix=acc / samples, exactness="monte-carlo", samples=samples)
+    return acc / samples
 
 
 def support_gram_norm_bound(process: RegressionProcess) -> float:

@@ -172,8 +172,8 @@ def lemma_regret_bound_check(records, rho0: float, horizon: int | None = None) -
     standard errors of the regret estimate.  Reports the tightest margin
     seen (bound minus regret, before the allowance).
     """
-    if rho0 <= 0:
-        raise InvalidInputError("rho0 must be positive")
+    if not (np.isfinite(rho0) and rho0 > 0):
+        raise InvalidInputError("rho0 must be finite and positive")
     recs = _check_records(records)
     rows = recs[0].excess_losses.shape[0]
     last = rows - 1 if horizon is None else int(horizon)

@@ -7,6 +7,7 @@ here, not only in the benchmark.  ``perfbench/`` is only read.
 """
 
 import importlib.util
+import subprocess
 import sys
 from pathlib import Path
 
@@ -15,6 +16,7 @@ import pytest
 import netlms
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SRC = PERFBENCH.parent / "src"
 
 
 @pytest.fixture(scope="module")
@@ -36,3 +38,14 @@ def test_one_benchmark_round_passes_its_checks(worker, workload, tmp_path):
     assert result["problems"] == []
     assert result["failed"] == 0
     assert result["attempted"] == worker.WORKLOADS[workload][2]
+
+
+def test_traced_round_can_wrap_every_public_name():
+    """``Tracer.install`` looks up every ``__all__`` name of every netlms
+    module and the traced noise methods, so a stale export crashes each
+    ``--trace 1`` round; it runs in a child to keep this process unwrapped."""
+    code = "import netlms; from tracer import Tracer; Tracer().install()"
+    path = f"import sys; sys.path[:0] = [{str(SRC)!r}, {str(PERFBENCH)!r}]; "
+    done = subprocess.run([sys.executable, "-B", "-c", path + code],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

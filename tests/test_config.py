@@ -1,5 +1,6 @@
 """Config grammar: round trips, defaults, and line-numbered errors."""
 
+import dataclasses
 import re
 
 import pytest
@@ -220,6 +221,24 @@ def test_noise_and_gain_values_outside_the_premises_rejected(section, line):
     with pytest.raises(ConfigError) as err:
         parse_config(text)
     assert f"[{section}] {key}" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "section, change, message",
+    [
+        ("graph", {"low": 0.3}, "[graph] low is not read by kind 'alternating-uniform'"),
+        ("regression", {"active_prob": 0.5},
+         "[regression] active_prob is not read by kind 'entrywise-uniform'"),
+    ],
+    ids=["graph-low", "regression-active_prob"],
+)
+def test_a_field_its_kind_does_not_read_is_rejected(section, change, message):
+    """The config text leaves such a field out, so it would not round-trip."""
+    cfg = get_preset("setting-i")
+    cfg = dataclasses.replace(cfg, **{section: dataclasses.replace(getattr(cfg, section), **change)})
+    with pytest.raises(ConfigError) as err:
+        cfg.validate()
+    assert message in str(err.value)
 
 
 # ---------------------------------------------------------------------------

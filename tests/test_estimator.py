@@ -33,7 +33,7 @@ from netlms.estimator import (
     validate_gains,
 )
 from netlms.linalg import sym_eigmax
-from netlms.graphs import custom_graph, graph_block, iid_uniform_graph
+from netlms.graphs import graph_block, iid_uniform_graph
 from netlms.noise import MeasurementNoise, NoiseIntensity, received_messages
 from netlms.regression import entrywise_uniform_regression, regression_block
 
@@ -355,6 +355,11 @@ def _kind_config(graph_kind, regression_kind):
             states=(((0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (1.0, 0.0, 0.0)),
                     ((0.0, 0.5, 0.5), (0.5, 0.0, 0.5), (0.5, 0.5, 0.0))),
             transition=((0.6, 0.4), (0.3, 0.7)), initial_state=1),
+        # a chain that also visits a state without links: silent steps
+        "markov-silent": GraphConfig(
+            kind="markov-switching",
+            states=(((0.0, 0.5, 0.5), (0.5, 0.0, 0.5), (0.5, 0.5, 0.0)), ((0.0,) * 3,) * 3),
+            transition=((0.5, 0.5), (0.5, 0.5)), initial_state=1),
     }[graph_kind]
     regression = {
         "fixed": RegressionConfig(kind="fixed", h_nodes=tuple(pick[d] for d in node_dims)),
@@ -405,8 +410,8 @@ def _kernel_states(model, seeds, horizon):
 
 @pytest.mark.parametrize("regression_kind",
                          ["fixed", "entrywise-uniform", "bernoulli-failure", "ar-driven"])
-@pytest.mark.parametrize("graph_kind",
-                         ["fixed", "alternating-uniform", "iid-uniform", "markov-switching"])
+@pytest.mark.parametrize("graph_kind", ["fixed", "alternating-uniform", "iid-uniform",
+                                        "markov-switching", "markov-silent"])
 def test_kernel_step_matches_node_and_compact_steps(graph_kind, regression_kind, two_step_chunks):
     _assert_kernel_matches_oracles(_kind_config(graph_kind, regression_kind))
 
@@ -488,24 +493,6 @@ def test_kernel_invariants_on_random_shapes(data):
         assert np.abs(final[r] - compact_x[-1]).max() <= 1e-12 * scale
         v = [float(((x - model.x0) ** 2).sum()) for x in compact_x]
         assert np.allclose(stats["v"][:, r], v, rtol=1e-12, atol=1e-12)
-
-
-def test_kernel_custom_graph_calls_its_sampler_per_step(two_step_chunks):
-    calls = []
-
-    def sampler(step, rng):
-        calls.append(step)
-        a = rng.uniform(0.0, 1.0, (3, 3)) * (step % 3 != 1)
-        np.fill_diagonal(a, 0.0)
-        return a
-
-    cfg = _kind_config("fixed", "entrywise-uniform")
-    model = dataclasses.replace(SimulationModel.from_config(cfg), graph=custom_graph(3, sampler))
-    seed = np.random.SeedSequence(cfg.seed, spawn_key=(0,))
-    v, final = _kernel_states(model, [seed], cfg.horizon)
-    assert calls == list(range(cfg.horizon + 1))
-    node_x, _ = _replay(model, seed, cfg.horizon)
-    assert np.abs(final[0] - node_x[-1]).max() <= 1e-12
 
 
 def test_nonfinite_state_fails_the_bound_checks():

@@ -43,7 +43,7 @@ def oracle_window(gp, rp, gains, k, window, state):
     gainless = np.zeros_like(weighted)
     lap_sum = np.zeros((nodes, nodes))
     for step in range(k * window, (k + 1) * window):
-        adj = conditional_expected_adjacency(gp, step, k * window - 1, state).matrix
+        adj = conditional_expected_adjacency(gp, step, k * window - 1, state)
         lap = np.diag(adj.sum(axis=1)) - adj
         sym = (lap + lap.T) / 2.0
         gram = np.zeros_like(weighted)

@@ -90,12 +90,11 @@ def test_entrywise_gram_closed_form():
 
 def test_entrywise_gram_matches_monte_carlo(rng):
     rp = _benchmark_entrywise()
-    analytic = conditional_expected_gram(rp, step=0).matrix
+    analytic = conditional_expected_gram(rp, step=0)
     mc = monte_carlo_expected_gram(rp, np.zeros(2), 0, ZERO_NOISE, rng, samples=20_000)
-    assert mc.exactness == "monte-carlo"
     # every Gram entry is a mean of variables bounded by 2.25 (entries of H
     # sit in [0, 1.5]), so Var <= 2.25^2/4 and 3 SE < 0.024
-    assert np.abs(mc.matrix - analytic).max() < 0.03
+    assert np.abs(mc - analytic).max() < 0.03
 
 
 def test_bernoulli_gram_scales_with_probability():
@@ -140,7 +139,7 @@ def test_ar_requires_history(rng):
 def test_expected_grams_are_psd(rng):
     for rp in (_benchmark_entrywise(),
                bernoulli_failure_regression([np.array([[1.0, -1.0]])], 0.4)):
-        g = conditional_expected_gram(rp, step=0).matrix
+        g = conditional_expected_gram(rp, step=0)
         vals = np.linalg.eigvalsh(0.5 * (g + g.T))
         assert vals.min() > -1e-12
 
@@ -196,7 +195,7 @@ def test_ar_monte_carlo_gram_and_freeze_replay_the_recursion(rng):
     # y(0) = (0, -0.25), y(1) = (-0.25, -0.125)
     h2 = [np.array([[-0.25, 0.0]]), np.array([[-0.125, -0.25]])]
     mc = monte_carlo_expected_gram(rp, theta, 2, ZERO_NOISE, rng, samples=2, ar_init=hist)
-    assert np.array_equal(mc.matrix, block_diag([h.T @ h for h in h2]))
+    assert np.array_equal(mc, block_diag([h.T @ h for h in h2]))
     frozen = freeze_regression(rp, rng, hist)
     assert frozen.kind == "fixed"
     assert np.array_equal(np.concatenate(frozen.h_nodes), hist)

@@ -17,6 +17,7 @@ from netlms.errors import (
     UnsupportedAnalyticError,
 )
 from netlms.estimator import run_trajectory, substream
+from netlms.excitation import lemma_lower_bound_check
 from netlms.regression import ar_driven_regression, fixed_regression
 from netlms.regret import (
     lemma_regret_bound_check,
@@ -176,3 +177,17 @@ def test_bound_check_horizon_argument(bench_runs):
         lemma_regret_bound_check(runs, rho0=0.0)
     with pytest.raises(InvalidInputError):
         lemma_regret_bound_check(runs, rho0=5.0, horizon=10_000)
+
+
+@pytest.mark.parametrize("rho0", [float("nan"), float("inf"), 0.0, -1.0])
+@pytest.mark.parametrize("check", ["regret", "lower-bound"])
+def test_lemma_checks_reject_a_rho0_that_is_not_finite_and_positive(bench_runs, check, rho0):
+    """A NaN or infinite rho0 would pass a bound or a premise silently."""
+    cfg, runs = bench_runs
+    with pytest.raises(InvalidInputError, match="rho0 must be finite and positive"):
+        if check == "regret":
+            lemma_regret_bound_check(runs, rho0=rho0)
+        else:
+            lemma_lower_bound_check(cfg.graph.to_process(cfg.nodes),
+                                    cfg.regression.to_process(cfg.nodes, cfg.dim),
+                                    window=2, rho0=rho0, window_index=0)
