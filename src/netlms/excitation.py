@@ -11,10 +11,12 @@ bound tying the two together, and audits Markov-switching topologies
 through their stationary distribution.
 
 Windows follow the convention ``[kh, (k+1)h - 1]`` with the conditioning
-cut at ``kh - 1``.  Every windowed quantity comes from one pass, which
-takes one conditional mean Laplacian per step, window and chain state at
-the cut.  The expected Grams do not depend on the step, so they and the
-lower bound's premises are evaluated once per call.
+cut at ``kh - 1``.  Every windowed quantity comes from one pass.  It
+evaluates each distinct conditional mean Laplacian once per call (a few
+per graph law: see :func:`graphs.window_sym_laplacians`) and gathers
+each step's own from that table by index.  The expected Grams do not
+depend on the step, so they and the lower bound's premises are evaluated
+once per call.
 """
 
 from __future__ import annotations
@@ -30,10 +32,11 @@ from .estimator import GainSchedule
 from .graphs import (
     GraphProcess,
     Gamma1Report,
-    conditional_expected_sym_laplacian,
     gamma1_membership,
     is_conditionally_balanced,
     stationary_distribution,
+    window_law_ids,
+    window_sym_laplacians,
 )
 from .linalg import as_matrix, ordered_sum, sym_eigenvalues
 from .regression import (
@@ -161,29 +164,26 @@ def _check_window_args(window: int, windows: int) -> None:
         raise InvalidInputError("need at least one window to check")
 
 
-def _window_pass(graph_process, window, ks, state_at_cut, gram=None, gains=None):
+def _window_pass(graph_process, laws, window, ks, state_at_cut, gram=None, gains=None):
     """The pass over windows ``ks``, each conditioned on ``state_at_cut`` at
-    its cut: each summed conditional mean Laplacian's spectral gap (0 for
-    one node), then, given the block-diagonal expected Gram, the gainless
-    and, given ``gains``, the gain-weighted information matrices, else
-    ``None``.  Steps sum in index order, so the windows batched do not
-    matter."""
-    steps = [range(k * window, (k + 1) * window) for k in ks]
-    laps = np.array([
-        [conditional_expected_sym_laplacian(graph_process, i, k * window - 1, state_at_cut) for i in s]
-        for k, s in zip(ks, steps)
-    ])
+    its cut, with ``laws`` from :func:`window_sym_laplacians`: each summed
+    conditional mean Laplacian's spectral gap (0 for one node), then,
+    given the block-diagonal expected Gram, the gainless and, given
+    ``gains``, the gain-weighted information matrices, else ``None``.
+    Steps sum in index order, so the windows batched do not matter."""
+    ids = window_law_ids(graph_process, window, ks, state_at_cut)
     gaps = np.zeros(len(ks))
     if graph_process.nodes > 1:
-        gaps = np.linalg.eigvalsh(ordered_sum(laps, axis=1))[:, 1]
+        gaps = np.linalg.eigvalsh(ordered_sum(laws[ids], axis=1))[:, 1]
     if gram is None:
         return gaps, None, None
-    big = np.kron(laps, np.eye(gram.shape[0] // graph_process.nodes)[None, None])
+    big = np.kron(laws, np.eye(gram.shape[0] // graph_process.nodes)[None])[ids]
     gainless = ordered_sum(big + gram, axis=1)
     if gains is None:
         return gaps, gainless, None
     # the gains the simulator steps with
-    ab = gains.table(np.ravel(steps)).reshape(len(ks), window, 3)
+    steps = np.asarray(ks)[:, None] * window + np.arange(window)
+    ab = gains.table(steps.ravel()).reshape(len(ks), window, 3)
     a, b = ab[..., 0, None, None], ab[..., 1, None, None]
     return gaps, gainless, ordered_sum(b * big + a * gram, axis=1)
 
@@ -196,7 +196,8 @@ def _one_window(graph_process, regression_process, gains, window_index, window, 
     if graph_process.nodes != regression_process.nodes:
         raise InvalidInputError("graph and regression disagree on the node count")
     gram = conditional_expected_gram(regression_process, 0)
-    return _window_pass(graph_process, window, [window_index], state_at_cut, gram, gains)
+    laws = window_sym_laplacians(graph_process, window)
+    return _window_pass(graph_process, laws, window, [window_index], state_at_cut, gram, gains)
 
 
 def _pooled_gram_min(regression_process: RegressionProcess, window: int) -> float:
@@ -304,8 +305,9 @@ def check_definition1(
     _check_window_args(window, windows)
     if graph_process.nodes < 2:
         raise InvalidInputError("joint connectivity needs at least two nodes")
+    laws = window_sym_laplacians(graph_process, window)
     (gaps,) = _state_minima(
-        graph_process, windows, lambda ks, s: _window_pass(graph_process, window, ks, s)[:1]
+        graph_process, windows, lambda ks, s: _window_pass(graph_process, laws, window, ks, s)[:1]
     )
     return _threshold_report(gaps, theta1)
 
@@ -487,8 +489,10 @@ def pe_diagnostic(config: ExperimentConfig, windows: int | None = None) -> Excit
     gamma1 = gamma1_membership(gp)
     premise_ok, _ = _bound_premises(rp, gamma1, rho0)
 
+    laws = window_sym_laplacians(gp, h)
+
     def evaluate(ks, s):
-        gap, gainless, weighted = _window_pass(gp, h, ks, s, gram, gains)
+        gap, gainless, weighted = _window_pass(gp, laws, h, ks, s, gram, gains)
         lhs = np.linalg.eigvalsh(gainless)[:, 0]
         margin = lhs - _bound_rhs(gap, gram_min, gp.nodes, h, rho0)
         return gap, lhs, margin, np.linalg.eigvalsh(weighted)[:, 0]

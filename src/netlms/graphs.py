@@ -43,6 +43,8 @@ __all__ = [
     "graph_block",
     "conditional_expected_adjacency",
     "conditional_expected_sym_laplacian",
+    "window_sym_laplacians",
+    "window_law_ids",
     "is_conditionally_balanced",
     "stationary_distribution",
     "gamma1_membership",
@@ -267,6 +269,49 @@ def conditional_expected_sym_laplacian(
     adjacency.
     """
     return symmetrize(laplacian(conditional_expected_adjacency(process, step, history_cut, state_at_cut)))
+
+
+def window_sym_laplacians(process: GraphProcess, window: int) -> np.ndarray:
+    """Every conditional mean symmetrized Laplacian that a step of a window
+    of ``window`` steps can take, ``(L, N, N)``, in the order of the ids
+    of :func:`window_law_ids`.
+
+    The fixed kind has one law and the alternating kind one per step
+    parity.  markov-switching has ``window`` laws for window 0, which
+    conditions on nothing, then ``window`` per state at the cut, one per
+    count of steps since it.  Each entry is
+    :func:`conditional_expected_sym_laplacian` at a step that takes it.
+    """
+    if process.kind == "fixed":
+        calls = [(0, -1, None)]
+    elif process.kind == "alternating-uniform":
+        calls = [(0, -1, None), (1, -1, None)]
+    else:
+        calls = [(i, -1, None) for i in range(window)]
+        calls += [(window + i, window - 1, s) for s in range(len(process.states)) for i in range(window)]
+    return np.array([conditional_expected_sym_laplacian(process, *call) for call in calls])
+
+
+def window_law_ids(
+    process: GraphProcess, window: int, window_indices, state_at_cut: int | None = None
+) -> np.ndarray:
+    """``(len(window_indices), window)`` ids into
+    :func:`window_sym_laplacians`: step ``i`` of window ``k``, conditioned
+    at the cut ``k window - 1`` on ``state_at_cut``, has the law with id
+    ``ids[w, i]`` for ``k = window_indices[w]``."""
+    ks = np.asarray(window_indices, dtype=np.intp)[:, None]
+    offset = np.arange(window)
+    if process.kind == "fixed":
+        return np.zeros((len(ks), window), dtype=np.intp)
+    if process.kind == "alternating-uniform":
+        return (ks * window + offset) % 2
+    if not np.any(ks > 0):
+        return np.broadcast_to(offset, (len(ks), window))
+    if state_at_cut is None:
+        raise InvalidInputError("markov-switching conditioning needs state_at_cut")
+    if not 0 <= state_at_cut < len(process.states):
+        raise InvalidInputError("state_at_cut out of range")
+    return np.where(ks > 0, window * (1 + int(state_at_cut)) + offset, offset)
 
 
 def is_conditionally_balanced(expected_adjacency) -> bool:

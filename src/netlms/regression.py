@@ -304,6 +304,10 @@ def conditional_expected_gram(
     return block_diag(blocks)
 
 
+# Steps per block of the window sum in ``spatio_temporal_gram``.
+_GRAM_BLOCK = 1024
+
+
 def spatio_temporal_gram(
     process: RegressionProcess,
     window_index: int,
@@ -319,11 +323,21 @@ def spatio_temporal_gram(
         raise InvalidInputError("window must be positive")
     if window_index < 0:
         raise InvalidInputError("window_index must be nonnegative")
-    out = np.zeros((process.dim, process.dim))
-    for step in range(window_index * window, (window_index + 1) * window):
-        for node in range(process.nodes):
-            out += conditional_expected_node_gram(process, node, step)
-    return out
+    # no closed-form node Gram depends on the step, so each is evaluated
+    # once; the sum still runs step by step, node by node, from zero, as a
+    # loop over the window would add them.  ``np.add.accumulate`` is
+    # sequential for every shape (``np.add.reduce`` sums a 1 x 1 Gram
+    # pairwise); row 0 carries the running sum into each block.
+    grams = [conditional_expected_node_gram(process, node, window_index * window)
+             for node in range(process.nodes)]
+    block = min(window, _GRAM_BLOCK)
+    terms = np.concatenate([np.zeros((1, process.dim, process.dim)), np.tile(grams, (block, 1, 1))])
+    sums = np.empty_like(terms)
+    for done in range(0, window, block):
+        rows = 1 + min(block, window - done) * process.nodes
+        np.add.accumulate(terms[:rows], 0, out=sums[:rows])
+        terms[0] = sums[rows - 1]
+    return terms[0].copy()
 
 
 def monte_carlo_expected_gram(
