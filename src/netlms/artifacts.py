@@ -30,7 +30,9 @@ __all__ = [
 # 2: one substream per (run, source), drawn in blocks.
 # 3: the same draws; each step is one fused sum, which rounds differently.
 # 4: the audit's gain-weighted series take the simulator's gain table.
-SCHEMA = 4
+# 5: a window's pooled Gram is the window length times the one-step sum,
+#    and the Gamma1 report has no ``exactness`` key.
+SCHEMA = 5
 # Cap on excitation windows serialized into the artifact; keeps the JSON
 # a few hundred KB even for very long horizons.
 AUDIT_WINDOW_CAP = 2000
@@ -55,17 +57,21 @@ def jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
     if isinstance(obj, np.generic):
-        return obj.item()
+        return jsonable(obj.item())
     if isinstance(obj, float) and not np.isfinite(obj):
         # JSON has no Infinity/NaN literals that survive strict parsers.
         return "nan" if obj != obj else ("inf" if obj > 0 else "-inf")
     return obj
 
 
+def _json_text(payload) -> str:
+    """The text of a JSON artifact, newline-terminated."""
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
 def write_json(path: str, payload) -> None:
     with open(path, "w", newline="") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False))
-        fh.write("\n")
+        fh.write(_json_text(payload))
 
 
 def _fmt(x: float) -> str:

@@ -16,11 +16,10 @@ built-in preset (a path wins when both exist).  ``--seed``, ``--runs``,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
-from .artifacts import audit_windows, excitation_payload, write_json
+from .artifacts import _json_text, audit_windows, excitation_payload, write_json
 from .config import (
     PRESET_SUMMARIES,
     get_preset,
@@ -103,7 +102,7 @@ def _cmd_audit(args) -> int:
     cfg = with_overrides(cfg, horizon=args.horizon)
     payload = excitation_payload(pe_diagnostic(cfg, windows=audit_windows(cfg)))
     if args.out is None:
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        print(_json_text(payload), end="")
     else:
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, "excitation.json")

@@ -281,20 +281,16 @@ class TrajectoryRecord:
     draws, so ``v[k]`` is the total squared error ``sum_i |x_i(k) - x0|^2``
     and ``excess_losses[k, i]`` the per-step quantity
     ``0.5 sum_j |H_j(k) (x_i(k) - x0)|^2`` whose cumulative sums estimate
-    regret.  Records simulated together may share (read-only) storage for
-    ``steps`` and ``gains_used``.
+    regret.  Records simulated together share (read-only) storage for
+    ``steps``.
     """
 
-    seed: int
-    horizon: int
     steps: np.ndarray
     v: np.ndarray
     err_norms: np.ndarray
     est_norms: np.ndarray
-    gains_used: np.ndarray
     excess_losses: np.ndarray
     x_final: np.ndarray
-    x0: np.ndarray
     bound_report: BoundCheckReport | None = None
 
 
@@ -662,28 +658,20 @@ def _sample_runs(config, seeds, grid, fields, check_bounds=True):
     return (out, *simulate(model, seeds, config.horizon, on_chunk, check_bounds))
 
 
-def _records(config, seeds, check_bounds, label) -> list[TrajectoryRecord]:
-    rows = config.horizon + 1
-    steps = np.arange(rows)
+def _records(config, seeds, check_bounds) -> list[TrajectoryRecord]:
+    steps = np.arange(config.horizon + 1)
     got, x_final, reports = _sample_runs(
         config, seeds, steps, ("v", "err_norms", "est_norms", "excess_losses"), check_bounds
     )
-    gains_used = GainSchedule.from_config(config).table(steps)
-    for shared in (steps, gains_used):
-        shared.flags.writeable = False
-    x0 = np.asarray(config.x0, dtype=float)
+    steps.flags.writeable = False
     return [
         TrajectoryRecord(
-            seed=label,
-            horizon=config.horizon,
             steps=steps,
             v=got["v"][r],
             err_norms=got["err_norms"][r],
             est_norms=got["est_norms"][r],
-            gains_used=gains_used,
             excess_losses=got["excess_losses"][r],
             x_final=x_final[r],
-            x0=x0,
             bound_report=None if reports is None else reports[r],
         )
         for r in range(len(seeds))
@@ -707,8 +695,7 @@ def run_trajectory(
     records rows ``0..T`` and applies ``T`` updates; the draws at row
     ``T`` complete that row's losses.
     """
-    label = int(seed) if isinstance(seed, (int, np.integer)) else -1
-    return _records(config, [_seed_sequence(seed)], check_bounds, label)[0]
+    return _records(config, [_seed_sequence(seed)], check_bounds)[0]
 
 
 def run_trajectories(
@@ -721,4 +708,4 @@ def run_trajectories(
     ``run_trajectory(config, substream(config.seed, runs[i]))`` bit for
     bit, whatever the batch.
     """
-    return _records(config, [_run_seed(config.seed, r) for r in runs], check_bounds, -1)
+    return _records(config, [_run_seed(config.seed, r) for r in runs], check_bounds)

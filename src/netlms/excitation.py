@@ -195,7 +195,7 @@ def _one_window(graph_process, regression_process, gains, window_index, window, 
         raise InvalidInputError("window_index must be nonnegative")
     if graph_process.nodes != regression_process.nodes:
         raise InvalidInputError("graph and regression disagree on the node count")
-    gram = conditional_expected_gram(regression_process, 0)
+    gram = conditional_expected_gram(regression_process)
     laws = window_sym_laplacians(graph_process, window)
     return _window_pass(graph_process, laws, window, [window_index], state_at_cut, gram, gains)
 
@@ -203,7 +203,7 @@ def _one_window(graph_process, regression_process, gains, window_index, window, 
 def _pooled_gram_min(regression_process: RegressionProcess, window: int) -> float:
     """Smallest eigenvalue of a window's pooled expected Gram, which is the
     same for every window (the node Grams do not depend on the step)."""
-    return float(sym_eigenvalues(spatio_temporal_gram(regression_process, 0, window))[0])
+    return float(sym_eigenvalues(spatio_temporal_gram(regression_process, window))[0])
 
 
 def _bound_rhs(lambda2, gram_min: float, nodes: int, window: int, rho0: float):
@@ -480,9 +480,8 @@ def pe_diagnostic(config: ExperimentConfig, windows: int | None = None) -> Excit
     rp = config.regression.to_process(config.nodes, config.dim)
     gains = GainSchedule.from_config(config)
     rho0 = config.excitation.rho0
-    # the same at every step and cut for every kind with a closed form;
     # ar-driven raises here, before any window
-    gram = conditional_expected_gram(rp, 0)
+    gram = conditional_expected_gram(rp)
     if gp.nodes < 2:
         raise InvalidInputError("joint connectivity needs at least two nodes")
     gram_min = _pooled_gram_min(rp, h)

@@ -75,12 +75,9 @@ class GraphProcess:
 
 @dataclass(frozen=True)
 class Gamma1Report:
-    """Result of the conditional nonnegativity + balance membership test.
-    ``exactness`` is always ``"analytic"`` (every kind has closed-form
-    means); ``excitation.json`` serializes it."""
+    """Result of the conditional nonnegativity + balance membership test."""
 
     member: bool
-    exactness: str
     detail: str
 
 
@@ -343,8 +340,8 @@ def gamma1_membership(process: GraphProcess) -> Gamma1Report:
         mats = [(f"mean at step {k}", conditional_expected_adjacency(process, k)) for k in (0, 1)]
     for label, m in mats:
         if not is_conditionally_balanced(m):
-            return Gamma1Report(False, "analytic", f"{label} is not nonnegative and balanced")
-    return Gamma1Report(True, "analytic", "all conditional mean adjacencies nonnegative and balanced")
+            return Gamma1Report(False, f"{label} is not nonnegative and balanced")
+    return Gamma1Report(True, "all conditional mean adjacencies nonnegative and balanced")
 
 
 def stationary_distribution(transition) -> np.ndarray:

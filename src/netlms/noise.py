@@ -85,12 +85,6 @@ class MeasurementNoise:
             return np.zeros(size)
         return rng.standard_normal(size) * self.std
 
-    def second_moment(self, size: int) -> float:
-        """Exact ``E||v||^2`` for a draw of ``size`` components."""
-        if self.kind == "zero":
-            return 0.0
-        return float(np.sum(np.broadcast_to(np.square(self.std), (size,))))
-
 
 @dataclass(frozen=True)
 class ChannelNoise:
@@ -109,11 +103,6 @@ class ChannelNoise:
         if self.kind == "zero":
             return np.zeros(shape)
         return rng.standard_normal(shape) * self.std
-
-    def second_moment(self, size: int) -> float:
-        if self.kind == "zero":
-            return 0.0
-        return float(size) * self.std**2
 
 
 def received_messages(states, intensity: NoiseIntensity, xi: np.ndarray) -> np.ndarray:

@@ -20,9 +20,10 @@ Every draw goes through :func:`regression_block`, which returns the
 stacked matrices and measurements of a block of consecutive steps for a
 batch of runs; one step is a block of one.
 
-Entrywise-uniform and bernoulli-failure have closed-form conditional
-Grams; ar-driven does not (its regressor is a function of past outputs)
-and must go through the explicit Monte Carlo helper.
+Fixed, entrywise-uniform and bernoulli-failure have closed-form
+conditional Grams, the same at every step; ar-driven does not (its
+regressor is a function of past outputs) and must go through the
+explicit Monte Carlo helper.
 """
 
 from __future__ import annotations
@@ -257,11 +258,11 @@ def regression_block(
     return h, y_clean, y_clean + noise_draws, hist
 
 
-def conditional_expected_node_gram(process: RegressionProcess, node: int, step: int = 0) -> np.ndarray:
-    """Closed-form ``E[H_i(step)^T H_i(step)]`` for one node.
+def conditional_expected_node_gram(process: RegressionProcess, node: int) -> np.ndarray:
+    """Closed-form ``E[H_i(k)^T H_i(k) | F(cut)]`` for one node.
 
-    All supported kinds draw independently across steps, so conditioning
-    on any earlier cut leaves the answer unchanged.
+    Every kind with a closed form draws independently across steps, so
+    the answer is the same for every step ``k`` and every earlier cut.
     """
     if not 0 <= node < process.nodes:
         raise InvalidInputError("node index out of range")
@@ -284,60 +285,25 @@ def conditional_expected_node_gram(process: RegressionProcess, node: int, step: 
     )
 
 
-def conditional_expected_gram(
-    process: RegressionProcess,
-    step: int,
-    history_cut: int = -1,
-) -> np.ndarray:
-    """``E[H^T H | F(history_cut)]`` for the stacked block-diagonal
-    observation matrix, an ``(N n) x (N n)`` block-diagonal result."""
-    if step < 0:
-        raise InvalidInputError("step must be nonnegative")
-    if history_cut > step:
-        raise InvalidInputError("history_cut must not exceed step")
-    if history_cut == step and process.kind != "fixed":
-        raise InvalidInputError(
-            "conditioning an independent draw on its own step needs the realization; "
-            "use an earlier history cut"
-        )
-    blocks = [conditional_expected_node_gram(process, i, step) for i in range(process.nodes)]
-    return block_diag(blocks)
+def conditional_expected_gram(process: RegressionProcess) -> np.ndarray:
+    """``E[H^T H | F(cut)]`` for the stacked block-diagonal observation
+    matrix of any step, an ``(N n) x (N n)`` block-diagonal result."""
+    return block_diag([conditional_expected_node_gram(process, i) for i in range(process.nodes)])
 
 
-# Steps per block of the window sum in ``spatio_temporal_gram``.
-_GRAM_BLOCK = 1024
-
-
-def spatio_temporal_gram(
-    process: RegressionProcess,
-    window_index: int,
-    window: int,
-) -> np.ndarray:
-    """Sum of all nodes' expected Grams over one window of steps.
+def spatio_temporal_gram(process: RegressionProcess, window: int) -> np.ndarray:
+    """Sum of all nodes' expected Grams over a window of ``window`` steps.
 
     This is the ``n x n`` matrix ``sum_{i in window} sum_j E[H_j(i)^T
     H_j(i) | F(cut)]`` with the cut just before the window, the quantity
     whose smallest eigenvalue the joint-observability condition bounds.
+    No closed-form node Gram depends on the step, so it is ``window``
+    times the one-step sum over nodes.
     """
     if window < 1:
         raise InvalidInputError("window must be positive")
-    if window_index < 0:
-        raise InvalidInputError("window_index must be nonnegative")
-    # no closed-form node Gram depends on the step, so each is evaluated
-    # once; the sum still runs step by step, node by node, from zero, as a
-    # loop over the window would add them.  ``np.add.accumulate`` is
-    # sequential for every shape (``np.add.reduce`` sums a 1 x 1 Gram
-    # pairwise); row 0 carries the running sum into each block.
-    grams = [conditional_expected_node_gram(process, node, window_index * window)
-             for node in range(process.nodes)]
-    block = min(window, _GRAM_BLOCK)
-    terms = np.concatenate([np.zeros((1, process.dim, process.dim)), np.tile(grams, (block, 1, 1))])
-    sums = np.empty_like(terms)
-    for done in range(0, window, block):
-        rows = 1 + min(block, window - done) * process.nodes
-        np.add.accumulate(terms[:rows], 0, out=sums[:rows])
-        terms[0] = sums[rows - 1]
-    return terms[0].copy()
+    grams = [conditional_expected_node_gram(process, node) for node in range(process.nodes)]
+    return window * ordered_sum(np.stack(grams), 0)
 
 
 def monte_carlo_expected_gram(

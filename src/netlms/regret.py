@@ -91,7 +91,7 @@ def oracle_parameter(
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (process.dim,):
         raise InvalidInputError(f"x0 must have shape ({process.dim},), got {x0.shape}")
-    gram = spatio_temporal_gram(process, 0, horizon + 1)
+    gram = spatio_temporal_gram(process, horizon + 1)
     eigs = np.linalg.eigvalsh(0.5 * (gram + gram.T))
     if eigs[-1] <= 0.0 or eigs[0] <= 1e-12 * eigs[-1]:
         raise UnobservableHorizonError(

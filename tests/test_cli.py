@@ -81,6 +81,13 @@ def test_audit_writes_file(tmp_path, capsys):
     assert (tmp_path / "excitation.json").exists()
 
 
+def test_audit_stdout_is_the_artifact_text(tmp_path, capsys):
+    assert main(["audit", "--config", "setting-i"]) == 0
+    printed = capsys.readouterr().out
+    assert main(["audit", "--config", "setting-i", "--out", str(tmp_path)]) == 0
+    assert printed.encode() == (tmp_path / "excitation.json").read_bytes()
+
+
 def test_validate_gains_pass_and_fail(tmp_path, capsys):
     assert main(["validate-gains", "--config", "setting-i"]) == 0
     assert "PASS" in capsys.readouterr().out

@@ -194,16 +194,6 @@ def test_check_bounds_does_not_change_the_run():
     assert with_checks.bound_report.holds
 
 
-def test_gains_used_match_schedule():
-    cfg = with_overrides(get_preset("setting-iv"), horizon=50, runs=1)
-    rec = run_trajectory(cfg, substream(0, 0))
-    sched = GainSchedule.from_config(cfg)
-    for k in (0, 1, 7, 50):
-        a, b, lam = sched.at(k)
-        # batched power evaluation may differ from scalar pow by an ulp
-        assert rec.gains_used[k] == pytest.approx((a, b, lam), rel=1e-14)
-
-
 def test_first_transition_matches_manual_step():
     cfg = with_overrides(get_preset("setting-i"), horizon=1, runs=1)
     rec = run_trajectory(cfg, substream(cfg.seed, 2))
@@ -264,8 +254,7 @@ def test_horizon_zero_records_initial_state_only():
 # ---------------------------------------------------------------------------
 # the batched kernel: determinism and the per-step oracles
 
-RECORD_FIELDS = ("steps", "v", "err_norms", "est_norms", "gains_used",
-                 "excess_losses", "x_final", "x0")
+RECORD_FIELDS = ("steps", "v", "err_norms", "est_norms", "excess_losses", "x_final")
 
 
 def _assert_same_record(a, b):
@@ -333,7 +322,7 @@ def test_seed_forms_agree():
         cfg, np.random.PCG64(np.random.SeedSequence(cfg.seed, spawn_key=(1,))))
     for name in ("v", "excess_losses", "x_final"):
         assert np.array_equal(getattr(by_bit_generator, name), getattr(by_sequence, name))
-    assert run_trajectory(cfg, 5).seed == 5 and by_generator.seed == -1
+    assert np.array_equal(run_trajectory(cfg, 5).v, run_trajectory(cfg, np.random.SeedSequence(5)).v)
 
 
 def _kind_config(graph_kind, regression_kind):

@@ -49,7 +49,7 @@ def oracle_window(gp, rp, gains, k, window, state):
         gram = np.zeros_like(weighted)
         for i in range(nodes):
             gram[i * dim : (i + 1) * dim, i * dim : (i + 1) * dim] = (
-                conditional_expected_node_gram(rp, i, step)
+                conditional_expected_node_gram(rp, i)
             )
         a, b = (1.0, 1.0) if gains is None else gains.at(step)[:2]
         weighted += b * np.kron(sym, np.eye(dim)) + a * gram
@@ -59,7 +59,7 @@ def oracle_window(gp, rp, gains, k, window, state):
 
 
 def oracle_pooled_gram(rp, window):
-    return sum(conditional_expected_node_gram(rp, i, step)
+    return sum(conditional_expected_node_gram(rp, i)
                for step in range(window) for i in range(rp.nodes))
 
 

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netlms import experiment
-from netlms.artifacts import SCHEMA
+from netlms.artifacts import SCHEMA, jsonable, write_json
 from netlms.config import (
     GraphConfig,
     NoiseConfig,
@@ -138,7 +138,7 @@ def test_run_files_are_run_trajectory_rows(data):
 
 def test_manifest_digests_and_fields(artifacts, small_cfg):
     man = json.load(open(artifacts.manifest_file))
-    assert man["schema"] == 4
+    assert man["schema"] == 5
     assert man["seed"] == small_cfg.seed and man["runs"] == small_cfg.runs
     assert man["bound_checks"]["w_violations"] == 0
     assert man["bound_checks"]["m_violations"] == 0
@@ -153,23 +153,23 @@ def test_manifest_digests_and_fields(artifacts, small_cfg):
     assert "timestamp" not in json.dumps(man).lower()
 
 
-# SHA-256 of the schema-4 files of the regret preset, 3 runs x 300 steps, CSV
-SCHEMA_4_DIGESTS = {
+# SHA-256 of the schema-5 files of the regret preset, 3 runs x 300 steps, CSV
+SCHEMA_5_DIGESTS = {
     "run_0000.csv": "f3ef886b758833230aaf02d477edc154b41462435e25a2c97ea8d5ab6ff1fdb5",
     "run_0001.csv": "be68306e97446f8dda6ef65900d6831ff50a4c4c53e10992927edd491cd7f17a",
     "run_0002.csv": "c3f4f8fb2abb16685d915229532ca8e8c456673f634a7b94b9d0091fa58848fa",
     "aggregate.csv": "acd02547715fcbd072fc63f3d01ac5865d346a34f0622269a196d2e45ff3d7cf",
-    "excitation.json": "065ee9597aa318a81960023bfde078e331a3d8290bb7bffb1b372823c1739d13",
+    "excitation.json": "7c6daeb9367a60b719307c0b368f12cf056ec0dc5dac10a71e52891f3b19f150",
 }
 
 
 def test_schema_pins_the_stream(tmp_path):
     """The artifact bytes of one seed change only with ``SCHEMA``: a kernel
     change that rounds any sum differently must bump it and these digests."""
-    assert SCHEMA == 4
+    assert SCHEMA == 5
     cfg = with_overrides(get_preset("regret"), runs=3, horizon=300)
     run_experiment(cfg, out_dir=str(tmp_path))
-    for name, digest in SCHEMA_4_DIGESTS.items():
+    for name, digest in SCHEMA_5_DIGESTS.items():
         got = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
         assert got == digest, (
             f"{name} changed without a SCHEMA bump (a numpy upgrade can also "
@@ -224,6 +224,13 @@ def test_json_format(small_cfg, tmp_path):
     assert doc["rows"][-1][0] == 120.0
     agg = json.load(open(art.aggregate_file))
     assert agg["rows"][0][-1] is None  # mar at step 0 in strict JSON
+
+
+def test_non_finite_numpy_scalars_become_strings(tmp_path):
+    values = [np.float64("nan"), np.float64("inf"), np.float32("-inf"), np.float64(1.5)]
+    assert jsonable(values) == ["nan", "inf", "-inf", 1.5]
+    write_json(str(tmp_path / "doc.json"), {"report": jsonable(values)})
+    assert json.load(open(tmp_path / "doc.json")) == {"report": ["nan", "inf", "-inf", 1.5]}
 
 
 def test_horizon_zero(tmp_path):

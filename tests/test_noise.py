@@ -174,11 +174,10 @@ def test_bound_check_closed_form_matches_matrices(rng):
 
 def test_measurement_noise_moments(rng):
     gauss = MeasurementNoise(kind="gaussian", std=2.0)
-    assert gauss.second_moment(5) == pytest.approx(20.0)
     draws = gauss.sample(rng, 200_000)
     assert abs(draws.var() - 4.0) < 0.1
     zero = MeasurementNoise(kind="zero")
-    assert zero.second_moment(7) == 0.0 and np.abs(zero.sample(rng, 7)).max() == 0.0
+    assert np.abs(zero.sample(rng, 7)).max() == 0.0
     with pytest.raises(InvalidInputError):
         MeasurementNoise(kind="laplace")
     for bad in (-1.0, np.nan, np.array([1.0, np.nan])):
@@ -188,7 +187,6 @@ def test_measurement_noise_moments(rng):
 
 def test_channel_noise_moments(rng):
     chan = ChannelNoise(kind="gaussian", std=0.5)
-    assert chan.second_moment(8) == pytest.approx(2.0)
     assert chan.sample(rng, (2, 2, 3)).shape == (2, 2, 3)
     for bad in (-1.0, np.nan, np.inf):
         with pytest.raises(InvalidInputError):

@@ -90,7 +90,7 @@ def test_entrywise_gram_closed_form():
 
 def test_entrywise_gram_matches_monte_carlo(rng):
     rp = _benchmark_entrywise()
-    analytic = conditional_expected_gram(rp, step=0)
+    analytic = conditional_expected_gram(rp)
     mc = monte_carlo_expected_gram(rp, np.zeros(2), 0, ZERO_NOISE, rng, samples=20_000)
     # every Gram entry is a mean of variables bounded by 2.25 (entries of H
     # sit in [0, 1.5]), so Var <= 2.25^2/4 and 3 SE < 0.024
@@ -139,18 +139,16 @@ def test_ar_requires_history(rng):
 def test_expected_grams_are_psd(rng):
     for rp in (_benchmark_entrywise(),
                bernoulli_failure_regression([np.array([[1.0, -1.0]])], 0.4)):
-        g = conditional_expected_gram(rp, step=0)
+        g = conditional_expected_gram(rp)
         vals = np.linalg.eigvalsh(0.5 * (g + g.T))
         assert vals.min() > -1e-12
 
 
 def test_spatio_temporal_gram_is_window_sum():
     rp = _benchmark_entrywise()
-    per_step = sum(conditional_expected_node_gram(rp, i, 0) for i in range(rp.nodes))
-    window = spatio_temporal_gram(rp, window_index=0, window=3)
+    per_step = sum(conditional_expected_node_gram(rp, i) for i in range(rp.nodes))
+    window = spatio_temporal_gram(rp, window=3)
     assert np.allclose(window, 3 * per_step)
-    # stationary process: every window identical
-    assert np.allclose(spatio_temporal_gram(rp, 7, 3), window)
 
 
 def test_freeze_regression_fixes_the_draw(rng):

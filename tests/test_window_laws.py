@@ -30,7 +30,6 @@ from netlms.linalg import ordered_sum, sym_eigenvalues
 from netlms.regression import (
     conditional_expected_gram,
     conditional_expected_node_gram,
-    fixed_regression,
     spatio_temporal_gram,
 )
 
@@ -58,8 +57,8 @@ def per_step_series(cfg, windows):
     rp = cfg.regression.to_process(cfg.nodes, cfg.dim)
     gains = GainSchedule.from_config(cfg)
     h, rho0 = cfg.excitation.window, cfg.excitation.rho0
-    gram = conditional_expected_gram(rp, 0)
-    gram_min = float(sym_eigenvalues(spatio_temporal_gram(rp, 0, h))[0])
+    gram = conditional_expected_gram(rp)
+    gram_min = float(sym_eigenvalues(spatio_temporal_gram(rp, h))[0])
     states = tuple(range(len(gp.states))) if gp.kind == "markov-switching" else (None,)
     edges = [0, *range(1, windows, 64), windows]
     blocks = []
@@ -112,7 +111,7 @@ def test_window_pass_matches_per_step_laplacians(cfg, first, count):
     rp = cfg.regression.to_process(cfg.nodes, cfg.dim)
     gains = GainSchedule.from_config(cfg)
     h = cfg.excitation.window
-    gram = conditional_expected_gram(rp, 0)
+    gram = conditional_expected_gram(rp)
     ks = range(first, first + count)
     states = tuple(range(len(gp.states))) if gp.kind == "markov-switching" else (None,)
     laws = window_sym_laplacians(gp, h)
@@ -185,26 +184,25 @@ def test_audit_evaluates_each_laplacian_law_once(monkeypatch, markov_pair):
         assert len(calls) <= h + 3 * h
 
 
-def _loop_gram(rp, window_index, window):
+def _loop_gram(rp, window):
     out = np.zeros((rp.dim, rp.dim))
-    for step in range(window_index * window, (window_index + 1) * window):
+    for _ in range(window):
         for node in range(rp.nodes):
-            out += conditional_expected_node_gram(rp, node, step)
+            out += conditional_expected_node_gram(rp, node)
     return out
 
 
-def test_spatio_temporal_gram_evaluates_node_grams_once_and_sums_in_loop_order(monkeypatch):
+def test_spatio_temporal_gram_evaluates_node_grams_once_and_scales_the_one_step_sum(monkeypatch):
     cfg = get_preset("regret")
     rp = cfg.regression.to_process(cfg.nodes, cfg.dim)
+    window = 10_001
     calls = _count_calls(monkeypatch, regression, "conditional_expected_node_gram")
-    spatio_temporal_gram(rp, 0, 10_001)
+    gram = spatio_temporal_gram(rp, window)
     assert len(calls) == rp.nodes
     monkeypatch.undo()
-    # a 1 x 1 Gram too, where numpy's own reduce would sum pairwise
-    rng = np.random.default_rng(3)
-    scalar = fixed_regression([rng.normal(size=(1, 1)) * 10.0 ** rng.integers(-6, 6) for _ in range(3)])
-    block = regression._GRAM_BLOCK
-    for process in (rp, scalar):
-        for window in (1, 2, block - 1, block, block + 1, 10_001):
-            assert np.array_equal(spatio_temporal_gram(process, 0, window), _loop_gram(process, 0, window))
-        assert np.array_equal(spatio_temporal_gram(process, 4, 3), _loop_gram(process, 4, 3))
+    grams = [conditional_expected_node_gram(rp, i) for i in range(rp.nodes)]
+    one_step = ordered_sum(np.stack(grams), 0)
+    assert np.array_equal(gram, window * one_step)
+    # the step-by-step loop drifts by its own rounding, about 1e-13 over this window
+    loop = _loop_gram(rp, window)
+    assert np.linalg.norm(gram - loop) <= 1e-13 * np.linalg.norm(loop)
