@@ -192,7 +192,7 @@ def _loop_gram(rp, window):
     return out
 
 
-def test_spatio_temporal_gram_evaluates_node_grams_once_and_scales_the_one_step_sum(monkeypatch):
+def test_spatio_temporal_gram_evaluates_node_grams_once_and_scales_one_step_sum(monkeypatch):
     cfg = get_preset("regret")
     rp = cfg.regression.to_process(cfg.nodes, cfg.dim)
     window = 10_001
