@@ -46,12 +46,14 @@ def audit_windows(config) -> int:
 
 
 def excitation_payload(report) -> dict:
-    return {"schema": SCHEMA, "report": jsonable(report)}
+    return {"schema": SCHEMA, "report": report}
 
 
 def jsonable(obj):
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, dict):
+        return {k: jsonable(v) for k, v in obj.items()}
     if isinstance(obj, np.ndarray):
         return [jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (list, tuple)):
@@ -66,7 +68,7 @@ def jsonable(obj):
 
 def _json_text(payload) -> str:
     """The text of a JSON artifact, newline-terminated."""
-    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    return json.dumps(jsonable(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def write_json(path: str, payload) -> None:

@@ -34,8 +34,8 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Callable
 
 from . import graphs, regression
-from .errors import ConfigError, NetlmsError
-from .noise import NOISE_KINDS, ChannelNoise, MeasurementNoise, NoiseIntensity
+from .errors import ConfigError, InvalidInputError
+from .noise import NOISE_KINDS
 
 __all__ = [
     "GraphConfig",
@@ -98,15 +98,6 @@ class NoiseConfig:
     sigma_f: float = 0.1
     b_f: float = 0.1
 
-    def measurement(self) -> MeasurementNoise:
-        return MeasurementNoise(kind=self.measurement_kind, std=self.measurement_std)
-
-    def channel(self) -> ChannelNoise:
-        return ChannelNoise(kind=self.channel_kind, std=self.channel_std)
-
-    def intensity(self) -> NoiseIntensity:
-        return NoiseIntensity(sigma=self.sigma_f, bias=self.b_f)
-
 
 @dataclass(frozen=True)
 class GainConfig:
@@ -149,10 +140,9 @@ class ExperimentConfig:
     out: str = ""
 
     def validate(self) -> "ExperimentConfig":
-        """Check the config against the model's premises and build every
-        model object it describes; a failure is a :class:`ConfigError`
-        that names the section, and the key where one key is at fault."""
-        from .estimator import SimulationModel
+        """Check the config against the model's premises and build the
+        processes it describes; a failure is a :class:`ConfigError` that
+        names the section, and the key where one key is at fault."""
 
         def fail(msg):
             raise ConfigError(msg)
@@ -188,11 +178,13 @@ class ExperimentConfig:
                     fail(f"[{section}] {f.name} must be finite and nonnegative, got {value!r}")
         if self.excitation.window < 1:
             fail("[excitation] window must be positive")
-        try:
-            model = SimulationModel.from_config(self)
-        except NetlmsError as exc:  # surface process-level validation as config errors
-            raise ConfigError(str(exc)) from exc
-        gp, rp = model.graph, model.regression
+        section = "graph"
+        try:  # surface process-level validation as config errors
+            gp = self.graph.to_process(self.nodes)
+            section = "regression"
+            rp = self.regression.to_process(self.nodes, self.dim)
+        except InvalidInputError as exc:
+            raise ConfigError(f"[{section}] {exc}") from exc
         if gp.nodes != self.nodes:
             fail(f"[graph] describes {gp.nodes} nodes but [model] has {self.nodes}")
         if rp.nodes != self.nodes:
@@ -316,9 +308,9 @@ class _Kind:
     keys: tuple[_Key, ...]
 
 
-def _kind(kinds: dict[str, _Kind], section: str, kind: str) -> _Kind:
+def _kind(kinds: dict[str, _Kind], section: str, kind: str, line: int | None = None) -> _Kind:
     if kind not in kinds:
-        raise ConfigError(f"[{section}] unknown kind {kind!r}")
+        raise ConfigError(f"[{section}] unknown kind {kind!r}", line)
     return kinds[kind]
 
 
@@ -390,8 +382,8 @@ class _Section:
     cls: type | None = None
     kinds: dict[str, _Kind] | None = None
 
-    def kind_keys(self, kind) -> tuple[_Key, ...]:
-        return _kind(self.kinds, self.name, kind).keys if self.kinds else ()
+    def kind_keys(self, kind, line: int | None = None) -> tuple[_Key, ...]:
+        return _kind(self.kinds, self.name, kind, line).keys if self.kinds else ()
 
 
 _SECTIONS = {
@@ -453,8 +445,8 @@ class _SectionView:
         if not key.count:
             return self._value(key.name, key.type, key.default, got)
         count = got["nodes"] if key.count == _PER_NODE else self._value(key.count, "int", _REQUIRED, got)
-        if count < 1:
-            raise ConfigError(f"[{self.name}] {key.count} must be positive")
+        if count < 1:  # [model] nodes or [graph] states, keys of this section
+            raise ConfigError(f"[{self.name}] {key.count} must be positive", self.entries[key.count][1])
         return tuple(
             self._value(f"{key.name}{i}", key.type, _REQUIRED, got) for i in range(1, count + 1)
         )
@@ -488,7 +480,7 @@ def _split_sections(text: str) -> dict[str, dict[str, tuple[str, int]]]:
             continue
         if line.startswith("["):
             if not line.endswith("]"):
-                raise ConfigError("malformed section header", lineno)
+                raise ConfigError(f"malformed section header {line!r}", lineno)
             name = line[1:-1].strip()
             if name not in _SECTIONS:
                 raise ConfigError(f"unknown section [{name}]", lineno)
@@ -496,13 +488,13 @@ def _split_sections(text: str) -> dict[str, dict[str, tuple[str, int]]]:
                 raise ConfigError(f"duplicate section [{name}]", lineno)
             current = sections.setdefault(name, {})
             continue
-        if "=" not in line:
-            raise ConfigError("expected 'key = value' or '[section]'", lineno)
         if current is None:
             raise ConfigError("key outside any section", lineno)
+        if "=" not in line:
+            raise ConfigError(f"[{name}] expected 'key = value' or '[section]'", lineno)
         key, value = (part.strip() for part in line.split("=", 1))
         if not key:
-            raise ConfigError("empty key", lineno)
+            raise ConfigError(f"[{name}] empty key", lineno)
         if key in current:
             raise ConfigError(f"duplicate key '{key}'", lineno)
         current[key] = (value, lineno)
@@ -522,7 +514,8 @@ def parse_config(text: str) -> ExperimentConfig:
         scope = ChainMap(got, top)
         for key in section.keys:
             got[key.attr] = view.take(key, scope)
-        for key in section.kind_keys(got["kind"] if section.kinds else None):
+        kind_line = view.entries["kind"][1] if section.kinds else None
+        for key in section.kind_keys(got.get("kind"), kind_line):
             got[key.attr] = view.take(key, scope)
         view.finish()
         if section.cls:

@@ -363,6 +363,7 @@ class SimulationModel:
     @classmethod
     def from_config(cls, config: ExperimentConfig) -> "SimulationModel":
         rp = config.regression.to_process(config.nodes, config.dim)
+        noise = config.noise
         ar_init = None
         if rp.kind == "ar-driven":
             ar_init = (
@@ -373,9 +374,9 @@ class SimulationModel:
         return cls(
             graph=config.graph.to_process(config.nodes),
             regression=rp,
-            measurement=config.noise.measurement(),
-            channel=config.noise.channel(),
-            intensity=config.noise.intensity(),
+            measurement=MeasurementNoise(kind=noise.measurement_kind, std=noise.measurement_std),
+            channel=ChannelNoise(kind=noise.channel_kind, std=noise.channel_std),
+            intensity=NoiseIntensity(sigma=noise.sigma_f, bias=noise.b_f),
             gains=GainSchedule.from_config(config),
             x0=np.asarray(config.x0, dtype=float),
             init=np.asarray(config.init, dtype=float),

@@ -27,7 +27,7 @@ from functools import reduce
 import numpy as np
 
 from .config import ExperimentConfig
-from .errors import InvalidInputError, UnsupportedAnalyticError
+from .errors import InvalidInputError
 from .estimator import GainSchedule
 from .graphs import (
     GraphProcess,
@@ -212,16 +212,14 @@ def _bound_rhs(lambda2, gram_min: float, nodes: int, window: int, rho0: float):
 
 def _bound_premises(regression_process: RegressionProcess, gamma1: Gamma1Report, rho0: float):
     """The lower bound's premises, the same for every window: ``rho0``
-    dominates the Gram norm, and the graph process is balanced."""
+    dominates the Gram norm, and the graph process is balanced.  A process
+    without a closed-form Gram norm bound raises rather than pass."""
     premise_ok = True
     note = ""
-    try:
-        sup_gram = support_gram_norm_bound(regression_process)
-        if sup_gram > rho0:
-            premise_ok = False
-            note = f"sup ||H^T H|| bound {sup_gram:.6g} exceeds rho0 = {rho0:.6g}"
-    except UnsupportedAnalyticError:
-        note = "Gram norm premise not checkable in closed form for this process"
+    sup_gram = support_gram_norm_bound(regression_process)
+    if sup_gram > rho0:
+        premise_ok = False
+        note = f"sup ||H^T H|| bound {sup_gram:.6g} exceeds rho0 = {rho0:.6g}"
     if not gamma1.member:
         premise_ok = False
         note = (note + "; " if note else "") + f"graph process outside the balanced class: {gamma1.detail}"

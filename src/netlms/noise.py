@@ -9,6 +9,10 @@ norm) and ``xi_ji`` is an n-vector of i.i.d. channel noise.  The stacked
 forms ``W`` and ``M`` reproduce exactly the consensus-noise term
 ``W M xi`` of the compact recursion, with ``xi`` laid out receiver-major:
 entry block ``(i, j)`` of ``xi`` is ``xi_ji``.
+
+Measurement noise ``v_i(k)`` and channel noise ``xi_ji(k)`` follow one
+i.i.d. law, zero or Gaussian with a scalar standard deviation:
+:class:`ChannelNoise` is :class:`MeasurementNoise` under its own name.
 """
 
 from __future__ import annotations
@@ -66,36 +70,15 @@ class NoiseIntensity:
 
 @dataclass(frozen=True)
 class MeasurementNoise:
-    """Additive observation noise; ``kind`` is ``"zero"`` or ``"gaussian"``.
-
-    ``std`` may be a scalar or a per-component array.
-    """
-
-    kind: str = "gaussian"
-    std: float | np.ndarray = 1.0
-
-    def __post_init__(self):
-        if self.kind not in NOISE_KINDS:
-            raise InvalidInputError(f"unknown measurement-noise kind {self.kind!r}")
-        if not _finite_nonnegative(self.std):
-            raise InvalidInputError("std must be finite and nonnegative")
-
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        if self.kind == "zero":
-            return np.zeros(size)
-        return rng.standard_normal(size) * self.std
-
-
-@dataclass(frozen=True)
-class ChannelNoise:
-    """I.i.d. link noise; ``kind`` is ``"zero"`` or ``"gaussian"``."""
+    """I.i.d. additive observation noise ``v_i(k)``: ``kind`` is
+    ``"zero"`` or ``"gaussian"`` with standard deviation ``std``."""
 
     kind: str = "gaussian"
     std: float = 1.0
 
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
-            raise InvalidInputError(f"unknown channel-noise kind {self.kind!r}")
+            raise InvalidInputError(f"unknown noise kind {self.kind!r}")
         if not _finite_nonnegative(self.std):
             raise InvalidInputError("std must be finite and nonnegative")
 
@@ -103,6 +86,10 @@ class ChannelNoise:
         if self.kind == "zero":
             return np.zeros(shape)
         return rng.standard_normal(shape) * self.std
+
+
+class ChannelNoise(MeasurementNoise):
+    """I.i.d. link noise ``xi_ji``, with the law of :class:`MeasurementNoise`."""
 
 
 def received_messages(states, intensity: NoiseIntensity, xi: np.ndarray) -> np.ndarray:

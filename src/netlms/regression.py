@@ -18,7 +18,8 @@ matrix ``H_i(k)`` of shape ``(n_i, n)``.  Process kinds:
 
 Every draw goes through :func:`regression_block`, which returns the
 stacked matrices and measurements of a block of consecutive steps for a
-batch of runs; one step is a block of one.
+batch of runs; one step is a block of one.  A :class:`RegressionProcess`
+holds only its law's parameters, and each block stacks them anew.
 
 Fixed, entrywise-uniform and bernoulli-failure have closed-form
 conditional Grams, the same at every step; ar-driven does not (its
@@ -28,7 +29,8 @@ explicit Monte Carlo helper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -65,47 +67,19 @@ class RegressionProcess:
     low: float = 0.0
     high: float = 1.0
     active_prob: float = 1.0
-    # stacked-row offset of each node's block, derived from node_dims
-    offsets: tuple[int, ...] = field(default=(), repr=False)
-    # sampling fast path: stacked constant part, flat indices of the random
-    # cells, their coefficients, and the node index of every stacked row
-    _stacked: np.ndarray | None = field(default=None, repr=False)
-    _active_flat: np.ndarray | None = field(default=None, repr=False)
-    _active_scale: np.ndarray | None = field(default=None, repr=False)
-    _row_node: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise InvalidInputError(f"unknown regression kind {self.kind!r}")
-        setattr_ = object.__setattr__
-        setattr_(self, "offsets", _offsets(self.node_dims))
-        setattr_(self, "_row_node", np.repeat(np.arange(self.nodes), self.node_dims))
-        if self.kind == "fixed":
-            setattr_(self, "_stacked", _lock(np.concatenate(self.h_nodes, axis=0)))
-        elif self.kind == "entrywise-uniform":
-            setattr_(self, "_stacked", _lock(np.concatenate(self.base, axis=0)))
-            coef = np.concatenate(self.coef, axis=0)
-            flat = np.flatnonzero(coef)
-            setattr_(self, "_active_flat", flat)
-            setattr_(self, "_active_scale", coef.ravel()[flat].copy())
-        elif self.kind == "bernoulli-failure":
-            setattr_(self, "_stacked", _lock(np.concatenate(self.coef, axis=0)))
+
+    @property
+    def offsets(self) -> tuple[int, ...]:
+        """Stacked-row offset of each node's block, then the row total."""
+        return tuple(accumulate(self.node_dims, initial=0))
 
     @property
     def total_rows(self) -> int:
         return sum(self.node_dims)
-
-
-def _offsets(node_dims) -> tuple[int, ...]:
-    out = [0]
-    for d in node_dims:
-        out.append(out[-1] + d)
-    return tuple(out)
-
-
-def _lock(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
 
 
 def _check_h_list(h_list, name: str) -> tuple[tuple[np.ndarray, ...], int]:
@@ -188,24 +162,26 @@ def ar_driven_regression(nodes: int, order: int) -> RegressionProcess:
 def _regressor_block(process: RegressionProcess, count: int, rngs) -> np.ndarray:
     """Stacked observation matrices ``(count, sum n_i, n, R)``, runs last,
     of the kinds drawn independently per step (all but ar-driven)."""
-    shape = (count, *process._stacked.shape, len(rngs))
+    if process.kind == "bernoulli-failure":
+        # one draw per node and step; row r of the stack belongs to node row_node[r]
+        active = np.stack([rng.random((count, process.nodes)) for rng in rngs], axis=-1)
+        active = active < process.active_prob
+        row_node = np.repeat(np.arange(process.nodes), process.node_dims)
+        return np.concatenate(process.coef)[None, :, :, None] * active[:, row_node, None]
+    stacked = np.concatenate(process.h_nodes if process.kind == "fixed" else process.base)
+    constant = np.broadcast_to(stacked[None, :, :, None], (count, *stacked.shape, len(rngs)))
     if process.kind == "fixed":
-        # constant and write-locked, so every step can share it
-        return np.broadcast_to(process._stacked[None, :, :, None], shape)
-    if process.kind == "entrywise-uniform":
-        out = np.array(np.broadcast_to(process._stacked[None, :, :, None], shape))
-        idx = process._active_flat
-        if idx.size:
-            # fresh uniform per random cell, in stacked row-major order
-            u = np.stack([rng.random((count, idx.size)) for rng in rngs], axis=-1)
-            u *= process.high - process.low
-            u += process.low
-            out.reshape(count, -1, len(rngs))[:, idx] += process._active_scale[:, None] * u
-        return out
-    # bernoulli-failure: one draw per node and step
-    active = np.stack([rng.random((count, process.nodes)) for rng in rngs], axis=-1)
-    active = active < process.active_prob
-    return process._stacked[None, :, :, None] * active[:, process._row_node, None]
+        return constant  # a read-only view that every step shares
+    out = np.array(constant)
+    coef = np.concatenate(process.coef).ravel()
+    idx = np.flatnonzero(coef)
+    if idx.size:
+        # fresh uniform per random cell, in stacked row-major order
+        u = np.stack([rng.random((count, idx.size)) for rng in rngs], axis=-1)
+        u *= process.high - process.low
+        u += process.low
+        out.reshape(count, -1, len(rngs))[:, idx] += coef[idx, None] * u
+    return out
 
 
 def _check_ar_history(process: RegressionProcess, ar_history, *runs: int) -> np.ndarray:

@@ -47,7 +47,6 @@ class RegretSeries:
     mar: np.ndarray
     mean_v: np.ndarray
     runs: int
-    tau: float
 
 
 @dataclass(frozen=True)
@@ -125,8 +124,7 @@ def _summary(runs, steps, tau: float) -> RegretSeries:
     t = np.asarray(steps, dtype=float)
     norm = np.where(t >= 2, t ** (1.0 - tau) * np.log(t), 1.0)
     mar = np.where(t >= 2, np.max(mean, axis=-1) / norm, np.nan)
-    return RegretSeries(steps=steps, regret=mean, regret_se=se, mar=mar, mean_v=mean_v,
-                        runs=count, tau=float(tau))
+    return RegretSeries(steps=steps, regret=mean, regret_se=se, mar=mar, mean_v=mean_v, runs=count)
 
 
 def _check_records(records) -> list[TrajectoryRecord]:

@@ -43,8 +43,15 @@ def test_one_benchmark_round_passes_its_checks(worker, workload, tmp_path):
 def test_traced_round_can_wrap_every_public_name():
     """``Tracer.install`` looks up every ``__all__`` name of every netlms
     module and the traced noise methods, so a stale export crashes each
-    ``--trace 1`` round; it runs in a child to keep this process unwrapped."""
-    code = "import netlms; from tracer import Tracer; Tracer().install()"
+    ``--trace 1`` round; it runs in a child to keep this process unwrapped.
+    The channel-noise layer must count channel draws only, so wrapping
+    ``ChannelNoise.sample`` must leave ``MeasurementNoise.sample`` alone."""
+    code = (
+        "import netlms; from tracer import Tracer; Tracer().install(); "
+        "from netlms.noise import ChannelNoise, MeasurementNoise; "
+        "assert hasattr(ChannelNoise.sample, '__wrapped__'), 'ChannelNoise.sample not wrapped'; "
+        "assert not hasattr(MeasurementNoise.sample, '__wrapped__'), 'MeasurementNoise.sample wrapped'"
+    )
     path = f"import sys; sys.path[:0] = [{str(SRC)!r}, {str(PERFBENCH)!r}]; "
     done = subprocess.run([sys.executable, "-B", "-c", path + code],
                           capture_output=True, text=True, timeout=120)

@@ -241,6 +241,74 @@ def test_a_field_its_kind_does_not_read_is_rejected(section, change, message):
     assert message in str(err.value)
 
 
+IID_GRAPH = "kind = iid-uniform\nlow = 0.0\nhigh = 1.0"
+FIXED_REGRESSION = "kind = fixed\nh_1 = 1.0 0.0\nh_2 = 0.0 1.0"
+
+
+def _extra_regression_node(cfg):
+    rows = cfg.regression.h_nodes + (((1.0, 1.0),),)
+    return dataclasses.replace(cfg, regression=dataclasses.replace(cfg.regression, h_nodes=rows))
+
+
+# each case changes one thing in MINIMAL: an (old, new) text edit, or a
+# function of the parsed config where the parser cannot produce the input;
+# the message must hold every fragment, and a parser error must carry the
+# number of the given line
+CONFIG_ERRORS = [
+    # ExperimentConfig.validate
+    pytest.param(("horizon = 10", "horizon = 10\nseed = -1"), ["[experiment] seed"], None, id="seed"),
+    pytest.param(("horizon = 10", "horizon = -1"), ["[experiment] horizon"], None, id="horizon"),
+    pytest.param(("horizon = 10", "horizon = 10\nruns = 0"), ["[experiment] runs"], None, id="runs"),
+    pytest.param(("horizon = 10", "horizon = 10\nrecord_every = 0"), ["[experiment] record_every"],
+                 None, id="record_every"),
+    pytest.param(("dim = 2", "dim = 0"), ["[model] nodes and dim"], None, id="dim"),
+    pytest.param(("node_dims = 1 1", "node_dims = 1 1 1"), ["[model] node_dims"], None, id="node_dims"),
+    pytest.param(("init_1 = 0.0 0.0", "init_1 = 0.0"), ["[model]", "init_1"], None, id="init"),
+    pytest.param(("[gains]", "[excitation]\nwindow = 0\n\n[gains]"), ["[excitation] window"], None,
+                 id="window"),
+    pytest.param((IID_GRAPH, "kind = fixed\nadjacency = 1 1 ; 1 0"),
+                 ["[graph] adjacency has nonzero diagonal entries"], None, id="process-error"),
+    pytest.param((IID_GRAPH, "kind = fixed\nadjacency = 0 1 1 ; 1 0 1 ; 1 1 0"),
+                 ["[graph] describes 3 nodes", "[model] has 2"], None, id="graph-nodes"),
+    pytest.param(_extra_regression_node, ["[regression] describes 3 nodes", "[model] has 2"], None,
+                 id="regression-nodes"),
+    pytest.param(("h_1 = 1.0 0.0\nh_2 = 0.0 1.0", "h_1 = 1.0 0.0 0.0\nh_2 = 0.0 1.0 0.0"),
+                 ["[regression] column count 3", "dim 2"], None, id="regression-columns"),
+    pytest.param((FIXED_REGRESSION, "kind = ar-driven\nar_init = 0 0 0 ; 0 0 0"),
+                 ["[regression] ar_init"], None, id="ar_init"),
+    # the parser
+    pytest.param(("kind = iid-uniform", "kind = bogus"), ["[graph] unknown kind 'bogus'"],
+                 "kind = bogus", id="unknown-kind"),
+    pytest.param(("nodes = 2", "nodes = 0"), ["[model] nodes must be positive"], "nodes = 0",
+                 id="node-count"),
+    pytest.param((IID_GRAPH, "kind = markov-switching\nstates = 0\ntransition = 1"),
+                 ["[graph] states must be positive"], "states = 0", id="state-count"),
+    pytest.param(("[graph]", "[graph"), ["malformed section header", "'[graph'"], "[graph",
+                 id="malformed-header"),
+    pytest.param(("[gains]", "[graph]  # again\n[gains]"), ["duplicate section [graph]"],
+                 "[graph]  # again", id="duplicate-section"),
+    pytest.param(("low = 0.0", "low 0.0"), ["[graph] expected 'key = value'"], "low 0.0",
+                 id="no-equals"),
+    pytest.param(("low = 0.0", "= 0.0"), ["[graph] empty key"], "= 0.0", id="empty-key"),
+]
+
+
+@pytest.mark.parametrize("edit, fragments, line", CONFIG_ERRORS)
+def test_each_config_error_names_its_section_key_and_line(edit, fragments, line):
+    if callable(edit):
+        with pytest.raises(ConfigError) as err:
+            edit(parse_config(MINIMAL)).validate()
+    else:
+        old, new = edit
+        assert MINIMAL.count(old) == 1
+        text = MINIMAL.replace(old, new)
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+    for fragment in fragments:
+        assert fragment in str(err.value)
+    assert err.value.line == (None if line is None else text.splitlines().index(line) + 1)
+
+
 # ---------------------------------------------------------------------------
 # round trip over every graph and regression kind
 

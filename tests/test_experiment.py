@@ -233,6 +233,15 @@ def test_non_finite_numpy_scalars_become_strings(tmp_path):
     assert json.load(open(tmp_path / "doc.json")) == {"report": ["nan", "inf", "-inf", 1.5]}
 
 
+def test_nested_dict_values_become_strings(tmp_path):
+    """``write_json`` converts a payload dict all the way down."""
+    payload = {"s": [np.float64("nan")], "inner": {"hi": np.float64("inf"), "lo": (np.float32("-inf"), 2)}}
+    expected = {"s": ["nan"], "inner": {"hi": "inf", "lo": ["-inf", 2]}}
+    assert jsonable(payload) == expected
+    write_json(str(tmp_path / "doc.json"), payload)
+    assert json.load(open(tmp_path / "doc.json")) == expected
+
+
 def test_horizon_zero(tmp_path):
     cfg = with_overrides(get_preset("setting-ii"), horizon=0, runs=1)
     art = run_experiment(cfg, out_dir=str(tmp_path))
