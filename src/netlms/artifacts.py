@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 
 import numpy as np
 
@@ -49,20 +50,34 @@ def excitation_payload(report) -> dict:
     return {"schema": SCHEMA, "report": report}
 
 
+_PLAIN = (str, int, bool, type(None))
+
+
 def jsonable(obj):
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    """``obj`` as plain JSON values: dataclasses and dicts become dicts,
+    arrays, lists and tuples lists, numpy scalars Python numbers, and
+    non-finite floats the strings of the module docstring."""
+    if isinstance(obj, float):
+        if math.isfinite(obj):
+            return float(obj)
+        # JSON has no Infinity/NaN literals that survive strict parsers.
+        return "nan" if obj != obj else ("inf" if obj > 0 else "-inf")
+    if type(obj) in _PLAIN:
+        return obj
     if isinstance(obj, dict):
         return {k: jsonable(v) for k, v in obj.items()}
     if isinstance(obj, np.ndarray):
+        # one tolist() gives plain Python numbers; only a non-finite
+        # float needs an element's own conversion
+        if obj.dtype.kind in "biu" or (obj.dtype.kind == "f" and np.isfinite(obj).all()):
+            return obj.tolist()
         return [jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, np.generic):
         return jsonable(obj.item())
-    if isinstance(obj, float) and not np.isfinite(obj):
-        # JSON has no Infinity/NaN literals that survive strict parsers.
-        return "nan" if obj != obj else ("inf" if obj > 0 else "-inf")
     return obj
 
 

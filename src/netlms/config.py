@@ -314,6 +314,31 @@ def _kind(kinds: dict[str, _Kind], section: str, kind: str, line: int | None = N
     return kinds[kind]
 
 
+# The process builders name their own parameters in their errors; a
+# config reaches them through these two, which reject the same inputs in
+# terms of its keys.
+
+
+def _range(part, lo: str, hi: str) -> tuple[float, float]:
+    """Keys ``lo`` and ``hi`` of ``part`` as a finite range."""
+    low, high = getattr(part, lo), getattr(part, hi)
+    if not (math.isfinite(low) and math.isfinite(high) and low <= high):
+        raise InvalidInputError(
+            f"{lo} and {hi} must be finite with {lo} <= {hi}, got {low!r} and {high!r}"
+        )
+    return low, high
+
+
+def _family(mats, prefix: str):
+    """``mats``, the values of the keys ``prefix1``, ``prefix2``, ..., once
+    each has as many columns as the first."""
+    cols = [len(m[0]) if len(m) else 0 for m in mats]
+    for i, c in enumerate(cols[1:], 2):
+        if c != cols[0]:
+            raise InvalidInputError(f"{prefix}{i} and {prefix}1 differ in column count ({c} vs {cols[0]})")
+    return mats
+
+
 _GRAPH_KINDS = {
     "fixed": _Kind(
         lambda c, nodes: graphs.fixed_graph(c.adjacency),
@@ -321,16 +346,18 @@ _GRAPH_KINDS = {
     ),
     "alternating-uniform": _Kind(
         lambda c, nodes: graphs.alternating_uniform_graph(
-            nodes, (c.even_low, c.even_high), (c.odd_low, c.odd_high)
+            nodes, _range(c, "even_low", "even_high"), _range(c, "odd_low", "odd_high")
         ),
         tuple(_Key(name, "float") for name in ("even_low", "even_high", "odd_low", "odd_high")),
     ),
     "iid-uniform": _Kind(
-        lambda c, nodes: graphs.iid_uniform_graph(nodes, (c.low, c.high)),
+        lambda c, nodes: graphs.iid_uniform_graph(nodes, _range(c, "low", "high")),
         (_Key("low", "float"), _Key("high", "float")),
     ),
     "markov-switching": _Kind(
-        lambda c, nodes: graphs.markov_switching_graph(c.states, c.transition, c.initial_state),
+        lambda c, nodes: graphs.markov_switching_graph(
+            _family(c.states, "state_"), c.transition, c.initial_state
+        ),
         (
             _Key("state_", "matrix", attr="states", count="states"),
             _Key("transition", "matrix"),
@@ -341,11 +368,13 @@ _GRAPH_KINDS = {
 
 _REGRESSION_KINDS = {
     "fixed": _Kind(
-        lambda c, nodes, dim: regression.fixed_regression(c.h_nodes),
+        lambda c, nodes, dim: regression.fixed_regression(_family(c.h_nodes, "h_")),
         (_Key("h_", "matrix", attr="h_nodes", count=_PER_NODE),),
     ),
     "entrywise-uniform": _Kind(
-        lambda c, nodes, dim: regression.entrywise_uniform_regression(c.base, c.coef, c.low, c.high),
+        lambda c, nodes, dim: regression.entrywise_uniform_regression(
+            _family(c.base, "base_"), _family(c.coef, "coef_"), *_range(c, "low", "high")
+        ),
         (
             _Key("base_", "matrix", attr="base", count=_PER_NODE),
             _Key("coef_", "matrix", attr="coef", count=_PER_NODE),
@@ -354,7 +383,9 @@ _REGRESSION_KINDS = {
         ),
     ),
     "bernoulli-failure": _Kind(
-        lambda c, nodes, dim: regression.bernoulli_failure_regression(c.coef, c.active_prob),
+        lambda c, nodes, dim: regression.bernoulli_failure_regression(
+            _family(c.coef, "pattern_"), c.active_prob
+        ),
         (
             _Key("pattern_", "matrix", attr="coef", count=_PER_NODE),
             _Key("active_prob", "float"),

@@ -400,25 +400,30 @@ class ChunkStats:
 
 
 # Steps per chunk: as many as keep a chunk's arrays near this many floats
-# (768 KB), but at least 16.  ``per_step`` counts, per run and step, the
+# (1.5 MB), but at least 16.  ``_step_floats`` counts, per run and step, the
 # fused operator (``n + 2N + 1`` slots per output), the step input ``z``,
-# the channel draws and the regression arrays.  The per-chunk cost is paid
-# per run and source, so one run wants long chunks and a batch short ones.
-# In a sweep of fixed chunk sizes (setting-i for one run, regret with 4000
-# steps for 20 and 50, one BLAS thread, best CPU time of 3 in four passes),
-# one 3e4-step run took 28 us per step at 64 steps, 15 at 491 (its
-# default) and 14-15 at 1024-2048, which peaked 1.4-5.6 MB higher; 20 runs
-# took 7.2 us per run-step at 16 steps, 5.2 at 24 (the default) and
-# 4.1-5.3 at 32-64, which peaked 0.3-2.6 MB higher; 50 runs took 5.0 us at
-# 16 and 4.0 at 64, 8.5 MB higher.
-_CHUNK_FLOATS = 3 << 15
+# the channel draws and the regression arrays; the operator build, where a
+# chunk peaks, holds about that many, and no array outlives its chunk.  The
+# per-chunk cost is paid per run and source, so one run wants long chunks
+# and a batch short ones.  In a sweep of fixed chunk sizes (regret with
+# 4000 steps for 20 runs, setting-i with 3e4 steps for one; one BLAS
+# thread, best CPU time of 3, median of three passes), 20 runs took 5.6 us
+# per run-step at 24 steps, 4.3 at 49 (their default) and 3.7 at 96, with
+# traced peaks of 0.91, 1.78 and 3.22 MB; one run took 13.5 us per step at
+# 491 and at 983 (its default) and 11.7 at 2048, peaking at 0.84, 1.65 and
+# 3.36 MB.  Run to run, these times spread by up to 40 %.
+_CHUNK_FLOATS = 3 << 16
+
+
+def _step_floats(nodes: int, dim: int, rows: int) -> int:
+    """Floats that one step of one run adds to a chunk's arrays."""
+    width = dim * nodes
+    per_step = (dim + 2 * nodes + 1) * width + width + nodes * nodes * (dim + 1) + 1
+    return per_step + rows * (dim + nodes + 2)
 
 
 def _default_chunk(runs: int, nodes: int, dim: int, rows: int) -> int:
-    width = dim * nodes
-    per_step = (dim + 2 * nodes + 1) * width + width + nodes * nodes * (dim + 1) + 1
-    per_step += rows * (dim + nodes + 2)
-    return max(16, _CHUNK_FLOATS // (runs * per_step))
+    return max(16, _CHUNK_FLOATS // (runs * _step_floats(nodes, dim, rows)))
 
 
 def _fused_operator(model, link_noise, start, updates, adj, h, y, xi):
@@ -477,7 +482,7 @@ def simulate(
 
     Each run draws its graph, regressors, measurement noise and channel
     noise from its own per-source substreams (:func:`source_streams`), in
-    blocks of :func:`_default_chunk` steps.  Every draw is exogenous: only
+    chunks of :func:`_default_chunk` steps.  Every draw is exogenous: only
     the link intensity ``f(x)`` depends on the estimates, and it scales
     pre-drawn channel noise.  So the recursion
 
@@ -503,6 +508,12 @@ def simulate(
     one take of ``z`` into the operator's slots, one multiply and one
     ordered sum over the slots.  The values of a run depend neither on
     the block size nor on the other runs of the batch.
+
+    One call handles one chunk, from its draws to its statistics, and
+    only the state, the graph and ar-driven histories and the running
+    excess sum outlive it; the operator dies with the step loop, before
+    the statistics.  So the peak holds one chunk's arrays, about
+    :func:`_step_floats` floats per run and step.
 
     ``on_chunk`` receives one :class:`ChunkStats` per chunk, in step
     order; rows ``0..horizon`` are covered, row ``horizon`` without an
@@ -552,44 +563,19 @@ def simulate(
     sender_x, receiver_x = pairs
     sq_diff = sender_x.reshape(dim, n_nodes * n_nodes, runs)
 
-    x = np.repeat(model.init.T[:, :, None], runs, axis=2)
-    graph_rngs, regression_rngs, noise_rngs, channel_rngs = zip(*streams)
-    graph_state = None
-    ar_hist = None if model.ar_init is None else np.repeat(model.ar_init[:, :, None], runs, axis=2)
-    tally = BoundTally(runs) if check_bounds else None
-    carry_excess = np.zeros((n_nodes, runs))
     add = np.add.reduce
-    for start in range(0, horizon + 1, chunk):
-        count = min(chunk, horizon + 1 - start)
-        updates = min(count, horizon - start)
 
-        adj, graph_state = graph_block(gp, start, count, graph_rngs, graph_state)
-        noise = np.stack([model.measurement.sample(g, (count, rows)) for g in noise_rngs], axis=-1)
-        h, y_clean, y, ar_hist = regression_block(rp, x0, count, regression_rngs, noise, ar_hist)
-        del noise
-        # channel noise indexed (step, sender j, component, receiver i, run)
-        shape = (count, n_nodes, n_nodes, dim)
-        xi = np.stack(
-            [model.channel.sample(g, shape).transpose(0, 2, 3, 1) for g in channel_rngs], axis=-1
-        )
-
-        op = _fused_operator(model, link_noise, start, updates, adj, h, y, xi)
-        # release what only the operator reads, and below the operator
-        # itself, before the next chunk's draws: this keeps peak memory down
-        del xi, y
-
+    def run_steps(op, x, count):
+        """The states ``(count + 1, n, N, R)`` of a chunk from ``x``, its
+        updates applied.  Only this frame holds the operator, so the
+        operator and the loop's views of it die when it returns."""
         # z[k] is the input of step start + k; one spare row for the state
         # after the chunk's last update
         z = np.empty((count + 1, inputs, runs))
         z[:, -1] = 1.0
         states = z[:, :width].reshape(count + 1, dim, n_nodes, runs)
         states[0] = x
-        steps = zip(
-            op.reshape(updates, len(gather), width, runs),
-            z,
-            z[1:, :width],
-            z[:, width:-1],
-        )
+        steps = zip(op.reshape(len(op), len(gather), width, runs), z, z[1:, :width], z[:, width:-1])
         # the calls take out by position and use ndarray.take, not
         # np.take: at R = 1 a keyword out costs about 0.7 us per call and
         # np.take's wrapper about 2 us
@@ -603,7 +589,29 @@ def simulate(
             z_j.take(gather, 0, gathered, "clip")
             np.multiply(op_j, gathered, gathered)
             add(gathered, 0, None, next_x)
-        del steps, op
+        return states
+
+    def run_chunk(start, x, graph_state, ar_hist, carry_excess):
+        """Draw, advance and fold rows ``start .. start + count - 1`` and
+        hand their :class:`ChunkStats` to ``on_chunk``.  Returns what the
+        next chunk reads: the state after the updates, the graph and
+        ar-driven histories and the running excess sum.  Every other array
+        of the chunk dies on return."""
+        count = min(chunk, horizon + 1 - start)
+        updates = min(count, horizon - start)
+        adj, graph_state = graph_block(gp, start, count, graph_rngs, graph_state)
+        noise = np.stack([model.measurement.sample(g, (count, rows)) for g in noise_rngs], axis=-1)
+        h, y_clean, y, ar_hist = regression_block(rp, x0, count, regression_rngs, noise, ar_hist)
+        del noise
+        # channel noise indexed (step, sender j, component, receiver i, run)
+        shape = (count, n_nodes, n_nodes, dim)
+        xi = np.stack(
+            [model.channel.sample(g, shape).transpose(0, 2, 3, 1) for g in channel_rngs], axis=-1
+        )
+        states = run_steps(_fused_operator(model, link_noise, start, updates, adj, h, y, xi), x, count)
+        # only the operator reads these; the statistics below peak without
+        # them
+        del xi, y
         x = states[updates].copy()
         states = states[:count]
         err = states - x0[:, None, None]
@@ -620,7 +628,6 @@ def simulate(
         cum_excess = excess.copy()
         cum_excess[0] += carry_excess
         cum_excess = np.cumsum(cum_excess, axis=0)
-        carry_excess = cum_excess[-1]
         if tally is not None:
             w_lhs, w_rhs, m_lhs, m_rhs = norm_bound_sides(
                 adj.transpose(0, 3, 1, 2), states.transpose(0, 3, 2, 1), model.intensity, v
@@ -636,6 +643,16 @@ def simulate(
                 cum_excess=cum_excess,
             )
         )
+        return x, graph_state, ar_hist, cum_excess[-1].copy()
+
+    x = np.repeat(model.init.T[:, :, None], runs, axis=2)
+    graph_rngs, regression_rngs, noise_rngs, channel_rngs = zip(*streams)
+    graph_state = None
+    ar_hist = None if model.ar_init is None else np.repeat(model.ar_init[:, :, None], runs, axis=2)
+    tally = BoundTally(runs) if check_bounds else None
+    carry_excess = np.zeros((n_nodes, runs))
+    for start in range(0, horizon + 1, chunk):
+        x, graph_state, ar_hist, carry_excess = run_chunk(start, x, graph_state, ar_hist, carry_excess)
     return np.ascontiguousarray(x.transpose(2, 1, 0)), None if tally is None else tally.reports()
 
 

@@ -309,6 +309,42 @@ def test_each_config_error_names_its_section_key_and_line(edit, fragments, line)
     assert err.value.line == (None if line is None else text.splitlines().index(line) + 1)
 
 
+FIXED_TWO = "kind = fixed\nh_1 = 1.0 0.0\nh_2 = 0.0 1.0"
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("low = 0.0", "low = 2.0", "[graph] low and high must be finite with low <= high, got 2.0 and 1.0"),
+        ("high = 1.0", "high = inf", "[graph] low and high must be finite"),
+        (IID_GRAPH, "kind = alternating-uniform\neven_low = 0.0\neven_high = -1.0\nodd_low = 0.0\n"
+         "odd_high = 1.0", "[graph] even_low and even_high must be finite with even_low <= even_high"),
+        (IID_GRAPH, "kind = alternating-uniform\neven_low = 0.0\neven_high = 1.0\nodd_low = nan\n"
+         "odd_high = 1.0", "[graph] odd_low and odd_high must be finite"),
+        (IID_GRAPH, "kind = markov-switching\nstates = 2\nstate_1 = 0 1 ; 1 0\n"
+         "state_2 = 0 1 1 ; 1 0 1 ; 1 1 0\ntransition = 0.5 0.5 ; 0.5 0.5",
+         "[graph] state_2 and state_1 differ in column count (3 vs 2)"),
+        ("h_2 = 0.0 1.0", "h_2 = 0.0 1.0 0.0", "[regression] h_2 and h_1 differ in column count (3 vs 2)"),
+        (FIXED_TWO, "kind = entrywise-uniform\nbase_1 = 1.0 0.0\nbase_2 = 0.0\n"
+         "coef_1 = 1.0 0.0\ncoef_2 = 0.0 1.0", "[regression] base_2 and base_1 differ in column count"),
+        (FIXED_TWO, "kind = entrywise-uniform\nbase_1 = 1.0 0.0\nbase_2 = 0.0 1.0\n"
+         "coef_1 = 1.0 0.0\ncoef_2 = 0.0 1.0\nlow = 0.5\nhigh = 0.25",
+         "[regression] low and high must be finite with low <= high, got 0.5 and 0.25"),
+        (FIXED_TWO, "kind = bernoulli-failure\npattern_1 = 1.0 0.0\npattern_2 = 0.0 1.0 1.0\n"
+         "active_prob = 0.5", "[regression] pattern_2 and pattern_1 differ in column count (3 vs 2)"),
+    ],
+    ids=["iid-low", "iid-high", "even-range", "odd-range", "state_2", "h_2", "base_2",
+         "regression-range", "pattern_2"],
+)
+def test_process_errors_name_the_config_keys(old, new, message):
+    """A range or a per-node matrix that its process rejects is reported
+    by the keys of the config text, not by the builder's parameters."""
+    assert MINIMAL.count(old) == 1
+    with pytest.raises(ConfigError) as err:
+        parse_config(MINIMAL.replace(old, new))
+    assert message in str(err.value)
+
+
 # ---------------------------------------------------------------------------
 # round trip over every graph and regression kind
 

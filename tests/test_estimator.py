@@ -2,6 +2,7 @@
 node-form/stacked-form equivalence and the batched kernel."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -284,6 +285,28 @@ def _kernel_outputs(cfg, runs):
     fields = [f.name for f in dataclasses.fields(parts[0]) if f.name != "start"]
     stats = {name: np.concatenate([getattr(p, name) for p in parts]) for name in fields}
     return stats, final, reports
+
+
+def test_simulate_holds_one_chunk_at_a_time():
+    """No array outlives its chunk: the traced peak of a 20-run regret
+    batch with bound checks stays within 1.3 times the chunk budget that
+    ``_default_chunk`` sizes chunks by, plus a fixed 128 KB for the
+    generators and the per-run tallies."""
+    cfg = with_overrides(get_preset("regret"), horizon=300, runs=20)
+    rows = sum(cfg.node_dims)
+    chunk = estimator._default_chunk(cfg.runs, cfg.nodes, cfg.dim, rows)
+    budget = chunk * cfg.runs * estimator._step_floats(cfg.nodes, cfg.dim, rows) * 8
+    model = SimulationModel.from_config(cfg)
+    seeds = [np.random.SeedSequence(cfg.seed, spawn_key=(r,)) for r in range(cfg.runs)]
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        simulate(model, seeds, cfg.horizon, lambda stats: None)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert cfg.horizon > 3 * chunk
+    assert peak <= 1.3 * budget + (128 << 10), (peak, budget)
 
 
 def test_chunk_size_does_not_change_a_run(monkeypatch):

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netlms import experiment
-from netlms.artifacts import SCHEMA, jsonable, write_json
+from netlms.artifacts import SCHEMA, _json_text, jsonable, write_json
 from netlms.config import (
     GraphConfig,
     NoiseConfig,
@@ -240,6 +240,73 @@ def test_nested_dict_values_become_strings(tmp_path):
     assert jsonable(payload) == expected
     write_json(str(tmp_path / "doc.json"), payload)
     assert json.load(open(tmp_path / "doc.json")) == expected
+
+
+@dataclasses.dataclass(frozen=True)
+class _Margin:
+    value: float
+    steps: tuple
+
+
+def test_json_text_is_pinned():
+    """The text of a JSON artifact, byte for byte: arrays that are all
+    finite and those with non-finite entries, numpy scalars, tuples,
+    nested dicts and a dataclass."""
+    payload = {
+        "nested": {"x": np.float64(0.1), "pair": (1, np.float64("inf"), "s"), "flag": True,
+                   "none": None},
+        "arrays": [np.array([0.5, np.nan]), np.array([[np.inf], [-np.inf]]), np.arange(2),
+                   np.array([0.1], dtype=np.float32)],
+        "tuple": (np.float32(-np.inf), float("nan"), 2.5),
+        "margin": _Margin(np.float64(-0.0), (np.float64(1e-300), np.nan)),
+    }
+    assert _json_text(payload) == (
+        "{\n"
+        '  "arrays": [\n'
+        "    [\n"
+        "      0.5,\n"
+        '      "nan"\n'
+        "    ],\n"
+        "    [\n"
+        "      [\n"
+        '        "inf"\n'
+        "      ],\n"
+        "      [\n"
+        '        "-inf"\n'
+        "      ]\n"
+        "    ],\n"
+        "    [\n"
+        "      0,\n"
+        "      1\n"
+        "    ],\n"
+        "    [\n"
+        "      0.10000000149011612\n"
+        "    ]\n"
+        "  ],\n"
+        '  "margin": {\n'
+        '    "steps": [\n'
+        "      1e-300,\n"
+        '      "nan"\n'
+        "    ],\n"
+        '    "value": -0.0\n'
+        "  },\n"
+        '  "nested": {\n'
+        '    "flag": true,\n'
+        '    "none": null,\n'
+        '    "pair": [\n'
+        "      1,\n"
+        '      "inf",\n'
+        '      "s"\n'
+        "    ],\n"
+        '    "x": 0.1\n'
+        "  },\n"
+        '  "tuple": [\n'
+        '    "-inf",\n'
+        '    "nan",\n'
+        "    2.5\n"
+        "  ]\n"
+        "}\n"
+    )
 
 
 def test_horizon_zero(tmp_path):
