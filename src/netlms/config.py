@@ -35,6 +35,7 @@ from typing import Callable
 
 from . import graphs, regression
 from .errors import ConfigError, InvalidInputError
+from .linalg import as_matrix
 from .noise import NOISE_KINDS
 
 __all__ = [
@@ -329,13 +330,15 @@ def _range(part, lo: str, hi: str) -> tuple[float, float]:
     return low, high
 
 
-def _family(mats, prefix: str):
-    """``mats``, the values of the keys ``prefix1``, ``prefix2``, ..., once
-    each has as many columns as the first."""
-    cols = [len(m[0]) if len(m) else 0 for m in mats]
-    for i, c in enumerate(cols[1:], 2):
-        if c != cols[0]:
-            raise InvalidInputError(f"{prefix}{i} and {prefix}1 differ in column count ({c} vs {cols[0]})")
+def _family(mats, prefix: str) -> list:
+    """The values of the keys ``prefix1``, ``prefix2``, ... as finite
+    matrices, each with as many columns as the first."""
+    mats = [as_matrix(m, f"{prefix}{i}") for i, m in enumerate(mats, 1)]
+    for i, m in enumerate(mats[1:], 2):
+        if m.shape[1] != mats[0].shape[1]:
+            raise InvalidInputError(
+                f"{prefix}{i} and {prefix}1 differ in column count ({m.shape[1]} vs {mats[0].shape[1]})"
+            )
     return mats
 
 

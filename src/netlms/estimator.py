@@ -563,6 +563,12 @@ def simulate(
     sender_x, receiver_x = pairs
     sq_diff = sender_x.reshape(dim, n_nodes * n_nodes, runs)
 
+    x = np.repeat(model.init.T[:, :, None], runs, axis=2)
+    graph_rngs, regression_rngs, noise_rngs, channel_rngs = zip(*streams)
+    graph_state = None
+    ar_hist = None if model.ar_init is None else np.repeat(model.ar_init[:, :, None], runs, axis=2)
+    tally = BoundTally(runs) if check_bounds else None
+    carry_excess = np.zeros((n_nodes, runs))
     add = np.add.reduce
 
     def run_steps(op, x, count):
@@ -645,12 +651,6 @@ def simulate(
         )
         return x, graph_state, ar_hist, cum_excess[-1].copy()
 
-    x = np.repeat(model.init.T[:, :, None], runs, axis=2)
-    graph_rngs, regression_rngs, noise_rngs, channel_rngs = zip(*streams)
-    graph_state = None
-    ar_hist = None if model.ar_init is None else np.repeat(model.ar_init[:, :, None], runs, axis=2)
-    tally = BoundTally(runs) if check_bounds else None
-    carry_excess = np.zeros((n_nodes, runs))
     for start in range(0, horizon + 1, chunk):
         x, graph_state, ar_hist, carry_excess = run_chunk(start, x, graph_state, ar_hist, carry_excess)
     return np.ascontiguousarray(x.transpose(2, 1, 0)), None if tally is None else tally.reports()
