@@ -11,12 +11,17 @@ bound tying the two together, and audits Markov-switching topologies
 through their stationary distribution.
 
 Windows follow the convention ``[kh, (k+1)h - 1]`` with the conditioning
-cut at ``kh - 1``.  Every windowed quantity comes from one pass.  It
-evaluates each distinct conditional mean Laplacian once per call (a few
-per graph law: see :func:`graphs.window_sym_laplacians`) and gathers
-each step's own from that table by index.  The expected Grams do not
-depend on the step, so they and the lower bound's premises are evaluated
-once per call.
+cut at ``kh - 1``.  A window's *law pattern* is the row of its steps'
+conditional mean Laplacian laws (:func:`graphs.window_law_ids`); a graph
+law has few (one for ``fixed``, one per parity of the first step for
+``alternating-uniform``, one for window 0 and one per state at the cut
+for ``markov-switching``).  The spectral gap, the gainless information
+matrix, its smallest eigenvalue and the lower bound's margin depend on
+the pattern alone, so they are evaluated once per pattern per call, from
+each distinct Laplacian evaluated once (:func:`graphs.window_sym_laplacians`).
+Only the gain-weighted matrix is evaluated per window.  The expected
+Grams do not depend on the step, so they and the lower bound's premises
+are evaluated once per call too.
 """
 
 from __future__ import annotations
@@ -32,6 +37,8 @@ from .estimator import GainSchedule
 from .graphs import (
     GraphProcess,
     Gamma1Report,
+    _law_patterns,
+    _pattern_index,
     gamma1_membership,
     is_conditionally_balanced,
     stationary_distribution,
@@ -136,9 +143,11 @@ class ExcitationReport:
     gains; ``cumulative`` is the running sum of ``lambda_series`` and
     ``r_series`` its reciprocal (``inf`` until the sum is positive).
     ``excited`` is a finite-horizon heuristic — the cumulative sum is
-    still growing at the end — and ``sublinear_warning`` flags a tail
-    decaying faster than ``1/k``, which at this horizon *suggests* (but
-    cannot prove) a convergent sum.
+    still growing over the last cycle of law patterns — and
+    ``sublinear_warning`` flags a tail decaying faster than ``1/k``
+    (``tail_exponent``, the slope in log-log of the last excited window
+    against the one of its pattern midway), which at this horizon
+    *suggests* (but cannot prove) a convergent sum.
     """
 
     window: int
@@ -164,28 +173,41 @@ def _check_window_args(window: int, windows: int) -> None:
         raise InvalidInputError("need at least one window to check")
 
 
-def _window_pass(graph_process, laws, window, ks, state_at_cut, gram=None, gains=None):
-    """The pass over windows ``ks``, each conditioned on ``state_at_cut`` at
-    its cut, with ``laws`` from :func:`window_sym_laplacians`: each summed
-    conditional mean Laplacian's spectral gap (0 for one node), then,
-    given the block-diagonal expected Gram, the gainless and, given
-    ``gains``, the gain-weighted information matrices, else ``None``.
-    Steps sum in index order, so the windows batched do not matter."""
-    ids = window_law_ids(graph_process, window, ks, state_at_cut)
-    gaps = np.zeros(len(ks))
+def _law_pass(graph_process, laws, ids, gram=None):
+    """What windows whose steps take the laws ``ids`` (rows of ids into
+    ``laws``, from :func:`window_sym_laplacians`) share whatever their
+    gains: each summed conditional mean Laplacian's spectral gap (0 for one
+    node), then, given the block-diagonal expected Gram, the steps' lifted
+    Laplacians ``kron(L, I_n)`` and the gainless information matrices,
+    else ``None``.  Steps sum in index order, so the rows batched do not
+    matter."""
+    gaps = np.zeros(len(ids))
     if graph_process.nodes > 1:
         gaps = np.linalg.eigvalsh(ordered_sum(laws[ids], axis=1))[:, 1]
     if gram is None:
         return gaps, None, None
     big = np.kron(laws, np.eye(gram.shape[0] // graph_process.nodes)[None])[ids]
-    gainless = ordered_sum(big + gram, axis=1)
-    if gains is None:
-        return gaps, gainless, None
-    # the gains the simulator steps with
+    return gaps, big, ordered_sum(big + gram, axis=1)
+
+
+def _weighted(big, gram, gains, window, ks):
+    """Gain-weighted information matrices of windows ``ks``, given their
+    steps' lifted Laplacians ``big``, with the gains the simulator steps
+    with."""
     steps = np.asarray(ks)[:, None] * window + np.arange(window)
     ab = gains.table(steps.ravel()).reshape(len(ks), window, 3)
     a, b = ab[..., 0, None, None], ab[..., 1, None, None]
-    return gaps, gainless, ordered_sum(b * big + a * gram, axis=1)
+    return ordered_sum(b * big + a * gram, axis=1)
+
+
+def _window_pass(graph_process, laws, window, ks, state_at_cut, gram=None, gains=None):
+    """The pass over windows ``ks``, each conditioned on ``state_at_cut`` at
+    its cut, from each window's own law ids: the gaps and gainless matrices
+    of :func:`_law_pass`, then, given ``gains``, the gain-weighted
+    matrices, else ``None``."""
+    ids = window_law_ids(graph_process, window, ks, state_at_cut)
+    gaps, big, gainless = _law_pass(graph_process, laws, ids, gram)
+    return gaps, gainless, None if gains is None else _weighted(big, gram, gains, window, ks)
 
 
 def _one_window(graph_process, regression_process, gains, window_index, window, state_at_cut):
@@ -227,7 +249,10 @@ def _bound_premises(regression_process: RegressionProcess, gamma1: Gamma1Report,
 
 
 # Windows evaluated together: enough to batch the eigenvalue calls, few
-# enough that the working set does not grow with the window count.
+# enough that the working set does not grow with the window count.  On a
+# shared 2-CPU VM, pe_diagnostic(setting-i, 1000 windows) took 12.0 ms at
+# 32, 10.1 at 64 and 9.8-9.9 from 96 to 256 (inside the rounds' spread),
+# with a traced peak of 0.26, 0.43 and 0.55-1.17 MB.
 _BLOCK = 64
 
 
@@ -304,8 +329,9 @@ def check_definition1(
     if graph_process.nodes < 2:
         raise InvalidInputError("joint connectivity needs at least two nodes")
     laws = window_sym_laplacians(graph_process, window)
+    table, _, _ = _law_pass(graph_process, laws, _law_patterns(graph_process, window))
     (gaps,) = _state_minima(
-        graph_process, windows, lambda ks, s: _window_pass(graph_process, laws, window, ks, s)[:1]
+        graph_process, windows, lambda ks, s: table[None, _pattern_index(graph_process, window, ks, s)]
     )
     return _threshold_report(gaps, theta1)
 
@@ -465,9 +491,9 @@ def pe_diagnostic(config: ExperimentConfig, windows: int | None = None) -> Excit
     window past the first takes the minimum over the states the chain
     could occupy at its cut.  Whether the cumulative sum diverges is
     undecidable at any finite horizon, so the report only flags growth
-    behavior: ``excited`` says the sum was still growing at the end, and
-    ``sublinear_warning`` says the tail decayed faster than ``1/k`` —
-    heuristics, never verdicts.
+    behavior: ``excited`` says the sum was still growing over the last
+    cycle of law patterns, and ``sublinear_warning`` says the tail decayed
+    faster than ``1/k`` — heuristics, never verdicts.
     """
     config.validate()
     h = config.excitation.window
@@ -486,13 +512,16 @@ def pe_diagnostic(config: ExperimentConfig, windows: int | None = None) -> Excit
     gamma1 = gamma1_membership(gp)
     premise_ok, _ = _bound_premises(rp, gamma1, rho0)
 
-    laws = window_sym_laplacians(gp, h)
+    # the law-only quantities, once per law pattern
+    patterns = _law_patterns(gp, h)
+    gap, big, gainless = _law_pass(gp, window_sym_laplacians(gp, h), patterns, gram)
+    lhs = np.linalg.eigvalsh(gainless)[:, 0]
+    law_only = np.array([gap, lhs, lhs - _bound_rhs(gap, gram_min, gp.nodes, h, rho0)])
 
     def evaluate(ks, s):
-        gap, gainless, weighted = _window_pass(gp, laws, h, ks, s, gram, gains)
-        lhs = np.linalg.eigvalsh(gainless)[:, 0]
-        margin = lhs - _bound_rhs(gap, gram_min, gp.nodes, h, rho0)
-        return gap, lhs, margin, np.linalg.eigvalsh(weighted)[:, 0]
+        which = _pattern_index(gp, h, ks, s)
+        weighted = _weighted(big[which], gram, gains, h, ks)
+        return np.vstack([law_only[:, which], np.linalg.eigvalsh(weighted)[:, 0]])
 
     gaps, raw, margins, lam = _state_minima(gp, windows, evaluate)
     cumulative = np.cumsum(lam)
@@ -502,12 +531,18 @@ def pe_diagnostic(config: ExperimentConfig, windows: int | None = None) -> Excit
     notes = [
         "growth flags are finite-horizon heuristics, not convergence verdicts",
     ]
-    excited = bool(lam[-1] > 0.0)
+    # Past window 0 the windows cycle through the law patterns, two for an
+    # alternating law over an odd window, else one; both flags read whole
+    # cycles, so a window whose pattern never excites cannot decide them.
+    period = len(patterns) if gp.kind == "alternating-uniform" else 1
+    excited = bool((lam[-period:] > 0.0).any())
     tail_exponent = float("nan")
-    if windows >= 8 and lam[-1] > 0.0 and lam[windows // 2] > 0.0:
-        tail_exponent = float(
-            np.log(lam[-1] / lam[windows // 2]) / np.log(windows / (windows // 2 + 1))
-        )
+    if windows >= 8 and excited:
+        # the last excited window against the window of its pattern midway
+        end = windows - 1 - int(np.argmax(lam[-period:][::-1] > 0.0))
+        mid = windows // 2 + (end - windows // 2) % period
+        if lam[mid] > 0.0:
+            tail_exponent = float(np.log(lam[end] / lam[mid]) / np.log((end + 1) / (mid + 1)))
     sublinear = bool(not excited or (np.isfinite(tail_exponent) and tail_exponent < -1.0))
     if sublinear:
         notes.append("window eigenvalue tail decays faster than 1/k at this horizon")

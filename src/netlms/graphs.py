@@ -289,6 +289,37 @@ def window_sym_laplacians(process: GraphProcess, window: int) -> np.ndarray:
     return np.array([conditional_expected_sym_laplacian(process, *call) for call in calls])
 
 
+def _law_patterns(process: GraphProcess, window: int) -> np.ndarray:
+    """The distinct rows of ids into :func:`window_sym_laplacians` that a
+    window of ``window`` steps can take, ``(P, window)``: one for the fixed
+    kind; for the alternating kind one per parity of the window's first
+    step (one when ``window`` is even); for markov-switching one for window
+    0, which conditions on nothing, then one per state at the cut."""
+    offset = np.arange(window)
+    if process.kind == "fixed":
+        return np.zeros((1, window), dtype=np.intp)
+    if process.kind == "alternating-uniform":
+        return (np.arange(1 + window % 2)[:, None] + offset) % 2
+    return np.arange(1 + len(process.states))[:, None] * window + offset
+
+
+def _pattern_index(
+    process: GraphProcess, window: int, window_indices, state_at_cut: int | None = None
+) -> np.ndarray:
+    """Each window's row of :func:`_law_patterns`, for the windows
+    ``window_indices`` conditioned at their cuts on ``state_at_cut``."""
+    ks = np.asarray(window_indices, dtype=np.intp)
+    if process.kind == "fixed" or not np.any(ks > 0):
+        return np.zeros(len(ks), dtype=np.intp)
+    if process.kind == "alternating-uniform":
+        return ks * window % 2
+    if state_at_cut is None:
+        raise InvalidInputError("markov-switching conditioning needs state_at_cut")
+    if not 0 <= state_at_cut < len(process.states):
+        raise InvalidInputError("state_at_cut out of range")
+    return np.where(ks > 0, 1 + int(state_at_cut), 0)
+
+
 def window_law_ids(
     process: GraphProcess, window: int, window_indices, state_at_cut: int | None = None
 ) -> np.ndarray:
@@ -296,19 +327,7 @@ def window_law_ids(
     :func:`window_sym_laplacians`: step ``i`` of window ``k``, conditioned
     at the cut ``k window - 1`` on ``state_at_cut``, has the law with id
     ``ids[w, i]`` for ``k = window_indices[w]``."""
-    ks = np.asarray(window_indices, dtype=np.intp)[:, None]
-    offset = np.arange(window)
-    if process.kind == "fixed":
-        return np.zeros((len(ks), window), dtype=np.intp)
-    if process.kind == "alternating-uniform":
-        return (ks * window + offset) % 2
-    if not np.any(ks > 0):
-        return np.broadcast_to(offset, (len(ks), window))
-    if state_at_cut is None:
-        raise InvalidInputError("markov-switching conditioning needs state_at_cut")
-    if not 0 <= state_at_cut < len(process.states):
-        raise InvalidInputError("state_at_cut out of range")
-    return np.where(ks > 0, window * (1 + int(state_at_cut)) + offset, offset)
+    return _law_patterns(process, window)[_pattern_index(process, window, window_indices, state_at_cut)]
 
 
 def is_conditionally_balanced(expected_adjacency) -> bool:

@@ -229,6 +229,22 @@ def test_pe_diagnostic_flags_starved_excitation():
     assert rep.sublinear_warning
 
 
+def test_pe_diagnostic_flags_do_not_depend_on_window_count_parity():
+    """With a one-step window, setting-i's odd windows have the zero-mean
+    odd-step graph and singular node Grams, so their eigenvalue is 0; the
+    growth flags must read the even windows whether the last is odd or
+    even."""
+    import dataclasses
+
+    cfg = get_preset("setting-i")
+    cfg = dataclasses.replace(cfg, excitation=dataclasses.replace(cfg.excitation, window=1))
+    reps = [pe_diagnostic(cfg, windows=w) for w in (1000, 1001)]
+    assert reps[0].lambda_series[1::2].max() == 0.0
+    for rep in reps:
+        assert rep.excited and not rep.sublinear_warning
+        assert rep.tail_exponent == pytest.approx(-0.6, abs=1e-6)
+
+
 def test_windowed_checks_validate_arguments():
     cfg = get_preset("setting-i")
     gp = cfg.graph.to_process(cfg.nodes)

@@ -184,6 +184,44 @@ def test_audit_evaluates_each_laplacian_law_once(monkeypatch, markov_pair):
         assert len(calls) <= h + 3 * h
 
 
+def _count_eigenproblems(monkeypatch):
+    """Count the matrices passed to ``np.linalg.eigvalsh``, each matrix of a
+    batch on its own; ``excitation`` and ``linalg`` look it up at call
+    time, so their calls count."""
+    counts = []
+    real = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        a = np.asarray(a)
+        counts.append(a.size // a.shape[-1] ** 2)
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return counts
+
+
+def test_audit_solves_one_eigenproblem_per_window_and_state(monkeypatch, markov_pair):
+    counts = _count_eigenproblems(monkeypatch)
+    pe_diagnostic(get_preset("setting-i"), windows=1000)
+    assert sum(counts) <= 1000 + 4
+    gp = get_preset("setting-i").graph.to_process(3)
+    for graph in (gp, markov_pair.graph.to_process(markov_pair.nodes)):
+        solved = []
+        for windows in (10, 1000):
+            counts.clear()
+            excitation.check_definition1(graph, 3, 0.1, windows)
+            solved.append(sum(counts))
+        assert solved[0] == solved[1]
+    silent = ((0.0, 0.0), (0.0, 0.0))
+    graph = replace(markov_pair.graph, states=(*markov_pair.graph.states, silent),
+                    transition=((0.6, 0.2, 0.2), (0.3, 0.5, 0.2), (0.1, 0.1, 0.8)))
+    for h in (1, 2, 5):
+        cfg = replace(markov_pair, graph=graph, excitation=ExcitationConfig(window=h)).validate()
+        counts.clear()
+        pe_diagnostic(cfg, windows=300)
+        assert sum(counts) <= 3 * 300 + 2 * (1 + 3)
+
+
 def _loop_gram(rp, window):
     out = np.zeros((rp.dim, rp.dim))
     for _ in range(window):
