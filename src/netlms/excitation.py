@@ -11,17 +11,13 @@ bound tying the two together, and audits Markov-switching topologies
 through their stationary distribution.
 
 Windows follow the convention ``[kh, (k+1)h - 1]`` with the conditioning
-cut at ``kh - 1``.  A window's *law pattern* is the row of its steps'
-conditional mean Laplacian laws (:func:`graphs.window_law_ids`); a graph
-law has few (one for ``fixed``, one per parity of the first step for
-``alternating-uniform``, one for window 0 and one per state at the cut
-for ``markov-switching``).  The spectral gap, the gainless information
-matrix, its smallest eigenvalue and the lower bound's margin depend on
-the pattern alone, so they are evaluated once per pattern per call, from
-each distinct Laplacian evaluated once (:func:`graphs.window_sym_laplacians`).
-Only the gain-weighted matrix is evaluated per window.  The expected
-Grams do not depend on the step, so they and the lower bound's premises
-are evaluated once per call too.
+cut at ``kh - 1``.  Each distinct conditional mean Laplacian is evaluated
+once per call (:func:`graphs.window_sym_laplacians`).  What depends only
+on a window's law pattern, the row of its steps' laws, is evaluated once
+per distinct pattern per call: the spectral gap, the gainless information
+matrix, its smallest eigenvalue and the lower bound's margin.  Only the
+gain-weighted matrix is evaluated per window.  The expected Grams and the
+lower bound's premises do not depend on the step: once per call too.
 """
 
 from __future__ import annotations
@@ -173,20 +169,21 @@ def _check_window_args(window: int, windows: int) -> None:
         raise InvalidInputError("need at least one window to check")
 
 
-def _law_pass(graph_process, laws, ids, gram=None):
-    """What windows whose steps take the laws ``ids`` (rows of ids into
-    ``laws``, from :func:`window_sym_laplacians`) share whatever their
-    gains: each summed conditional mean Laplacian's spectral gap (0 for one
-    node), then, given the block-diagonal expected Gram, the steps' lifted
-    Laplacians ``kron(L, I_n)`` and the gainless information matrices,
-    else ``None``.  Steps sum in index order, so the rows batched do not
-    matter."""
+def _law_pass(laws, ids, gram=None):
+    """The gain-free part of the pass over windows whose steps take the
+    laws ``ids``, rows of ids into ``laws`` (from
+    :func:`window_sym_laplacians`): each summed conditional mean
+    Laplacian's spectral gap (0 for one node), then, given the
+    block-diagonal expected Gram, the steps' lifted Laplacians
+    ``kron(L, I_n)`` and the gainless information matrices, else ``None``.
+    Steps sum in index order, so the rows batched do not matter."""
+    nodes = laws.shape[-1]
     gaps = np.zeros(len(ids))
-    if graph_process.nodes > 1:
+    if nodes > 1:
         gaps = np.linalg.eigvalsh(ordered_sum(laws[ids], axis=1))[:, 1]
     if gram is None:
         return gaps, None, None
-    big = np.kron(laws, np.eye(gram.shape[0] // graph_process.nodes)[None])[ids]
+    big = np.kron(laws, np.eye(gram.shape[0] // nodes)[None])[ids]
     return gaps, big, ordered_sum(big + gram, axis=1)
 
 
@@ -206,7 +203,7 @@ def _window_pass(graph_process, laws, window, ks, state_at_cut, gram=None, gains
     of :func:`_law_pass`, then, given ``gains``, the gain-weighted
     matrices, else ``None``."""
     ids = window_law_ids(graph_process, window, ks, state_at_cut)
-    gaps, big, gainless = _law_pass(graph_process, laws, ids, gram)
+    gaps, big, gainless = _law_pass(laws, ids, gram)
     return gaps, gainless, None if gains is None else _weighted(big, gram, gains, window, ks)
 
 
@@ -249,10 +246,7 @@ def _bound_premises(regression_process: RegressionProcess, gamma1: Gamma1Report,
 
 
 # Windows evaluated together: enough to batch the eigenvalue calls, few
-# enough that the working set does not grow with the window count.  On a
-# shared 2-CPU VM, pe_diagnostic(setting-i, 1000 windows) took 12.0 ms at
-# 32, 10.1 at 64 and 9.8-9.9 from 96 to 256 (inside the rounds' spread),
-# with a traced peak of 0.26, 0.43 and 0.55-1.17 MB.
+# enough that the working set does not grow with the window count.
 _BLOCK = 64
 
 
@@ -328,8 +322,8 @@ def check_definition1(
     _check_window_args(window, windows)
     if graph_process.nodes < 2:
         raise InvalidInputError("joint connectivity needs at least two nodes")
-    laws = window_sym_laplacians(graph_process, window)
-    table, _, _ = _law_pass(graph_process, laws, _law_patterns(graph_process, window))
+    table, _, _ = _law_pass(window_sym_laplacians(graph_process, window),
+                            _law_patterns(graph_process, window))
     (gaps,) = _state_minima(
         graph_process, windows, lambda ks, s: table[None, _pattern_index(graph_process, window, ks, s)]
     )
@@ -514,7 +508,7 @@ def pe_diagnostic(config: ExperimentConfig, windows: int | None = None) -> Excit
 
     # the law-only quantities, once per law pattern
     patterns = _law_patterns(gp, h)
-    gap, big, gainless = _law_pass(gp, window_sym_laplacians(gp, h), patterns, gram)
+    gap, big, gainless = _law_pass(window_sym_laplacians(gp, h), patterns, gram)
     lhs = np.linalg.eigvalsh(gainless)[:, 0]
     law_only = np.array([gap, lhs, lhs - _bound_rhs(gap, gram_min, gp.nodes, h, rho0)])
 
@@ -531,9 +525,8 @@ def pe_diagnostic(config: ExperimentConfig, windows: int | None = None) -> Excit
     notes = [
         "growth flags are finite-horizon heuristics, not convergence verdicts",
     ]
-    # Past window 0 the windows cycle through the law patterns, two for an
-    # alternating law over an odd window, else one; both flags read whole
-    # cycles, so a window whose pattern never excites cannot decide them.
+    # windows past the first cycle through this many patterns; the flags
+    # read whole cycles, so a pattern that never excites decides nothing
     period = len(patterns) if gp.kind == "alternating-uniform" else 1
     excited = bool((lam[-period:] > 0.0).any())
     tail_exponent = float("nan")

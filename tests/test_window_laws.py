@@ -1,8 +1,9 @@
 """The excitation pass reads each step's conditional mean Laplacian from a
 table of distinct laws.  These tests pin it bit for bit to the per-step
 evaluation (one ``conditional_expected_sym_laplacian`` call per step,
-window and state at the cut), bound the number of law evaluations, and
-pin the step-free window Gram sum to its explicit double loop.
+window and state at the cut), bound the number of law evaluations and
+of eigenproblems, and pin the step-free window Gram sum to its explicit
+double loop.
 """
 
 from dataclasses import replace
