@@ -11,13 +11,16 @@ bound tying the two together, and audits Markov-switching topologies
 through their stationary distribution.
 
 Windows follow the convention ``[kh, (k+1)h - 1]`` with the conditioning
-cut at ``kh - 1``.  Each distinct conditional mean Laplacian is evaluated
-once per call (:func:`graphs.window_sym_laplacians`).  What depends only
-on a window's law pattern, the row of its steps' laws, is evaluated once
-per distinct pattern per call: the spectral gap, the gainless information
-matrix, its smallest eigenvalue and the lower bound's margin.  Only the
-gain-weighted matrix is evaluated per window.  The expected Grams and the
-lower bound's premises do not depend on the step: once per call too.
+cut at ``kh - 1``.  Every function reads one table, the step-by-step
+conditional mean Laplacians of each law pattern a window can take
+(:func:`graphs.window_sym_laplacians`, each distinct law evaluated once
+per call), through one index, each window's pattern
+(``graphs._pattern_index``).  What depends only on the pattern is
+evaluated once per pattern per call: the spectral gap, the gainless
+information matrix, its smallest eigenvalue and the lower bound's margin.
+Only the gain-weighted matrix is evaluated per window.  The expected
+Grams and the lower bound's premises do not depend on the step: once per
+call too.
 """
 
 from __future__ import annotations
@@ -33,12 +36,10 @@ from .estimator import GainSchedule
 from .graphs import (
     GraphProcess,
     Gamma1Report,
-    _law_patterns,
     _pattern_index,
     gamma1_membership,
     is_conditionally_balanced,
     stationary_distribution,
-    window_law_ids,
     window_sym_laplacians,
 )
 from .linalg import as_matrix, ordered_sum, sym_eigenvalues
@@ -169,21 +170,20 @@ def _check_window_args(window: int, windows: int) -> None:
         raise InvalidInputError("need at least one window to check")
 
 
-def _law_pass(laws, ids, gram=None):
-    """The gain-free part of the pass over windows whose steps take the
-    laws ``ids``, rows of ids into ``laws`` (from
-    :func:`window_sym_laplacians`): each summed conditional mean
+def _law_pass(graph_process, window, gram=None):
+    """The gain-free part of the pass, once per law pattern of
+    :func:`window_sym_laplacians`: each pattern's summed conditional mean
     Laplacian's spectral gap (0 for one node), then, given the
     block-diagonal expected Gram, the steps' lifted Laplacians
     ``kron(L, I_n)`` and the gainless information matrices, else ``None``.
-    Steps sum in index order, so the rows batched do not matter."""
-    nodes = laws.shape[-1]
-    gaps = np.zeros(len(ids))
-    if nodes > 1:
-        gaps = np.linalg.eigvalsh(ordered_sum(laws[ids], axis=1))[:, 1]
+    Steps sum in index order, so the patterns batched do not matter."""
+    table = window_sym_laplacians(graph_process, window)
+    gaps = np.zeros(len(table))
+    if graph_process.nodes > 1:
+        gaps = np.linalg.eigvalsh(ordered_sum(table, axis=1))[:, 1]
     if gram is None:
         return gaps, None, None
-    big = np.kron(laws, np.eye(gram.shape[0] // nodes)[None])[ids]
+    big = np.kron(table, np.eye(gram.shape[0] // graph_process.nodes)[None, None])
     return gaps, big, ordered_sum(big + gram, axis=1)
 
 
@@ -197,26 +197,16 @@ def _weighted(big, gram, gains, window, ks):
     return ordered_sum(b * big + a * gram, axis=1)
 
 
-def _window_pass(graph_process, laws, window, ks, state_at_cut, gram=None, gains=None):
-    """The pass over windows ``ks``, each conditioned on ``state_at_cut`` at
-    its cut, from each window's own law ids: the gaps and gainless matrices
-    of :func:`_law_pass`, then, given ``gains``, the gain-weighted
-    matrices, else ``None``."""
-    ids = window_law_ids(graph_process, window, ks, state_at_cut)
-    gaps, big, gainless = _law_pass(laws, ids, gram)
-    return gaps, gainless, None if gains is None else _weighted(big, gram, gains, window, ks)
-
-
-def _one_window(graph_process, regression_process, gains, window_index, window, state_at_cut):
-    """The pass over one window, after the one-window functions' input checks."""
+def _one_window(graph_process, regression_process, window_index, window, state_at_cut):
+    """The one-window functions' input checks, then the expected Gram and
+    the window's pattern in :func:`window_sym_laplacians`."""
     _check_window_args(window, 1)
     if window_index < 0:
         raise InvalidInputError("window_index must be nonnegative")
     if graph_process.nodes != regression_process.nodes:
         raise InvalidInputError("graph and regression disagree on the node count")
     gram = conditional_expected_gram(regression_process)
-    laws = window_sym_laplacians(graph_process, window)
-    return _window_pass(graph_process, laws, window, [window_index], state_at_cut, gram, gains)
+    return gram, int(_pattern_index(graph_process, window, [window_index], state_at_cut)[0])
 
 
 def _pooled_gram_min(regression_process: RegressionProcess, window: int) -> float:
@@ -294,9 +284,11 @@ def info_matrix(
     depends on the state occupied at the cut, which ``state_at_cut`` must
     pin; :func:`pe_diagnostic` takes the minimum over every state.
     """
-    _, gainless, weighted = _one_window(graph_process, regression_process, gains, window_index,
-                                        window, state_at_cut)
-    return (gainless if gains is None else weighted)[0]
+    gram, which = _one_window(graph_process, regression_process, window_index, window, state_at_cut)
+    _, big, gainless = _law_pass(graph_process, window, gram)
+    if gains is None:
+        return gainless[which]
+    return _weighted(big[which, None], gram, gains, window, [window_index])[0]
 
 
 def lambda_min_window(info: np.ndarray) -> float:
@@ -322,10 +314,9 @@ def check_definition1(
     _check_window_args(window, windows)
     if graph_process.nodes < 2:
         raise InvalidInputError("joint connectivity needs at least two nodes")
-    table, _, _ = _law_pass(window_sym_laplacians(graph_process, window),
-                            _law_patterns(graph_process, window))
+    pattern_gaps, _, _ = _law_pass(graph_process, window)
     (gaps,) = _state_minima(
-        graph_process, windows, lambda ks, s: table[None, _pattern_index(graph_process, window, ks, s)]
+        graph_process, windows, lambda ks, s: pattern_gaps[None, _pattern_index(graph_process, window, ks, s)]
     )
     return _threshold_report(gaps, theta1)
 
@@ -369,10 +360,9 @@ def lemma_lower_bound_check(
     """
     if not (np.isfinite(rho0) and rho0 > 0):
         raise InvalidInputError("rho0 must be finite and positive")
-    gaps, gainless, _ = _one_window(graph_process, regression_process, None, window_index,
-                                    window, state_at_cut)
-    lambda2 = float(gaps[0])
-    lhs = float(np.linalg.eigvalsh(gainless)[0, 0])
+    gram, which = _one_window(graph_process, regression_process, window_index, window, state_at_cut)
+    gaps, _, gainless = _law_pass(graph_process, window, gram)
+    lambda2, lhs = float(gaps[which]), float(np.linalg.eigvalsh(gainless[which])[0])
     gram_min = _pooled_gram_min(regression_process, window)
     rhs = float(_bound_rhs(lambda2, gram_min, graph_process.nodes, window, rho0))
     margin = lhs - rhs
@@ -436,6 +426,8 @@ def corollary1_stationary_check(
     if not states:
         raise InvalidInputError("need at least one graph state")
     n_nodes = states[0].shape[0]
+    if n_nodes < 1:
+        raise InvalidInputError("graph needs at least one node")
     if any(a.shape != (n_nodes, n_nodes) for a in states):
         raise InvalidInputError("all graph states must share the node count")
     pi = stationary_distribution(transition)
@@ -443,6 +435,8 @@ def corollary1_stationary_check(
         raise InvalidInputError("transition size must match the number of states")
     if len(h_states) != len(states):
         raise InvalidInputError("need one observation-matrix list per chain state")
+    if any(len(node_mats) != n_nodes for node_mats in h_states):
+        raise InvalidInputError("each state needs one observation matrix per node")
 
     a_bar = np.tensordot(pi, np.stack(states), axes=1)
     nonneg = bool(a_bar.min() >= -1e-12)
@@ -452,8 +446,6 @@ def corollary1_stationary_check(
     dim = as_matrix(h_states[0][0], "h_states[0][0]").shape[1]
     obs = np.zeros((dim, dim))
     for l, node_mats in enumerate(h_states):
-        if len(node_mats) != n_nodes:
-            raise InvalidInputError("each state needs one observation matrix per node")
         for i, h in enumerate(node_mats):
             m = as_matrix(h, f"h_states[{l}][{i}]")
             if m.shape[1] != dim:
@@ -507,8 +499,7 @@ def pe_diagnostic(config: ExperimentConfig, windows: int | None = None) -> Excit
     premise_ok, _ = _bound_premises(rp, gamma1, rho0)
 
     # the law-only quantities, once per law pattern
-    patterns = _law_patterns(gp, h)
-    gap, big, gainless = _law_pass(window_sym_laplacians(gp, h), patterns, gram)
+    gap, big, gainless = _law_pass(gp, h, gram)
     lhs = np.linalg.eigvalsh(gainless)[:, 0]
     law_only = np.array([gap, lhs, lhs - _bound_rhs(gap, gram_min, gp.nodes, h, rho0)])
 
@@ -527,7 +518,7 @@ def pe_diagnostic(config: ExperimentConfig, windows: int | None = None) -> Excit
     ]
     # windows past the first cycle through this many patterns; the flags
     # read whole cycles, so a pattern that never excites decides nothing
-    period = len(patterns) if gp.kind == "alternating-uniform" else 1
+    period = len(big) if gp.kind == "alternating-uniform" else 1
     excited = bool((lam[-period:] > 0.0).any())
     tail_exponent = float("nan")
     if windows >= 8 and excited:

@@ -44,7 +44,6 @@ __all__ = [
     "conditional_expected_adjacency",
     "conditional_expected_sym_laplacian",
     "window_sym_laplacians",
-    "window_law_ids",
     "is_conditionally_balanced",
     "stationary_distribution",
     "gamma1_membership",
@@ -269,65 +268,48 @@ def conditional_expected_sym_laplacian(
 
 
 def window_sym_laplacians(process: GraphProcess, window: int) -> np.ndarray:
-    """Every conditional mean symmetrized Laplacian that a step of a window
-    of ``window`` steps can take, ``(L, N, N)``, in the order of the ids
-    of :func:`window_law_ids`.
+    """The step-by-step conditional mean symmetrized Laplacians of every law
+    pattern a window of ``window`` steps can take, ``(P, window, N, N)``;
+    :func:`_pattern_index` gives each window's pattern.
 
-    The fixed kind has one law and the alternating kind one per step
-    parity.  markov-switching has ``window`` laws for window 0, which
-    conditions on nothing, then ``window`` per state at the cut, one per
-    count of steps since it.  Each entry is
-    :func:`conditional_expected_sym_laplacian` at a step that takes it.
+    The fixed kind has one pattern; the alternating kind one per parity of
+    the window's first step (one when ``window`` is even); markov-switching
+    one for window 0, which conditions on nothing, then one per state at
+    the cut.  Each distinct law is evaluated once, as
+    :func:`conditional_expected_sym_laplacian` at a step that takes it: one
+    for the fixed kind, one per step parity for the alternating kind, and
+    for markov-switching one per step of window 0 and one per state at the
+    cut and count of steps since it.
     """
     if process.kind == "fixed":
-        calls = [(0, -1, None)]
+        calls, patterns = [(0, -1, None)], np.zeros((1, window), dtype=np.intp)
     elif process.kind == "alternating-uniform":
         calls = [(0, -1, None), (1, -1, None)]
+        patterns = (np.arange(1 + window % 2)[:, None] + np.arange(window)) % 2
     else:
         calls = [(i, -1, None) for i in range(window)]
         calls += [(window + i, window - 1, s) for s in range(len(process.states)) for i in range(window)]
-    return np.array([conditional_expected_sym_laplacian(process, *call) for call in calls])
-
-
-def _law_patterns(process: GraphProcess, window: int) -> np.ndarray:
-    """The distinct rows of ids into :func:`window_sym_laplacians` that a
-    window of ``window`` steps can take, ``(P, window)``: one for the fixed
-    kind; for the alternating kind one per parity of the window's first
-    step (one when ``window`` is even); for markov-switching one for window
-    0, which conditions on nothing, then one per state at the cut."""
-    offset = np.arange(window)
-    if process.kind == "fixed":
-        return np.zeros((1, window), dtype=np.intp)
-    if process.kind == "alternating-uniform":
-        return (np.arange(1 + window % 2)[:, None] + offset) % 2
-    return np.arange(1 + len(process.states))[:, None] * window + offset
+        patterns = np.arange(len(calls)).reshape(-1, window)
+    return np.array([conditional_expected_sym_laplacian(process, *call) for call in calls])[patterns]
 
 
 def _pattern_index(
     process: GraphProcess, window: int, window_indices, state_at_cut: int | None = None
 ) -> np.ndarray:
-    """Each window's row of :func:`_law_patterns`, for the windows
-    ``window_indices`` conditioned at their cuts on ``state_at_cut``."""
+    """Each window's pattern in :func:`window_sym_laplacians`, for the
+    windows ``window_indices`` conditioned at their cuts ``k window - 1``
+    on ``state_at_cut``.  A markov-switching state is range-checked
+    whatever the windows; window 0 needs none."""
     ks = np.asarray(window_indices, dtype=np.intp)
-    if process.kind == "fixed" or not np.any(ks > 0):
-        return np.zeros(len(ks), dtype=np.intp)
-    if process.kind == "alternating-uniform":
-        return ks * window % 2
+    if process.kind != "markov-switching":
+        return ks * window % 2 if process.kind == "alternating-uniform" else np.zeros_like(ks)
     if state_at_cut is None:
-        raise InvalidInputError("markov-switching conditioning needs state_at_cut")
+        if np.any(ks > 0):
+            raise InvalidInputError("markov-switching conditioning needs state_at_cut")
+        return np.zeros_like(ks)
     if not 0 <= state_at_cut < len(process.states):
         raise InvalidInputError("state_at_cut out of range")
     return np.where(ks > 0, 1 + int(state_at_cut), 0)
-
-
-def window_law_ids(
-    process: GraphProcess, window: int, window_indices, state_at_cut: int | None = None
-) -> np.ndarray:
-    """``(len(window_indices), window)`` ids into
-    :func:`window_sym_laplacians`: step ``i`` of window ``k``, conditioned
-    at the cut ``k window - 1`` on ``state_at_cut``, has the law with id
-    ``ids[w, i]`` for ``k = window_indices[w]``."""
-    return _law_patterns(process, window)[_pattern_index(process, window, window_indices, state_at_cut)]
 
 
 def is_conditionally_balanced(expected_adjacency) -> bool:

@@ -107,6 +107,8 @@ def _summary(runs, steps, tau: float) -> RegretSeries:
     run order (Welford), into a :class:`RegretSeries` at ``steps``.  The
     result does not depend on how the runs were batched, and each run's
     arrays can be dropped once folded."""
+    if not np.isfinite(tau):
+        raise InvalidInputError("tau must be finite")
     count = 0
     for count, (cum, v) in enumerate(runs, start=1):
         if count == 1:

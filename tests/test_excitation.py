@@ -188,6 +188,16 @@ def test_stationary_audit_absorbing_state_ignores_transient():
     assert rep.passed and np.allclose(rep.pi, [1.0, 0.0])
 
 
+def test_stationary_audit_rejects_malformed_inputs():
+    ring = np.array([[0.0, 0.5], [0.5, 0.0]])
+    with pytest.raises(InvalidInputError, match="one observation matrix per node"):
+        corollary1_stationary_check([ring], [[1.0]], [[]])
+    with pytest.raises(InvalidInputError, match="one observation matrix per node"):
+        corollary1_stationary_check([ring], [[1.0]], [[np.eye(2)]])
+    with pytest.raises(InvalidInputError, match="at least one node"):
+        corollary1_stationary_check([np.zeros((0, 0))], [[1.0]], [[]])
+
+
 def test_pe_diagnostic_on_benchmark():
     cfg = with_overrides(get_preset("setting-i"), horizon=400)
     rep = pe_diagnostic(cfg)
@@ -280,3 +290,15 @@ def test_pe_diagnostic_on_markov_switching_takes_state_uniform_minimum(markov_pa
         raw = [lambda_min_window(info_matrix(gp, rp, None, k, h, s)) for s in (0, 1)]
         assert rep.gainless_series[k] == min(raw)
     assert rep.bound_check.windows_checked == 4
+
+
+def test_out_of_range_state_at_cut_raises_at_every_window(markov_pair):
+    """Window 0 conditions on nothing, but a state given for it is still
+    checked, as it is at every later window."""
+    gp = markov_pair.graph.to_process(markov_pair.nodes)
+    rp = markov_pair.regression.to_process(markov_pair.nodes, markov_pair.dim)
+    for k in (0, 1):
+        with pytest.raises(InvalidInputError, match="state_at_cut out of range"):
+            info_matrix(gp, rp, None, k, 2, 5)
+        with pytest.raises(InvalidInputError, match="state_at_cut out of range"):
+            lemma_lower_bound_check(gp, rp, window=2, rho0=5.0, window_index=k, state_at_cut=-1)

@@ -110,6 +110,16 @@ def test_mar_needs_a_recorded_horizon_of_two_steps_or_more(bench_runs):
         mar([], 10, 0.6)
 
 
+@pytest.mark.parametrize("tau", [float("nan"), float("inf"), -float("inf")])
+def test_regret_summaries_reject_a_tau_that_is_not_finite(bench_runs, tau):
+    """A non-finite tau would make every MAR entry NaN or infinite."""
+    _, runs = bench_runs
+    with pytest.raises(InvalidInputError, match="tau must be finite"):
+        regret_series(runs, tau)
+    with pytest.raises(InvalidInputError, match="tau must be finite"):
+        mar(runs, 5, tau)
+
+
 def test_record_validation(bench_runs):
     _, runs = bench_runs
     with pytest.raises(InvalidInputError):

@@ -1,9 +1,11 @@
-"""The excitation pass reads each step's conditional mean Laplacian from a
-table of distinct laws.  These tests pin it bit for bit to the per-step
-evaluation (one ``conditional_expected_sym_laplacian`` call per step,
-window and state at the cut), bound the number of law evaluations and
-of eigenproblems, and pin the step-free window Gram sum to its explicit
-double loop.
+"""Every excitation function reads each step's conditional mean Laplacian
+from one table, the steps of each law pattern a window can take, through
+each window's pattern index.  These tests pin the one-window functions and
+the audit bit for bit to the per-step evaluation (one
+``conditional_expected_sym_laplacian`` call per step, window and state at
+the cut), check the table's shape and the index, bound the number of law
+evaluations and of eigenproblems, and pin the step-free window Gram sum to
+its explicit double loop.
 """
 
 from dataclasses import replace
@@ -20,11 +22,11 @@ from netlms.errors import InvalidInputError
 from netlms.estimator import GainSchedule
 from netlms.excitation import pe_diagnostic
 from netlms.graphs import (
+    _pattern_index,
     alternating_uniform_graph,
     conditional_expected_sym_laplacian,
     fixed_graph,
     markov_switching_graph,
-    window_law_ids,
     window_sym_laplacians,
 )
 from netlms.linalg import ordered_sum, sym_eigenvalues
@@ -111,15 +113,21 @@ def test_window_pass_matches_per_step_laplacians(cfg, first, count):
     gp = cfg.graph.to_process(cfg.nodes)
     rp = cfg.regression.to_process(cfg.nodes, cfg.dim)
     gains = GainSchedule.from_config(cfg)
-    h = cfg.excitation.window
+    h, rho0 = cfg.excitation.window, cfg.excitation.rho0
     gram = conditional_expected_gram(rp)
     ks = range(first, first + count)
     states = tuple(range(len(gp.states))) if gp.kind == "markov-switching" else (None,)
-    laws = window_sym_laplacians(gp, h)
     for s in states:
-        got = excitation._window_pass(gp, laws, h, ks, s, gram, gains)
-        for actual, expected in zip(got, per_step_pass(gp, h, ks, s, gram, gains)):
-            assert np.array_equal(actual, expected)
+        gaps, gainless, weighted = per_step_pass(gp, h, ks, s, gram, gains)
+        lhs = np.linalg.eigvalsh(gainless)[:, 0]
+        for j, k in enumerate(ks):
+            # window 0 conditions on nothing, so it takes no state
+            cut = s if k > 0 else None
+            assert np.array_equal(excitation.info_matrix(gp, rp, None, k, h, cut), gainless[j])
+            assert np.array_equal(excitation.info_matrix(gp, rp, gains, k, h, cut), weighted[j])
+            bound = excitation.lemma_lower_bound_check(gp, rp, h, rho0, k, cut)
+            assert np.array_equal(bound.lambda2, gaps[j])
+            assert np.array_equal(bound.lhs, lhs[j])
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -134,25 +142,30 @@ def test_pe_diagnostic_series_match_per_step_laplacians(cfg, windows):
     assert rep.bound_check.violations == int((~(margins >= -1e-10)).sum())
 
 
-def test_window_law_ids_cover_both_parities_and_every_cut_state():
+def test_law_table_covers_both_parities_and_every_cut_state():
     alt = alternating_uniform_graph(3, (0.0, 1.0), (-0.5, 0.5))
-    assert len(window_sym_laplacians(alt, 3)) == 2
-    assert np.array_equal(window_law_ids(alt, 3, range(4)), np.arange(12).reshape(4, 3) % 2)
+    table = window_sym_laplacians(alt, 3)
+    assert table.shape == (2, 3, 3, 3)
+    # a window starting on an odd step takes the other parity at every step
+    assert np.array_equal(table[1], table[0][[1, 0, 1]])
+    assert np.array_equal(_pattern_index(alt, 3, range(4)), [0, 1, 0, 1])
+    assert len(window_sym_laplacians(alt, 2)) == 1
+    assert not _pattern_index(alt, 2, range(4)).any()
     a = np.array([[0.0, 1.0], [0.0, 0.0]])
     chain = markov_switching_graph([a, np.zeros((2, 2)), a.T], np.full((3, 3), 1 / 3), 1)
-    # window 0 conditions on nothing; later windows one law per state and offset
-    assert len(window_sym_laplacians(chain, 2)) == 2 + 3 * 2
-    ids = np.array([window_law_ids(chain, 2, range(3), s) for s in range(3)])
-    assert (ids[:, 0] == [0, 1]).all()
-    assert np.array_equal(ids[:, 1], ids[:, 2])
-    assert sorted(ids[:, 1:].ravel().tolist()) == sorted(2 * list(range(2, 8)))
+    # window 0 conditions on nothing; later windows one pattern per state
+    assert window_sym_laplacians(chain, 2).shape == (1 + 3, 2, 2, 2)
+    which = np.array([_pattern_index(chain, 2, range(3), s) for s in range(3)])
+    assert (which[:, 0] == 0).all()
+    assert np.array_equal(which[:, 1], which[:, 2])
+    assert sorted(which[:, 1].tolist()) == [1, 2, 3]
     with pytest.raises(InvalidInputError, match="needs state_at_cut"):
-        window_law_ids(chain, 2, [1])
+        _pattern_index(chain, 2, [1])
     with pytest.raises(InvalidInputError, match="out of range"):
-        window_law_ids(chain, 2, [1], 3)
+        _pattern_index(chain, 2, [1], 3)
     fixed = fixed_graph(a)
-    assert len(window_sym_laplacians(fixed, 5)) == 1
-    assert not window_law_ids(fixed, 5, range(3)).any()
+    assert window_sym_laplacians(fixed, 5).shape == (1, 5, 2, 2)
+    assert not _pattern_index(fixed, 5, range(3)).any()
 
 
 def _count_calls(monkeypatch, module, name):
@@ -182,6 +195,11 @@ def test_audit_evaluates_each_laplacian_law_once(monkeypatch, markov_pair):
         cfg = replace(markov_pair, graph=graph, excitation=ExcitationConfig(window=h)).validate()
         calls.clear()
         pe_diagnostic(cfg, windows=300)
+        assert len(calls) <= h + 3 * h
+        # one window reads the same table
+        calls.clear()
+        excitation.info_matrix(cfg.graph.to_process(cfg.nodes),
+                               cfg.regression.to_process(cfg.nodes, cfg.dim), None, 4, h, 2)
         assert len(calls) <= h + 3 * h
 
 
