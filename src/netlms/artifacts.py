@@ -1,4 +1,6 @@
-"""Artifact formats shared by the batch runner and the CLI.
+"""Artifact formats, and :func:`write`, the one writer of artifact files:
+it writes UTF-8 whatever the locale and returns the SHA-256 of the bytes
+it wrote, the digest the batch runner's manifest lists.
 
 CSV cells use ``%.17g`` (exact float round-trip) and LF newlines.  JSON
 files are two-space indented with sorted keys; numbers use Python's
@@ -16,15 +18,15 @@ import math
 
 import numpy as np
 
+from .excitation import ExcitationReport, pe_diagnostic
+
 __all__ = [
     "SCHEMA",
     "AUDIT_WINDOW_CAP",
-    "audit_windows",
-    "excitation_payload",
+    "excitation_artifact",
     "jsonable",
-    "write_json",
-    "write_table",
-    "sha256",
+    "table_text",
+    "write",
 ]
 
 # Version of every artifact layout and of the simulator's random stream.
@@ -39,15 +41,22 @@ SCHEMA = 5
 AUDIT_WINDOW_CAP = 2000
 
 
-def audit_windows(config) -> int:
-    """Windows the excitation artifact covers: as many as fit in the
-    configured horizon, at most :data:`AUDIT_WINDOW_CAP`."""
-    total = max(1, (config.horizon + 1) // max(1, config.excitation.window))
-    return min(total, AUDIT_WINDOW_CAP)
+def write(path: str, text: str) -> str:
+    """Write ``text`` to ``path`` as UTF-8 and return the SHA-256 hex
+    digest of the bytes written."""
+    data = text.encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(data)
+    return hashlib.sha256(data).hexdigest()
 
 
-def excitation_payload(report) -> dict:
-    return {"schema": SCHEMA, "report": report}
+def excitation_artifact(config) -> tuple[ExcitationReport, str]:
+    """The excitation audit of ``config`` and the text of its
+    ``excitation.json``: as many windows as fit in the configured horizon,
+    at most :data:`AUDIT_WINDOW_CAP`."""
+    windows = max(1, (config.horizon + 1) // max(1, config.excitation.window))
+    report = pe_diagnostic(config, windows=min(windows, AUDIT_WINDOW_CAP))
+    return report, _json_text({"schema": SCHEMA, "report": report})
 
 
 _PLAIN = (str, int, bool, type(None))
@@ -86,38 +95,15 @@ def _json_text(payload) -> str:
     return json.dumps(jsonable(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def write_json(path: str, payload) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(_json_text(payload))
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def write_table(path: str, fmt: str, columns: list[str], rows: np.ndarray) -> None:
-    """Write a table as CSV or as JSON ``{"schema", "columns", "rows"}``."""
+def table_text(fmt: str, columns: list[str], rows: np.ndarray) -> str:
+    """A table as CSV text, or as JSON ``{"schema", "columns", "rows"}``."""
     if fmt == "csv":
-        lines = [",".join(columns)]
-        for row in rows:
-            lines.append(",".join(_fmt(v) for v in row))
-        data = "\n".join(lines) + "\n"
-        with open(path, "w", newline="") as fh:
-            fh.write(data)
-    else:
-        payload = {
-            "schema": SCHEMA,
-            "columns": columns,
-            # Strict JSON: non-finite cells (the sub-2-step mar entries)
-            # become null rather than a NaN literal.
-            "rows": [[float(v) if np.isfinite(v) else None for v in row] for row in rows],
-        }
-        write_json(path, payload)
-
-
-def sha256(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
+        lines = (",".join(format(float(v), ".17g") for v in row) for row in rows)
+        return "\n".join([",".join(columns), *lines]) + "\n"
+    return _json_text({
+        "schema": SCHEMA,
+        "columns": columns,
+        # Strict JSON: non-finite cells (the sub-2-step mar entries)
+        # become null rather than a NaN literal.
+        "rows": [[float(v) if np.isfinite(v) else None for v in row] for row in rows],
+    })

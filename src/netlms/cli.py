@@ -19,7 +19,7 @@ import argparse
 import os
 import sys
 
-from .artifacts import _json_text, audit_windows, excitation_payload, write_json
+from .artifacts import excitation_artifact, write
 from .config import (
     PRESET_SUMMARIES,
     get_preset,
@@ -30,7 +30,6 @@ from .config import (
 )
 from .errors import NetlmsError
 from .estimator import GainSchedule, validate_gains
-from .excitation import pe_diagnostic
 from .experiment import run_experiment
 
 __all__ = ["main", "build_parser"]
@@ -100,13 +99,13 @@ def _cmd_run(args) -> int:
 def _cmd_audit(args) -> int:
     cfg = _resolve_config(args.config)
     cfg = with_overrides(cfg, horizon=args.horizon)
-    payload = excitation_payload(pe_diagnostic(cfg, windows=audit_windows(cfg)))
+    _, text = excitation_artifact(cfg)
     if args.out is None:
-        print(_json_text(payload), end="")
+        print(text, end="")
     else:
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, "excitation.json")
-        write_json(path, payload)
+        write(path, text)
         print(f"wrote {path}")
     return 0
 

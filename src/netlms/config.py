@@ -164,6 +164,9 @@ class ExperimentConfig:
             fail(f"[model] x0 must have {self.dim} entries, got {len(self.x0)}")
         if len(self.init) != self.nodes or any(len(r) != self.dim for r in self.init):
             fail(f"[model] need init_1..init_{self.nodes}, each with {self.dim} entries")
+        for key, row in [("x0", self.x0), *((f"init_{i}", r) for i, r in enumerate(self.init, 1))]:
+            if not all(map(math.isfinite, row)):
+                fail(f"[model] {key} must be finite, got {_fmt_vector(row)}")
         rho0 = self.excitation.rho0
         if not (math.isfinite(rho0) and rho0 > 0):
             fail(f"[excitation] rho0 must be finite and positive, got {rho0!r}")
@@ -196,9 +199,10 @@ class ExperimentConfig:
             fail(f"[regression] row counts {rp.node_dims} do not match node_dims {self.node_dims}")
         ai = self.regression.ar_init
         if rp.kind == "ar-driven" and ai is not None and (
-            len(ai) != self.nodes or any(len(r) != self.dim for r in ai)
+            len(ai) != self.nodes
+            or any(len(r) != self.dim or not all(map(math.isfinite, r)) for r in ai)
         ):
-            fail(f"[regression] ar_init must be {self.nodes} rows of {self.dim} entries")
+            fail(f"[regression] ar_init must be {self.nodes} rows of {self.dim} finite entries")
         # a field its kind does not read would not survive the config text
         for section in ("graph", "regression"):
             part = getattr(self, section)

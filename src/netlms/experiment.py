@@ -21,23 +21,23 @@ worker process), and writes, into a single output directory:
   on the same library versions reproduces every file byte for byte,
   whatever the worker count.
 
-The file formats are those of :mod:`netlms.artifacts`.
+The file formats and the writer are those of :mod:`netlms.artifacts`; the
+manifest lists the digests the writer returns, so no file is read back.
 """
 
 from __future__ import annotations
 
-import hashlib
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .artifacts import SCHEMA, audit_windows, excitation_payload, sha256, write_json, write_table
+from .artifacts import SCHEMA, _json_text, excitation_artifact, table_text, write
 from .config import ExperimentConfig, render_config
 from .errors import InvalidInputError
 from .estimator import _run_seed, _sample_runs
-from .excitation import ExcitationReport, pe_diagnostic
+from .excitation import ExcitationReport
 from .regret import _summary
 
 __all__ = ["ExperimentArtifacts", "run_experiment", "default_out_dir"]
@@ -68,13 +68,6 @@ def default_out_dir(config: ExperimentConfig) -> str:
     env = os.environ.get(OUT_DIR_ENV, "")
     base = env if env else os.path.join(".", "netlms-out")
     return os.path.join(base, config.name)
-
-
-def _record_indices(rows: int, every: int) -> np.ndarray:
-    idx = np.arange(0, rows, every)
-    if idx[-1] != rows - 1:
-        idx = np.append(idx, rows - 1)
-    return idx
 
 
 # the chunk statistics each worker keeps at the record grid
@@ -109,15 +102,15 @@ def run_experiment(
         raise InvalidInputError(f"fmt must be 'csv' or 'json', got {fmt!r}")
     if workers < 1:
         raise InvalidInputError("workers must be positive")
-    config.validate()
-    # audit first: a config outside the analyzer's reach fails before any
-    # run is simulated or any file is written
-    report = pe_diagnostic(config, windows=audit_windows(config))
+    # audit first (it validates the config): a config outside the
+    # analyzer's reach fails before any run is simulated or any file is written
+    report, excitation_text = excitation_artifact(config)
 
     out = default_out_dir(config) if out_dir is None else out_dir
     os.makedirs(out, exist_ok=True)
 
-    idx = _record_indices(config.horizon + 1, config.record_every)
+    # the record grid: every record_every-th step, and the last step
+    idx = np.append(np.arange(0, config.horizon, config.record_every), config.horizon)
     # one batch per worker, contiguous runs; the files do not depend on the split
     jobs = [(config, int(part[0]), part.size, idx)
             for part in np.array_split(np.arange(config.runs), workers) if part.size]
@@ -133,27 +126,24 @@ def run_experiment(
     run_cols = ["step", "V"] + [f"err_norm_{i + 1}" for i in range(n)] + [
         f"est_norm_{i + 1}" for i in range(n)
     ]
-    ext = "csv" if fmt == "csv" else "json"
-    run_files = []
-    for i in range(config.runs):
-        path = os.path.join(out, f"run_{i:04d}.{ext}")
-        table = np.column_stack([idx, got["v"][i], got["err_norms"][i], got["est_norms"][i]])
-        write_table(path, fmt, run_cols, table)
-        run_files.append(path)
+    files = {}  # file name -> SHA-256 of the bytes written
 
+    def put(name: str, text: str) -> str:
+        path = os.path.join(out, name)
+        files[name] = write(path, text)
+        return path
+
+    run_files = [
+        put(f"run_{i:04d}.{fmt}", table_text(fmt, run_cols, np.column_stack(
+            [idx, got["v"][i], got["err_norms"][i], got["est_norms"][i]])))
+        for i in range(config.runs)
+    ]
     series = _summary(zip(got["cum_excess"], got["v"]), idx, config.gains.a_exp)
     agg_cols = ["step", "mean_V"] + [f"regret_{i + 1}" for i in range(n)] + ["mar"]
     agg_rows = np.column_stack([idx, series.mean_v, series.regret, series.mar])
-    aggregate_file = os.path.join(out, f"aggregate.{ext}")
-    write_table(aggregate_file, fmt, agg_cols, agg_rows)
-
-    excitation_file = os.path.join(out, "excitation.json")
-    write_json(excitation_file, excitation_payload(report))
-
-    config_text = render_config(config)
-    config_file = os.path.join(out, "config.txt")
-    with open(config_file, "w", newline="") as fh:
-        fh.write(config_text)
+    aggregate_file = put(f"aggregate.{fmt}", table_text(fmt, agg_cols, agg_rows))
+    excitation_file = put("excitation.json", excitation_text)
+    config_file = put("config.txt", render_config(config))
 
     manifest = {
         "schema": SCHEMA,
@@ -163,7 +153,7 @@ def run_experiment(
         "horizon": config.horizon,
         "record_every": config.record_every,
         "format": fmt,
-        "config_sha256": hashlib.sha256(config_text.encode()).hexdigest(),
+        "config_sha256": files["config.txt"],
         "versions": {
             "netlms": _package_version(),
             "numpy": np.__version__,
@@ -176,13 +166,10 @@ def run_experiment(
         },
         # per run: the first step whose V is not finite, null if none
         "first_nonfinite_step": [br.first_nonfinite_step for br in reports],
-        "files": {
-            os.path.basename(p): sha256(p)
-            for p in [*run_files, aggregate_file, excitation_file, config_file]
-        },
+        "files": files,
     }
     manifest_file = os.path.join(out, "manifest.json")
-    write_json(manifest_file, manifest)
+    write(manifest_file, _json_text(manifest))
 
     aggregate = {name: agg_rows[:, j].copy() for j, name in enumerate(agg_cols)}
     return ExperimentArtifacts(

@@ -12,6 +12,7 @@ variance at practical run counts.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,6 +141,17 @@ def _check_records(records) -> list[TrajectoryRecord]:
     return recs
 
 
+def _horizon(recs, horizon, low: int) -> int:
+    """``horizon`` as an index into the records' steps, at least ``low``."""
+    rows = recs[0].excess_losses.shape[0]
+    try:
+        if low <= operator.index(horizon) < rows:
+            return operator.index(horizon)
+    except TypeError:
+        pass
+    raise InvalidInputError(f"horizon must be an integer in [{low}, {rows - 1}], got {horizon!r}")
+
+
 def regret_series(records, tau: float) -> RegretSeries:
     """Fold a batch of runs into full per-step regret statistics.
 
@@ -157,10 +169,8 @@ def mar(records, horizon: int, tau: float) -> float:
     ``regret_series(records, tau).mar``.  Needs ``horizon >= 2`` for a
     positive normalizer."""
     recs = _check_records(records)
-    rows = recs[0].excess_losses.shape[0]
-    if not 2 <= horizon < rows:
-        raise InvalidInputError(f"mar needs a horizon in [2, {rows - 1}] (positive log)")
-    return float(regret_series(recs, tau).mar[horizon])
+    t = _horizon(recs, horizon, 2)
+    return float(regret_series(recs, tau).mar[t])
 
 
 def lemma_regret_bound_check(records, rho0: float, horizon: int | None = None) -> RegretBoundReport:
@@ -175,10 +185,7 @@ def lemma_regret_bound_check(records, rho0: float, horizon: int | None = None) -
     if not (np.isfinite(rho0) and rho0 > 0):
         raise InvalidInputError("rho0 must be finite and positive")
     recs = _check_records(records)
-    rows = recs[0].excess_losses.shape[0]
-    last = rows - 1 if horizon is None else int(horizon)
-    if not 0 <= last < rows:
-        raise InvalidInputError(f"horizon must lie in [0, {rows - 1}]")
+    last = recs[0].excess_losses.shape[0] - 1 if horizon is None else _horizon(recs, horizon, 0)
     series = regret_series(recs, tau=0.5)
     n_nodes = series.regret.shape[1]
 

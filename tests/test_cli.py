@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, artifact wiring."""
 
+import hashlib
 import json
 import os
 import re
@@ -10,7 +11,8 @@ import pytest
 
 import netlms
 from netlms.cli import main
-from netlms.config import get_preset, parse_config, preset_names, render_config
+from netlms.config import get_preset, parse_config, preset_names, render_config, with_overrides
+from netlms.experiment import run_experiment
 
 
 def test_presets_lists_all(capsys):
@@ -46,6 +48,30 @@ def test_run_accepts_config_file(tmp_path, capsys):
                "--runs", "1", "--out", str(tmp_path / "out")])
     assert rc == 0
     assert (tmp_path / "out" / "run_0000.csv").exists()
+
+
+def test_run_writes_utf8_under_a_non_utf8_locale(tmp_path):
+    """A non-ASCII config runs to the end under the C locale: every file is
+    UTF-8, and the manifest's digest is that of the bytes on disk."""
+    text = re.sub(r"^name = .*$", "name = régime", render_config(get_preset("setting-i")),
+                  flags=re.M)
+    cfg_path = tmp_path / "cfg.txt"
+    cfg_path.write_text(text, encoding="utf-8")
+    # the child finds the same package as this process, installed or not
+    src = os.path.dirname(os.path.dirname(netlms.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "PYTHONUTF8": "0", "LC_ALL": "C"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "netlms", "run", "--config", str(cfg_path), "--runs", "2",
+         "--horizon", "40", "--out", str(tmp_path / "D")],
+        capture_output=True, env=env)
+    assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")
+    written = (tmp_path / "D" / "config.txt").read_bytes()
+    assert parse_config(written.decode("utf-8")) == with_overrides(
+        parse_config(text), runs=2, horizon=40)
+    man = json.loads((tmp_path / "D" / "manifest.json").read_bytes())
+    assert man["config_sha256"] == man["files"]["config.txt"]
+    assert man["config_sha256"] == hashlib.sha256(written).hexdigest()
 
 
 def test_run_rerun_byte_identical(tmp_path):
@@ -86,6 +112,16 @@ def test_audit_stdout_is_the_artifact_text(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert main(["audit", "--config", "setting-i", "--out", str(tmp_path)]) == 0
     assert printed.encode() == (tmp_path / "excitation.json").read_bytes()
+
+
+def test_audit_file_is_the_run_artifact(tmp_path):
+    """``audit --out`` and ``run`` write the same ``excitation.json``."""
+    assert main(["audit", "--config", "regret", "--horizon", "300",
+                 "--out", str(tmp_path / "audit")]) == 0
+    run_experiment(with_overrides(get_preset("regret"), runs=3, horizon=300),
+                   out_dir=str(tmp_path / "run"))
+    audited = (tmp_path / "audit" / "excitation.json").read_bytes()
+    assert audited == (tmp_path / "run" / "excitation.json").read_bytes()
 
 
 def test_validate_gains_pass_and_fail(tmp_path, capsys):

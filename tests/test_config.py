@@ -264,6 +264,10 @@ CONFIG_ERRORS = [
     pytest.param(("dim = 2", "dim = 0"), ["[model] nodes and dim"], None, id="dim"),
     pytest.param(("node_dims = 1 1", "node_dims = 1 1 1"), ["[model] node_dims"], None, id="node_dims"),
     pytest.param(("init_1 = 0.0 0.0", "init_1 = 0.0"), ["[model]", "init_1"], None, id="init"),
+    pytest.param(("x0 = 1.0 0.0", "x0 = nan 0.0"), ["[model] x0 must be finite"], None,
+                 id="x0-nan"),
+    pytest.param(("init_2 = 0.0 0.0", "init_2 = 0.0 inf"), ["[model] init_2 must be finite"], None,
+                 id="init-inf"),
     pytest.param(("[gains]", "[excitation]\nwindow = 0\n\n[gains]"), ["[excitation] window"], None,
                  id="window"),
     pytest.param((IID_GRAPH, "kind = fixed\nadjacency = 1 1 ; 1 0"),
@@ -276,6 +280,8 @@ CONFIG_ERRORS = [
                  ["[regression] column count 3", "dim 2"], None, id="regression-columns"),
     pytest.param((FIXED_REGRESSION, "kind = ar-driven\nar_init = 0 0 0 ; 0 0 0"),
                  ["[regression] ar_init"], None, id="ar_init"),
+    pytest.param((FIXED_REGRESSION, "kind = ar-driven\nar_init = 0 0 ; nan 0"),
+                 ["[regression] ar_init must be 2 rows of 2 finite entries"], None, id="ar_init-nan"),
     # the parser
     pytest.param(("kind = iid-uniform", "kind = bogus"), ["[graph] unknown kind 'bogus'"],
                  "kind = bogus", id="unknown-kind"),

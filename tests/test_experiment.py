@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netlms import experiment
-from netlms.artifacts import SCHEMA, _json_text, jsonable, write_json
+from netlms.artifacts import SCHEMA, _json_text, jsonable, write
 from netlms.config import (
     GraphConfig,
     NoiseConfig,
@@ -229,16 +229,16 @@ def test_json_format(small_cfg, tmp_path):
 def test_non_finite_numpy_scalars_become_strings(tmp_path):
     values = [np.float64("nan"), np.float64("inf"), np.float32("-inf"), np.float64(1.5)]
     assert jsonable(values) == ["nan", "inf", "-inf", 1.5]
-    write_json(str(tmp_path / "doc.json"), {"report": jsonable(values)})
+    write(str(tmp_path / "doc.json"), _json_text({"report": jsonable(values)}))
     assert json.load(open(tmp_path / "doc.json")) == {"report": ["nan", "inf", "-inf", 1.5]}
 
 
 def test_nested_dict_values_become_strings(tmp_path):
-    """``write_json`` converts a payload dict all the way down."""
+    """``_json_text`` converts a payload dict all the way down."""
     payload = {"s": [np.float64("nan")], "inner": {"hi": np.float64("inf"), "lo": (np.float32("-inf"), 2)}}
     expected = {"s": ["nan"], "inner": {"hi": "inf", "lo": ["-inf", 2]}}
     assert jsonable(payload) == expected
-    write_json(str(tmp_path / "doc.json"), payload)
+    write(str(tmp_path / "doc.json"), _json_text(payload))
     assert json.load(open(tmp_path / "doc.json")) == expected
 
 

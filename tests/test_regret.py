@@ -103,7 +103,7 @@ def test_mar_is_an_entry_of_the_series(bench_runs):
 
 def test_mar_needs_a_recorded_horizon_of_two_steps_or_more(bench_runs):
     _, runs = bench_runs
-    for horizon in (-1, 0, 1, 801, 10_000):
+    for horizon in (-1, 0, 1, 801, 10_000, 2.5, 3.0, np.float64(3.0), "3", None):
         with pytest.raises(InvalidInputError):
             mar(runs, horizon, 0.6)
     with pytest.raises(InvalidInputError):
@@ -187,6 +187,10 @@ def test_bound_check_horizon_argument(bench_runs):
         lemma_regret_bound_check(runs, rho0=0.0)
     with pytest.raises(InvalidInputError):
         lemma_regret_bound_check(runs, rho0=5.0, horizon=10_000)
+    assert lemma_regret_bound_check(runs, rho0=5.0, horizon=np.int64(3)).steps_checked == 4
+    for horizon in (2.7, 3.0, "3"):
+        with pytest.raises(InvalidInputError, match="horizon must be an integer"):
+            lemma_regret_bound_check(runs, rho0=5.0, horizon=horizon)
 
 
 @pytest.mark.parametrize("rho0", [float("nan"), float("inf"), 0.0, -1.0])
