@@ -50,13 +50,17 @@ def write(path: str, text: str) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def excitation_artifact(config) -> tuple[ExcitationReport, str]:
-    """The excitation audit of ``config`` and the text of its
-    ``excitation.json``: as many windows as fit in the configured horizon,
-    at most :data:`AUDIT_WINDOW_CAP`."""
-    windows = max(1, (config.horizon + 1) // max(1, config.excitation.window))
-    report = pe_diagnostic(config, windows=min(windows, AUDIT_WINDOW_CAP))
-    return report, _json_text({"schema": SCHEMA, "report": report})
+def _audit(config) -> ExcitationReport:
+    """The excitation audit of ``config`` that ``excitation.json`` holds:
+    as many windows as fit in the configured horizon, at most
+    :data:`AUDIT_WINDOW_CAP`."""
+    windows = max(1, (config.horizon + 1) // config.excitation.window)
+    return pe_diagnostic(config, windows=min(windows, AUDIT_WINDOW_CAP))
+
+
+def excitation_artifact(report: ExcitationReport) -> str:
+    """The text of ``excitation.json`` for an audit ``report``."""
+    return _json_text({"schema": SCHEMA, "report": report})
 
 
 _PLAIN = (str, int, bool, type(None))

@@ -9,8 +9,9 @@ Subcommands:
 * ``presets`` — list the built-in benchmark configurations.
 
 ``--config`` accepts either a path to a config file or the name of a
-built-in preset (a path wins when both exist).  ``--seed``, ``--runs``,
-``--horizon`` and ``--out`` override the corresponding config fields.
+built-in preset (a path wins when both exist).  ``--seed``, ``--runs``
+and ``--horizon`` override the corresponding config fields; ``--out``
+names the output directory.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import argparse
 import os
 import sys
 
-from .artifacts import excitation_artifact, write
+from .artifacts import _audit, excitation_artifact, write
 from .config import (
     PRESET_SUMMARIES,
     get_preset,
@@ -99,7 +100,7 @@ def _cmd_run(args) -> int:
 def _cmd_audit(args) -> int:
     cfg = _resolve_config(args.config)
     cfg = with_overrides(cfg, horizon=args.horizon)
-    _, text = excitation_artifact(cfg)
+    text = excitation_artifact(_audit(cfg))
     if args.out is None:
         print(text, end="")
     else:

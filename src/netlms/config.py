@@ -19,16 +19,22 @@ take their keys from the fields of their dataclasses, defaults included;
 constructor of its process.  :func:`parse_config`, :func:`render_config`
 and the ``to_process`` methods only read these tables.
 
-Parsing reports the first offending line; semantic validation (dimension
-mismatches, values outside the model's premises and the like) names the
-section and key, and builds every model object the config describes.
-Every valid config round-trips exactly through
+Parsing reports the first offending line.  The semantic checks
+(dimension mismatches, integer keys holding non-integers, values outside
+the model's premises and the like) run whenever an
+:class:`ExperimentConfig` is built, by :func:`parse_config`, a preset,
+:func:`with_overrides` or ``dataclasses.replace`` alike, so a config that
+exists is valid; a failure names the section and key, and the checks
+build every model object the config describes.  A config describes only
+the experiment: where its files go is the batch runner's ``out_dir``.
+Every config round-trips exactly through
 ``parse_config(render_config(cfg))``, and the rendering is canonical.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections import ChainMap
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable
@@ -138,16 +144,32 @@ class ExperimentConfig:
     gains: GainConfig = field(default_factory=GainConfig)
     excitation: ExcitationConfig = field(default_factory=ExcitationConfig)
     record_every: int = 1
-    out: str = ""
 
-    def validate(self) -> "ExperimentConfig":
+    def __post_init__(self):
         """Check the config against the model's premises and build the
-        processes it describes; a failure is a :class:`ConfigError` that
-        names the section, and the key where one key is at fault."""
+        processes it describes, whenever a config is built (by
+        ``dataclasses.replace`` too); a failure is a :class:`ConfigError`
+        that names the section, and the key where one key is at fault."""
 
         def fail(msg):
             raise ConfigError(msg)
 
+        # every integer key holds an integer (a numpy one will do)
+        for key, value in (
+            ("[experiment] seed", self.seed),
+            ("[experiment] horizon", self.horizon),
+            ("[experiment] runs", self.runs),
+            ("[experiment] record_every", self.record_every),
+            ("[model] nodes", self.nodes),
+            ("[model] dim", self.dim),
+            *((f"[model] node_dims entry {i}", d) for i, d in enumerate(self.node_dims, 1)),
+            ("[excitation] window", self.excitation.window),
+            ("[graph] initial_state", self.graph.initial_state),
+        ):
+            try:
+                operator.index(value)
+            except TypeError:
+                fail(f"{key} must be an integer, got {value!r}")
         if self.seed < 0:
             fail("[experiment] seed must be nonnegative")
         if self.horizon < 0:
@@ -210,7 +232,6 @@ class ExperimentConfig:
             for f in fields(part):
                 if f.name not in read and getattr(part, f.name) != f.default:
                     fail(f"[{section}] {f.name} is not read by kind {part.kind!r}")
-        return self
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +307,8 @@ class _Key:
             object.__setattr__(self, "attr", self.name)
 
     def render(self, value) -> list[str]:
-        if self.default in (None, "") and value == self.default:
-            return []  # an optional key left unset is left out
+        if value is None:
+            return []  # ar_init left unset is left out
         fmt = _TYPES[self.type].render
         if not self.count:
             return [f"{self.name} = {fmt(value)}"]
@@ -436,7 +457,6 @@ _SECTIONS = {
                 _Key("horizon", "int"),
                 _Key("runs", "int", 1),
                 _Key("record_every", "int", ExperimentConfig.record_every),
-                _Key("out", "str", ExperimentConfig.out),
             ),
         ),
         _Section(
@@ -540,7 +560,7 @@ def _split_sections(text: str) -> dict[str, dict[str, tuple[str, int]]]:
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse config text into a validated :class:`ExperimentConfig`."""
+    """Parse config text into an :class:`ExperimentConfig`."""
     raw = _split_sections(text)
     for section in _SECTIONS.values():
         if section.required and section.name not in raw:
@@ -558,7 +578,7 @@ def parse_config(text: str) -> ExperimentConfig:
         view.finish()
         if section.cls:
             top[section.name] = section.cls(**got)
-    return ExperimentConfig(**top).validate()
+    return ExperimentConfig(**top)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -657,18 +677,11 @@ def get_preset(name: str) -> ExperimentConfig:
     key = name.strip().lower()
     if key not in _PRESETS:
         raise ConfigError(f"unknown preset {name!r}; available: {', '.join(_PRESETS)}")
-    return _benchmark_config(key, *_PRESETS[key][:-1]).validate()
+    return _benchmark_config(key, *_PRESETS[key][:-1])
 
 
-def with_overrides(cfg: ExperimentConfig, seed=None, runs=None, horizon=None, out=None) -> ExperimentConfig:
+def with_overrides(cfg: ExperimentConfig, seed=None, runs=None, horizon=None) -> ExperimentConfig:
     """Apply the CLI-level overrides, leaving other fields untouched."""
-    updates = {}
-    if seed is not None:
-        updates["seed"] = int(seed)
-    if runs is not None:
-        updates["runs"] = int(runs)
-    if horizon is not None:
-        updates["horizon"] = int(horizon)
-    if out is not None:
-        updates["out"] = str(out)
-    return replace(cfg, **updates).validate() if updates else cfg
+    updates = {"seed": seed, "runs": runs, "horizon": horizon}
+    updates = {k: v for k, v in updates.items() if v is not None}
+    return replace(cfg, **updates) if updates else cfg

@@ -481,7 +481,6 @@ def pe_diagnostic(config: ExperimentConfig, windows: int | None = None) -> Excit
     cycle of law patterns, and ``sublinear_warning`` says the tail decayed
     faster than ``1/k`` — heuristics, never verdicts.
     """
-    config.validate()
     h = config.excitation.window
     if windows is None:
         windows = max(1, (config.horizon + 1) // h)

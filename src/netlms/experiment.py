@@ -28,12 +28,13 @@ manifest lists the digests the writer returns, so no file is read back.
 from __future__ import annotations
 
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .artifacts import SCHEMA, _json_text, excitation_artifact, table_text, write
+from .artifacts import SCHEMA, _audit, _json_text, excitation_artifact, table_text, write
 from .config import ExperimentConfig, render_config
 from .errors import InvalidInputError
 from .estimator import _run_seed, _sample_runs
@@ -61,10 +62,8 @@ class ExperimentArtifacts:
 
 
 def default_out_dir(config: ExperimentConfig) -> str:
-    """Output directory resolution: the config's ``out`` field, else the
-    ``NETLMS_OUT`` environment variable, else ``./netlms-out/<name>``."""
-    if config.out:
-        return config.out
+    """Where :func:`run_experiment` writes when given no ``out_dir``:
+    ``$NETLMS_OUT/<name>``, else ``./netlms-out/<name>``."""
     env = os.environ.get(OUT_DIR_ENV, "")
     base = env if env else os.path.join(".", "netlms-out")
     return os.path.join(base, config.name)
@@ -102,11 +101,17 @@ def run_experiment(
         raise InvalidInputError(f"fmt must be 'csv' or 'json', got {fmt!r}")
     if workers < 1:
         raise InvalidInputError("workers must be positive")
-    # audit first (it validates the config): a config outside the
-    # analyzer's reach fails before any run is simulated or any file is written
-    report, excitation_text = excitation_artifact(config)
-
     out = default_out_dir(config) if out_dir is None else out_dir
+    try:  # a name the file system cannot spell fails before any directory is made
+        os.fsencode(out)
+    except UnicodeEncodeError:
+        raise InvalidInputError(
+            f"output directory {out!r} cannot be encoded as {sys.getfilesystemencoding()}"
+        ) from None
+    # audit first: a config outside the analyzer's reach (ar-driven, one
+    # node) fails before any run is simulated or any file is written; the
+    # report's text is built after the runs, so it is not held under their peak
+    report = _audit(config)
     os.makedirs(out, exist_ok=True)
 
     # the record grid: every record_every-th step, and the last step
@@ -142,7 +147,7 @@ def run_experiment(
     agg_cols = ["step", "mean_V"] + [f"regret_{i + 1}" for i in range(n)] + ["mar"]
     agg_rows = np.column_stack([idx, series.mean_v, series.regret, series.mar])
     aggregate_file = put(f"aggregate.{fmt}", table_text(fmt, agg_cols, agg_rows))
-    excitation_file = put("excitation.json", excitation_text)
+    excitation_file = put("excitation.json", excitation_artifact(report))
     config_file = put("config.txt", render_config(config))
 
     manifest = {
@@ -157,7 +162,7 @@ def run_experiment(
         "versions": {
             "netlms": _package_version(),
             "numpy": np.__version__,
-            "python": ".".join(map(str, __import__("sys").version_info[:3])),
+            "python": ".".join(map(str, sys.version_info[:3])),
         },
         "bound_checks": {
             "steps": sum(br.steps_checked for br in reports),

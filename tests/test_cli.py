@@ -74,6 +74,28 @@ def test_run_writes_utf8_under_a_non_utf8_locale(tmp_path):
     assert man["config_sha256"] == hashlib.sha256(written).hexdigest()
 
 
+def test_run_rejects_an_unencodable_default_out_dir(tmp_path):
+    """Without ``--out`` the directory is named after the config; a name
+    that the C locale cannot encode is one error line, and no directory
+    is made."""
+    text = re.sub(r"^name = .*$", "name = régime", render_config(get_preset("setting-i")),
+                  flags=re.M)
+    cfg_path = tmp_path / "cfg.txt"
+    cfg_path.write_text(text, encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(netlms.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {k: v for k, v in os.environ.items() if k != "NETLMS_OUT"}
+    env.update(PYTHONPATH=path, PYTHONUTF8="0", LC_ALL="C")
+    proc = subprocess.run(
+        [sys.executable, "-m", "netlms", "run", "--config", str(cfg_path), "--runs", "1",
+         "--horizon", "20"],
+        capture_output=True, env=env, cwd=tmp_path)
+    assert proc.returncode == 1
+    lines = proc.stderr.decode("ascii").splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: output directory"), lines
+    assert sorted(os.listdir(tmp_path)) == ["cfg.txt"]
+
+
 def test_run_rerun_byte_identical(tmp_path):
     args = ["run", "--config", "setting-ii", "--horizon", "120", "--runs", "1"]
     assert main(args + ["--out", str(tmp_path / "a")]) == 0

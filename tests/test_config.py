@@ -158,8 +158,8 @@ def test_shape_mismatch_caught_by_validation():
 
 def test_with_overrides():
     cfg = get_preset("setting-iii")
-    out = with_overrides(cfg, seed=7, runs=3, horizon=123, out="/tmp/x")
-    assert (out.seed, out.runs, out.horizon, out.out) == (7, 3, 123, "/tmp/x")
+    out = with_overrides(cfg, seed=7, runs=3, horizon=123)
+    assert (out.seed, out.runs, out.horizon) == (7, 3, 123)
     # untouched fields survive
     assert out.gains == cfg.gains and out.name == cfg.name
     # None leaves everything alone
@@ -235,9 +235,9 @@ def test_noise_and_gain_values_outside_the_premises_rejected(section, line):
 def test_a_field_its_kind_does_not_read_is_rejected(section, change, message):
     """The config text leaves such a field out, so it would not round-trip."""
     cfg = get_preset("setting-i")
-    cfg = dataclasses.replace(cfg, **{section: dataclasses.replace(getattr(cfg, section), **change)})
+    part = dataclasses.replace(getattr(cfg, section), **change)
     with pytest.raises(ConfigError) as err:
-        cfg.validate()
+        dataclasses.replace(cfg, **{section: part})
     assert message in str(err.value)
 
 
@@ -250,12 +250,16 @@ def _extra_regression_node(cfg):
     return dataclasses.replace(cfg, regression=dataclasses.replace(cfg.regression, h_nodes=rows))
 
 
+def _replace(**changes):
+    return lambda cfg: dataclasses.replace(cfg, **changes)
+
+
 # each case changes one thing in MINIMAL: an (old, new) text edit, or a
 # function of the parsed config where the parser cannot produce the input;
 # the message must hold every fragment, and a parser error must carry the
 # number of the given line
 CONFIG_ERRORS = [
-    # ExperimentConfig.validate
+    # ExperimentConfig.__post_init__, which every way of building a config runs
     pytest.param(("horizon = 10", "horizon = 10\nseed = -1"), ["[experiment] seed"], None, id="seed"),
     pytest.param(("horizon = 10", "horizon = -1"), ["[experiment] horizon"], None, id="horizon"),
     pytest.param(("horizon = 10", "horizon = 10\nruns = 0"), ["[experiment] runs"], None, id="runs"),
@@ -282,6 +286,30 @@ CONFIG_ERRORS = [
                  ["[regression] ar_init"], None, id="ar_init"),
     pytest.param((FIXED_REGRESSION, "kind = ar-driven\nar_init = 0 0 ; nan 0"),
                  ["[regression] ar_init must be 2 rows of 2 finite entries"], None, id="ar_init-nan"),
+    pytest.param(_replace(node_dims=(1, 1, 1)), ["[model] node_dims must list one positive row count"],
+                 None, id="replace-node_dims"),
+    pytest.param(_replace(nodes=3), ["[model] node_dims must list one positive row count"], None,
+                 id="replace-nodes"),
+    pytest.param(_replace(node_dims=(1, 2)), ["[regression] row counts (1, 1) do not match node_dims (1, 2)"],
+                 None, id="replace-row-counts"),
+    # an integer key holds an integer
+    pytest.param(_replace(horizon=10.5), ["[experiment] horizon must be an integer, got 10.5"], None,
+                 id="horizon-float"),
+    pytest.param(_replace(seed=3.0), ["[experiment] seed must be an integer, got 3.0"], None,
+                 id="seed-float"),
+    pytest.param(_replace(runs="2"), ["[experiment] runs must be an integer, got '2'"], None,
+                 id="runs-str"),
+    pytest.param(_replace(record_every=2.5), ["[experiment] record_every must be an integer, got 2.5"],
+                 None, id="record_every-float"),
+    pytest.param(_replace(nodes=2.0), ["[model] nodes must be an integer, got 2.0"], None,
+                 id="nodes-float"),
+    pytest.param(_replace(dim=None), ["[model] dim must be an integer, got None"], None, id="dim-none"),
+    pytest.param(_replace(node_dims=(1, 1.5)), ["[model] node_dims entry 2 must be an integer, got 1.5"],
+                 None, id="node_dims-float"),
+    pytest.param(_replace(excitation=ExcitationConfig(window=2.0)),
+                 ["[excitation] window must be an integer, got 2.0"], None, id="window-float"),
+    pytest.param(_replace(graph=GraphConfig("iid-uniform", initial_state=0.5)),
+                 ["[graph] initial_state must be an integer, got 0.5"], None, id="initial_state-float"),
     # the parser
     pytest.param(("kind = iid-uniform", "kind = bogus"), ["[graph] unknown kind 'bogus'"],
                  "kind = bogus", id="unknown-kind"),
@@ -296,6 +324,9 @@ CONFIG_ERRORS = [
     pytest.param(("low = 0.0", "low 0.0"), ["[graph] expected 'key = value'"], "low 0.0",
                  id="no-equals"),
     pytest.param(("low = 0.0", "= 0.0"), ["[graph] empty key"], "= 0.0", id="empty-key"),
+    # where the files go is not part of the experiment
+    pytest.param(("horizon = 10", "horizon = 10\nout = x"), ["unknown key 'out' in [experiment]"],
+                 "out = x", id="out"),
 ]
 
 
@@ -303,7 +334,7 @@ CONFIG_ERRORS = [
 def test_each_config_error_names_its_section_key_and_line(edit, fragments, line):
     if callable(edit):
         with pytest.raises(ConfigError) as err:
-            edit(parse_config(MINIMAL)).validate()
+            edit(parse_config(MINIMAL))  # the replace builds the config
     else:
         old, new = edit
         assert MINIMAL.count(old) == 1
@@ -422,7 +453,6 @@ def _random_config(draw, graph_kind, regression_kind) -> ExperimentConfig:
         horizon=draw(st.integers(0, 10**6)),
         runs=draw(st.integers(1, 100)),
         record_every=draw(st.integers(1, 1000)),
-        out=draw(st.one_of(st.just(""), WORDS.map(lambda w: f"runs/{w}"))),
         nodes=nodes,
         dim=dim,
         node_dims=node_dims,
@@ -445,7 +475,7 @@ def _random_config(draw, graph_kind, regression_kind) -> ExperimentConfig:
             theta2=draw(NONNEGATIVE),
             rho0=draw(POSITIVE),
         ),
-    ).validate()
+    )
 
 
 @pytest.mark.parametrize("graph_kind", GRAPH_KINDS)
@@ -458,6 +488,5 @@ def test_every_kind_round_trips(graph_kind, regression_kind, data):
     again = parse_config(text)
     assert again == cfg
     assert render_config(again) == text
-    # optional keys left unset are left out
-    assert ("\nout = " in text) == bool(cfg.out)
+    # an optional key left unset is left out
     assert ("\nar_init = " in text) == (cfg.regression.ar_init is not None)

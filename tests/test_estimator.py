@@ -164,7 +164,7 @@ def test_single_node_stochastic_gradient_converges():
                                     coef=(((1.0,),),)),
         gains=GainConfig(a_coef=1.0, a_exp=0.6, b_coef=0.0, b_exp=0.6,
                          lambda_coef=0.0, lambda_exp=0.0),
-    ).validate()
+    )
     rec = run_trajectory(cfg, substream(cfg.seed, 0), check_bounds=False)
     assert rec.v[0] == 4.0
     assert rec.v[-1] < 0.05 * rec.v[0]
@@ -390,7 +390,7 @@ def _kind_config(graph_kind, regression_kind):
         noise=NoiseConfig(measurement_std=0.5, channel_std=0.7, sigma_f=0.2, b_f=0.1),
         gains=GainConfig(a_coef=0.5, a_exp=0.6, b_coef=0.4, b_exp=0.6,
                          lambda_coef=0.3, lambda_exp=2.0),
-    ).validate()
+    )
 
 
 def _replay(model, seed, horizon):
@@ -484,7 +484,7 @@ def test_kernel_invariants_on_random_shapes(data):
                           sigma_f=sigma_f, b_f=0.2),
         gains=GainConfig(a_coef=0.5, a_exp=0.6, b_coef=0.4, b_exp=0.6,
                          lambda_coef=0.3, lambda_exp=2.0),
-    ).validate()
+    )
     model = SimulationModel.from_config(cfg)
     seeds = [np.random.SeedSequence(cfg.seed, spawn_key=(r,)) for r in range(runs)]
     with pytest.MonkeyPatch.context() as mp:

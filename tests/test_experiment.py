@@ -347,8 +347,6 @@ def test_default_out_dir_resolution(monkeypatch):
     assert default_out_dir(cfg) == os.path.join(".", "netlms-out", "setting-i")
     monkeypatch.setenv("NETLMS_OUT", "/data/results")
     assert default_out_dir(cfg) == os.path.join("/data/results", "setting-i")
-    via_config = with_overrides(cfg, out="/explicit/dir")
-    assert default_out_dir(via_config) == "/explicit/dir"
 
 
 def _file_bytes(art):
@@ -460,7 +458,7 @@ def test_audit_rejection_writes_no_files(tmp_path):
     rejects leaves the output directory empty."""
     base = with_overrides(get_preset("setting-i"), runs=2, horizon=50)
     ar_driven = dataclasses.replace(
-        base, node_dims=(1, 1, 1), regression=RegressionConfig(kind="ar-driven")).validate()
+        base, node_dims=(1, 1, 1), regression=RegressionConfig(kind="ar-driven"))
     cases = [(ar_driven, UnsupportedAnalyticError), (parse_config(ONE_NODE), InvalidInputError)]
     for i, (cfg, error) in enumerate(cases):
         out = tmp_path / f"out{i}"
@@ -476,11 +474,9 @@ def test_audit_rejection_writes_no_files(tmp_path):
     NoiseConfig(sigma_f=-0.1),
     NoiseConfig(sigma_f=float("nan")),
 ])
-def test_noise_outside_the_premises_writes_nothing(tmp_path, noise):
-    """run_experiment validates the config before it makes the output
-    directory, so bad noise settings leave no directory behind."""
-    cfg = dataclasses.replace(with_overrides(get_preset("setting-i"), runs=2, horizon=50), noise=noise)
-    out = tmp_path / "out"
+def test_noise_outside_the_premises_writes_nothing(noise):
+    """Bad noise settings fail where the config is built, so no config
+    that holds them reaches run_experiment."""
+    cfg = with_overrides(get_preset("setting-i"), runs=2, horizon=50)
     with pytest.raises(ConfigError, match=r"\[noise\]"):
-        run_experiment(cfg, out_dir=str(out))
-    assert not out.exists()
+        dataclasses.replace(cfg, noise=noise)

@@ -153,7 +153,7 @@ def test_bound_is_tight_for_single_identity_node():
         regression=RegressionConfig(kind="fixed", h_nodes=(((1.0, 0.0), (0.0, 1.0)),)),
         gains=GainConfig(a_coef=0.5, a_exp=0.6, b_coef=0.0, b_exp=1.0,
                          lambda_coef=0.0, lambda_exp=0.0),
-    ).validate()
+    )
     runs = [run_trajectory(cfg, substream(cfg.seed, i), check_bounds=False)
             for i in range(cfg.runs)]
     rep = lemma_regret_bound_check(runs, rho0=1.0)
@@ -171,7 +171,7 @@ def test_zero_sensors_zero_regret():
         graph=GraphConfig(kind="iid-uniform", low=0.0, high=1.0),
         regression=RegressionConfig(kind="fixed",
                                     h_nodes=(((0.0, 0.0),), ((0.0, 0.0),))),
-    ).validate()
+    )
     runs = [run_trajectory(cfg, substream(cfg.seed, i), check_bounds=False)
             for i in range(2)]
     assert np.array_equal(regret_series(runs, tau=0.6).regret, np.zeros((51, 2)))

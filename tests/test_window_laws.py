@@ -104,7 +104,7 @@ def graph_cases(draw):
                             initial_state=draw(st.integers(0, count - 1)))
     window = draw(st.integers(1, 4))
     cfg = get_preset("setting-i")
-    return replace(cfg, graph=graph, excitation=replace(cfg.excitation, window=window)).validate()
+    return replace(cfg, graph=graph, excitation=replace(cfg.excitation, window=window))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -192,7 +192,7 @@ def test_audit_evaluates_each_laplacian_law_once(monkeypatch, markov_pair):
     graph = replace(markov_pair.graph, states=(*markov_pair.graph.states, silent),
                     transition=((0.6, 0.2, 0.2), (0.3, 0.5, 0.2), (0.1, 0.1, 0.8)))
     for h in (1, 2, 5):
-        cfg = replace(markov_pair, graph=graph, excitation=ExcitationConfig(window=h)).validate()
+        cfg = replace(markov_pair, graph=graph, excitation=ExcitationConfig(window=h))
         calls.clear()
         pe_diagnostic(cfg, windows=300)
         assert len(calls) <= h + 3 * h
@@ -235,7 +235,7 @@ def test_audit_solves_one_eigenproblem_per_window_and_state(monkeypatch, markov_
     graph = replace(markov_pair.graph, states=(*markov_pair.graph.states, silent),
                     transition=((0.6, 0.2, 0.2), (0.3, 0.5, 0.2), (0.1, 0.1, 0.8)))
     for h in (1, 2, 5):
-        cfg = replace(markov_pair, graph=graph, excitation=ExcitationConfig(window=h)).validate()
+        cfg = replace(markov_pair, graph=graph, excitation=ExcitationConfig(window=h))
         counts.clear()
         pe_diagnostic(cfg, windows=300)
         assert sum(counts) <= 3 * 300 + 2 * (1 + 3)
