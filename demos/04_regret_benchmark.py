@@ -15,8 +15,7 @@ from netlms import (
     get_preset,
     lemma_regret_bound_check,
     oracle_parameter,
-    regret_series,
-    run_trajectories,
+    simulate_regret,
     with_overrides,
 )
 
@@ -26,10 +25,10 @@ HORIZON = 20_000
 
 def main():
     cfg = with_overrides(get_preset("regret"), runs=RUNS, horizon=HORIZON)
-    records = run_trajectories(cfg, range(RUNS), check_bounds=False)
+    # the runs are folded into their regret series as they are simulated
+    series, _ = simulate_regret(cfg, range(RUNS), check_bounds=False)
     oracle = oracle_parameter(cfg.regression.to_process(cfg.nodes, cfg.dim),
                               np.asarray(cfg.x0, dtype=float), cfg.horizon)
-    series = regret_series(records, tau=cfg.gains.a_exp)
 
     print(f"regret preset at reduced scale: {RUNS} runs, horizon {HORIZON}")
     print(f"comparator parameter (equals x0): {np.array2string(oracle, precision=6)}\n")
@@ -43,7 +42,7 @@ def main():
     r1, r2 = series.regret[2_000].max(), series.regret[20_000].max()
     print(f"\nregret grew {r2 / r1:.2f}x while T grew 10x (sublinear)")
 
-    report = lemma_regret_bound_check(records, rho0=cfg.excitation.rho0)
+    report = lemma_regret_bound_check(series, rho0=cfg.excitation.rho0)
     verdict = "holds" if report.passed else "FAILS"
     print(f"energy bound {verdict} at every step for every node "
           f"(min margin {report.min_margin:.1f} at step {report.worst_step})")

@@ -82,6 +82,7 @@ from .regret import (
     mar,
     oracle_parameter,
     regret_series,
+    simulate_regret,
 )
 
 __version__ = "0.1.0"
@@ -111,7 +112,7 @@ __all__ = [
     "check_definition1", "check_definition2", "lemma_lower_bound_check",
     "corollary1_stationary_check", "pe_diagnostic",
     "RegretSeries", "oracle_parameter", "mar",
-    "regret_series", "lemma_regret_bound_check",
+    "regret_series", "simulate_regret", "lemma_regret_bound_check",
     # batch runner
     "ExperimentArtifacts", "run_experiment", "default_out_dir",
 ]

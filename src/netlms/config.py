@@ -187,10 +187,10 @@ class ExperimentConfig:
         if len(self.init) != self.nodes or any(len(r) != self.dim for r in self.init):
             fail(f"[model] need init_1..init_{self.nodes}, each with {self.dim} entries")
         for key, row in [("x0", self.x0), *((f"init_{i}", r) for i, r in enumerate(self.init, 1))]:
-            if not all(map(math.isfinite, row)):
-                fail(f"[model] {key} must be finite, got {_fmt_vector(row)}")
+            if not all(map(_finite, row)):
+                fail(f"[model] {key} must be finite, got {row!r}")
         rho0 = self.excitation.rho0
-        if not (math.isfinite(rho0) and rho0 > 0):
+        if not (_finite(rho0) and rho0 > 0):
             fail(f"[excitation] rho0 must be finite and positive, got {rho0!r}")
         # the noise laws, the gains and the excitation thresholds: every
         # kind is a noise kind, every number finite and nonnegative
@@ -200,7 +200,7 @@ class ExperimentConfig:
                 value = getattr(part, f.name)
                 if f.type == "str" and value not in NOISE_KINDS:
                     fail(f"[{section}] {f.name} must be one of {', '.join(NOISE_KINDS)}, got {value!r}")
-                if f.type == "float" and not (math.isfinite(value) and value >= 0):
+                if f.type == "float" and not (_finite(value) and value >= 0):
                     fail(f"[{section}] {f.name} must be finite and nonnegative, got {value!r}")
         if self.excitation.window < 1:
             fail("[excitation] window must be positive")
@@ -222,7 +222,7 @@ class ExperimentConfig:
         ai = self.regression.ar_init
         if rp.kind == "ar-driven" and ai is not None and (
             len(ai) != self.nodes
-            or any(len(r) != self.dim or not all(map(math.isfinite, r)) for r in ai)
+            or any(len(r) != self.dim or not all(map(_finite, r)) for r in ai)
         ):
             fail(f"[regression] ar_init must be {self.nodes} rows of {self.dim} finite entries")
         # a field its kind does not read would not survive the config text
@@ -232,6 +232,15 @@ class ExperimentConfig:
             for f in fields(part):
                 if f.name not in read and getattr(part, f.name) != f.default:
                     fail(f"[{section}] {f.name} is not read by kind {part.kind!r}")
+
+
+def _finite(value) -> bool:
+    """Whether ``value`` is a finite real number; a string or ``None`` is
+    not one (``math.isfinite`` would raise a ``TypeError`` for it)."""
+    try:
+        return math.isfinite(value)
+    except TypeError:
+        return False
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +357,7 @@ def _kind(kinds: dict[str, _Kind], section: str, kind: str, line: int | None = N
 def _range(part, lo: str, hi: str) -> tuple[float, float]:
     """Keys ``lo`` and ``hi`` of ``part`` as a finite range."""
     low, high = getattr(part, lo), getattr(part, hi)
-    if not (math.isfinite(low) and math.isfinite(high) and low <= high):
+    if not (_finite(low) and _finite(high) and low <= high):
         raise InvalidInputError(
             f"{lo} and {hi} must be finite with {lo} <= {hi}, got {low!r} and {high!r}"
         )

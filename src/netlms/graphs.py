@@ -26,6 +26,7 @@ is a block of one.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,7 +130,10 @@ def markov_switching_graph(states, transition, initial_state: int = 0) -> GraphP
         if m.shape[0] != nodes:
             raise InvalidInputError("all adjacency states must share one node count")
     p = _check_transition(transition, len(mats))
-    initial_state = int(initial_state)
+    try:
+        initial_state = operator.index(initial_state)
+    except TypeError:
+        raise InvalidInputError(f"initial_state must be an integer, got {initial_state!r}") from None
     if not 0 <= initial_state < len(mats):
         raise InvalidInputError("initial_state out of range")
     return GraphProcess(

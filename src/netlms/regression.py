@@ -29,6 +29,7 @@ explicit Monte Carlo helper.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -134,8 +135,8 @@ def bernoulli_failure_regression(patterns, active_prob: float) -> RegressionProc
     """Whole-sensor dropout: node ``i`` observes through ``patterns[i]``
     with probability ``active_prob``, else through the zero matrix."""
     mats, dim = _check_h_list(patterns, "patterns")
-    if not 0.0 <= active_prob <= 1.0:
-        raise InvalidInputError("active_prob must lie in [0, 1]")
+    if not (isinstance(active_prob, numbers.Real) and 0.0 <= active_prob <= 1.0):
+        raise InvalidInputError(f"active_prob must be a number in [0, 1], got {active_prob!r}")
     return RegressionProcess(
         kind="bernoulli-failure",
         nodes=len(mats),

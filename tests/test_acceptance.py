@@ -46,7 +46,7 @@ from netlms.regression import (
     regression_block,
     support_gram_norm_bound,
 )
-from netlms.regret import lemma_regret_bound_check, mar
+from netlms.regret import lemma_regret_bound_check, simulate_regret
 
 FULL_SETTINGS = ("setting-i", "setting-ii", "setting-iii", "setting-iv")
 NORM_PAIRS = (("setting-i", "setting-v"), ("setting-iii", "setting-vi"))
@@ -114,12 +114,13 @@ def pairs_batch(bound_tally):
 
 @pytest.fixture(scope="module")
 def regret_batch(bound_tally):
-    """All fifty full-horizon runs of the regret preset, kept whole."""
+    """All fifty full-horizon runs of the regret preset, folded into their
+    per-step regret series as they are simulated, without records."""
     cfg = get_preset("regret")
-    records = run_trajectories(cfg, range(cfg.runs))
-    for rec in records:
-        _fold_bounds(bound_tally, rec.bound_report)
-    return cfg, records
+    series, reports = simulate_regret(cfg, range(cfg.runs))
+    for report in reports:
+        _fold_bounds(bound_tally, report)
+    return cfg, series
 
 
 def test_01_node_form_matches_stacked_form():
@@ -216,8 +217,8 @@ def test_06_regularization_shrinks_estimate_norms(pairs_batch):
 
 @pytest.mark.slow
 def test_07_regret_dominated_by_error_energy_bound(regret_batch):
-    cfg, records = regret_batch
-    report = lemma_regret_bound_check(records, rho0=cfg.excitation.rho0)
+    cfg, series = regret_batch
+    report = lemma_regret_bound_check(series, rho0=cfg.excitation.rho0)
     assert report.runs >= 50
     assert report.passed, (
         f"min margin {report.min_margin:.4g} at step {report.worst_step}, "
@@ -228,8 +229,10 @@ def test_07_regret_dominated_by_error_energy_bound(regret_batch):
 
 @pytest.mark.slow
 def test_08_normalized_regret_levels_off(regret_batch):
-    _, records = regret_batch
-    values = {t: mar(records, t, tau=0.6) for t in (1_000, 10_000, 100_000)}
+    # the preset's a_exp is 0.6, so series.mar[t] is mar(records, t, tau=0.6)
+    # of the same runs
+    _, series = regret_batch
+    values = {t: float(series.mar[t]) for t in (1_000, 10_000, 100_000)}
     change = abs(values[100_000] - values[10_000]) / values[10_000]
     assert change < 0.30, (
         f"MAR at 1e3/1e4/1e5 = {values[1_000]:.3f}/{values[10_000]:.3f}/"

@@ -310,6 +310,22 @@ CONFIG_ERRORS = [
                  ["[excitation] window must be an integer, got 2.0"], None, id="window-float"),
     pytest.param(_replace(graph=GraphConfig("iid-uniform", initial_state=0.5)),
                  ["[graph] initial_state must be an integer, got 0.5"], None, id="initial_state-float"),
+    # a float key holds a number: math.isfinite would raise a TypeError
+    pytest.param(_replace(noise=NoiseConfig(measurement_std="1")),
+                 ["[noise] measurement_std must be finite and nonnegative, got '1'"], None,
+                 id="measurement_std-str"),
+    pytest.param(_replace(x0=("5", 4.0)), ["[model] x0 must be finite, got ('5', 4.0)"], None,
+                 id="x0-str"),
+    pytest.param(_replace(gains=GainConfig(a_exp=None)),
+                 ["[gains] a_exp must be finite and nonnegative, got None"], None, id="a_exp-none"),
+    pytest.param(_replace(excitation=ExcitationConfig(rho0="5")),
+                 ["[excitation] rho0 must be finite and positive, got '5'"], None, id="rho0-str"),
+    pytest.param(_replace(init=((0.0, None), (0.0, 0.0))), ["[model] init_1 must be finite"], None,
+                 id="init-none"),
+    pytest.param(_replace(regression=RegressionConfig(
+                     kind="bernoulli-failure", coef=(((1.0, 0.0),), ((0.0, 1.0),)), active_prob="0.5")),
+                 ["[regression] active_prob must be a number in [0, 1], got '0.5'"], None,
+                 id="active_prob-str"),
     # the parser
     pytest.param(("kind = iid-uniform", "kind = bogus"), ["[graph] unknown kind 'bogus'"],
                  "kind = bogus", id="unknown-kind"),

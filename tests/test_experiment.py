@@ -5,6 +5,8 @@ import hashlib
 import importlib.metadata
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -12,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import netlms
 from netlms import experiment
 from netlms.artifacts import SCHEMA, _json_text, jsonable, write
 from netlms.config import (
@@ -332,6 +335,19 @@ def test_worker_pool_produces_identical_files(small_cfg, tmp_path):
     for p1, p2 in zip(seq.run_files + (seq.aggregate_file,),
                       par.run_files + (par.aggregate_file,)):
         assert open(p1, "rb").read() == open(p2, "rb").read()
+
+
+def test_import_leaves_the_worker_pool_unloaded():
+    """Only ``workers > 1`` imports the process pool, so ``import netlms``
+    loads neither it nor multiprocessing."""
+    src = os.path.dirname(os.path.dirname(netlms.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys, netlms; "
+            "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_argument_validation(small_cfg, tmp_path):

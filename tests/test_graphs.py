@@ -87,6 +87,17 @@ def test_markov_sampling_follows_chain(rng):
         assert np.array_equal(block[0, :, :, 0], a1)
 
 
+def test_markov_initial_state_is_an_integer():
+    """``initial_state`` takes what ``operator.index`` takes; a float is not
+    truncated to a state."""
+    a0, a1 = _zero_diag(np.ones((2, 2))), np.zeros((2, 2))
+    gp = markov_switching_graph([a0, a1], np.eye(2), initial_state=np.int64(1))
+    assert gp.initial_state == 1 and type(gp.initial_state) is int
+    for bad in (1.5, 1.0, np.float64(1.0), "1", None):
+        with pytest.raises(InvalidInputError, match="initial_state must be an integer"):
+            markov_switching_graph([a0, a1], np.eye(2), initial_state=bad)
+
+
 def test_sym_laplacian_expectation_consistency():
     gp = iid_uniform_graph(3, (0.0, 1.0))
     lap = conditional_expected_sym_laplacian(gp, step=0)

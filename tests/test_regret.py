@@ -1,12 +1,17 @@
 """Regret estimators, the hindsight oracle, and the accumulated-error bound."""
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import netlms.regret
 from netlms.config import (
     ExperimentConfig,
     GainConfig,
     GraphConfig,
+    NoiseConfig,
     RegressionConfig,
     get_preset,
     with_overrides,
@@ -16,14 +21,17 @@ from netlms.errors import (
     UnobservableHorizonError,
     UnsupportedAnalyticError,
 )
-from netlms.estimator import run_trajectory, substream
+from netlms.estimator import run_trajectories, run_trajectory, substream
 from netlms.excitation import lemma_lower_bound_check
 from netlms.regression import ar_driven_regression, fixed_regression
 from netlms.regret import (
+    RegretBoundReport,
+    RegretSeries,
     lemma_regret_bound_check,
     mar,
     oracle_parameter,
     regret_series,
+    simulate_regret,
 )
 
 
@@ -205,3 +213,139 @@ def test_lemma_checks_reject_a_rho0_that_is_not_finite_and_positive(bench_runs, 
             lemma_lower_bound_check(cfg.graph.to_process(cfg.nodes),
                                     cfg.regression.to_process(cfg.nodes, cfg.dim),
                                     window=2, rho0=rho0, window_index=0)
+
+
+# ---------------------------------------------------------------------------
+# the block fold: records, the simulation and the bound check read one fold
+
+MARKOV_BERNOULLI = ExperimentConfig(
+    name="markov-bernoulli", seed=23, horizon=3000, runs=4, nodes=3, dim=2, node_dims=(2, 1, 2),
+    x0=(2.0, -1.0), init=((1.0, 0.0), (0.0, 1.0), (-1.0, 2.0)),
+    graph=GraphConfig(kind="markov-switching",
+                      states=(((0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (1.0, 0.0, 0.0)),
+                              ((0.0, 0.5, 0.5), (0.5, 0.0, 0.5), (0.5, 0.5, 0.0))),
+                      transition=((0.6, 0.4), (0.3, 0.7)), initial_state=1),
+    regression=RegressionConfig(kind="bernoulli-failure",
+                                coef=(((1.0, 0.0), (0.0, 1.0)), ((1.0, 1.0),),
+                                      ((1.0, 0.0), (0.0, 1.0))),
+                                active_prob=0.6),
+    noise=NoiseConfig(measurement_std=0.5, channel_std=0.7, sigma_f=0.2, b_f=0.1),
+)
+SERIES_FIELDS = ("steps", "regret", "regret_se", "mar", "mean_v")
+
+
+def _assert_same_series(got, want):
+    """Field by field, bit for bit (NaN payloads and zero signs included)."""
+    assert got.runs == want.runs
+    for name in SERIES_FIELDS:
+        a, b = np.asarray(getattr(got, name)), np.asarray(getattr(want, name))
+        assert a.shape == b.shape and a.dtype == b.dtype, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+def _assert_same_report(got, want):
+    for f in dataclasses.fields(RegretBoundReport):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        assert type(a) is type(b) and repr(a) == repr(b), (f.name, a, b)
+
+
+@pytest.mark.parametrize("cfg", [
+    with_overrides(get_preset("regret"), runs=7, horizon=3000),
+    MARKOV_BERNOULLI,
+    *(with_overrides(get_preset("setting-i"), runs=2, horizon=h)
+      for h in (0, 1, 2, 1022, 1023, 1024, 1025, 1026, 2047, 2048, 2049)),
+], ids=lambda cfg: f"{cfg.name}-{cfg.runs}x{cfg.horizon}")
+def test_simulate_regret_is_the_series_of_the_records(cfg):
+    """The simulation's own fold equals regret_series of the records of the
+    same runs bit for bit, across the fold's block edges too; the bound
+    reports are the records' reports."""
+    records = run_trajectories(cfg, range(cfg.runs))
+    series, reports = simulate_regret(cfg, range(cfg.runs))
+    _assert_same_series(series, regret_series(records, cfg.gains.a_exp))
+    assert reports == [rec.bound_report for rec in records]
+    assert simulate_regret(cfg, range(cfg.runs), check_bounds=False)[1] is None
+
+
+@pytest.mark.parametrize("block", [netlms.regret.BLOCK, 64, 7])
+def test_regret_series_does_not_depend_on_the_block(bench_runs, monkeypatch, block):
+    cfg, runs = bench_runs
+    want = regret_series(runs, cfg.gains.a_exp)
+    monkeypatch.setattr(netlms.regret, "BLOCK", block)
+    _assert_same_series(regret_series(runs, cfg.gains.a_exp), want)
+    _assert_same_series(simulate_regret(cfg, range(cfg.runs), check_bounds=False)[0], want)
+
+
+# lemma_regret_bound_check(records, rho0, horizon) of MARKOV_BERNOULLI
+# with rho0 = 0.1, as the fold over whole records gave it: the worst
+# margins lie past the first block
+MARKOV_BERNOULLI_REPORTS = {
+    None: RegretBoundReport(
+        passed=False, runs=4, steps_checked=3001, rho0=0.1,
+        min_margin=float.fromhex("-0x1.d143ea0878c42p+3"), worst_node=1, worst_step=3000,
+        regret_at_worst=float.fromhex("0x1.f0d6a864bda7bp+4"),
+        bound_at_worst=float.fromhex("0x1.0834b3608145ap+4")),
+    1500: RegretBoundReport(
+        passed=False, runs=4, steps_checked=1501, rho0=0.1,
+        min_margin=float.fromhex("-0x1.ac8f87a0f0e22p+3"), worst_node=2, worst_step=1500,
+        regret_at_worst=float.fromhex("0x1.ccbe36da25ae7p+4"),
+        bound_at_worst=float.fromhex("0x1.ecece6135a7acp+3")),
+}
+
+
+@pytest.fixture(scope="module")
+def markov_bernoulli_runs():
+    records = run_trajectories(MARKOV_BERNOULLI, range(MARKOV_BERNOULLI.runs), check_bounds=False)
+    return records, regret_series(records, MARKOV_BERNOULLI.gains.a_exp)
+
+
+@pytest.mark.parametrize("horizon", [None, 1500])
+def test_bound_check_reads_records_and_series_alike(markov_bernoulli_runs, horizon):
+    records, series = markov_bernoulli_runs
+    want = MARKOV_BERNOULLI_REPORTS[horizon]
+    _assert_same_report(lemma_regret_bound_check(records, 0.1, horizon), want)
+    _assert_same_report(lemma_regret_bound_check(series, 0.1, horizon), want)
+
+
+@pytest.mark.parametrize("block", [netlms.regret.BLOCK, 64, 7])
+def test_bound_check_keeps_the_first_nan_margin_across_blocks(monkeypatch, block):
+    """A diverging run: its regret and bound overflow to inf, their margin is
+    NaN, and the report names the first NaN margin as np.argmin over the
+    whole horizon would, whichever block it falls in."""
+    cfg = with_overrides(get_preset("setting-i"), horizon=1000)
+    cfg = dataclasses.replace(cfg, gains=dataclasses.replace(cfg.gains, a_coef=50.0, b_coef=50.0))
+    rec = run_trajectory(cfg, substream(42, 0))
+    monkeypatch.setattr(netlms.regret, "BLOCK", block)
+    want = RegretBoundReport(passed=False, runs=1, steps_checked=1001, rho0=5.0,
+                             min_margin=float("nan"), worst_node=0, worst_step=283,
+                             regret_at_worst=float("inf"), bound_at_worst=float("inf"))
+    _assert_same_report(lemma_regret_bound_check([rec], rho0=5.0), want)
+    _assert_same_report(lemma_regret_bound_check(regret_series([rec], 0.6), rho0=5.0), want)
+
+
+def test_bound_check_needs_a_series_at_every_step(bench_runs):
+    """The bound sums mean V over every step, so a thinned series (a
+    record_every > 1 grid) cannot be checked."""
+    _, runs = bench_runs
+    series = regret_series(runs, 0.6)
+    grid = np.append(np.arange(0, 800, 70), 800)
+    thinned = RegretSeries(steps=grid, regret=series.regret[grid], regret_se=series.regret_se[grid],
+                           mar=series.mar[grid], mean_v=series.mean_v[grid], runs=series.runs)
+    with pytest.raises(InvalidInputError, match="every step"):
+        lemma_regret_bound_check(thinned, rho0=5.0)
+    with pytest.raises(InvalidInputError, match="horizon must be an integer"):
+        lemma_regret_bound_check(series, rho0=5.0, horizon=801)
+
+
+def test_bound_check_on_records_holds_one_block_at_a_time():
+    """On one 30001-step record the check allocates a few blocks of steps,
+    not a full-length series (about 1.9 MB for three nodes)."""
+    cfg = with_overrides(get_preset("setting-i"), horizon=30_000)
+    rec = run_trajectory(cfg, substream(cfg.seed, 0), check_bounds=False)
+    tracemalloc.start()
+    try:
+        report = lemma_regret_bound_check([rec], rho0=cfg.excitation.rho0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.steps_checked == 30_001
+    assert peak < 512 * 1024, f"traced peak {peak / 1024:.0f} KiB"
