@@ -26,7 +26,7 @@ HORIZON = 20_000
 def main():
     cfg = with_overrides(get_preset("regret"), runs=RUNS, horizon=HORIZON)
     # the runs are folded into their regret series as they are simulated
-    series, _ = simulate_regret(cfg, range(RUNS), check_bounds=False)
+    series, _ = simulate_regret(cfg, range(RUNS))
     oracle = oracle_parameter(cfg.regression.to_process(cfg.nodes, cfg.dim),
                               np.asarray(cfg.x0, dtype=float), cfg.horizon)
 

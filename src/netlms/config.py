@@ -37,6 +37,7 @@ import math
 import operator
 from collections import ChainMap
 from dataclasses import dataclass, field, fields, replace
+from numbers import Real
 from typing import Callable
 
 from . import graphs, regression
@@ -188,7 +189,9 @@ class ExperimentConfig:
             fail(f"[model] need init_1..init_{self.nodes}, each with {self.dim} entries")
         for key, row in [("x0", self.x0), *((f"init_{i}", r) for i, r in enumerate(self.init, 1))]:
             if not all(map(_finite, row)):
-                fail(f"[model] {key} must be finite, got {row!r}")
+                # in config syntax when every entry is a number
+                shown = _fmt_vector(row) if all(isinstance(e, Real) for e in row) else repr(row)
+                fail(f"[model] {key} must be finite, got {shown}")
         rho0 = self.excitation.rho0
         if not (_finite(rho0) and rho0 > 0):
             fail(f"[excitation] rho0 must be finite and positive, got {rho0!r}")

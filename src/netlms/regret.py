@@ -230,11 +230,7 @@ def regret_series(records, tau: float) -> RegretSeries:
     return fill.series
 
 
-def simulate_regret(
-    config: ExperimentConfig,
-    runs,
-    check_bounds: bool = True,
-) -> tuple[RegretSeries, list[BoundCheckReport] | None]:
+def simulate_regret(config: ExperimentConfig, runs) -> tuple[RegretSeries, list[BoundCheckReport]]:
     """Simulate the runs with indices ``runs`` under ``config.seed``
     together and fold them into their :class:`RegretSeries` at every step,
     at ``tau = config.gains.a_exp``, without building a record.
@@ -243,8 +239,8 @@ def simulate_regret(
     config.gains.a_exp)`` bit for bit: the kernel's chunk statistics are
     buffered into blocks of :data:`BLOCK` steps, and each block is folded
     across the runs in run order.  Besides the series, memory holds one
-    block of every run.  Returns the series and, with ``check_bounds``,
-    one :class:`BoundCheckReport` per run (see :func:`simulate`).
+    block of every run.  Returns the series and one
+    :class:`BoundCheckReport` per run (see :func:`simulate`).
     """
     seeds = [_run_seed(config.seed, r) for r in runs]
     rows, nodes = config.horizon + 1, config.nodes
@@ -264,7 +260,7 @@ def simulate_regret(
                 fill.fold(zip(cum[:, : at + n], v[:, : at + n]))
 
     model = SimulationModel.from_config(config)
-    _, reports = simulate(model, seeds, config.horizon, on_chunk, check_bounds)
+    _, reports = simulate(model, seeds, config.horizon, on_chunk)
     return fill.series, reports
 
 
@@ -300,7 +296,7 @@ def lemma_regret_bound_check(source, rho0: float, horizon: int | None = None) ->
         raise InvalidInputError("rho0 must be finite and positive")
     if isinstance(source, RegretSeries):
         rows, nodes = source.regret.shape
-        if not np.array_equal(source.steps, np.arange(rows)):
+        if rows == 0 or not np.array_equal(source.steps, np.arange(rows)):
             raise InvalidInputError("the regret series must be at every step 0..T")
         stop = rows if horizon is None else _horizon(rows, horizon, 0) + 1
         runs = source.runs

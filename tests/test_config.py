@@ -268,10 +268,10 @@ CONFIG_ERRORS = [
     pytest.param(("dim = 2", "dim = 0"), ["[model] nodes and dim"], None, id="dim"),
     pytest.param(("node_dims = 1 1", "node_dims = 1 1 1"), ["[model] node_dims"], None, id="node_dims"),
     pytest.param(("init_1 = 0.0 0.0", "init_1 = 0.0"), ["[model]", "init_1"], None, id="init"),
-    pytest.param(("x0 = 1.0 0.0", "x0 = nan 0.0"), ["[model] x0 must be finite"], None,
+    pytest.param(("x0 = 1.0 0.0", "x0 = nan 0.0"), ["[model] x0 must be finite, got nan 0.0"], None,
                  id="x0-nan"),
-    pytest.param(("init_2 = 0.0 0.0", "init_2 = 0.0 inf"), ["[model] init_2 must be finite"], None,
-                 id="init-inf"),
+    pytest.param(("init_2 = 0.0 0.0", "init_2 = 0.0 inf"), ["[model] init_2 must be finite, got 0.0 inf"],
+                 None, id="init-inf"),
     pytest.param(("[gains]", "[excitation]\nwindow = 0\n\n[gains]"), ["[excitation] window"], None,
                  id="window"),
     pytest.param((IID_GRAPH, "kind = fixed\nadjacency = 1 1 ; 1 0"),

@@ -263,7 +263,6 @@ def test_simulate_regret_is_the_series_of_the_records(cfg):
     series, reports = simulate_regret(cfg, range(cfg.runs))
     _assert_same_series(series, regret_series(records, cfg.gains.a_exp))
     assert reports == [rec.bound_report for rec in records]
-    assert simulate_regret(cfg, range(cfg.runs), check_bounds=False)[1] is None
 
 
 @pytest.mark.parametrize("block", [netlms.regret.BLOCK, 64, 7])
@@ -272,7 +271,7 @@ def test_regret_series_does_not_depend_on_the_block(bench_runs, monkeypatch, blo
     want = regret_series(runs, cfg.gains.a_exp)
     monkeypatch.setattr(netlms.regret, "BLOCK", block)
     _assert_same_series(regret_series(runs, cfg.gains.a_exp), want)
-    _assert_same_series(simulate_regret(cfg, range(cfg.runs), check_bounds=False)[0], want)
+    _assert_same_series(simulate_regret(cfg, range(cfg.runs))[0], want)
 
 
 # lemma_regret_bound_check(records, rho0, horizon) of MARKOV_BERNOULLI
@@ -334,6 +333,10 @@ def test_bound_check_needs_a_series_at_every_step(bench_runs):
         lemma_regret_bound_check(thinned, rho0=5.0)
     with pytest.raises(InvalidInputError, match="horizon must be an integer"):
         lemma_regret_bound_check(series, rho0=5.0, horizon=801)
+    empty = RegretSeries(steps=grid[:0], regret=series.regret[:0], regret_se=series.regret_se[:0],
+                         mar=series.mar[:0], mean_v=series.mean_v[:0], runs=series.runs)
+    with pytest.raises(InvalidInputError, match="every step"):
+        lemma_regret_bound_check(empty, rho0=5.0)
 
 
 def test_bound_check_on_records_holds_one_block_at_a_time():
