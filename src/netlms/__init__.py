@@ -79,7 +79,6 @@ from .regression import (
 from .regret import (
     RegretSeries,
     lemma_regret_bound_check,
-    mar,
     oracle_parameter,
     regret_series,
     simulate_regret,
@@ -111,8 +110,8 @@ __all__ = [
     "ExcitationReport", "info_matrix", "lambda_min_window",
     "check_definition1", "check_definition2", "lemma_lower_bound_check",
     "corollary1_stationary_check", "pe_diagnostic",
-    "RegretSeries", "oracle_parameter", "mar",
-    "regret_series", "simulate_regret", "lemma_regret_bound_check",
+    "RegretSeries", "oracle_parameter", "regret_series",
+    "simulate_regret", "lemma_regret_bound_check",
     # batch runner
     "ExperimentArtifacts", "run_experiment", "default_out_dir",
 ]

@@ -281,11 +281,9 @@ class TrajectoryRecord:
     draws, so ``v[k]`` is the total squared error ``sum_i |x_i(k) - x0|^2``
     and ``excess_losses[k, i]`` the per-step quantity
     ``0.5 sum_j |H_j(k) (x_i(k) - x0)|^2`` whose cumulative sums estimate
-    regret.  Records simulated together share (read-only) storage for
-    ``steps``.
+    regret.
     """
 
-    steps: np.ndarray
     v: np.ndarray
     err_norms: np.ndarray
     est_norms: np.ndarray
@@ -681,10 +679,8 @@ def _records(config, seeds, check_bounds) -> list[TrajectoryRecord]:
     got, x_final, reports = _sample_runs(
         config, seeds, steps, ("v", "err_norms", "est_norms", "excess_losses"), check_bounds
     )
-    steps.flags.writeable = False
     return [
         TrajectoryRecord(
-            steps=steps,
             v=got["v"][r],
             err_norms=got["err_norms"][r],
             est_norms=got["est_norms"][r],

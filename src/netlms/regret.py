@@ -18,7 +18,6 @@ or as one block at the batch runner's record grid.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +32,6 @@ __all__ = [
     "RegretSeries",
     "RegretBoundReport",
     "oracle_parameter",
-    "mar",
     "lemma_regret_bound_check",
     "regret_series",
     "simulate_regret",
@@ -185,11 +183,12 @@ def _spans(stop: int):
     return ((lo, min(lo + BLOCK, stop)) for lo in range(0, stop, BLOCK))
 
 
-def _record_blocks(recs, stop: int):
-    """Rows ``0 .. stop - 1`` of the records in blocks of :data:`BLOCK`
-    steps: per block, the pairs of :func:`_record_runs`."""
-    carry = np.zeros((len(recs), recs[0].excess_losses.shape[1]))
-    for lo, hi in _spans(stop):
+def _record_blocks(recs):
+    """Every row of the records in blocks of :data:`BLOCK` steps: per
+    block, the pairs of :func:`_record_runs`."""
+    rows, nodes = recs[0].excess_losses.shape
+    carry = np.zeros((len(recs), nodes))
+    for lo, hi in _spans(rows):
         yield _record_runs(recs, lo, hi, carry)
 
 
@@ -204,16 +203,6 @@ def _check_records(records) -> list[TrajectoryRecord]:
     return recs
 
 
-def _horizon(rows: int, horizon, low: int) -> int:
-    """``horizon`` as an index into ``rows`` steps, at least ``low``."""
-    try:
-        if low <= operator.index(horizon) < rows:
-            return operator.index(horizon)
-    except TypeError:
-        pass
-    raise InvalidInputError(f"horizon must be an integer in [{low}, {rows - 1}], got {horizon!r}")
-
-
 def regret_series(records, tau: float) -> RegretSeries:
     """Fold a batch of runs into full per-step regret statistics.
 
@@ -224,8 +213,8 @@ def regret_series(records, tau: float) -> RegretSeries:
     """
     recs = _check_records(records)
     rows, nodes = recs[0].excess_losses.shape
-    fill = _SeriesFill(recs[0].steps, tau, len(recs), nodes)
-    for runs in _record_blocks(recs, rows):
+    fill = _SeriesFill(np.arange(rows), tau, len(recs), nodes)
+    for runs in _record_blocks(recs):
         fill.fold(runs)
     return fill.series
 
@@ -264,23 +253,13 @@ def simulate_regret(config: ExperimentConfig, runs) -> tuple[RegretSeries, list[
     return fill.series, reports
 
 
-def mar(records, horizon: int, tau: float) -> float:
-    """Maximum-over-nodes regret at ``horizon``, normalized by
-    ``horizon^(1-tau) * ln(horizon)``: entry ``horizon`` of
-    ``regret_series(records, tau).mar``.  Needs ``horizon >= 2`` for a
-    positive normalizer."""
-    recs = _check_records(records)
-    t = _horizon(recs[0].excess_losses.shape[0], horizon, 2)
-    return float(regret_series(recs, tau).mar[t])
-
-
 # a diverged run's regret and bound are inf, and their margin NaN
 @np.errstate(over="ignore", invalid="ignore")
-def lemma_regret_bound_check(source, rho0: float, horizon: int | None = None) -> RegretBoundReport:
+def lemma_regret_bound_check(source, rho0: float) -> RegretBoundReport:
     """Check every node's regret against the accumulated mean-square-error
     bound at every horizon.
 
-    For each ``T`` up to ``horizon`` and each node ``i``, requires
+    For each horizon ``T`` of ``source`` and each node ``i``, requires
     ``regret(i, T) <= (1/2) N rho0 sum_{t<=T} mean V(t)`` within two
     standard errors of the regret estimate.  Reports the tightest margin
     seen (bound minus regret, before the allowance): the first NaN margin
@@ -298,18 +277,16 @@ def lemma_regret_bound_check(source, rho0: float, horizon: int | None = None) ->
         rows, nodes = source.regret.shape
         if rows == 0 or not np.array_equal(source.steps, np.arange(rows)):
             raise InvalidInputError("the regret series must be at every step 0..T")
-        stop = rows if horizon is None else _horizon(rows, horizon, 0) + 1
         runs = source.runs
         blocks = (
             (source.regret[lo:hi], source.regret_se[lo:hi], source.mean_v[lo:hi])
-            for lo, hi in _spans(stop)
+            for lo, hi in _spans(rows)
         )
     else:
         recs = _check_records(source)
         rows, nodes = recs[0].excess_losses.shape
-        stop = rows if horizon is None else _horizon(rows, horizon, 0) + 1
         runs = len(recs)
-        blocks = map(_fold, _record_blocks(recs, stop))
+        blocks = map(_fold, _record_blocks(recs))
 
     scale = 0.5 * nodes * rho0
     passed, carry, lo, worst = True, 0.0, 0, None
@@ -333,7 +310,7 @@ def lemma_regret_bound_check(source, rho0: float, horizon: int | None = None) ->
     return RegretBoundReport(
         passed=passed,
         runs=runs,
-        steps_checked=stop,
+        steps_checked=rows,
         rho0=float(rho0),
         min_margin=float(min_margin),
         worst_node=int(worst_node),

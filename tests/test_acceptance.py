@@ -229,8 +229,8 @@ def test_07_regret_dominated_by_error_energy_bound(regret_batch):
 
 @pytest.mark.slow
 def test_08_normalized_regret_levels_off(regret_batch):
-    # the preset's a_exp is 0.6, so series.mar[t] is mar(records, t, tau=0.6)
-    # of the same runs
+    # series.mar[t] is the largest node regret at t over t^(1-tau) ln t,
+    # with tau the preset's a_exp, 0.6
     _, series = regret_batch
     values = {t: float(series.mar[t]) for t in (1_000, 10_000, 100_000)}
     change = abs(values[100_000] - values[10_000]) / values[10_000]

@@ -255,7 +255,7 @@ def test_horizon_zero_records_initial_state_only():
 # ---------------------------------------------------------------------------
 # the batched kernel: determinism and the per-step oracles
 
-RECORD_FIELDS = ("steps", "v", "err_norms", "est_norms", "excess_losses", "x_final")
+RECORD_FIELDS = ("v", "err_norms", "est_norms", "excess_losses", "x_final")
 
 
 def _assert_same_record(a, b):

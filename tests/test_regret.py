@@ -28,7 +28,6 @@ from netlms.regret import (
     RegretBoundReport,
     RegretSeries,
     lemma_regret_bound_check,
-    mar,
     oracle_parameter,
     regret_series,
     simulate_regret,
@@ -101,43 +100,22 @@ def test_regret_series_consistency(bench_runs):
     assert np.all(series.regret_se >= 0.0)
 
 
-def test_mar_is_an_entry_of_the_series(bench_runs):
-    cfg, runs = bench_runs
-    tau = cfg.gains.a_exp
-    series = regret_series(runs, tau)
-    got = np.array([mar(runs, t, tau) for t in range(2, 801)])
-    assert np.array_equal(got, series.mar[2:])
-
-
-def test_mar_needs_a_recorded_horizon_of_two_steps_or_more(bench_runs):
-    _, runs = bench_runs
-    for horizon in (-1, 0, 1, 801, 10_000, 2.5, 3.0, np.float64(3.0), "3", None):
-        with pytest.raises(InvalidInputError):
-            mar(runs, horizon, 0.6)
-    with pytest.raises(InvalidInputError):
-        mar([], 10, 0.6)
-
-
 @pytest.mark.parametrize("tau", [float("nan"), float("inf"), -float("inf")])
 def test_regret_summaries_reject_a_tau_that_is_not_finite(bench_runs, tau):
     """A non-finite tau would make every MAR entry NaN or infinite."""
     _, runs = bench_runs
     with pytest.raises(InvalidInputError, match="tau must be finite"):
         regret_series(runs, tau)
-    with pytest.raises(InvalidInputError, match="tau must be finite"):
-        mar(runs, 5, tau)
 
 
 def test_record_validation(bench_runs):
     _, runs = bench_runs
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError, match="at least one run record"):
         regret_series([], tau=0.6)
     short = run_trajectory(with_overrides(get_preset("setting-i"), horizon=10),
                            substream(0, 0), check_bounds=False)
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError, match="disagree on horizon"):
         regret_series([runs[0], short], tau=0.6)
-    with pytest.raises(InvalidInputError):
-        mar([runs[0], short], 5, 0.6)
 
 
 def test_accumulated_error_bound_on_benchmark(bench_runs):
@@ -185,20 +163,6 @@ def test_zero_sensors_zero_regret():
     assert np.array_equal(regret_series(runs, tau=0.6).regret, np.zeros((51, 2)))
     rep = lemma_regret_bound_check(runs, rho0=1.0)
     assert rep.passed  # 0 <= bound trivially
-
-
-def test_bound_check_horizon_argument(bench_runs):
-    _, runs = bench_runs
-    rep = lemma_regret_bound_check(runs, rho0=5.0, horizon=100)
-    assert rep.steps_checked == 101
-    with pytest.raises(InvalidInputError):
-        lemma_regret_bound_check(runs, rho0=0.0)
-    with pytest.raises(InvalidInputError):
-        lemma_regret_bound_check(runs, rho0=5.0, horizon=10_000)
-    assert lemma_regret_bound_check(runs, rho0=5.0, horizon=np.int64(3)).steps_checked == 4
-    for horizon in (2.7, 3.0, "3"):
-        with pytest.raises(InvalidInputError, match="horizon must be an integer"):
-            lemma_regret_bound_check(runs, rho0=5.0, horizon=horizon)
 
 
 @pytest.mark.parametrize("rho0", [float("nan"), float("inf"), 0.0, -1.0])
@@ -274,9 +238,9 @@ def test_regret_series_does_not_depend_on_the_block(bench_runs, monkeypatch, blo
     _assert_same_series(simulate_regret(cfg, range(cfg.runs))[0], want)
 
 
-# lemma_regret_bound_check(records, rho0, horizon) of MARKOV_BERNOULLI
-# with rho0 = 0.1, as the fold over whole records gave it: the worst
-# margins lie past the first block
+# lemma_regret_bound_check with rho0 = 0.1 on MARKOV_BERNOULLI's records,
+# whole (None) and cut to rows 0..1500, as the fold over whole records gave
+# it: the worst margins lie past the first block
 MARKOV_BERNOULLI_REPORTS = {
     None: RegretBoundReport(
         passed=False, runs=4, steps_checked=3001, rho0=0.1,
@@ -299,10 +263,18 @@ def markov_bernoulli_runs():
 
 @pytest.mark.parametrize("horizon", [None, 1500])
 def test_bound_check_reads_records_and_series_alike(markov_bernoulli_runs, horizon):
+    """The check covers every step of its input, so records and a series
+    cut to rows 0..horizon give the report of those steps."""
     records, series = markov_bernoulli_runs
+    if horizon is not None:
+        stop = horizon + 1
+        records = [dataclasses.replace(r, v=r.v[:stop], excess_losses=r.excess_losses[:stop])
+                   for r in records]
+        series = RegretSeries(**{f: getattr(series, f)[:stop] for f in SERIES_FIELDS},
+                              runs=series.runs)
     want = MARKOV_BERNOULLI_REPORTS[horizon]
-    _assert_same_report(lemma_regret_bound_check(records, 0.1, horizon), want)
-    _assert_same_report(lemma_regret_bound_check(series, 0.1, horizon), want)
+    _assert_same_report(lemma_regret_bound_check(records, 0.1), want)
+    _assert_same_report(lemma_regret_bound_check(series, 0.1), want)
 
 
 @pytest.mark.parametrize("block", [netlms.regret.BLOCK, 64, 7])
@@ -331,8 +303,6 @@ def test_bound_check_needs_a_series_at_every_step(bench_runs):
                            mar=series.mar[grid], mean_v=series.mean_v[grid], runs=series.runs)
     with pytest.raises(InvalidInputError, match="every step"):
         lemma_regret_bound_check(thinned, rho0=5.0)
-    with pytest.raises(InvalidInputError, match="horizon must be an integer"):
-        lemma_regret_bound_check(series, rho0=5.0, horizon=801)
     empty = RegretSeries(steps=grid[:0], regret=series.regret[:0], regret_se=series.regret_se[:0],
                          mar=series.mar[:0], mean_v=series.mean_v[:0], runs=series.runs)
     with pytest.raises(InvalidInputError, match="every step"):
