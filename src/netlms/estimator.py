@@ -428,7 +428,7 @@ def _fused_operator(model, link_noise, start, updates, adj, h, y, xi):
     """``op[k, s, q', i]``, the weight of slot ``s`` of output ``(q', i)`` at
     step ``start + k`` (see :func:`simulate`), for a chunk's ``updates``
     steps.  It is built as ``[s, q', i, k]`` with steps and runs last, so
-    each call below loops over ``updates * R`` contiguous values, and
+    each call below writes ``updates * R`` contiguous values, and
     returned as a transposed view.  Scales ``xi`` in place without link
     noise."""
     n_nodes, dim = model.init.shape
@@ -436,9 +436,9 @@ def _fused_operator(model, link_noise, start, updates, adj, h, y, xi):
     op = np.empty((slots, dim, n_nodes, updates, adj.shape[-1]))
     comp_diag = np.arange(dim)
     a, b, lam = (g[:, None] for g in model.gains.table(range(start, start + updates)).T)
-    # adj_t[j, i, k] = a_ij at step k; ht[row, q, k] = H_row[q]
-    adj_t = np.ascontiguousarray(adj[:updates].transpose(2, 1, 0, 3))
-    ht = np.ascontiguousarray(h[:updates].transpose(1, 2, 0, 3))
+    # views: adj_t[j, i, k] = a_ij at step k; ht[row, q, k] = H_row[q]
+    adj_t = adj[:updates].transpose(2, 1, 0, 3)
+    ht = h[:updates].transpose(1, 2, 0, 3)
     yt = y[:updates].transpose(1, 0, 2)
     # -b L_ik: b a_ik off the diagonal, -b sum_j a_ij on it
     consensus = op[dim : dim + n_nodes]
