@@ -366,10 +366,7 @@ def stationary_distribution(transition) -> np.ndarray:
         converged = False
         for _ in range(200_000):
             nxt = x @ p
-            s = nxt.sum()
-            if s <= 0:
-                break
-            nxt = nxt / s
+            nxt /= nxt.sum()
             if float(np.abs(nxt - x).sum()) <= 1e-12:
                 x = nxt
                 converged = True
