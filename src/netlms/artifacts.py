@@ -12,8 +12,6 @@ tables) so that strict parsers accept every file.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
 import math
 
 import numpy as np
@@ -44,6 +42,9 @@ AUDIT_WINDOW_CAP = 2000
 def write(path: str, text: str) -> str:
     """Write ``text`` to ``path`` as UTF-8 and return the SHA-256 hex
     digest of the bytes written."""
+    # imported here: it maps OpenSSL, which costs ``import netlms`` about 3.5 MB and 5 ms
+    import hashlib
+
     data = text.encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(data)
@@ -96,6 +97,9 @@ def jsonable(obj):
 
 def _json_text(payload) -> str:
     """The text of a JSON artifact, newline-terminated."""
+    # imported here: it costs ``import netlms`` about 2 ms
+    import json
+
     return json.dumps(jsonable(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 

@@ -337,17 +337,28 @@ def test_worker_pool_produces_identical_files(small_cfg, tmp_path):
         assert open(p1, "rb").read() == open(p2, "rb").read()
 
 
-def test_import_leaves_the_worker_pool_unloaded():
-    """Only ``workers > 1`` imports the process pool, so ``import netlms``
-    loads neither it nor multiprocessing."""
+def test_analytic_path_leaves_digests_json_rng_and_pool_unloaded(tmp_path):
+    """``import netlms``, a preset and an excitation audit load neither
+    OpenSSL (``hashlib``) nor ``json``: only writing an artifact does.  No
+    simulation runs, so ``numpy.random`` stays unloaded, and only
+    ``workers > 1`` imports the process pool and multiprocessing."""
     src = os.path.dirname(os.path.dirname(netlms.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = ("import sys, netlms; "
-            "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path})
+    code = (
+        "import sys, netlms\n"
+        "from netlms.artifacts import excitation_artifact, write\n"
+        "heavy = ('hashlib', '_hashlib', 'json', 'numpy.random', 'concurrent.futures',\n"
+        "         'multiprocessing')\n"
+        "loaded = lambda: [m for m in heavy if m in sys.modules]\n"
+        "report = netlms.pe_diagnostic(netlms.get_preset('setting-i'), windows=4)\n"
+        "print(loaded())\n"
+        "write(sys.argv[1], excitation_artifact(report))\n"
+        "print(loaded())\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "excitation.json")],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.splitlines() == ["[]", "['hashlib', '_hashlib', 'json']"]
 
 
 def test_argument_validation(small_cfg, tmp_path):
