@@ -30,7 +30,7 @@ import numpy as np
 from .config import ExperimentConfig
 from .errors import InvalidInputError
 from .graphs import GraphProcess, graph_block
-from .linalg import block_diag, laplacian, ordered_sum
+from .linalg import as_index, block_diag, laplacian, ordered_sum
 from .noise import (
     BoundCheckReport,
     BoundTally,
@@ -305,7 +305,7 @@ def substream(master_seed: int, index: int) -> np.random.Generator:
 
 def _run_seed(master_seed: int, run) -> np.random.SeedSequence:
     """Seed sequence of run ``run`` under ``master_seed``."""
-    return np.random.SeedSequence(master_seed, spawn_key=(int(run),))
+    return np.random.SeedSequence(master_seed, spawn_key=(as_index(run, "run index"),))
 
 
 # Exogenous random sources of a run, in spawn-key order.

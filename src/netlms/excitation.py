@@ -42,7 +42,7 @@ from .graphs import (
     stationary_distribution,
     window_sym_laplacians,
 )
-from .linalg import as_matrix, ordered_sum, sym_eigenvalues
+from .linalg import as_index, as_matrix, ordered_sum, sym_eigenvalues
 from .regression import (
     RegressionProcess,
     conditional_expected_gram,
@@ -201,6 +201,7 @@ def _one_window(graph_process, regression_process, window_index, window, state_a
     """The one-window functions' input checks, then the expected Gram and
     the window's pattern in :func:`window_sym_laplacians`."""
     _check_window_args(window, 1)
+    window_index = as_index(window_index, "window_index")
     if window_index < 0:
         raise InvalidInputError("window_index must be nonnegative")
     if graph_process.nodes != regression_process.nodes:

@@ -26,13 +26,12 @@ is a block of one.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInputError, NoUniqueStationaryError
-from .linalg import as_matrix, laplacian, symmetrize
+from .linalg import as_index, as_matrix, laplacian, symmetrize
 
 __all__ = [
     "GraphProcess",
@@ -107,7 +106,7 @@ def alternating_uniform_graph(nodes, even_range, odd_range) -> GraphProcess:
     """I.i.d. uniform weights whose range depends on step parity."""
     return GraphProcess(
         kind="alternating-uniform",
-        nodes=int(nodes),
+        nodes=as_index(nodes, "nodes"),
         even_range=_check_range(even_range, "even_range"),
         odd_range=_check_range(odd_range, "odd_range"),
     )
@@ -130,10 +129,7 @@ def markov_switching_graph(states, transition, initial_state: int = 0) -> GraphP
         if m.shape[0] != nodes:
             raise InvalidInputError("all adjacency states must share one node count")
     p = _check_transition(transition, len(mats))
-    try:
-        initial_state = operator.index(initial_state)
-    except TypeError:
-        raise InvalidInputError(f"initial_state must be an integer, got {initial_state!r}") from None
+    initial_state = as_index(initial_state, "initial_state")
     if not 0 <= initial_state < len(mats):
         raise InvalidInputError("initial_state out of range")
     return GraphProcess(
@@ -228,6 +224,7 @@ def conditional_expected_adjacency(
     the cut; a cut below zero conditions on nothing and starts the chain
     from its initial state at step 0.
     """
+    step, history_cut = as_index(step, "step"), as_index(history_cut, "history_cut")
     if step < 0:
         raise InvalidInputError("step must be nonnegative")
     if history_cut > step:
@@ -238,9 +235,9 @@ def conditional_expected_adjacency(
         else:
             if state_at_cut is None:
                 raise InvalidInputError("markov-switching conditioning needs state_at_cut")
-            if not 0 <= state_at_cut < len(process.states):
+            s, m = as_index(state_at_cut, "state_at_cut"), step - history_cut
+            if not 0 <= s < len(process.states):
                 raise InvalidInputError("state_at_cut out of range")
-            s, m = int(state_at_cut), step - history_cut
         probs = np.linalg.matrix_power(process.transition, m)[s]
         return np.tensordot(probs, np.stack(process.states), axes=1)
     if process.kind == "fixed":
@@ -311,9 +308,10 @@ def _pattern_index(
         if np.any(ks > 0):
             raise InvalidInputError("markov-switching conditioning needs state_at_cut")
         return np.zeros_like(ks)
-    if not 0 <= state_at_cut < len(process.states):
+    s = as_index(state_at_cut, "state_at_cut")
+    if not 0 <= s < len(process.states):
         raise InvalidInputError("state_at_cut out of range")
-    return np.where(ks > 0, 1 + int(state_at_cut), 0)
+    return np.where(ks > 0, 1 + s, 0)
 
 
 def is_conditionally_balanced(expected_adjacency) -> bool:

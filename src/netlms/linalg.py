@@ -2,14 +2,18 @@
 
 Everything here operates on plain 2-D float64 numpy arrays.  Inputs are
 validated at the boundary (shape and finiteness) so the numerical code
-above this layer never sees NaN or Inf.
+above this layer never sees NaN or Inf; :func:`as_index` likewise keeps
+a float count or index from being truncated.
 """
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 __all__ = [
+    "as_index",
     "as_matrix",
     "laplacian",
     "symmetrize",
@@ -19,6 +23,15 @@ __all__ = [
 ]
 
 from .errors import InvalidInputError
+
+
+def as_index(value, name: str) -> int:
+    """``value`` as an int; a float or any other non-integer is an error,
+    never truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}") from None
 
 
 def as_matrix(a, name: str = "matrix", square: bool = False) -> np.ndarray:

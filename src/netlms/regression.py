@@ -36,7 +36,7 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import InvalidInputError, UnsupportedAnalyticError
-from .linalg import as_matrix, block_diag, ordered_sum
+from .linalg import as_index, as_matrix, block_diag, ordered_sum
 from .noise import MeasurementNoise
 
 __all__ = [
@@ -150,14 +150,10 @@ def bernoulli_failure_regression(patterns, active_prob: float) -> RegressionProc
 def ar_driven_regression(nodes: int, order: int) -> RegressionProcess:
     """Scalar AR(``order``) outputs per node; the unknown parameter is the
     coefficient vector, so ``dim == order`` and every ``n_i == 1``."""
+    nodes, order = as_index(nodes, "nodes"), as_index(order, "order")
     if nodes < 1 or order < 1:
         raise InvalidInputError("nodes and order must be positive")
-    return RegressionProcess(
-        kind="ar-driven",
-        nodes=int(nodes),
-        dim=int(order),
-        node_dims=(1,) * int(nodes),
-    )
+    return RegressionProcess(kind="ar-driven", nodes=nodes, dim=order, node_dims=(1,) * nodes)
 
 
 def _regressor_block(process: RegressionProcess, count: int, rngs) -> np.ndarray:
@@ -277,6 +273,7 @@ def spatio_temporal_gram(process: RegressionProcess, window: int) -> np.ndarray:
     No closed-form node Gram depends on the step, so it is ``window``
     times the one-step sum over nodes.
     """
+    window = as_index(window, "window")
     if window < 1:
         raise InvalidInputError("window must be positive")
     grams = [conditional_expected_node_gram(process, node) for node in range(process.nodes)]

@@ -12,12 +12,15 @@ from netlms.estimator import (
     GainSchedule,
     SimulationModel,
     compact_step,
+    run_trajectories,
     run_trajectory,
     simulate,
+    substream,
 )
 from netlms.excitation import corollary1_stationary_check, info_matrix
 from netlms.graphs import (
     GraphProcess,
+    _pattern_index,
     alternating_uniform_graph,
     conditional_expected_adjacency,
     fixed_graph,
@@ -57,6 +60,8 @@ INPUT_ERRORS = [
                  "unknown graph kind 'ring'", id="graph-kind"),
     pytest.param(lambda: GraphProcess(kind="fixed", nodes=0), InvalidInputError,
                  "graph needs at least one node", id="graph-nodes"),
+    pytest.param(lambda: alternating_uniform_graph(2.7, (0.0, 1.0), (0.0, 1.0)), InvalidInputError,
+                 "nodes must be an integer, got 2.7", id="graph-nodes-integer"),
     pytest.param(lambda: alternating_uniform_graph(2, (1.0, 0.0), (0.0, 1.0)), InvalidInputError,
                  "even_range must be a finite (low, high) pair with low <= high", id="graph-range"),
     pytest.param(lambda: markov_switching_graph([], []), InvalidInputError,
@@ -79,12 +84,20 @@ INPUT_ERRORS = [
                  "markov-switching sampling needs prev_state for step > 0", id="block-prev-states"),
     pytest.param(lambda: conditional_expected_adjacency(MARKOV, -1), InvalidInputError,
                  "step must be nonnegative", id="mean-step"),
+    pytest.param(lambda: conditional_expected_adjacency(ALTERNATING, 2.5), InvalidInputError,
+                 "step must be an integer, got 2.5", id="mean-step-integer"),
+    pytest.param(lambda: conditional_expected_adjacency(ALTERNATING, 3, 1.5), InvalidInputError,
+                 "history_cut must be an integer, got 1.5", id="mean-cut-integer"),
     pytest.param(lambda: conditional_expected_adjacency(MARKOV, 2, 3), InvalidInputError,
                  "history_cut must not exceed step", id="mean-cut"),
     pytest.param(lambda: conditional_expected_adjacency(MARKOV, 3, 1), InvalidInputError,
                  "markov-switching conditioning needs state_at_cut", id="mean-no-state"),
     pytest.param(lambda: conditional_expected_adjacency(MARKOV, 3, 1, 2), InvalidInputError,
                  "state_at_cut out of range", id="mean-state-range"),
+    pytest.param(lambda: conditional_expected_adjacency(MARKOV, 3, 1, 0.5), InvalidInputError,
+                 "state_at_cut must be an integer, got 0.5", id="mean-state-integer"),
+    pytest.param(lambda: _pattern_index(MARKOV, 2, [1], 0.5), InvalidInputError,
+                 "state_at_cut must be an integer, got 0.5", id="pattern-state-integer"),
     pytest.param(lambda: conditional_expected_adjacency(ALTERNATING, 3, 3), InvalidInputError,
                  "conditioning an independent draw on its own step needs the realization; "
                  "use an earlier history cut", id="mean-own-step"),
@@ -103,10 +116,16 @@ INPUT_ERRORS = [
                  InvalidInputError, "need finite low <= high", id="uniform-range"),
     pytest.param(lambda: ar_driven_regression(1, 0), InvalidInputError,
                  "nodes and order must be positive", id="ar-order"),
+    pytest.param(lambda: ar_driven_regression(2.5, 1.9), InvalidInputError,
+                 "nodes must be an integer, got 2.5", id="ar-nodes-integer"),
+    pytest.param(lambda: ar_driven_regression(2, 1.9), InvalidInputError,
+                 "order must be an integer, got 1.9", id="ar-order-integer"),
     pytest.param(lambda: conditional_expected_node_gram(SENSORS, 2), InvalidInputError,
                  "node index out of range", id="gram-node"),
     pytest.param(lambda: spatio_temporal_gram(SENSORS, 0), InvalidInputError,
                  "window must be positive", id="gram-window"),
+    pytest.param(lambda: spatio_temporal_gram(SENSORS, 2.5), InvalidInputError,
+                 "window must be an integer, got 2.5", id="gram-window-integer"),
     pytest.param(lambda: monte_carlo_expected_gram(SENSORS, np.zeros(2), 0, MeasurementNoise(),
                                                    _rng(), samples=0),
                  InvalidInputError, "samples must be positive and step nonnegative",
@@ -117,6 +136,8 @@ INPUT_ERRORS = [
     # excitation: the one-window functions and the stationary audit
     pytest.param(lambda: info_matrix(fixed_graph(PAIR), SENSORS, None, -1, 2), InvalidInputError,
                  "window_index must be nonnegative", id="window-index"),
+    pytest.param(lambda: info_matrix(fixed_graph(PAIR), SENSORS, None, 1.5, 2), InvalidInputError,
+                 "window_index must be an integer, got 1.5", id="window-index-integer"),
     pytest.param(lambda: info_matrix(fixed_graph(PAIR), ONE_SENSOR, None, 0, 2), InvalidInputError,
                  "graph and regression disagree on the node count", id="window-nodes"),
     pytest.param(lambda: corollary1_stationary_check([], HALF, []), InvalidInputError,
@@ -142,6 +163,10 @@ INPUT_ERRORS = [
     pytest.param(lambda: run_trajectory(get_preset("setting-i"), np.random.RandomState(1)._bit_generator),
                  InvalidInputError, "the generator was not created from a SeedSequence",
                  id="seedless-generator"),
+    pytest.param(lambda: substream(1, 1.5), InvalidInputError,
+                 "run index must be an integer, got 1.5", id="substream-index-integer"),
+    pytest.param(lambda: run_trajectories(get_preset("setting-i"), [0.5]), InvalidInputError,
+                 "run index must be an integer, got 0.5", id="run-index-integer"),
     pytest.param(lambda: simulate(SimulationModel.from_config(get_preset("setting-i")), [], 5,
                                   lambda stats: None),
                  InvalidInputError, "need at least one run", id="simulate-no-runs"),
