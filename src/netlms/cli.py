@@ -11,7 +11,8 @@ Subcommands:
 ``--config`` accepts either a path to a config file or the name of a
 built-in preset (a path wins when both exist).  ``--seed``, ``--runs``
 and ``--horizon`` override the corresponding config fields; ``--out``
-names the output directory.
+names the output directory.  ``run --workers N`` spreads the runs over
+``N`` processes; the files are the same for every ``N``.
 """
 
 from __future__ import annotations
@@ -63,6 +64,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", default=None, help="output directory")
     run.add_argument("--format", choices=("csv", "json"), default="csv",
                      help="tabular artifact format (default csv)")
+    run.add_argument("--workers", type=int, default=1,
+                     help="processes to spread the runs over (default 1); the files do not depend on it")
 
     audit = sub.add_parser("audit", help="excitation diagnostic only, as JSON")
     audit.add_argument("--config", required=True, help="config file path or preset name")
@@ -84,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args) -> int:
     cfg = _resolve_config(args.config)
     cfg = with_overrides(cfg, seed=args.seed, runs=args.runs, horizon=args.horizon)
-    art = run_experiment(cfg, out_dir=args.out, fmt=args.format)
+    art = run_experiment(cfg, out_dir=args.out, fmt=args.format, workers=args.workers)
     rep = art.excitation
     last = art.aggregate["step"].size - 1
     print(f"wrote {len(art.run_files)} run files + aggregate + excitation + manifest "

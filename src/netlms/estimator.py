@@ -406,31 +406,53 @@ class ChunkStats:
 # and a batch short ones.  In a sweep of fixed chunk sizes (regret with
 # 4000 steps for 20 runs, setting-i with 3e4 steps for one; one BLAS
 # thread, best CPU time of 3, median of three passes), 20 runs took 5.6 us
-# per run-step at 24 steps, 4.3 at 49 (their default) and 3.7 at 96, with
-# traced peaks of 0.91, 1.78 and 3.22 MB; one run took 13.5 us per step at
-# 491 and at 983 (its default) and 11.7 at 2048, peaking at 0.84, 1.65 and
-# 3.36 MB.  Run to run, these times spread by up to 40 %.
+# per run-step at 24 steps, 4.3 at 49 and 3.7 at 96, with traced peaks of
+# 0.91, 1.78 and 3.22 MB; one run took 13.5 us per step at 491 and at 983
+# and 11.7 at 2048, peaking at 0.84, 1.65 and 3.36 MB.  Run to run, these
+# times spread by up to 40 %.  That sweep predates the operator scratch
+# below, which the budget now also holds: the defaults are 47 steps for
+# 20 runs and 942 for one.
 _CHUNK_FLOATS = 3 << 16
+
+# Floats of the steps-first scratch that the step loop copies the operator
+# into, one sub-block of steps at a time, so that each step reads its
+# weights as one contiguous row: 91 steps for one run of the 3-node
+# presets, 4 for 20 runs (64 KB).  It comes out of the chunk budget, so a
+# larger one shortens a batch's chunks (at 1 << 16, 20 runs would get 32
+# steps), which the sweep above prices higher than the rows save.
+_SCRATCH_FLOATS = 1 << 13
+
+
+def _op_floats(nodes: int, dim: int) -> int:
+    """Floats of the fused operator per run and step, link slots included."""
+    return (dim + 2 * nodes + 1) * dim * nodes
 
 
 def _step_floats(nodes: int, dim: int, rows: int) -> int:
     """Floats that one step of one run adds to a chunk's arrays."""
     width = dim * nodes
-    per_step = (dim + 2 * nodes + 1) * width + width + nodes * nodes * (dim + 1) + 1
+    per_step = _op_floats(nodes, dim) + width + nodes * nodes * (dim + 1) + 1
     return per_step + rows * (dim + nodes + 2)
 
 
+def _scratch_steps(runs: int, nodes: int, dim: int) -> int:
+    """Steps per sub-block of the operator scratch: as many as fit in
+    :data:`_SCRATCH_FLOATS` for ``runs`` runs, but at least one."""
+    return max(1, _SCRATCH_FLOATS // (runs * _op_floats(nodes, dim)))
+
+
 def _default_chunk(runs: int, nodes: int, dim: int, rows: int) -> int:
-    return max(16, _CHUNK_FLOATS // (runs * _step_floats(nodes, dim, rows)))
+    scratch = _scratch_steps(runs, nodes, dim) * runs * _op_floats(nodes, dim)
+    return max(16, (_CHUNK_FLOATS - scratch) // (runs * _step_floats(nodes, dim, rows)))
 
 
 def _fused_operator(model, link_noise, start, updates, adj, h, y, xi):
-    """``op[k, s, q', i]``, the weight of slot ``s`` of output ``(q', i)`` at
-    step ``start + k`` (see :func:`simulate`), for a chunk's ``updates``
-    steps.  It is built as ``[s, q', i, k]`` with steps and runs last, so
-    each call below writes ``updates * R`` contiguous values, and
-    returned as a transposed view.  Scales ``xi`` in place without link
-    noise."""
+    """``op[s, p, k]``, the weight of slot ``s`` of output ``p = q' N + i``
+    at step ``start + k`` (see :func:`simulate`), for a chunk's
+    ``updates`` steps.  It is built and returned with steps and runs last,
+    so each call below writes ``updates * R`` contiguous values; the step
+    loop copies it steps first, a sub-block at a time.  Scales ``xi`` in
+    place without link noise."""
     n_nodes, dim = model.init.shape
     slots = dim + n_nodes * (2 if link_noise else 1) + 1
     op = np.empty((slots, dim, n_nodes, updates, adj.shape[-1]))
@@ -464,7 +486,7 @@ def _fused_operator(model, link_noise, start, updates, adj, h, y, xi):
     op[-1] += (b * model.intensity.bias) * ordered_sum(link, 0)
     if link_noise:
         link *= b * model.intensity.sigma
-    return op.transpose(3, 0, 1, 2, 4)
+    return op.reshape(slots, dim * n_nodes, updates, adj.shape[-1])
 
 
 # a diverging run overflows to inf and NaN; first_nonfinite_step reports it
@@ -499,25 +521,31 @@ def simulate(
     - every distance ``|x_j - x_i|`` times ``b sigma a_ij xi_ij``;
     - 1 times the exogenous ``a H_i^T y_i + b bias sum_j a_ij xi_ij``.
 
-    A step is then eight numpy calls, three without link noise: one take
-    of ``x_k[q]`` and ``x_i[q]`` for every pair into a flat buffer, their
-    difference, its square, an in-order sum over the components into the
-    distance rows of ``z`` and a square root (the link-noise part); then
-    one take of ``z`` into the operator's slots, one multiply and one
-    ordered sum over the slots.  The values of a run depend neither on
-    the block size nor on the other runs of the batch.
+    The operator is built with steps and runs last; the step loop copies
+    it, :func:`_scratch_steps` steps at a time, into a fixed steps-first
+    scratch, so each step reads its weights as one contiguous ``(slots,
+    n N R)`` row.  A step is then eight numpy calls, three without link
+    noise: one take of ``x_k[q]`` and ``x_i[q]`` for every pair into a
+    buffer, their difference and its square on the flat buffer, an
+    in-order sum over the components into the flat distance rows of
+    ``z`` and a square root (the link-noise part); then one take of ``z``
+    into the operator's slots, one multiply with the step's row and one
+    ordered sum over the slots into the flat next state.  The values of a
+    run depend neither on the block or sub-block size nor on the other
+    runs of the batch.
 
     One call handles one chunk, from its draws to its statistics, and
     only the state, the graph and ar-driven histories and the running
     excess sum outlive it; the operator dies with the step loop, before
     the statistics.  So the peak holds one chunk's arrays, about
-    :func:`_step_floats` floats per run and step.
+    :func:`_step_floats` floats per run and step, and the scratch.
 
     ``on_chunk`` receives one :class:`ChunkStats` per chunk, in step
     order; rows ``0..horizon`` are covered, row ``horizon`` without an
     update.  Returns the final states ``(R, N, n)`` and, with
     ``check_bounds``, one :class:`BoundCheckReport` per run.
     """
+    horizon = as_index(horizon, "horizon")
     if horizon < 0:
         raise InvalidInputError("horizon must be nonnegative")
     streams = [source_streams(s) for s in seeds]
@@ -553,13 +581,19 @@ def simulate(
             np.full((1, width), inputs - 1),
         ]
     )
-    gathered = np.empty((len(gather), width, runs))
+    slots, flat_x = len(gather), width * runs
+    gathered = np.empty((slots, width, runs))
+    flat_gathered = gathered.reshape(slots, flat_x)
     # pair_rows[:, (q N + k) N + i] = the rows of x_k[q] and x_i[q] in z
     senders, receivers = np.divmod(np.arange(n_nodes * n_nodes), n_nodes)
     pair_rows = (comp_diag[:, None] * n_nodes + np.stack([senders, receivers])[:, None]).reshape(2, -1)
     pairs = np.empty((2, dim * n_nodes * n_nodes, runs))
-    sender_x, receiver_x = pairs
-    sq_diff = sender_x.reshape(dim, n_nodes * n_nodes, runs)
+    sender_x, receiver_x = pairs.reshape(2, -1)
+    sq_diff = sender_x.reshape(dim, -1)
+    # scratch[k] holds the operator of one step of a sub-block as one row
+    sub = _scratch_steps(runs, n_nodes, dim)
+    scratch = np.empty((sub, slots, width, runs))
+    scratch_rows = scratch.reshape(sub, slots, flat_x)
 
     x = np.repeat(model.init.T[:, :, None], runs, axis=2)
     graph_rngs, regression_rngs, noise_rngs, channel_rngs = zip(*streams)
@@ -579,20 +613,28 @@ def simulate(
         z[:, -1] = 1.0
         states = z[:, :width].reshape(count + 1, dim, n_nodes, runs)
         states[0] = x
-        steps = zip(op.reshape(len(op), len(gather), width, runs), z, z[1:, :width], z[:, width:-1])
-        # the calls take out by position and use ndarray.take, not
-        # np.take: at R = 1 a keyword out costs about 0.7 us per call and
-        # np.take's wrapper about 2 us
-        for op_j, z_j, next_x, dist in steps:
-            if link_noise:
-                z_j.take(pair_rows, 0, pairs, "clip")
-                np.subtract(sender_x, receiver_x, sender_x)
-                np.square(sender_x, sender_x)
-                add(sq_diff, 0, None, dist)
-                np.sqrt(dist, dist)
-            z_j.take(gather, 0, gathered, "clip")
-            np.multiply(op_j, gathered, gathered)
-            add(gathered, 0, None, next_x)
+        # flat_z[k] is z[k] with runs folded into the entries; the three
+        # row iterators run on across sub-blocks, since zip stops at the
+        # end of a sub-block before it draws from them
+        flat_z = z.reshape(count + 1, inputs * runs)
+        inputs_j, next_xs, dists = iter(z), iter(flat_z[1:, :flat_x]), iter(flat_z[:, flat_x:-runs])
+        op = op.transpose(2, 0, 1, 3)
+        for lo in range(0, len(op), sub):
+            block = op[lo : lo + sub]
+            np.copyto(scratch[: len(block)], block)
+            # the calls take out by position and use ndarray.take, not
+            # np.take: at R = 1 a keyword out costs about 0.7 us per call
+            # and np.take's wrapper about 2 us
+            for op_j, z_j, next_x, dist in zip(scratch_rows[: len(block)], inputs_j, next_xs, dists):
+                if link_noise:
+                    z_j.take(pair_rows, 0, pairs, "clip")
+                    np.subtract(sender_x, receiver_x, sender_x)
+                    np.square(sender_x, sender_x)
+                    add(sq_diff, 0, None, dist)
+                    np.sqrt(dist, dist)
+                z_j.take(gather, 0, gathered, "clip")
+                np.multiply(op_j, flat_gathered, flat_gathered)
+                add(flat_gathered, 0, None, next_x)
         return states
 
     def run_chunk(start, x, graph_state, ar_hist, carry_excess):

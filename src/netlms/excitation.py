@@ -163,11 +163,14 @@ class ExcitationReport:
     notes: tuple[str, ...]
 
 
-def _check_window_args(window: int, windows: int) -> None:
+def _check_window_args(window: int, windows: int) -> tuple[int, int]:
+    """``window`` and ``windows`` as ints, each at least 1."""
+    window, windows = as_index(window, "window"), as_index(windows, "windows")
     if window < 1:
         raise InvalidInputError("window must be positive")
     if windows < 1:
         raise InvalidInputError("need at least one window to check")
+    return window, windows
 
 
 def _law_pass(graph_process, window, gram=None):
@@ -200,7 +203,7 @@ def _weighted(big, gram, gains, window, ks):
 def _one_window(graph_process, regression_process, window_index, window, state_at_cut):
     """The one-window functions' input checks, then the expected Gram and
     the window's pattern in :func:`window_sym_laplacians`."""
-    _check_window_args(window, 1)
+    window, _ = _check_window_args(window, 1)
     window_index = as_index(window_index, "window_index")
     if window_index < 0:
         raise InvalidInputError("window_index must be nonnegative")
@@ -312,7 +315,7 @@ def check_definition1(
     processes are checked from every state the chain could occupy at the
     cut, so a pass is state-uniform.
     """
-    _check_window_args(window, windows)
+    window, windows = _check_window_args(window, windows)
     if graph_process.nodes < 2:
         raise InvalidInputError("joint connectivity needs at least two nodes")
     pattern_gaps, _, _ = _law_pass(graph_process, window)
@@ -334,7 +337,7 @@ def check_definition2(
     window's steps (an ``n x n`` matrix) and requires its smallest
     eigenvalue to reach ``theta2``.
     """
-    _check_window_args(window, windows)
+    window, windows = _check_window_args(window, windows)
     return _threshold_report(np.full(windows, _pooled_gram_min(regression_process, window)), theta2)
 
 
@@ -485,7 +488,7 @@ def pe_diagnostic(config: ExperimentConfig, windows: int | None = None) -> Excit
     h = config.excitation.window
     if windows is None:
         windows = max(1, (config.horizon + 1) // h)
-    _check_window_args(h, windows)
+    h, windows = _check_window_args(h, windows)
     gp = config.graph.to_process(config.nodes)
     rp = config.regression.to_process(config.nodes, config.dim)
     gains = GainSchedule.from_config(config)

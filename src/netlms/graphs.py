@@ -175,6 +175,7 @@ def graph_block(
     ``count`` blocks of one step, and no run's values depend on the other
     runs, which keeps simulations independent of block size and batch.
     """
+    start, count = as_index(start, "start"), as_index(count, "count")
     if start < 0 or count < 1:
         raise InvalidInputError("need start >= 0 and count >= 1")
     n, runs = process.nodes, len(rngs)
@@ -282,6 +283,7 @@ def window_sym_laplacians(process: GraphProcess, window: int) -> np.ndarray:
     for markov-switching one per step of window 0 and one per state at the
     cut and count of steps since it.
     """
+    window = as_index(window, "window")
     if process.kind == "fixed":
         calls, patterns = [(0, -1, None)], np.zeros((1, window), dtype=np.intp)
     elif process.kind == "alternating-uniform":

@@ -213,6 +213,7 @@ def regression_block(
     draws nothing itself: its regressor is the output history, driven by
     the measurement noise.
     """
+    count = as_index(count, "count")
     weights = np.asarray(x0, dtype=float)
     if weights.shape != (process.dim,):
         raise InvalidInputError(f"x0 must have shape ({process.dim},), got {weights.shape}")
@@ -237,6 +238,7 @@ def conditional_expected_node_gram(process: RegressionProcess, node: int) -> np.
     Every kind with a closed form draws independently across steps, so
     the answer is the same for every step ``k`` and every earlier cut.
     """
+    node = as_index(node, "node index")
     if not 0 <= node < process.nodes:
         raise InvalidInputError("node index out of range")
     if process.kind == "fixed":

@@ -96,14 +96,21 @@ def test_run_rejects_an_unencodable_default_out_dir(tmp_path):
     assert sorted(os.listdir(tmp_path)) == ["cfg.txt"]
 
 
-def test_run_rerun_byte_identical(tmp_path):
-    args = ["run", "--config", "setting-ii", "--horizon", "120", "--runs", "1"]
+def test_run_rerun_byte_identical(tmp_path, capsys):
+    """A rerun, and a run spread over two worker processes, write the same
+    bytes; ``--workers 0`` exits 1 with the library's message."""
+    args = ["run", "--config", "setting-ii", "--horizon", "120", "--runs", "2"]
     assert main(args + ["--out", str(tmp_path / "a")]) == 0
     assert main(args + ["--out", str(tmp_path / "b")]) == 0
+    assert main(args + ["--out", str(tmp_path / "c"), "--workers", "2"]) == 0
     for name in os.listdir(tmp_path / "a"):
         a = (tmp_path / "a" / name).read_bytes()
-        b = (tmp_path / "b" / name).read_bytes()
-        assert a == b, name
+        for other in ("b", "c"):
+            assert (tmp_path / other / name).read_bytes() == a, (other, name)
+    capsys.readouterr()
+    assert main(args + ["--out", str(tmp_path / "d"), "--workers", "0"]) == 1
+    assert capsys.readouterr().err == "error: workers must be positive\n"
+    assert not (tmp_path / "d").exists()
 
 
 def test_run_json_format(tmp_path):

@@ -264,9 +264,12 @@ def _assert_same_record(a, b):
     assert a.bound_report == b.bound_report
 
 
-def _pin_chunk(monkeypatch, chunk):
-    """Make the kernel draw and fold in blocks of ``chunk`` steps."""
+def _pin_chunk(monkeypatch, chunk, sub=None):
+    """Make the kernel draw and fold in blocks of ``chunk`` steps and, given
+    ``sub``, copy the operator into its scratch ``sub`` steps at a time."""
     monkeypatch.setattr(estimator, "_default_chunk", lambda *shape: chunk)
+    if sub is not None:
+        monkeypatch.setattr(estimator, "_scratch_steps", lambda *shape: sub)
 
 
 @pytest.fixture
@@ -287,15 +290,20 @@ def _kernel_outputs(cfg, runs):
     return stats, final, reports
 
 
-def test_simulate_holds_one_chunk_at_a_time():
+@pytest.mark.parametrize("preset, runs, horizon", [("regret", 20, 300), ("setting-i", 1, 3000)],
+                         ids=["regret-20-runs", "setting-i-1-run"])
+def test_simulate_holds_one_chunk_at_a_time(preset, runs, horizon):
     """No array outlives its chunk: the traced peak of a 20-run regret
-    batch with bound checks stays within 1.3 times the chunk budget that
-    ``_default_chunk`` sizes chunks by, plus a fixed 128 KB for the
-    generators and the per-run tallies."""
-    cfg = with_overrides(get_preset("regret"), horizon=300, runs=20)
+    batch and of one long setting-i run, with bound checks, stays within
+    1.3 times the chunk budget that ``_default_chunk`` sizes chunks by,
+    plus a fixed 128 KB for the generators and the per-run tallies.  The
+    budget holds the chunk's arrays and the step loop's operator
+    scratch."""
+    cfg = with_overrides(get_preset(preset), horizon=horizon, runs=runs)
     rows = sum(cfg.node_dims)
     chunk = estimator._default_chunk(cfg.runs, cfg.nodes, cfg.dim, rows)
-    budget = chunk * cfg.runs * estimator._step_floats(cfg.nodes, cfg.dim, rows) * 8
+    scratch = estimator._scratch_steps(cfg.runs, cfg.nodes, cfg.dim) * estimator._op_floats(cfg.nodes, cfg.dim)
+    budget = cfg.runs * (chunk * estimator._step_floats(cfg.nodes, cfg.dim, rows) + scratch) * 8
     model = SimulationModel.from_config(cfg)
     seeds = [np.random.SeedSequence(cfg.seed, spawn_key=(r,)) for r in range(cfg.runs)]
     tracemalloc.start()
@@ -310,17 +318,22 @@ def test_simulate_holds_one_chunk_at_a_time():
 
 
 def test_chunk_size_does_not_change_a_run(monkeypatch):
-    cfg = with_overrides(get_preset("setting-i"), horizon=150, runs=1)
-    stats, final, reports = _kernel_outputs(cfg, [3, 0])
-    for chunk in (1, 7, 1000):
-        _pin_chunk(monkeypatch, chunk)
-        other, other_final, other_reports = _kernel_outputs(cfg, [3, 0])
-        for name, value in stats.items():
-            assert np.array_equal(other[name], value), (chunk, name)
-        assert np.array_equal(other_final, final) and other_reports == reports
-    monkeypatch.undo()
-    alone = run_trajectory(cfg, substream(cfg.seed, 3))
-    _assert_same_record(alone, run_trajectories(cfg, [3, 0])[0])
+    """Pinned chunk and operator sub-block lengths, including sub-blocks
+    that do not divide the chunk, for one to three runs with and without
+    link noise: every output equals the unpinned batch bit for bit."""
+    base = with_overrides(get_preset("setting-i"), horizon=150, runs=1)
+    quiet = dataclasses.replace(base, noise=dataclasses.replace(base.noise, sigma_f=0.0))
+    for cfg, runs in ((base, [3, 0]), (base, [3]), (base, [3, 0, 5]), (quiet, [3]), (quiet, [3, 0, 5])):
+        stats, final, reports = _kernel_outputs(cfg, runs)
+        for chunk, sub in ((1, None), (7, None), (1000, None), (7, 3), (50, 4), (1000, 7)):
+            _pin_chunk(monkeypatch, chunk, sub)
+            other, other_final, other_reports = _kernel_outputs(cfg, runs)
+            for name, value in stats.items():
+                assert np.array_equal(other[name], value), (runs, chunk, sub, name)
+            assert np.array_equal(other_final, final) and other_reports == reports
+            monkeypatch.undo()
+        alone = run_trajectory(cfg, substream(cfg.seed, 3))
+        _assert_same_record(alone, run_trajectories(cfg, runs)[0])
 
 
 def test_batch_membership_does_not_change_a_run():

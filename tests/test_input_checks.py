@@ -17,7 +17,13 @@ from netlms.estimator import (
     simulate,
     substream,
 )
-from netlms.excitation import corollary1_stationary_check, info_matrix
+from netlms.excitation import (
+    check_definition1,
+    check_definition2,
+    corollary1_stationary_check,
+    info_matrix,
+    pe_diagnostic,
+)
 from netlms.graphs import (
     GraphProcess,
     _pattern_index,
@@ -26,6 +32,7 @@ from netlms.graphs import (
     fixed_graph,
     graph_block,
     markov_switching_graph,
+    window_sym_laplacians,
 )
 from netlms.noise import MeasurementNoise, NoiseIntensity, build_WM, received_messages
 from netlms.regression import (
@@ -35,6 +42,7 @@ from netlms.regression import (
     entrywise_uniform_regression,
     fixed_regression,
     monte_carlo_expected_gram,
+    regression_block,
     spatio_temporal_gram,
     support_gram_norm_bound,
 )
@@ -80,6 +88,10 @@ INPUT_ERRORS = [
                  "need start >= 0 and count >= 1", id="block-start"),
     pytest.param(lambda: graph_block(MARKOV, 0, 0, [_rng()]), InvalidInputError,
                  "need start >= 0 and count >= 1", id="block-count"),
+    pytest.param(lambda: graph_block(ALTERNATING, 1.5, 1, [_rng()]), InvalidInputError,
+                 "start must be an integer, got 1.5", id="block-start-integer"),
+    pytest.param(lambda: graph_block(ALTERNATING, 0, 1.5, [_rng()]), InvalidInputError,
+                 "count must be an integer, got 1.5", id="block-count-integer"),
     pytest.param(lambda: graph_block(MARKOV, 3, 1, [_rng()]), InvalidInputError,
                  "markov-switching sampling needs prev_state for step > 0", id="block-prev-states"),
     pytest.param(lambda: conditional_expected_adjacency(MARKOV, -1), InvalidInputError,
@@ -98,6 +110,8 @@ INPUT_ERRORS = [
                  "state_at_cut must be an integer, got 0.5", id="mean-state-integer"),
     pytest.param(lambda: _pattern_index(MARKOV, 2, [1], 0.5), InvalidInputError,
                  "state_at_cut must be an integer, got 0.5", id="pattern-state-integer"),
+    pytest.param(lambda: window_sym_laplacians(ALTERNATING, 2.5), InvalidInputError,
+                 "window must be an integer, got 2.5", id="window-laplacians-integer"),
     pytest.param(lambda: conditional_expected_adjacency(ALTERNATING, 3, 3), InvalidInputError,
                  "conditioning an independent draw on its own step needs the realization; "
                  "use an earlier history cut", id="mean-own-step"),
@@ -122,6 +136,10 @@ INPUT_ERRORS = [
                  "order must be an integer, got 1.9", id="ar-order-integer"),
     pytest.param(lambda: conditional_expected_node_gram(SENSORS, 2), InvalidInputError,
                  "node index out of range", id="gram-node"),
+    pytest.param(lambda: conditional_expected_node_gram(SENSORS, 1.0), InvalidInputError,
+                 "node index must be an integer, got 1.0", id="gram-node-integer"),
+    pytest.param(lambda: regression_block(SENSORS, np.zeros(2), 1.5, [_rng()], np.zeros((1, 2, 1))),
+                 InvalidInputError, "count must be an integer, got 1.5", id="regression-count-integer"),
     pytest.param(lambda: spatio_temporal_gram(SENSORS, 0), InvalidInputError,
                  "window must be positive", id="gram-window"),
     pytest.param(lambda: spatio_temporal_gram(SENSORS, 2.5), InvalidInputError,
@@ -133,7 +151,16 @@ INPUT_ERRORS = [
     pytest.param(lambda: support_gram_norm_bound(ar_driven_regression(2, 2)),
                  UnsupportedAnalyticError, "ar-driven regressors have unbounded support",
                  id="ar-support"),
-    # excitation: the one-window functions and the stationary audit
+    # excitation: the window checks, the one-window functions and the
+    # stationary audit
+    pytest.param(lambda: check_definition1(fixed_graph(PAIR), 2.5, 0.1, 2), InvalidInputError,
+                 "window must be an integer, got 2.5", id="definition1-window-integer"),
+    pytest.param(lambda: check_definition1(fixed_graph(PAIR), 2, 0.1, 2.5), InvalidInputError,
+                 "windows must be an integer, got 2.5", id="definition1-windows-integer"),
+    pytest.param(lambda: check_definition2(SENSORS, 2, 0.1, 2.5), InvalidInputError,
+                 "windows must be an integer, got 2.5", id="definition2-windows-integer"),
+    pytest.param(lambda: pe_diagnostic(get_preset("setting-i"), windows=3.5), InvalidInputError,
+                 "windows must be an integer, got 3.5", id="pe-windows-integer"),
     pytest.param(lambda: info_matrix(fixed_graph(PAIR), SENSORS, None, -1, 2), InvalidInputError,
                  "window_index must be nonnegative", id="window-index"),
     pytest.param(lambda: info_matrix(fixed_graph(PAIR), SENSORS, None, 1.5, 2), InvalidInputError,
@@ -170,6 +197,9 @@ INPUT_ERRORS = [
     pytest.param(lambda: simulate(SimulationModel.from_config(get_preset("setting-i")), [], 5,
                                   lambda stats: None),
                  InvalidInputError, "need at least one run", id="simulate-no-runs"),
+    pytest.param(lambda: simulate(SimulationModel.from_config(get_preset("setting-i")), [0], 2.5,
+                                  lambda stats: None),
+                 InvalidInputError, "horizon must be an integer, got 2.5", id="simulate-horizon-integer"),
     # noise: the stacked factors and the messages
     pytest.param(lambda: received_messages(np.zeros((2, 2)), ZERO, np.zeros((2, 2))),
                  InvalidInputError, "xi must have shape (2, 2, 2), got (2, 2)", id="messages-xi"),
