@@ -38,6 +38,7 @@ from .config import ExperimentConfig, render_config
 from .errors import InvalidInputError
 from .estimator import _run_seed, _sample_runs
 from .excitation import ExcitationReport
+from .linalg import as_index
 from .regret import _SeriesFill
 
 __all__ = ["ExperimentArtifacts", "run_experiment", "default_out_dir"]
@@ -98,6 +99,7 @@ def run_experiment(
     """
     if fmt not in ("csv", "json"):
         raise InvalidInputError(f"fmt must be 'csv' or 'json', got {fmt!r}")
+    workers = as_index(workers, "workers")
     if workers < 1:
         raise InvalidInputError("workers must be positive")
     out = default_out_dir(config) if out_dir is None else out_dir

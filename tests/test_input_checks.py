@@ -1,6 +1,7 @@
 """Every library input check raises its own error class with its own
 message: one table, one row per check that no other test reaches."""
 
+import os
 import re
 
 import numpy as np
@@ -24,6 +25,7 @@ from netlms.excitation import (
     info_matrix,
     pe_diagnostic,
 )
+from netlms.experiment import run_experiment
 from netlms.graphs import (
     GraphProcess,
     _pattern_index,
@@ -200,6 +202,9 @@ INPUT_ERRORS = [
     pytest.param(lambda: simulate(SimulationModel.from_config(get_preset("setting-i")), [0], 2.5,
                                   lambda stats: None),
                  InvalidInputError, "horizon must be an integer, got 2.5", id="simulate-horizon-integer"),
+    # os.devnull: no directory can be made there, so a missed check writes nothing
+    pytest.param(lambda: run_experiment(get_preset("setting-i"), out_dir=os.devnull, workers=1.5),
+                 InvalidInputError, "workers must be an integer, got 1.5", id="experiment-workers-integer"),
     # noise: the stacked factors and the messages
     pytest.param(lambda: received_messages(np.zeros((2, 2)), ZERO, np.zeros((2, 2))),
                  InvalidInputError, "xi must have shape (2, 2, 2), got (2, 2)", id="messages-xi"),
