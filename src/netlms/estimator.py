@@ -534,6 +534,14 @@ def simulate(
     run depend neither on the block or sub-block size nor on the other
     runs of the batch.
 
+    With ``check_bounds``, the ``|M|`` bound reads the distances that the
+    loop left in ``z`` instead of recomputing them from the states: the
+    same floats, so the reports do not change.  The last row of a horizon
+    has no update, so the loop's five link-noise calls give it its
+    distances after the loop.  Without link noise the loop computes no
+    distances, and :func:`noise.norm_bound_sides` computes them from the
+    states.
+
     One call handles one chunk, from its draws to its statistics, and
     only the state, the graph and ar-driven histories and the running
     excess sum outlive it; the operator dies with the step loop, before
@@ -604,9 +612,11 @@ def simulate(
     add = np.add.reduce
 
     def run_steps(op, x, count):
-        """The states ``(count + 1, n, N, R)`` of a chunk from ``x``, its
-        updates applied.  Only this frame holds the operator, so the
-        operator and the loop's views of it die when it returns."""
+        """The step inputs ``z`` ``(count + 1, inputs, R)`` of a chunk from
+        ``x``: the states with the updates applied and, with link noise,
+        the distances of every row that the bound checks read.  Only this
+        frame holds the operator, so the operator and the loop's views of
+        it die when it returns."""
         # z[k] is the input of step start + k; one spare row for the state
         # after the chunk's last update
         z = np.empty((count + 1, inputs, runs))
@@ -635,7 +645,17 @@ def simulate(
                 z_j.take(gather, 0, gathered, "clip")
                 np.multiply(op_j, flat_gathered, flat_gathered)
                 add(flat_gathered, 0, None, next_x)
-        return states
+        if link_noise and tally is not None and len(op) < count:
+            # the last row of a horizon has no update, so the loop left its
+            # distances unset; the bound checks read them, so the loop's
+            # own five calls fill them in
+            z[len(op)].take(pair_rows, 0, pairs, "clip")
+            np.subtract(sender_x, receiver_x, sender_x)
+            np.square(sender_x, sender_x)
+            dist = flat_z[len(op), flat_x:-runs]
+            add(sq_diff, 0, None, dist)
+            np.sqrt(dist, dist)
+        return z
 
     def run_chunk(start, x, graph_state, ar_hist, carry_excess):
         """Draw, advance and fold rows ``start .. start + count - 1`` and
@@ -654,10 +674,11 @@ def simulate(
         xi = np.stack(
             [model.channel.sample(g, shape).transpose(0, 2, 3, 1) for g in channel_rngs], axis=-1
         )
-        states = run_steps(_fused_operator(model, link_noise, start, updates, adj, h, y, xi), x, count)
+        z = run_steps(_fused_operator(model, link_noise, start, updates, adj, h, y, xi), x, count)
         # only the operator reads these; the statistics below peak without
         # them
         del xi, y
+        states = z[:, :width].reshape(count + 1, dim, n_nodes, runs)
         x = states[updates].copy()
         states = states[:count]
         err = states - x0[:, None, None]
@@ -675,8 +696,11 @@ def simulate(
         cum_excess[0] += carry_excess
         cum_excess = np.cumsum(cum_excess, axis=0)
         if tally is not None:
+            # dist[k, r, j, i] = |x_j - x_i|, as the step loop left it
+            dist = z[:count, width:-1].reshape(count, n_nodes, n_nodes, runs).transpose(0, 3, 1, 2)
             w_lhs, w_rhs, m_lhs, m_rhs = norm_bound_sides(
-                adj.transpose(0, 3, 1, 2), states.transpose(0, 3, 2, 1), model.intensity, v
+                adj.transpose(0, 3, 1, 2), states.transpose(0, 3, 2, 1), model.intensity, v,
+                dist if link_noise else None,
             )
             tally.add(w_rhs - w_lhs, m_rhs - m_lhs, v)
         on_chunk(

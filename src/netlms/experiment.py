@@ -39,7 +39,7 @@ from .errors import InvalidInputError
 from .estimator import _run_seed, _sample_runs
 from .excitation import ExcitationReport
 from .linalg import as_index
-from .regret import _SeriesFill
+from .regret import RegretSeries, _SeriesFill
 
 __all__ = ["ExperimentArtifacts", "run_experiment", "default_out_dir"]
 
@@ -49,7 +49,9 @@ OUT_DIR_ENV = "NETLMS_OUT"
 @dataclass(frozen=True)
 class ExperimentArtifacts:
     """Paths written by :func:`run_experiment`, plus the in-memory
-    aggregate table (column name -> vector) and excitation report."""
+    aggregate table (column name -> vector), the across-run
+    :class:`RegretSeries` it was read from (``regret_se`` included, which
+    no file holds) at the record grid, and the excitation report."""
 
     out_dir: str
     run_files: tuple[str, ...]
@@ -58,6 +60,7 @@ class ExperimentArtifacts:
     config_file: str
     manifest_file: str
     aggregate: dict[str, np.ndarray]
+    series: RegretSeries
     excitation: ExcitationReport
 
 
@@ -192,6 +195,7 @@ def run_experiment(
         config_file=config_file,
         manifest_file=manifest_file,
         aggregate=aggregate,
+        series=series,
         excitation=report,
     )
 

@@ -152,7 +152,7 @@ class BoundCheckReport:
         return self.w_violations == 0 and self.m_violations == 0
 
 
-def norm_bound_sides(adjacency, states, intensity: NoiseIntensity, v_total):
+def norm_bound_sides(adjacency, states, intensity: NoiseIntensity, v_total, distances=None):
     """Closed-form sides of the two norm bounds, batched over leading axes.
 
     ``adjacency`` is ``(..., N, N)``, ``states`` ``(..., N, n)`` and
@@ -161,15 +161,25 @@ def norm_bound_sides(adjacency, states, intensity: NoiseIntensity, v_total):
     structure built by :func:`build_WM`, ``|W|`` equals the largest row
     2-norm of the adjacency and ``|M|`` the largest link intensity; both
     identities are exercised against the explicit matrices in tests.
+
+    The squared row norms are the diagonal of the Gram ``A A^T`` that
+    ``sqrt(N)|A|`` needs anyway: the same products, summed in the same
+    order.  ``distances``, if given, is ``(..., N, N)`` and holds every
+    ``|x_j - x_i|`` in any pair order, each the square root of its
+    squared components summed in order, as the step loop of
+    :func:`netlms.estimator.simulate` leaves them; the same floats are
+    then read there instead of recomputed from ``states``.
     """
     a = np.asarray(adjacency, dtype=float)
-    x = np.asarray(states, dtype=float)
     n_nodes = a.shape[-1]
-    w_norm = np.sqrt(ordered_sum(a * a, -1).max(axis=-1))
     gram = ordered_sum(a[..., :, None, :] * a[..., None, :, :], -1)  # A A^T
+    w_norm = np.sqrt(np.diagonal(gram, 0, -2, -1).max(axis=-1))
     a_norm = np.sqrt(np.maximum(sym_eigmax(gram), 0.0))
-    d = x[..., None, :, :] - x[..., :, None, :]
-    f_max = intensity.sigma * np.sqrt(ordered_sum(d * d, -1)).max(axis=(-2, -1)) + intensity.bias
+    if distances is None:
+        x = np.asarray(states, dtype=float)
+        d = x[..., None, :, :] - x[..., :, None, :]
+        distances = np.sqrt(ordered_sum(d * d, -1))
+    f_max = intensity.sigma * distances.max(axis=(-2, -1)) + intensity.bias
     return (
         w_norm,
         np.sqrt(n_nodes) * a_norm,

@@ -33,9 +33,15 @@ from netlms.estimator import (
     substream,
     validate_gains,
 )
-from netlms.linalg import sym_eigmax
+from netlms.linalg import ordered_sum, sym_eigmax
 from netlms.graphs import graph_block, iid_uniform_graph
-from netlms.noise import MeasurementNoise, NoiseIntensity, received_messages
+from netlms.noise import (
+    BoundTally,
+    MeasurementNoise,
+    NoiseIntensity,
+    norm_bound_sides,
+    received_messages,
+)
 from netlms.regression import entrywise_uniform_regression, regression_block
 
 
@@ -258,10 +264,20 @@ def test_horizon_zero_records_initial_state_only():
 RECORD_FIELDS = ("v", "err_norms", "est_norms", "excess_losses", "x_final")
 
 
+def _assert_same_reports(a, b):
+    """Bound reports equal field by field, where a NaN margin (a diverging
+    run's) equals a NaN: dataclass ``==`` is False for those."""
+    assert len(a) == len(b)
+    for x, y in zip(a, b):
+        for field in dataclasses.fields(x):
+            u, w = getattr(x, field.name), getattr(y, field.name)
+            assert u == w or (u != u and w != w), field.name
+
+
 def _assert_same_record(a, b):
     for name in RECORD_FIELDS:
-        assert np.array_equal(getattr(a, name), getattr(b, name)), name
-    assert a.bound_report == b.bound_report
+        assert np.array_equal(getattr(a, name), getattr(b, name), equal_nan=True), name
+    _assert_same_reports([a.bound_report], [b.bound_report])
 
 
 def _pin_chunk(monkeypatch, chunk, sub=None):
@@ -317,20 +333,33 @@ def test_simulate_holds_one_chunk_at_a_time(preset, runs, horizon):
     assert peak <= 1.3 * budget + (128 << 10), (peak, budget)
 
 
+def _diverging(horizon):
+    """setting-i with gains of 50: its runs turn non-finite within a few
+    hundred steps."""
+    cfg = with_overrides(get_preset("setting-i"), horizon=horizon, runs=1)
+    return dataclasses.replace(cfg, gains=dataclasses.replace(cfg.gains, a_coef=50.0, b_coef=50.0))
+
+
 def test_chunk_size_does_not_change_a_run(monkeypatch):
     """Pinned chunk and operator sub-block lengths, including sub-blocks
     that do not divide the chunk, for one to three runs with and without
-    link noise: every output equals the unpinned batch bit for bit."""
+    link noise, and for two runs that diverge: every output equals the
+    unpinned batch bit for bit, NaN for NaN."""
     base = with_overrides(get_preset("setting-i"), horizon=150, runs=1)
     quiet = dataclasses.replace(base, noise=dataclasses.replace(base.noise, sigma_f=0.0))
-    for cfg, runs in ((base, [3, 0]), (base, [3]), (base, [3, 0, 5]), (quiet, [3]), (quiet, [3, 0, 5])):
+    wild = _diverging(400)
+    for cfg, runs in ((base, [3, 0]), (base, [3]), (base, [3, 0, 5]), (quiet, [3]), (quiet, [3, 0, 5]),
+                      (wild, [3, 0])):
         stats, final, reports = _kernel_outputs(cfg, runs)
+        if cfg is wild:  # both runs diverge inside the horizon
+            assert all(r.first_nonfinite_step is not None for r in reports), reports
         for chunk, sub in ((1, None), (7, None), (1000, None), (7, 3), (50, 4), (1000, 7)):
             _pin_chunk(monkeypatch, chunk, sub)
             other, other_final, other_reports = _kernel_outputs(cfg, runs)
             for name, value in stats.items():
-                assert np.array_equal(other[name], value), (runs, chunk, sub, name)
-            assert np.array_equal(other_final, final) and other_reports == reports
+                assert np.array_equal(other[name], value, equal_nan=True), (runs, chunk, sub, name)
+            assert np.array_equal(other_final, final, equal_nan=True)
+            _assert_same_reports(other_reports, reports)
             monkeypatch.undo()
         alone = run_trajectory(cfg, substream(cfg.seed, 3))
         _assert_same_record(alone, run_trajectories(cfg, runs)[0])
@@ -408,22 +437,29 @@ def _kind_config(graph_kind, regression_kind):
 
 def _replay(model, seed, horizon):
     """Per-step replay of one run from its source substreams through
-    ``node_step`` and ``compact_step``; returns both state sequences."""
+    ``node_step`` and ``compact_step``; returns both state sequences and
+    the adjacency of every row ``0..horizon``.  Row ``horizon`` has no
+    update, but its graph is drawn, as the kernel draws it for the bound
+    checks."""
     graph_rng, regression_rng, noise_rng, channel_rng = source_streams(seed)
     n_nodes, dim = model.init.shape
     node_x = [model.init.copy()]
     compact_x = [model.init.copy()]
+    adjs = []
     graph_state, hist = None, model.ar_init
-    for k in range(horizon):
+    for k in range(horizon + 1):
         adj, h, y, graph_state, hist = _draw_step(
             model.graph, model.regression, model.x0, model.measurement, k,
             (graph_rng, regression_rng, noise_rng), graph_state, hist)
+        adjs.append(adj)
+        if k == horizon:
+            break
         xi = model.channel.sample(channel_rng, (n_nodes, n_nodes, dim))
         gains = model.gains.at(k)
         msgs = received_messages(node_x[-1], model.intensity, xi)
         node_x.append(node_step(node_x[-1], adj, h, y, msgs, gains))
         compact_x.append(compact_step(compact_x[-1], adj, h, y, xi, gains, model.intensity))
-    return node_x, compact_x
+    return node_x, compact_x, adjs
 
 
 def _kernel_states(model, seeds, horizon):
@@ -448,7 +484,7 @@ def _assert_kernel_matches_oracles(cfg):
     seeds = [np.random.SeedSequence(cfg.seed, spawn_key=(r,)) for r in range(2)]
     v, final = _kernel_states(model, seeds, cfg.horizon)
     for r, seed in enumerate(seeds):
-        node_x, compact_x = _replay(model, seed, cfg.horizon)
+        node_x, compact_x, _ = _replay(model, seed, cfg.horizon)
         for k, (xa, xb) in enumerate(zip(node_x, compact_x)):
             assert np.abs(xa - xb).max() <= 1e-12
             assert abs(v[k, r] - float(((xa - model.x0) ** 2).sum())) <= 1e-12 * max(1.0, v[k, r])
@@ -466,6 +502,47 @@ def test_kernel_without_link_noise_matches_node_and_compact_steps(
     cfg = _kind_config(graph_kind, regression_kind)
     _assert_kernel_matches_oracles(
         dataclasses.replace(cfg, noise=dataclasses.replace(cfg.noise, **noise)))
+
+
+def _replayed_reports(model, seeds, horizon):
+    """Bound reports of runs replayed step by step: ``norm_bound_sides`` on
+    the ``compact_step`` states and the drawn adjacency of every row
+    ``0..horizon``, folded by one ``BoundTally``."""
+    sides = []
+    for seed in seeds:
+        _, compact_x, adjs = _replay(model, seed, horizon)
+        x = np.stack(compact_x)
+        err = x - model.x0
+        v = ordered_sum(ordered_sum(err * err, -1), -1)
+        w_lhs, w_rhs, m_lhs, m_rhs = norm_bound_sides(np.stack(adjs), x, model.intensity, v)
+        sides.append((w_rhs - w_lhs, m_rhs - m_lhs, v))
+    tally = BoundTally(len(seeds))
+    tally.add(*(np.stack(column, axis=-1) for column in zip(*sides)))
+    return tally.reports()
+
+
+@pytest.mark.parametrize("chunk", [5, 7, 1000], ids=["last-chunk-1-row", "last-chunk-7-rows", "one-chunk"])
+@pytest.mark.parametrize("sigma_f", [0.1, 0.0], ids=["link-noise", "sigma_f=0"])
+@pytest.mark.parametrize("runs", [1, 3])
+def test_bound_reports_match_a_replay(runs, sigma_f, chunk, monkeypatch):
+    """The kernel's bound reports against the closed forms on a per-step
+    replay (21 rows, so a chunk of 5 leaves the last row, which has no
+    update, alone in its chunk): equal counts and first non-finite step,
+    margins to 1e-12 relative, since the replay matches the kernel to
+    1e-12, not bit for bit."""
+    cfg = with_overrides(get_preset("setting-i"), horizon=20, runs=runs)
+    cfg = dataclasses.replace(cfg, noise=dataclasses.replace(cfg.noise, sigma_f=sigma_f))
+    model = SimulationModel.from_config(cfg)
+    seeds = [np.random.SeedSequence(cfg.seed, spawn_key=(r,)) for r in range(runs)]
+    _pin_chunk(monkeypatch, chunk)
+    _, got = simulate(model, seeds, cfg.horizon, lambda stats: None)
+    for report, want in zip(got, _replayed_reports(model, seeds, cfg.horizon), strict=True):
+        assert report.steps_checked == want.steps_checked == cfg.horizon + 1
+        assert report.w_violations == want.w_violations
+        assert report.m_violations == want.m_violations
+        assert report.first_nonfinite_step == want.first_nonfinite_step
+        assert report.min_w_margin == pytest.approx(want.min_w_margin, rel=1e-12, abs=0.0)
+        assert report.min_m_margin == pytest.approx(want.min_m_margin, rel=1e-12, abs=0.0)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -513,7 +590,7 @@ def test_kernel_invariants_on_random_shapes(data):
                 assert np.array_equal(other[1][col], final[r])
                 assert other[2][col] == reports[r]
     for r, seed in enumerate(seeds):
-        _, compact_x = _replay(model, seed, cfg.horizon)
+        _, compact_x, _ = _replay(model, seed, cfg.horizon)
         scale = max(1.0, np.abs(compact_x[-1]).max())
         assert np.abs(final[r] - compact_x[-1]).max() <= 1e-12 * scale
         v = [float(((x - model.x0) ** 2).sum()) for x in compact_x]
@@ -524,9 +601,7 @@ def test_nonfinite_state_fails_the_bound_checks():
     """Gains of 50 blow setting-i up within a few hundred steps: every
     non-finite margin is a violation and the first non-finite step is
     reported, never a clean record."""
-    cfg = get_preset("setting-i")
-    cfg = dataclasses.replace(
-        cfg, horizon=1000, gains=dataclasses.replace(cfg.gains, a_coef=50.0, b_coef=50.0))
+    cfg = _diverging(1000)
     rec = run_trajectory(cfg, substream(cfg.seed, 0))
     rep = rec.bound_report
     first = rep.first_nonfinite_step

@@ -29,7 +29,7 @@ from netlms.config import (
 from netlms.errors import ConfigError, InvalidInputError, UnsupportedAnalyticError
 from netlms.estimator import run_trajectories, run_trajectory, substream
 from netlms.experiment import default_out_dir, run_experiment
-from netlms.regret import regret_series
+from netlms.regret import regret_series, simulate_regret
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +112,20 @@ def test_aggregate_is_the_regret_series_at_the_record_grid(small_cfg, tmp_path, 
     # 70 does not divide the horizon of 300: the last row is step 300
     cfg = dataclasses.replace(small_cfg, record_every=70)
     _assert_aggregate_is_the_series(run_experiment(cfg, str(tmp_path), fmt), cfg)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_artifacts_hold_the_folded_series(small_cfg, tmp_path, workers):
+    """``ExperimentArtifacts.series`` is ``simulate_regret``'s series at the
+    record grid, ``regret_se`` included, bit for bit, for one worker and
+    for two."""
+    cfg = dataclasses.replace(small_cfg, record_every=70)
+    series = run_experiment(cfg, str(tmp_path), workers=workers).series
+    full, _ = simulate_regret(cfg, range(cfg.runs))
+    grid = _record_grid(cfg)
+    assert np.array_equal(series.steps, grid) and series.runs == full.runs == cfg.runs
+    for name in ("regret", "regret_se", "mar", "mean_v"):
+        assert np.array_equal(getattr(series, name), getattr(full, name)[grid], equal_nan=True), name
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)

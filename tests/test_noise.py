@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from netlms.errors import InvalidInputError
 from netlms.linalg import ordered_sum
@@ -170,6 +173,58 @@ def test_bound_check_closed_form_matches_matrices(rng):
     assert abs(explicit.min_w_margin - closed.min_w_margin) < 1e-9
     assert abs(explicit.min_m_margin - closed.min_m_margin) < 1e-9
     assert isinstance(explicit, BoundCheckReport)
+
+
+# finite entries, overflowing ones and the +-inf and NaN of a diverging run
+ENTRY = st.one_of(st.floats(allow_nan=False), st.sampled_from([np.inf, -np.inf, np.nan]))
+
+
+def _same_bits(u, w) -> bool:
+    """Equal bit for bit, where any NaN matches any NaN: the NaN that a
+    max keeps depends on the order in which it meets them."""
+    u, w = np.asarray(u), np.asarray(w)
+    nan = np.isnan(u)
+    return np.array_equal(nan, np.isnan(w)) and u[~nan].tobytes() == w[~nan].tobytes()
+
+
+def _bound_inputs(data):
+    """Adjacencies ``(..., N, N)``, states ``(..., N, n)`` and V ``(...)``
+    for N <= 3, where the largest eigenvalue has a closed form."""
+    batch = data.draw(hnp.array_shapes(min_dims=0, max_dims=2, min_side=1, max_side=3))
+    n_nodes, dim = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    a = data.draw(hnp.arrays(float, (*batch, n_nodes, n_nodes), elements=ENTRY))
+    x = data.draw(hnp.arrays(float, (*batch, n_nodes, dim), elements=ENTRY))
+    return a, x, data.draw(hnp.arrays(float, batch, elements=ENTRY))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_w_side_is_read_off_the_gram_diagonal(data):
+    """|W| from the diagonal of ``A A^T`` equals the largest row norm
+    summed on its own, bit for bit, non-finite entries included."""
+    a, x, v = _bound_inputs(data)
+    with np.errstate(all="ignore"):
+        w_lhs = norm_bound_sides(a, x, BENCH, v)[0]
+        want = np.sqrt(ordered_sum(a * a, -1).max(axis=-1))
+    assert _same_bits(w_lhs, want)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_m_side_from_given_distances_equals_the_states(data):
+    """Distances laid out and summed as the kernel's step loop does
+    (component-major, an in-order reduction over the components, sender
+    before receiver) give the M side computed from the states, bit for
+    bit, non-finite entries included; the other sides do not read them."""
+    a, x, v = _bound_inputs(data)
+    comps = np.moveaxis(x, -1, 0)  # comps[q, ..., j] = x_j[q]
+    with np.errstate(all="ignore"):
+        diff = comps[..., :, None] - comps[..., None, :]  # [q, ..., j, i] = x_j[q] - x_i[q]
+        dist = np.sqrt(np.add.reduce(np.ascontiguousarray(diff * diff), 0))
+        given_dist = norm_bound_sides(a, x, BENCH, v, dist)
+        from_states = norm_bound_sides(a, x, BENCH, v)
+    for got, want in zip(given_dist, from_states, strict=True):
+        assert _same_bits(got, want)
 
 
 def test_measurement_noise_moments(rng):
