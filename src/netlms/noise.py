@@ -165,10 +165,10 @@ def norm_bound_sides(adjacency, states, intensity: NoiseIntensity, v_total, dist
     The squared row norms are the diagonal of the Gram ``A A^T`` that
     ``sqrt(N)|A|`` needs anyway: the same products, summed in the same
     order.  ``distances``, if given, is ``(..., N, N)`` and holds every
-    ``|x_j - x_i|``, in any pair order, each the square root of its
-    squared components summed in order; ``|M|`` then reads them instead
-    of recomputing the same floats from ``states``.  The step loop of
-    :func:`netlms.estimator.simulate` leaves them in that form.
+    ``|x_j - x_i|`` in any pair order, each the square root of its
+    squared components summed in order, as the step loop of
+    :func:`netlms.estimator.simulate` leaves them; the same floats are
+    then read there instead of recomputed from ``states``.
     """
     a = np.asarray(adjacency, dtype=float)
     n_nodes = a.shape[-1]
