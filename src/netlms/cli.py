@@ -88,13 +88,11 @@ def _cmd_run(args) -> int:
     cfg = _resolve_config(args.config)
     cfg = with_overrides(cfg, seed=args.seed, runs=args.runs, horizon=args.horizon)
     art = run_experiment(cfg, out_dir=args.out, fmt=args.format, workers=args.workers)
-    rep = art.excitation
-    last = art.aggregate["step"].size - 1
+    rep, series = art.excitation, art.series
     print(f"wrote {len(art.run_files)} run files + aggregate + excitation + manifest "
           f"to {art.out_dir}")
-    print(f"final step {int(art.aggregate['step'][last])}: "
-          f"mean V = {art.aggregate['mean_V'][last]:.6g}, "
-          f"mar = {art.aggregate['mar'][last]:.6g}")
+    print(f"final step {int(series.steps[-1])}: mean V = {series.mean_v[-1]:.6g}, "
+          f"mar = {series.mar[-1]:.6g}")
     print(f"excitation: excited={rep.excited}, sublinear_warning={rep.sublinear_warning}, "
           f"lower-bound violations={rep.bound_check.violations}")
     return 0

@@ -594,8 +594,19 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    """Parse the UTF-8 config file at ``path``; a byte that does not
+    decode is a :class:`ConfigError` on its line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the bad byte's line as parse_config numbers lines: the lines of
+        # the text before it, the last one continued by any character
+        line = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        bad = data[exc.start]
+        raise ConfigError(f"not UTF-8 text: byte 0x{bad:02x} does not decode", line) from None
+    return parse_config(text)
 
 
 def render_config(cfg: ExperimentConfig) -> str:

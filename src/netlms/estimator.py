@@ -138,71 +138,57 @@ def validate_gains(schedule: GainSchedule, mode: str = "C1") -> GainConditionRep
     s = schedule
     slow = max(s.a_exp, s.b_exp)
     lam_zero = s.lam_coef == 0.0
-    checks: list[tuple[str, bool, str]] = []
-
     diverges = s.a_coef > 0 and s.b_coef > 0 and slow <= 1.0
-    checks.append(
+    checks = [
         (
             "persistent-stepsizes",
             diverges,
             f"sum min(a,b) diverges iff a_coef,b_coef > 0 and max(a_exp, b_exp) <= 1; "
             f"max exponent is {slow}",
         )
+    ]
+    # both conditions ask for lambda = o(min(a, b))
+    shrinkage_dominated = (
+        "shrinkage-dominated",
+        lam_zero or s.lam_exp > slow,
+        "lambda identically zero"
+        if lam_zero
+        else f"lambda = o(min(a,b)) needs lam_exp > {slow}, got {s.lam_exp}",
     )
     if mode == "C1":
-        checks.append(
+        checks += [
             (
                 "square-summable-gains",
                 2 * s.a_exp > 1 and 2 * s.b_exp > 1,
                 f"needs a_exp > 0.5 and b_exp > 0.5, got {s.a_exp}, {s.b_exp}",
-            )
-        )
-        checks.append(
+            ),
             (
                 "summable-shrinkage",
                 lam_zero or s.lam_exp > 1,
                 "lambda identically zero" if lam_zero else f"needs lam_exp > 1, got {s.lam_exp}",
-            )
-        )
-        checks.append(
-            (
-                "shrinkage-dominated",
-                lam_zero or s.lam_exp > slow,
-                "lambda identically zero"
-                if lam_zero
-                else f"lambda = o(min(a,b)) needs lam_exp > {slow}, got {s.lam_exp}",
-            )
-        )
-        checks.append(
+            ),
+            shrinkage_dominated,
             (
                 "slow-decay-ratio",
                 True,
                 "a(k)/a(k+1) -> 1 for every power law, so a(k) = O(a(k+1)) holds",
-            )
-        )
+            ),
+        ]
     else:
         vanish = (
             (s.a_coef == 0 or s.a_exp > 0)
             and (s.b_coef == 0 or s.b_exp > 0)
             and (lam_zero or s.lam_exp > 0)
         )
-        checks.append(("vanishing-gains", vanish, "every nonzero gain needs a positive exponent"))
-        checks.append(
+        checks += [
+            ("vanishing-gains", vanish, "every nonzero gain needs a positive exponent"),
             (
                 "squared-gains-dominated",
                 2 * s.a_exp > slow and 2 * s.b_exp > slow,
                 f"a^2 + b^2 = o(min(a,b)) needs 2 a_exp > {slow} and 2 b_exp > {slow}",
-            )
-        )
-        checks.append(
-            (
-                "shrinkage-dominated",
-                lam_zero or s.lam_exp > slow,
-                "lambda identically zero"
-                if lam_zero
-                else f"lambda = o(min(a,b)) needs lam_exp > {slow}, got {s.lam_exp}",
-            )
-        )
+            ),
+            shrinkage_dominated,
+        ]
     return GainConditionReport(mode=mode, passed=all(ok for _, ok, _ in checks), checks=tuple(checks))
 
 
@@ -305,7 +291,17 @@ def substream(master_seed: int, index: int) -> np.random.Generator:
 
 def _run_seed(master_seed: int, run) -> np.random.SeedSequence:
     """Seed sequence of run ``run`` under ``master_seed``."""
-    return np.random.SeedSequence(master_seed, spawn_key=(as_index(run, "run index"),))
+    run = as_index(run, "run index")
+    if run < 0:
+        raise InvalidInputError(f"run index must be nonnegative, got {run}")
+    return _new_seed_sequence(master_seed, (run,))
+
+
+def _new_seed_sequence(seed, spawn_key=()) -> np.random.SeedSequence:
+    try:
+        return np.random.SeedSequence(seed, spawn_key=spawn_key)
+    except ValueError:  # numpy's "expected non-negative integer"
+        raise InvalidInputError(f"seed must be nonnegative, got {seed!r}") from None
 
 
 # Exogenous random sources of a run, in spawn-key order.
@@ -321,7 +317,7 @@ def _seed_sequence(seed) -> np.random.SeedSequence:
             raise InvalidInputError("the generator was not created from a SeedSequence")
     if isinstance(seed, np.random.SeedSequence):
         return seed
-    return np.random.SeedSequence(seed)
+    return _new_seed_sequence(seed)
 
 
 def source_streams(seed) -> tuple[np.random.Generator, ...]:
@@ -446,22 +442,23 @@ def _default_chunk(runs: int, nodes: int, dim: int, rows: int) -> int:
     return max(16, (_CHUNK_FLOATS - scratch) // (runs * _step_floats(nodes, dim, rows)))
 
 
-def _fused_operator(model, link_noise, start, updates, adj, h, y, xi):
+def _fused_operator(model, link_noise, start, adj, h, y, xi):
     """``op[s, p, k]``, the weight of slot ``s`` of output ``p = q' N + i``
-    at step ``start + k`` (see :func:`simulate`), for a chunk's
-    ``updates`` steps.  It is built and returned with steps and runs last,
-    so each call below writes ``updates * R`` contiguous values; the step
-    loop copies it steps first, a sub-block at a time.  Scales ``xi`` in
-    place without link noise."""
+    at step ``start + k`` (see :func:`simulate`), for every step of a
+    chunk.  It is built and returned with steps and runs last, so each
+    call below writes ``K * R`` contiguous values; the step loop copies it
+    steps first, a sub-block at a time.  Scales ``xi`` in place without
+    link noise."""
     n_nodes, dim = model.init.shape
     slots = dim + n_nodes * (2 if link_noise else 1) + 1
-    op = np.empty((slots, dim, n_nodes, updates, adj.shape[-1]))
+    count, runs = adj.shape[0], adj.shape[-1]
+    op = np.empty((slots, dim, n_nodes, count, runs))
     comp_diag = np.arange(dim)
-    a, b, lam = (g[:, None] for g in model.gains.table(range(start, start + updates)).T)
+    a, b, lam = (g[:, None] for g in model.gains.table(range(start, start + count)).T)
     # views: adj_t[j, i, k] = a_ij at step k; ht[row, q, k] = H_row[q]
-    adj_t = adj[:updates].transpose(2, 1, 0, 3)
-    ht = h[:updates].transpose(1, 2, 0, 3)
-    yt = y[:updates].transpose(1, 0, 2)
+    adj_t = adj.transpose(2, 1, 0, 3)
+    ht = h.transpose(1, 2, 0, 3)
+    yt = y.transpose(1, 0, 2)
     # -b L_ik: b a_ik off the diagonal, -b sum_j a_ij on it
     consensus = op[dim : dim + n_nodes]
     np.multiply(adj_t[:, None], b, out=consensus)
@@ -480,13 +477,13 @@ def _fused_operator(model, link_noise, start, updates, adj, h, y, xi):
         np.multiply(degree[i], -b, out=consensus[i, :, i])
         np.multiply(ordered_sum(ht[lo:hi] * yt[lo:hi, None], 0), a, out=op[-1, :, i])
     # link noise sum_j a_ij f_ij xi_ij: its bias part is exogenous
-    axi = xi[:updates].transpose(1, 2, 3, 0, 4)
+    axi = xi.transpose(1, 2, 3, 0, 4)
     link = op[dim + n_nodes : -1] if link_noise else axi
     np.multiply(axi, adj_t[:, None], out=link)
     op[-1] += (b * model.intensity.bias) * ordered_sum(link, 0)
     if link_noise:
         link *= b * model.intensity.sigma
-    return op.reshape(slots, dim * n_nodes, updates, adj.shape[-1])
+    return op.reshape(slots, dim * n_nodes, count, runs)
 
 
 # a diverging run overflows to inf and NaN; first_nonfinite_step reports it
@@ -534,13 +531,12 @@ def simulate(
     run depend neither on the block or sub-block size nor on the other
     runs of the batch.
 
-    With ``check_bounds``, the ``|M|`` bound reads the distances that the
-    loop left in ``z`` instead of recomputing them from the states: the
-    same floats, so the reports do not change.  The last row of a horizon
-    has no update, so the loop's five link-noise calls give it its
-    distances after the loop.  Without link noise the loop computes no
-    distances, and :func:`noise.norm_bound_sides` computes them from the
-    states.
+    Every row of a chunk goes through the loop, the last row of a horizon
+    too: its update lands in ``z``'s spare row, which nothing reads, so
+    the loop leaves the distances of every row in ``z``.  With
+    ``check_bounds``, the ``|M|`` bound reads them there.  Without link
+    noise the loop computes no distances, and the bound checks compute
+    them from the chunk's states in one batched sum, in the same order.
 
     One call handles one chunk, from its draws to its statistics, and
     only the state, the graph and ar-driven histories and the running
@@ -611,14 +607,16 @@ def simulate(
     carry_excess = np.zeros((n_nodes, runs))
     add = np.add.reduce
 
-    def run_steps(op, x, count):
-        """The step inputs ``z`` ``(count + 1, inputs, R)`` of a chunk from
-        ``x``: the states with the updates applied and, with link noise,
-        the distances of every row that the bound checks read.  Only this
-        frame holds the operator, so the operator and the loop's views of
-        it die when it returns."""
+    def run_steps(op, x):
+        """The step inputs ``z`` ``(K + 1, inputs, R)`` of a chunk of ``K``
+        rows from ``x``: the states with the updates applied and, with link
+        noise, the distances of every row.  Only this frame holds the
+        operator, so the operator and the loop's views of it die when it
+        returns."""
         # z[k] is the input of step start + k; one spare row for the state
-        # after the chunk's last update
+        # after the chunk's last update (at the end of a horizon, an update
+        # that no row reads)
+        count = op.shape[2]
         z = np.empty((count + 1, inputs, runs))
         z[:, -1] = 1.0
         states = z[:, :width].reshape(count + 1, dim, n_nodes, runs)
@@ -645,16 +643,6 @@ def simulate(
                 z_j.take(gather, 0, gathered, "clip")
                 np.multiply(op_j, flat_gathered, flat_gathered)
                 add(flat_gathered, 0, None, next_x)
-        if link_noise and tally is not None and len(op) < count:
-            # the last row of a horizon has no update, so the loop left its
-            # distances unset; the bound checks read them, so the loop's
-            # own five calls fill them in
-            z[len(op)].take(pair_rows, 0, pairs, "clip")
-            np.subtract(sender_x, receiver_x, sender_x)
-            np.square(sender_x, sender_x)
-            dist = flat_z[len(op), flat_x:-runs]
-            add(sq_diff, 0, None, dist)
-            np.sqrt(dist, dist)
         return z
 
     def run_chunk(start, x, graph_state, ar_hist, carry_excess):
@@ -664,7 +652,6 @@ def simulate(
         ar-driven histories and the running excess sum.  Every other array
         of the chunk dies on return."""
         count = min(chunk, horizon + 1 - start)
-        updates = min(count, horizon - start)
         adj, graph_state = graph_block(gp, start, count, graph_rngs, graph_state)
         noise = np.stack([model.measurement.sample(g, (count, rows)) for g in noise_rngs], axis=-1)
         h, y_clean, y, ar_hist = regression_block(rp, x0, count, regression_rngs, noise, ar_hist)
@@ -674,12 +661,12 @@ def simulate(
         xi = np.stack(
             [model.channel.sample(g, shape).transpose(0, 2, 3, 1) for g in channel_rngs], axis=-1
         )
-        z = run_steps(_fused_operator(model, link_noise, start, updates, adj, h, y, xi), x, count)
+        z = run_steps(_fused_operator(model, link_noise, start, adj, h, y, xi), x)
         # only the operator reads these; the statistics below peak without
         # them
         del xi, y
         states = z[:, :width].reshape(count + 1, dim, n_nodes, runs)
-        x = states[updates].copy()
+        x = states[min(count, horizon - start)].copy()
         states = states[:count]
         err = states - x0[:, None, None]
         per_err = ordered_sum(err * err, 1)
@@ -696,12 +683,14 @@ def simulate(
         cum_excess[0] += carry_excess
         cum_excess = np.cumsum(cum_excess, axis=0)
         if tally is not None:
-            # dist[k, r, j, i] = |x_j - x_i|, as the step loop left it
-            dist = z[:count, width:-1].reshape(count, n_nodes, n_nodes, runs).transpose(0, 3, 1, 2)
+            if link_noise:  # dist[k, r, j, i] = |x_j - x_i|, as the step loop left it
+                dist = z[:count, width:-1].reshape(count, n_nodes, n_nodes, runs).transpose(0, 3, 1, 2)
+            else:  # the loop computed none: d[k, r, i, j] = x_j - x_i
+                xs = states.transpose(0, 3, 2, 1)
+                d = xs[..., None, :, :] - xs[..., :, None, :]
+                dist = np.sqrt(ordered_sum(d * d, -1))
             w_lhs, w_rhs, m_lhs, m_rhs = norm_bound_sides(
-                adj.transpose(0, 3, 1, 2), states.transpose(0, 3, 2, 1), model.intensity, v,
-                dist if link_noise else None,
-            )
+                adj.transpose(0, 3, 1, 2), dist, model.intensity, v)
             tally.add(w_rhs - w_lhs, m_rhs - m_lhs, v)
         on_chunk(
             ChunkStats(

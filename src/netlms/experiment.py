@@ -48,10 +48,10 @@ OUT_DIR_ENV = "NETLMS_OUT"
 
 @dataclass(frozen=True)
 class ExperimentArtifacts:
-    """Paths written by :func:`run_experiment`, plus the in-memory
-    aggregate table (column name -> vector), the across-run
-    :class:`RegretSeries` it was read from (``regret_se`` included, which
-    no file holds) at the record grid, and the excitation report."""
+    """Paths written by :func:`run_experiment`, plus the across-run
+    :class:`RegretSeries` at the record grid that the aggregate table was
+    written from (``regret_se`` included, which no file holds) and the
+    excitation report."""
 
     out_dir: str
     run_files: tuple[str, ...]
@@ -59,7 +59,6 @@ class ExperimentArtifacts:
     excitation_file: str
     config_file: str
     manifest_file: str
-    aggregate: dict[str, np.ndarray]
     series: RegretSeries
     excitation: ExcitationReport
 
@@ -155,8 +154,8 @@ def run_experiment(
     fill.fold(zip(got["cum_excess"], got["v"]))
     series = fill.series
     agg_cols = ["step", "mean_V"] + [f"regret_{i + 1}" for i in range(n)] + ["mar"]
-    agg_rows = np.column_stack([idx, series.mean_v, series.regret, series.mar])
-    aggregate_file = put(f"aggregate.{fmt}", table_text(fmt, agg_cols, agg_rows))
+    aggregate_file = put(f"aggregate.{fmt}", table_text(fmt, agg_cols, np.column_stack(
+        [idx, series.mean_v, series.regret, series.mar])))
     excitation_file = put("excitation.json", excitation_artifact(report))
     config_file = put("config.txt", render_config(config))
 
@@ -186,7 +185,6 @@ def run_experiment(
     manifest_file = os.path.join(out, "manifest.json")
     write(manifest_file, _json_text(manifest))
 
-    aggregate = {name: agg_rows[:, j].copy() for j, name in enumerate(agg_cols)}
     return ExperimentArtifacts(
         out_dir=out,
         run_files=tuple(run_files),
@@ -194,7 +192,6 @@ def run_experiment(
         excitation_file=excitation_file,
         config_file=config_file,
         manifest_file=manifest_file,
-        aggregate=aggregate,
         series=series,
         excitation=report,
     )

@@ -56,10 +56,6 @@ class NoiseIntensity:
         if not _finite_nonnegative((self.sigma, self.bias)):
             raise InvalidInputError("intensity coefficients must be finite and nonnegative")
 
-    def __call__(self, diff) -> float:
-        d = np.asarray(diff, dtype=float)
-        return self.sigma * float(np.linalg.norm(d)) + self.bias
-
     def matrix(self, states: np.ndarray) -> np.ndarray:
         """All pairwise intensities: entry ``(i, j)`` is ``f(x_j - x_i)``,
         i.e. the intensity on the link from sender ``j`` to receiver ``i``."""
@@ -152,33 +148,28 @@ class BoundCheckReport:
         return self.w_violations == 0 and self.m_violations == 0
 
 
-def norm_bound_sides(adjacency, states, intensity: NoiseIntensity, v_total, distances=None):
+def norm_bound_sides(adjacency, distances, intensity: NoiseIntensity, v_total):
     """Closed-form sides of the two norm bounds, batched over leading axes.
 
-    ``adjacency`` is ``(..., N, N)``, ``states`` ``(..., N, n)`` and
-    ``v_total`` the matching total squared errors ``(...)``.  Returns
-    ``(|W|, sqrt(N)|A|, |M|^2, 4 sigma^2 V + 2 bias^2)``.  For the block
-    structure built by :func:`build_WM`, ``|W|`` equals the largest row
-    2-norm of the adjacency and ``|M|`` the largest link intensity; both
-    identities are exercised against the explicit matrices in tests.
+    ``adjacency`` is ``(..., N, N)``; ``distances`` is ``(..., N, N)`` and
+    holds every link distance ``|x_j - x_i|`` of the states, in any pair
+    order; ``v_total`` holds the matching total squared errors ``(...)``.
+    Returns ``(|W|, sqrt(N)|A|, |M|^2, 4 sigma^2 V + 2 bias^2)``.  For the
+    block structure built by :func:`build_WM`, ``|W|`` equals the largest
+    row 2-norm of the adjacency and ``|M|`` the largest link intensity;
+    both identities are exercised against the explicit matrices in tests.
 
     The squared row norms are the diagonal of the Gram ``A A^T`` that
     ``sqrt(N)|A|`` needs anyway: the same products, summed in the same
-    order.  ``distances``, if given, is ``(..., N, N)`` and holds every
-    ``|x_j - x_i|`` in any pair order, each the square root of its
-    squared components summed in order, as the step loop of
-    :func:`netlms.estimator.simulate` leaves them; the same floats are
-    then read there instead of recomputed from ``states``.
+    order.  :func:`netlms.estimator.simulate` passes the distances that
+    its step loop computed, or, without link noise, computes them from
+    the states in one batched sum.
     """
     a = np.asarray(adjacency, dtype=float)
     n_nodes = a.shape[-1]
     gram = ordered_sum(a[..., :, None, :] * a[..., None, :, :], -1)  # A A^T
     w_norm = np.sqrt(np.diagonal(gram, 0, -2, -1).max(axis=-1))
     a_norm = np.sqrt(np.maximum(sym_eigmax(gram), 0.0))
-    if distances is None:
-        x = np.asarray(states, dtype=float)
-        d = x[..., None, :, :] - x[..., :, None, :]
-        distances = np.sqrt(ordered_sum(d * d, -1))
     f_max = intensity.sigma * distances.max(axis=(-2, -1)) + intensity.bias
     return (
         w_norm,

@@ -25,6 +25,7 @@ import numpy as np
 from .config import ExperimentConfig
 from .errors import InvalidInputError, UnobservableHorizonError
 from .estimator import ChunkStats, SimulationModel, TrajectoryRecord, _run_seed, simulate
+from .linalg import as_index
 from .noise import BoundCheckReport
 from .regression import RegressionProcess, spatio_temporal_gram
 
@@ -93,6 +94,7 @@ def oracle_parameter(
     at this horizon (some direction never excited) raises
     :class:`UnobservableHorizonError`.
     """
+    horizon = as_index(horizon, "horizon")
     if horizon < 0:
         raise InvalidInputError("horizon must be nonnegative")
     x0 = np.asarray(x0, dtype=float)

@@ -180,6 +180,22 @@ def test_config_error_reports_line(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "audit"])
+def test_non_utf8_config_is_one_error_line(tmp_path, capsys, command):
+    """A config file with a Latin-1 byte on line 2 exits 1 with one error
+    line that names the line, and writes nothing."""
+    text = render_config(get_preset("setting-i")).replace("name = setting-i", "name = r\xe9gime")
+    assert text.splitlines()[1] == "name = r\xe9gime"
+    cfg_path = tmp_path / "latin1.cfg"
+    cfg_path.write_bytes(text.encode("latin-1"))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 2: not UTF-8 text: byte 0xe9 does not decode\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("bad", ["channel_kind = gausian", "measurement_std = -2.0",
                                  "sigma_f = -0.1", "sigma_f = nan"])
 def test_audit_rejects_noise_outside_the_premises(tmp_path, capsys, bad):

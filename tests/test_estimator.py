@@ -506,15 +506,16 @@ def test_kernel_without_link_noise_matches_node_and_compact_steps(
 
 def _replayed_reports(model, seeds, horizon):
     """Bound reports of runs replayed step by step: ``norm_bound_sides`` on
-    the ``compact_step`` states and the drawn adjacency of every row
-    ``0..horizon``, folded by one ``BoundTally``."""
+    the link distances of the ``compact_step`` states and the drawn
+    adjacency of every row ``0..horizon``, folded by one ``BoundTally``."""
     sides = []
     for seed in seeds:
         _, compact_x, adjs = _replay(model, seed, horizon)
         x = np.stack(compact_x)
         err = x - model.x0
         v = ordered_sum(ordered_sum(err * err, -1), -1)
-        w_lhs, w_rhs, m_lhs, m_rhs = norm_bound_sides(np.stack(adjs), x, model.intensity, v)
+        dist = np.linalg.norm(x[:, None, :, :] - x[:, :, None, :], axis=-1)
+        w_lhs, w_rhs, m_lhs, m_rhs = norm_bound_sides(np.stack(adjs), dist, model.intensity, v)
         sides.append((w_rhs - w_lhs, m_rhs - m_lhs, v))
     tally = BoundTally(len(seeds))
     tally.add(*(np.stack(column, axis=-1) for column in zip(*sides)))

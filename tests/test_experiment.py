@@ -95,16 +95,17 @@ def _record_grid(cfg):
 
 
 def _assert_aggregate_is_the_series(art, cfg):
-    """The aggregate table is regret_series of the same runs at the record
-    grid, bit for bit."""
+    """The aggregate table, and the in-memory series it was written from,
+    are regret_series of the same runs at the record grid, bit for bit."""
     grid = _record_grid(cfg)
     series = regret_series(run_trajectories(cfg, range(cfg.runs)), cfg.gains.a_exp)
     _, table = _read_table(art.aggregate_file)
     want = np.column_stack(
         [grid, series.mean_v[grid], series.regret[grid], series.mar[grid]])
     assert np.array_equal(table, want, equal_nan=True)
-    for j, name in enumerate(art.aggregate):
-        assert np.array_equal(art.aggregate[name], want[:, j], equal_nan=True)
+    got = art.series
+    assert np.array_equal(
+        np.column_stack([got.steps, got.mean_v, got.regret, got.mar]), want, equal_nan=True)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -191,6 +192,41 @@ def test_schema_pins_the_stream(tmp_path):
         assert got == digest, (
             f"{name} changed without a SCHEMA bump (a numpy upgrade can also "
             f"move these digests, numpy {np.__version__} here)")
+
+
+def _without(name, **noise):
+    cfg = with_overrides(get_preset("regret"), runs=2, horizon=300)
+    return name, dataclasses.replace(cfg, noise=dataclasses.replace(cfg.noise, **noise))
+
+
+# SHA-256 over each record's arrays and bound report, run by run, at SCHEMA 5
+RECORD_STREAMS = [
+    (*_without("regret-sigma_f=0", sigma_f=0.0),
+     "369507c38a2a1f0eae0b5f27ce963f095ab7571f05a07caf3a568fad18539b2a"),
+    (*_without("regret-zero-channel", channel_kind="zero"),
+     "d471cc269f942a66c15462c1947593ee7dddbd27e7c5a454a1ab6c2d4a87f85b"),
+    ("setting-i-1x942", with_overrides(get_preset("setting-i"), runs=1, horizon=942),
+     "e4b308d99c91572aace3d5f032865f6d125a47375e835d43bc6037dad08db388"),
+    ("setting-i-1x943", with_overrides(get_preset("setting-i"), runs=1, horizon=943),
+     "ecd8142f4b1bfbbbee7fdb5f3d0cd02b7bcbd42635118700ec44b647b99c8a89"),
+]
+
+
+@pytest.mark.parametrize("cfg, digest", [case[1:] for case in RECORD_STREAMS],
+                         ids=[case[0] for case in RECORD_STREAMS])
+def test_records_pin_the_stream(cfg, digest):
+    """The streams that the artifact pin above does not reach: two runs
+    without link noise (the kernel's step loop then computes no
+    distances), and one setting-i run in chunks of 942 rows, so that the
+    last chunk holds the horizon row alone or with the row before it."""
+    d = hashlib.sha256()
+    for rec in run_trajectories(cfg, range(cfg.runs)):
+        for arr in (rec.v, rec.err_norms, rec.est_norms, rec.excess_losses, rec.x_final):
+            d.update(arr.tobytes())
+        d.update(repr(rec.bound_report).encode())
+    assert d.hexdigest() == digest, (
+        f"the records changed without a SCHEMA bump (a numpy upgrade can also "
+        f"move these digests, numpy {np.__version__} here)")
 
 
 def test_package_version_hides_only_a_missing_package(monkeypatch):

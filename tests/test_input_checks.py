@@ -37,6 +37,7 @@ from netlms.graphs import (
     window_sym_laplacians,
 )
 from netlms.noise import MeasurementNoise, NoiseIntensity, build_WM, received_messages
+from netlms.regret import oracle_parameter, simulate_regret
 from netlms.regression import (
     RegressionProcess,
     ar_driven_regression,
@@ -196,6 +197,14 @@ INPUT_ERRORS = [
                  "run index must be an integer, got 1.5", id="substream-index-integer"),
     pytest.param(lambda: run_trajectories(get_preset("setting-i"), [0.5]), InvalidInputError,
                  "run index must be an integer, got 0.5", id="run-index-integer"),
+    pytest.param(lambda: substream(-1, 0), InvalidInputError,
+                 "seed must be nonnegative, got -1", id="substream-seed-negative"),
+    pytest.param(lambda: substream(0, -1), InvalidInputError,
+                 "run index must be nonnegative, got -1", id="substream-index-negative"),
+    pytest.param(lambda: run_trajectory(get_preset("setting-i"), -1), InvalidInputError,
+                 "seed must be nonnegative, got -1", id="trajectory-seed-negative"),
+    pytest.param(lambda: run_trajectories(get_preset("setting-i"), [-1]), InvalidInputError,
+                 "run index must be nonnegative, got -1", id="run-index-negative"),
     pytest.param(lambda: simulate(SimulationModel.from_config(get_preset("setting-i")), [], 5,
                                   lambda stats: None),
                  InvalidInputError, "need at least one run", id="simulate-no-runs"),
@@ -205,6 +214,11 @@ INPUT_ERRORS = [
     # os.devnull: no directory can be made there, so a missed check writes nothing
     pytest.param(lambda: run_experiment(get_preset("setting-i"), out_dir=os.devnull, workers=1.5),
                  InvalidInputError, "workers must be an integer, got 1.5", id="experiment-workers-integer"),
+    # regret: the batch and the oracle
+    pytest.param(lambda: simulate_regret(get_preset("setting-i"), [-1]), InvalidInputError,
+                 "run index must be nonnegative, got -1", id="regret-run-index-negative"),
+    pytest.param(lambda: oracle_parameter(SENSORS, np.zeros(2), 2.5), InvalidInputError,
+                 "horizon must be an integer, got 2.5", id="oracle-horizon-integer"),
     # noise: the stacked factors and the messages
     pytest.param(lambda: received_messages(np.zeros((2, 2)), ZERO, np.zeros((2, 2))),
                  InvalidInputError, "xi must have shape (2, 2, 2), got (2, 2)", id="messages-xi"),

@@ -23,10 +23,20 @@ BENCH = NoiseIntensity(sigma=0.1, bias=0.1)
 
 
 def received_message(x_j, x_i, intensity, xi_draw):
-    """One corrupted message ``x_j + f(x_j - x_i) * xi``, the scalar form of
-    ``received_messages``."""
+    """One corrupted message ``x_j + f(x_j - x_i) * xi``, the single-link
+    form of ``received_messages``: ``f`` is entry ``(0, 1)`` of the
+    intensity matrix of receiver ``x_i`` and sender ``x_j``."""
     x_j, x_i = np.asarray(x_j, dtype=float), np.asarray(x_i, dtype=float)
-    return x_j + intensity(x_j - x_i) * np.asarray(xi_draw, dtype=float)
+    return x_j + intensity.matrix(np.stack([x_i, x_j]))[0, 1] * np.asarray(xi_draw, dtype=float)
+
+
+def link_distances(states):
+    """``out[..., i, j] = |x_j - x_i|`` for states ``(..., N, n)``: the
+    batched in-order sum that the kernel's bound checks use without link
+    noise."""
+    x = np.asarray(states, dtype=float)
+    d = x[..., None, :, :] - x[..., :, None, :]
+    return np.sqrt(ordered_sum(d * d, -1))
 
 
 def verify_A1_A2_bounds(adjacencies, state_seq, intensity, x0, build_matrices=True):
@@ -45,7 +55,7 @@ def verify_A1_A2_bounds(adjacencies, state_seq, intensity, x0, build_matrices=Tr
     x = np.stack([np.asarray(s, dtype=float) for s in state_seq[:steps]])
     err = x - np.asarray(x0, dtype=float)
     v_total = ordered_sum(ordered_sum(err * err, -1), -1)
-    w_lhs, w_rhs, m_lhs, m_rhs = norm_bound_sides(a, x, intensity, v_total)
+    w_lhs, w_rhs, m_lhs, m_rhs = norm_bound_sides(a, link_distances(x), intensity, v_total)
     if build_matrices:
         w_lhs = np.empty(steps)
         m_lhs = np.empty(steps)
@@ -68,7 +78,7 @@ def test_intensity_scalar_and_matrix_agree(rng):
     f = BENCH.matrix(x)
     for i in range(4):
         for j in range(4):
-            assert abs(f[i, j] - BENCH(x[j] - x[i])) < 1e-14
+            assert abs(f[i, j] - (0.1 * np.linalg.norm(x[j] - x[i]) + 0.1)) < 1e-14
     assert np.allclose(np.diagonal(f), BENCH.bias)  # zero disagreement
 
 
@@ -204,7 +214,7 @@ def test_w_side_is_read_off_the_gram_diagonal(data):
     summed on its own, bit for bit, non-finite entries included."""
     a, x, v = _bound_inputs(data)
     with np.errstate(all="ignore"):
-        w_lhs = norm_bound_sides(a, x, BENCH, v)[0]
+        w_lhs = norm_bound_sides(a, link_distances(x), BENCH, v)[0]
         want = np.sqrt(ordered_sum(a * a, -1).max(axis=-1))
     assert _same_bits(w_lhs, want)
 
@@ -214,15 +224,16 @@ def test_w_side_is_read_off_the_gram_diagonal(data):
 def test_m_side_from_given_distances_equals_the_states(data):
     """Distances laid out and summed as the kernel's step loop does
     (component-major, an in-order reduction over the components, sender
-    before receiver) give the M side computed from the states, bit for
-    bit, non-finite entries included; the other sides do not read them."""
+    before receiver) give the same sides as the batched distances that the
+    kernel computes from the states without link noise, bit for bit,
+    non-finite entries included."""
     a, x, v = _bound_inputs(data)
     comps = np.moveaxis(x, -1, 0)  # comps[q, ..., j] = x_j[q]
     with np.errstate(all="ignore"):
         diff = comps[..., :, None] - comps[..., None, :]  # [q, ..., j, i] = x_j[q] - x_i[q]
         dist = np.sqrt(np.add.reduce(np.ascontiguousarray(diff * diff), 0))
-        given_dist = norm_bound_sides(a, x, BENCH, v, dist)
-        from_states = norm_bound_sides(a, x, BENCH, v)
+        given_dist = norm_bound_sides(a, dist, BENCH, v)
+        from_states = norm_bound_sides(a, link_distances(x), BENCH, v)
     for got, want in zip(given_dist, from_states, strict=True):
         assert _same_bits(got, want)
 
