@@ -170,7 +170,7 @@ def norm_bound_sides(adjacency, distances, intensity: NoiseIntensity, v_total):
     gram = ordered_sum(a[..., :, None, :] * a[..., None, :, :], -1)  # A A^T
     w_norm = np.sqrt(np.diagonal(gram, 0, -2, -1).max(axis=-1))
     a_norm = np.sqrt(np.maximum(sym_eigmax(gram), 0.0))
-    f_max = intensity.sigma * np.asarray(distances, dtype=float).max(axis=(-2, -1)) + intensity.bias
+    f_max = intensity.sigma * distances.max(axis=(-2, -1)) + intensity.bias
     return (
         w_norm,
         np.sqrt(n_nodes) * a_norm,
