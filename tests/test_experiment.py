@@ -194,26 +194,26 @@ def test_schema_pins_the_stream(tmp_path):
             f"move these digests, numpy {np.__version__} here)")
 
 
-def _without(name, **noise):
+def _regret_without(**noise):
     cfg = with_overrides(get_preset("regret"), runs=2, horizon=300)
-    return name, dataclasses.replace(cfg, noise=dataclasses.replace(cfg.noise, **noise))
+    return dataclasses.replace(cfg, noise=dataclasses.replace(cfg.noise, **noise))
 
 
 # SHA-256 over each record's arrays and bound report, run by run, at SCHEMA 5
-RECORD_STREAMS = [
-    (*_without("regret-sigma_f=0", sigma_f=0.0),
-     "369507c38a2a1f0eae0b5f27ce963f095ab7571f05a07caf3a568fad18539b2a"),
-    (*_without("regret-zero-channel", channel_kind="zero"),
-     "d471cc269f942a66c15462c1947593ee7dddbd27e7c5a454a1ab6c2d4a87f85b"),
-    ("setting-i-1x942", with_overrides(get_preset("setting-i"), runs=1, horizon=942),
-     "e4b308d99c91572aace3d5f032865f6d125a47375e835d43bc6037dad08db388"),
-    ("setting-i-1x943", with_overrides(get_preset("setting-i"), runs=1, horizon=943),
-     "ecd8142f4b1bfbbbee7fdb5f3d0cd02b7bcbd42635118700ec44b647b99c8a89"),
-]
-
-
-@pytest.mark.parametrize("cfg, digest", [case[1:] for case in RECORD_STREAMS],
-                         ids=[case[0] for case in RECORD_STREAMS])
+@pytest.mark.parametrize("cfg, digest", [
+    pytest.param(_regret_without(sigma_f=0.0),
+                 "369507c38a2a1f0eae0b5f27ce963f095ab7571f05a07caf3a568fad18539b2a",
+                 id="regret-sigma_f=0"),
+    pytest.param(_regret_without(channel_kind="zero"),
+                 "d471cc269f942a66c15462c1947593ee7dddbd27e7c5a454a1ab6c2d4a87f85b",
+                 id="regret-zero-channel"),
+    pytest.param(with_overrides(get_preset("setting-i"), runs=1, horizon=942),
+                 "e4b308d99c91572aace3d5f032865f6d125a47375e835d43bc6037dad08db388",
+                 id="setting-i-1x942"),
+    pytest.param(with_overrides(get_preset("setting-i"), runs=1, horizon=943),
+                 "ecd8142f4b1bfbbbee7fdb5f3d0cd02b7bcbd42635118700ec44b647b99c8a89",
+                 id="setting-i-1x943"),
+])
 def test_records_pin_the_stream(cfg, digest):
     """The streams that the artifact pin above does not reach: two runs
     without link noise (the kernel's step loop then computes no
