@@ -30,6 +30,7 @@ from netlms.errors import ConfigError, InvalidInputError, UnsupportedAnalyticErr
 from netlms.estimator import run_trajectories, run_trajectory, substream
 from netlms.experiment import default_out_dir, run_experiment
 from netlms.regret import regret_series, simulate_regret
+from test_estimator import _kind_config
 
 
 @pytest.fixture(scope="module")
@@ -199,6 +200,14 @@ def _regret_without(**noise):
     return dataclasses.replace(cfg, noise=dataclasses.replace(cfg.noise, **noise))
 
 
+def _kinds(graph_kind, regression_kind, horizon, **noise):
+    """Three runs of a process-kind pair; at R = 3 a chunk holds 510 rows
+    (576 for ar-driven), so these horizons end in a second chunk."""
+    cfg = _kind_config(graph_kind, regression_kind)
+    return dataclasses.replace(cfg, runs=3, horizon=horizon,
+                               noise=dataclasses.replace(cfg.noise, **noise))
+
+
 # SHA-256 over each record's arrays and bound report, run by run, at SCHEMA 5
 @pytest.mark.parametrize("cfg, digest", [
     pytest.param(_regret_without(sigma_f=0.0),
@@ -213,12 +222,30 @@ def _regret_without(**noise):
     pytest.param(with_overrides(get_preset("setting-i"), runs=1, horizon=943),
                  "ecd8142f4b1bfbbbee7fdb5f3d0cd02b7bcbd42635118700ec44b647b99c8a89",
                  id="setting-i-1x943"),
+    pytest.param(_kinds("markov-switching", "bernoulli-failure", 600),
+                 "fbefd538426869828c90d6da594e04109f48cb6603dfb62a0a6497e8dbb75ab0",
+                 id="markov-bernoulli-3x600"),
+    pytest.param(_kinds("markov-silent", "fixed", 600),
+                 "172c541df22a76e603dd0bac392f6007ea47bf7ae4b7ebfb5ccac9de1afd4a66",
+                 id="markov-silent-fixed-3x600"),
+    pytest.param(_kinds("fixed", "ar-driven", 600),
+                 "290a6c843a68f388d6f938e879d64557d9cdf18bc22d8cc6c0baebcb285caaaf",
+                 id="fixed-ar-3x600"),
+    pytest.param(_kinds("markov-silent", "entrywise-uniform", 520, measurement_kind="zero"),
+                 "32caa9c905edcd46b9784006aee3ee273248137a7fdfb8a036577b34c7eadebf",
+                 id="markov-silent-zero-measurement-3x520"),
+    pytest.param(_kinds("fixed", "bernoulli-failure", 520, sigma_f=0.0),
+                 "238d139122dd563eb4d479f424537e488e0d2a1bf94186c46ea5ad1050a130f4",
+                 id="fixed-bernoulli-sigma_f=0-3x520"),
 ])
 def test_records_pin_the_stream(cfg, digest):
     """The streams that the artifact pin above does not reach: two runs
     without link noise (the kernel's step loop then computes no
-    distances), and one setting-i run in chunks of 942 rows, so that the
-    last chunk holds the horizon row alone or with the row before it."""
+    distances), one setting-i run in chunks of 942 rows, so that the last
+    chunk holds the horizon row alone or with the row before it, and three
+    runs of Markov and fixed graphs with fixed, bernoulli-failure and
+    ar-driven regressions, without measurement noise and without link
+    noise, each over two chunks."""
     d = hashlib.sha256()
     for rec in run_trajectories(cfg, range(cfg.runs)):
         for arr in (rec.v, rec.err_norms, rec.est_norms, rec.excess_losses, rec.x_final):
