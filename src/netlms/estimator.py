@@ -298,10 +298,11 @@ def _run_seed(master_seed: int, run) -> np.random.SeedSequence:
 
 
 def _new_seed_sequence(seed, spawn_key=()) -> np.random.SeedSequence:
-    try:
-        return np.random.SeedSequence(seed, spawn_key=spawn_key)
-    except ValueError:  # numpy's "expected non-negative integer"
-        raise InvalidInputError(f"seed must be nonnegative, got {seed!r}") from None
+    # an integer only: numpy would draw fresh OS entropy for None
+    seed = as_index(seed, "seed")
+    if seed < 0:
+        raise InvalidInputError(f"seed must be nonnegative, got {seed}")
+    return np.random.SeedSequence(seed, spawn_key=spawn_key)
 
 
 # Exogenous random sources of a run, in spawn-key order.
@@ -381,9 +382,10 @@ class SimulationModel:
 @dataclass(frozen=True)
 class ChunkStats:
     """Statistics of rows ``start .. start + K - 1`` of every run of a
-    batch.  ``v`` is ``(K, R)``; the other arrays are ``(K, N, R)``:
-    error and estimate norms per node, per-step excess losses and their
-    cumulative sums (see :class:`TrajectoryRecord`)."""
+    batch.  ``v`` is ``(K, R)``; the other arrays are ``(K, N, R)``
+    views of node-first arrays: error and estimate norms per node,
+    per-step excess losses and their cumulative sums (see
+    :class:`TrajectoryRecord`)."""
 
     start: int
     v: np.ndarray
@@ -533,10 +535,19 @@ def simulate(
 
     Every row of a chunk goes through the loop, the last row of a horizon
     too: its update lands in ``z``'s spare row, which nothing reads, so
-    the loop leaves the distances of every row in ``z``.  With
-    ``check_bounds``, the ``|M|`` bound reads them there.  Without link
-    noise the loop computes no distances, and the bound checks compute
-    them from the chunk's states in one batched sum, in the same order.
+    the loop leaves the distances of every row in ``z``.
+
+    The statistics and the bound checks read one contiguous copy of each
+    of the chunk's states, regressor rows and adjacency, laid out like the
+    operator build with steps and runs last (``st[q, i, k, r]``,
+    ``ht[row, q, k, r]`` and ``a[i, j, k, r]``), so each of their
+    elementwise passes and in-order sums runs over ``K R`` contiguous
+    values, for one run as for a batch.  With ``check_bounds``, the
+    ``|M|`` bound reads the distances that the loop left in ``z``, copied
+    to the same layout; without link noise the loop computes none, and
+    the checks compute them from ``st`` in one batched sum, in the same
+    order.  :func:`noise.norm_bound_sides` takes its matrix axes first for
+    the same reason.
 
     One call handles one chunk, from its draws to its statistics, and
     only the state, the graph and ar-driven histories and the running
@@ -565,11 +576,12 @@ def simulate(
     node_diag, comp_diag = np.arange(n_nodes), np.arange(dim)
 
     # Runs sit on the last axis of every array and states are stored
-    # component-major: x[q, i, r] is component q of node i in run r.
-    # Every sum runs in index order, either through ordered_sum or as a
-    # numpy reduction over a leading axis of a C-ordered array (which
-    # numpy adds up in order), so a run rounds the same way alone, in any
-    # batch and with any chunk size.
+    # component-major: x[q, i, r] is component q of node i in run r; the
+    # statistics put the steps of a chunk just before the runs.  Every sum
+    # runs in index order, either through ordered_sum or as a numpy
+    # reduction over a leading axis of a C-ordered array (which numpy adds
+    # up in order), so a run rounds the same way alone, in any batch and
+    # with any chunk size.
     #
     # Rows of z: the state, the distances |x_j - x_i| at j N + i (left
     # unset and unread without link noise), the 1.  gather[s, p] is the
@@ -605,7 +617,6 @@ def simulate(
     ar_hist = None if model.ar_init is None else np.repeat(model.ar_init[:, :, None], runs, axis=2)
     tally = BoundTally(runs) if check_bounds else None
     carry_excess = np.zeros((n_nodes, runs))
-    add = np.add.reduce
 
     def run_steps(op, x):
         """The step inputs ``z`` ``(K + 1, inputs, R)`` of a chunk of ``K``
@@ -627,21 +638,24 @@ def simulate(
         flat_z = z.reshape(count + 1, inputs * runs)
         inputs_j, next_xs, dists = iter(z), iter(flat_z[1:, :flat_x]), iter(flat_z[:, flat_x:-runs])
         op = op.transpose(2, 0, 1, 3)
+        # the step calls are bound to locals and take out by position, and
+        # take is ndarray.take called unbound, not np.take: at R = 1 a
+        # keyword out costs about 0.7 us per call and np.take's wrapper
+        # about 2 us
+        take, subtract, square, sqrt, multiply = np.ndarray.take, np.subtract, np.square, np.sqrt, np.multiply
+        add = np.add.reduce
         for lo in range(0, len(op), sub):
             block = op[lo : lo + sub]
             np.copyto(scratch[: len(block)], block)
-            # the calls take out by position and use ndarray.take, not
-            # np.take: at R = 1 a keyword out costs about 0.7 us per call
-            # and np.take's wrapper about 2 us
             for op_j, z_j, next_x, dist in zip(scratch_rows[: len(block)], inputs_j, next_xs, dists):
                 if link_noise:
-                    z_j.take(pair_rows, 0, pairs, "clip")
-                    np.subtract(sender_x, receiver_x, sender_x)
-                    np.square(sender_x, sender_x)
+                    take(z_j, pair_rows, 0, pairs, "clip")
+                    subtract(sender_x, receiver_x, sender_x)
+                    square(sender_x, sender_x)
                     add(sq_diff, 0, None, dist)
-                    np.sqrt(dist, dist)
-                z_j.take(gather, 0, gathered, "clip")
-                np.multiply(op_j, flat_gathered, flat_gathered)
+                    sqrt(dist, dist)
+                take(z_j, gather, 0, gathered, "clip")
+                multiply(op_j, flat_gathered, flat_gathered)
                 add(flat_gathered, 0, None, next_x)
         return z
 
@@ -665,44 +679,52 @@ def simulate(
         # only the operator reads these; the statistics below peak without
         # them
         del xi, y
-        states = z[:, :width].reshape(count + 1, dim, n_nodes, runs)
-        x = states[min(count, horizon - start)].copy()
-        states = states[:count]
-        err = states - x0[:, None, None]
-        per_err = ordered_sum(err * err, 1)
-        v = ordered_sum(per_err, 1)
-        # hx[k, i, row] = H_row x_i
-        hx = states[:, 0, :, None] * h[:, None, :, 0]
+        x = z[min(count, horizon - start), :width].reshape(dim, n_nodes, runs).copy()
+        # one contiguous copy, steps and runs last as in the operator build,
+        # of each array that the statistics and the bound checks read, so
+        # that every pass below runs over K R contiguous values:
+        # st[q, i, k, r] = x_i[q] at step start + k, ht[row, q, k, r]
+        st = np.ascontiguousarray(z[:count, :width].reshape(count, dim, n_nodes, runs).transpose(1, 2, 0, 3))
+        ht = np.ascontiguousarray(h.transpose(1, 2, 0, 3))
+        del h
+        err = st - x0[:, None, None, None]
+        per_err = ordered_sum(np.multiply(err, err, out=err), 0)
+        v = ordered_sum(per_err, 0)
+        # hx[row, i, k, r] = H_row x_i - the clean measurement
+        hx = st[0] * ht[:, None, 0]
         for q in range(1, dim):
-            hx += states[:, q, :, None] * h[:, None, :, q]
-        hx -= y_clean[:, None]
-        excess = 0.5 * ordered_sum(hx * hx, 2)
+            hx += st[q] * ht[:, None, q]
+        hx -= y_clean.transpose(1, 0, 2)[:, None]
+        excess = 0.5 * ordered_sum(np.multiply(hx, hx, out=hx), 0)
+        del err, ht, hx
         # carrying into the first row keeps the running sum sequential,
         # hence independent of the chunk size
         cum_excess = excess.copy()
-        cum_excess[0] += carry_excess
-        cum_excess = np.cumsum(cum_excess, axis=0)
+        cum_excess[:, 0] += carry_excess
+        np.cumsum(cum_excess, axis=1, out=cum_excess)
         if tally is not None:
-            if link_noise:  # dist[k, r, j, i] = |x_j - x_i|, as the step loop left it
-                dist = z[:count, width:-1].reshape(count, n_nodes, n_nodes, runs).transpose(0, 3, 1, 2)
-            else:  # the loop computed none: d[k, r, i, j] = x_j - x_i
-                xs = states.transpose(0, 3, 2, 1)
-                d = xs[..., None, :, :] - xs[..., :, None, :]
-                dist = np.sqrt(ordered_sum(d * d, -1))
-            w_lhs, w_rhs, m_lhs, m_rhs = norm_bound_sides(
-                adj.transpose(0, 3, 1, 2), dist, model.intensity, v)
+            # a[i, j, k, r] = a_ij at step start + k
+            a = np.ascontiguousarray(adj.transpose(1, 2, 0, 3))
+            if link_noise:  # dist[j, i, k, r] = |x_j - x_i|, as the step loop left it
+                dist = np.ascontiguousarray(
+                    z[:count, width:-1].reshape(count, n_nodes, n_nodes, runs).transpose(1, 2, 0, 3))
+            else:  # the loop computed none: d[q, i, j, k, r] = x_j[q] - x_i[q]
+                d = st[:, None] - st[:, :, None]
+                dist = np.sqrt(ordered_sum(np.multiply(d, d, out=d), 0))
+            w_lhs, w_rhs, m_lhs, m_rhs = norm_bound_sides(a, dist, model.intensity, v)
             tally.add(w_rhs - w_lhs, m_rhs - m_lhs, v)
+        # the (K, N, R) fields as views of the node-first arrays
         on_chunk(
             ChunkStats(
                 start=start,
                 v=v,
-                err_norms=np.sqrt(per_err),
-                est_norms=np.sqrt(ordered_sum(states * states, 1)),
-                excess_losses=excess,
-                cum_excess=cum_excess,
+                err_norms=np.sqrt(per_err).transpose(1, 0, 2),
+                est_norms=np.sqrt(ordered_sum(st * st, 0)).transpose(1, 0, 2),
+                excess_losses=excess.transpose(1, 0, 2),
+                cum_excess=cum_excess.transpose(1, 0, 2),
             )
         )
-        return x, graph_state, ar_hist, cum_excess[-1].copy()
+        return x, graph_state, ar_hist, cum_excess[:, -1].copy()
 
     for start in range(0, horizon + 1, chunk):
         x, graph_state, ar_hist, carry_excess = run_chunk(start, x, graph_state, ar_hist, carry_excess)
@@ -777,4 +799,8 @@ def run_trajectories(
     ``run_trajectory(config, substream(config.seed, runs[i]))`` bit for
     bit, whatever the batch.
     """
+    try:
+        runs = iter(runs)
+    except TypeError:
+        raise InvalidInputError(f"runs must be an iterable of run indices, got {runs!r}") from None
     return _records(config, [_run_seed(config.seed, r) for r in runs], check_bounds)

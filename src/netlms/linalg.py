@@ -102,36 +102,76 @@ def block_diag(blocks) -> np.ndarray:
 
 
 def sym_eigmax(g: np.ndarray) -> np.ndarray:
-    """Largest eigenvalue of symmetric matrices, batched over leading axes.
+    """Largest eigenvalue of symmetric matrices ``g[:, :, ...]``, batched
+    over the trailing axes, so each elementwise pass of the closed forms
+    runs over the whole batch as one block.
 
     Closed forms up to 3x3 (trigonometric solution of the characteristic
     cubic), LAPACK beyond.  The norm-bound checks evaluate this once per
     simulated step, where per-step eigendecompositions would dominate the
     run time.
     """
-    m = g.shape[-1]
+    m = g.shape[0]
     if m == 1:
-        return np.asarray(g)[..., 0, 0] + 0.0
+        return np.asarray(g)[0, 0] + 0.0
     if m == 2:
-        a, b, c = g[..., 0, 0], g[..., 1, 1], g[..., 0, 1]
+        a, b, c = g[0, 0], g[1, 1], g[0, 1]
         return 0.5 * (a + b) + np.hypot(0.5 * (a - b), c)
     if m == 3:
-        a, b, c = g[..., 0, 0], g[..., 1, 1], g[..., 2, 2]
-        d, e, f = g[..., 0, 1], g[..., 0, 2], g[..., 1, 2]
-        q = (a + b + c) / 3.0
-        p = np.sqrt(
-            ((a - q) ** 2 + (b - q) ** 2 + (c - q) ** 2 + 2.0 * (d * d + e * e + f * f)) / 6.0
-        )
-        safe = np.where(p > 0.0, p, 1.0)
-        aa, bb, cc = (a - q) / safe, (b - q) / safe, (c - q) / safe
-        dd, ee, ff = d / safe, e / safe, f / safe
-        half_det = 0.5 * (
-            aa * (bb * cc - ff * ff) - dd * (dd * cc - ff * ee) + ee * (dd * ff - bb * ee)
-        )
-        phi = np.arccos(np.clip(half_det, -1.0, 1.0)) / 3.0
+        # in place on flat buffers, every operation in the operand order of
+        #   q = (a + b + c) / 3,  p^2 = ((a-q)^2 + (b-q)^2 + (c-q)^2
+        #                               + 2 (d^2 + e^2 + f^2)) / 6,
+        #   half_det = det((G - q I) / p) / 2,
+        #   max = q + 2 p cos(arccos(clip(half_det, -1, 1)) / 3)
+        a, b, c, d, e, f = g.reshape(9, g[0, 0].size)[[0, 4, 8, 1, 2, 5]]
+        # a sum goes into its second operand: on one element, numpy's add
+        # into the first may keep the other operand's NaN
+        t = np.add(a, b)
+        q = np.add(t, c)
+        q /= 3.0
+        aa, bb, cc = a - q, b - q, c - q
+        u = np.square(aa)
+        np.add(u, np.square(bb, out=t), out=t)
+        np.add(t, np.square(cc, out=u), out=u)
+        p = np.multiply(d, d)
+        np.add(p, np.multiply(e, e, out=t), out=t)
+        np.add(t, np.multiply(f, f, out=p), out=p)
+        p *= 2.0
+        np.add(u, p, out=p)
+        p /= 6.0
+        np.sqrt(p, out=p)
         # p == 0 means the matrix is q I, whose only eigenvalue is q
-        return np.where(p > 0.0, q + 2.0 * p * np.cos(phi), q)
-    return np.linalg.eigvalsh(g)[..., -1]
+        flat = ~(p > 0.0)
+        safe = np.where(flat, 1.0, p)
+        aa /= safe
+        bb /= safe
+        cc /= safe
+        dd = np.divide(d, safe, out=t)
+        ee = np.divide(e, safe, out=u)
+        ff = np.divide(f, safe, out=safe)
+        half_det = np.multiply(bb, cc)
+        tmp = np.multiply(ff, ff)
+        half_det -= tmp
+        np.multiply(aa, half_det, out=half_det)
+        np.multiply(dd, cc, out=tmp)
+        tmp -= np.multiply(ff, ee, out=cc)
+        np.multiply(dd, tmp, out=tmp)
+        half_det -= tmp
+        np.multiply(dd, ff, out=tmp)
+        tmp -= np.multiply(bb, ee, out=cc)
+        np.multiply(ee, tmp, out=tmp)
+        half_det = np.add(half_det, tmp, out=tmp)
+        half_det *= 0.5
+        np.clip(half_det, -1.0, 1.0, out=half_det)
+        np.arccos(half_det, out=half_det)
+        half_det /= 3.0
+        np.cos(half_det, out=half_det)
+        p *= 2.0
+        np.multiply(p, half_det, out=p)
+        np.add(q, p, out=p)
+        np.copyto(p, q, where=flat)
+        return p.reshape(g.shape[2:])
+    return np.linalg.eigvalsh(np.moveaxis(g, (0, 1), (-2, -1)))[..., -1]
 
 
 def ordered_sum(a: np.ndarray, axis: int) -> np.ndarray:

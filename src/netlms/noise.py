@@ -149,9 +149,9 @@ class BoundCheckReport:
 
 
 def norm_bound_sides(adjacency, distances, intensity: NoiseIntensity, v_total):
-    """Closed-form sides of the two norm bounds, batched over leading axes.
+    """Closed-form sides of the two norm bounds, batched over trailing axes.
 
-    ``adjacency`` is ``(..., N, N)``; ``distances`` is ``(..., N, N)`` and
+    ``adjacency`` is ``(N, N, ...)``; ``distances`` is ``(N, N, ...)`` and
     holds every link distance ``|x_j - x_i|`` of the states, in any pair
     order; ``v_total`` holds the matching total squared errors ``(...)``.
     Returns ``(|W|, sqrt(N)|A|, |M|^2, 4 sigma^2 V + 2 bias^2)``.  For the
@@ -161,19 +161,20 @@ def norm_bound_sides(adjacency, distances, intensity: NoiseIntensity, v_total):
 
     The squared row norms are the diagonal of the Gram ``A A^T`` that
     ``sqrt(N)|A|`` needs anyway: the same products, summed in the same
-    order.  :func:`netlms.estimator.simulate` passes the distances that
-    its step loop computed, or, without link noise, computes them from
-    the states in one batched sum.
+    order.  With the matrix axes first, every pass runs over the whole
+    batch as one block, as :func:`netlms.estimator.simulate` lays out a
+    chunk's steps and runs.  It passes the distances that its step loop
+    computed, or, without link noise, computes them from the states in
+    one batched sum.
     """
     a = np.asarray(adjacency, dtype=float)
-    n_nodes = a.shape[-1]
-    gram = ordered_sum(a[..., :, None, :] * a[..., None, :, :], -1)  # A A^T
-    w_norm = np.sqrt(np.diagonal(gram, 0, -2, -1).max(axis=-1))
+    gram = ordered_sum(a[:, None] * a[None, :], 2)  # A A^T
+    w_norm = np.sqrt(np.diagonal(gram, 0, 0, 1).max(axis=-1))
     a_norm = np.sqrt(np.maximum(sym_eigmax(gram), 0.0))
-    f_max = intensity.sigma * distances.max(axis=(-2, -1)) + intensity.bias
+    f_max = intensity.sigma * distances.max(axis=(0, 1)) + intensity.bias
     return (
         w_norm,
-        np.sqrt(n_nodes) * a_norm,
+        np.sqrt(a.shape[0]) * a_norm,
         f_max * f_max,
         4.0 * intensity.sigma**2 * np.asarray(v_total) + 2.0 * intensity.bias**2,
     )

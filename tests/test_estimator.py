@@ -234,7 +234,7 @@ def test_sym_eigmax_matches_lapack():
     for m in (1, 2, 3, 4):
         mats = rng.normal(size=(40, m, m))
         grams = mats @ mats.transpose(0, 2, 1)
-        fast = sym_eigmax(grams)
+        fast = sym_eigmax(grams.transpose(1, 2, 0))
         ref = np.linalg.eigvalsh(grams)[..., -1]
         assert np.abs(fast - ref).max() < 1e-11 * max(1.0, np.abs(ref).max())
 
@@ -514,8 +514,8 @@ def _replayed_reports(model, seeds, horizon):
         x = np.stack(compact_x)
         err = x - model.x0
         v = ordered_sum(ordered_sum(err * err, -1), -1)
-        dist = np.linalg.norm(x[:, None, :, :] - x[:, :, None, :], axis=-1)
-        w_lhs, w_rhs, m_lhs, m_rhs = norm_bound_sides(np.stack(adjs), dist, model.intensity, v)
+        dist = np.linalg.norm(x[:, None, :, :] - x[:, :, None, :], axis=-1).transpose(1, 2, 0)
+        w_lhs, w_rhs, m_lhs, m_rhs = norm_bound_sides(np.stack(adjs, axis=-1), dist, model.intensity, v)
         sides.append((w_rhs - w_lhs, m_rhs - m_lhs, v))
     tally = BoundTally(len(seeds))
     tally.add(*(np.stack(column, axis=-1) for column in zip(*sides)))

@@ -203,6 +203,17 @@ INPUT_ERRORS = [
                  "run index must be nonnegative, got -1", id="substream-index-negative"),
     pytest.param(lambda: run_trajectory(get_preset("setting-i"), -1), InvalidInputError,
                  "seed must be nonnegative, got -1", id="trajectory-seed-negative"),
+    # numpy would seed None from fresh OS entropy
+    pytest.param(lambda: substream(None, 0), InvalidInputError,
+                 "seed must be an integer, got None", id="substream-seed-none"),
+    pytest.param(lambda: substream(2.5, 0), InvalidInputError,
+                 "seed must be an integer, got 2.5", id="substream-seed-integer"),
+    pytest.param(lambda: run_trajectory(get_preset("setting-i"), None), InvalidInputError,
+                 "seed must be an integer, got None", id="trajectory-seed-none"),
+    pytest.param(lambda: run_trajectory(get_preset("setting-i"), "3"), InvalidInputError,
+                 "seed must be an integer, got '3'", id="trajectory-seed-string"),
+    pytest.param(lambda: run_trajectories(get_preset("setting-i"), 3), InvalidInputError,
+                 "runs must be an iterable of run indices, got 3", id="run-indices-iterable"),
     pytest.param(lambda: run_trajectories(get_preset("setting-i"), [-1]), InvalidInputError,
                  "run index must be nonnegative, got -1", id="run-index-negative"),
     pytest.param(lambda: simulate(SimulationModel.from_config(get_preset("setting-i")), [], 5,

@@ -30,13 +30,19 @@ def received_message(x_j, x_i, intensity, xi_draw):
     return x_j + intensity.matrix(np.stack([x_i, x_j]))[0, 1] * np.asarray(xi_draw, dtype=float)
 
 
+def matrix_axes_first(m):
+    """``m[..., i, j]`` as ``m[i, j, ...]``, the batching of
+    ``norm_bound_sides``."""
+    return np.moveaxis(m, (-2, -1), (0, 1))
+
+
 def link_distances(states):
-    """``out[..., i, j] = |x_j - x_i|`` for states ``(..., N, n)``: the
-    batched in-order sum that the kernel's bound checks use without link
-    noise."""
-    x = np.asarray(states, dtype=float)
-    d = x[..., None, :, :] - x[..., :, None, :]
-    return np.sqrt(ordered_sum(d * d, -1))
+    """``out[i, j, ...] = |x_j - x_i|`` for states ``(..., N, n)``: the
+    batched in-order sum over the components that the kernel's bound
+    checks use without link noise."""
+    x = np.moveaxis(np.asarray(states, dtype=float), (-1, -2), (0, 1))  # x[q, i, ...]
+    d = x[:, None] - x[:, :, None]
+    return np.sqrt(ordered_sum(d * d, 0))
 
 
 def verify_A1_A2_bounds(adjacencies, state_seq, intensity, x0, build_matrices=True):
@@ -55,7 +61,7 @@ def verify_A1_A2_bounds(adjacencies, state_seq, intensity, x0, build_matrices=Tr
     x = np.stack([np.asarray(s, dtype=float) for s in state_seq[:steps]])
     err = x - np.asarray(x0, dtype=float)
     v_total = ordered_sum(ordered_sum(err * err, -1), -1)
-    w_lhs, w_rhs, m_lhs, m_rhs = norm_bound_sides(a, link_distances(x), intensity, v_total)
+    w_lhs, w_rhs, m_lhs, m_rhs = norm_bound_sides(matrix_axes_first(a), link_distances(x), intensity, v_total)
     if build_matrices:
         w_lhs = np.empty(steps)
         m_lhs = np.empty(steps)
@@ -214,7 +220,7 @@ def test_w_side_is_read_off_the_gram_diagonal(data):
     summed on its own, bit for bit, non-finite entries included."""
     a, x, v = _bound_inputs(data)
     with np.errstate(all="ignore"):
-        w_lhs = norm_bound_sides(a, link_distances(x), BENCH, v)[0]
+        w_lhs = norm_bound_sides(matrix_axes_first(a), link_distances(x), BENCH, v)[0]
         want = np.sqrt(ordered_sum(a * a, -1).max(axis=-1))
     assert _same_bits(w_lhs, want)
 
@@ -232,8 +238,8 @@ def test_m_side_from_given_distances_equals_the_states(data):
     with np.errstate(all="ignore"):
         diff = comps[..., :, None] - comps[..., None, :]  # [q, ..., j, i] = x_j[q] - x_i[q]
         dist = np.sqrt(np.add.reduce(np.ascontiguousarray(diff * diff), 0))
-        given_dist = norm_bound_sides(a, dist, BENCH, v)
-        from_states = norm_bound_sides(a, link_distances(x), BENCH, v)
+        given_dist = norm_bound_sides(matrix_axes_first(a), matrix_axes_first(dist), BENCH, v)
+        from_states = norm_bound_sides(matrix_axes_first(a), link_distances(x), BENCH, v)
     for got, want in zip(given_dist, from_states, strict=True):
         assert _same_bits(got, want)
 
