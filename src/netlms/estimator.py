@@ -488,6 +488,13 @@ def _fused_operator(model, link_noise, start, adj, h, y, xi):
     return op.reshape(slots, dim * n_nodes, count, runs)
 
 
+def _steps_last(block):
+    """``block[k, a, b, r]`` of a chunk as one contiguous ``[a, b, k, r]``
+    copy, the layout of the operator build: each elementwise pass and
+    in-order sum over it then runs over ``K R`` contiguous values."""
+    return np.ascontiguousarray(block.transpose(1, 2, 0, 3))
+
+
 # a diverging run overflows to inf and NaN; first_nonfinite_step reports it
 @np.errstate(over="ignore", invalid="ignore")
 def simulate(
@@ -680,12 +687,10 @@ def simulate(
         # them
         del xi, y
         x = z[min(count, horizon - start), :width].reshape(dim, n_nodes, runs).copy()
-        # one contiguous copy, steps and runs last as in the operator build,
-        # of each array that the statistics and the bound checks read, so
-        # that every pass below runs over K R contiguous values:
-        # st[q, i, k, r] = x_i[q] at step start + k, ht[row, q, k, r]
-        st = np.ascontiguousarray(z[:count, :width].reshape(count, dim, n_nodes, runs).transpose(1, 2, 0, 3))
-        ht = np.ascontiguousarray(h.transpose(1, 2, 0, 3))
+        # the statistics and the bound checks read copies with steps and
+        # runs last: st[q, i, k, r] = x_i[q] at step start + k, ht[row, q, k, r]
+        st = _steps_last(z[:count, :width].reshape(count, dim, n_nodes, runs))
+        ht = _steps_last(h)
         del h
         err = st - x0[:, None, None, None]
         per_err = ordered_sum(np.multiply(err, err, out=err), 0)
@@ -703,11 +708,9 @@ def simulate(
         cum_excess[:, 0] += carry_excess
         np.cumsum(cum_excess, axis=1, out=cum_excess)
         if tally is not None:
-            # a[i, j, k, r] = a_ij at step start + k
-            a = np.ascontiguousarray(adj.transpose(1, 2, 0, 3))
+            a = _steps_last(adj)  # a[i, j, k, r] = a_ij at step start + k
             if link_noise:  # dist[j, i, k, r] = |x_j - x_i|, as the step loop left it
-                dist = np.ascontiguousarray(
-                    z[:count, width:-1].reshape(count, n_nodes, n_nodes, runs).transpose(1, 2, 0, 3))
+                dist = _steps_last(z[:count, width:-1].reshape(count, n_nodes, n_nodes, runs))
             else:  # the loop computed none: d[q, i, j, k, r] = x_j[q] - x_i[q]
                 d = st[:, None] - st[:, :, None]
                 dist = np.sqrt(ordered_sum(np.multiply(d, d, out=d), 0))
