@@ -17,8 +17,9 @@ agree to machine precision on identical draws — that equivalence is the
 main structural test of the package, and both serve as oracles for
 :func:`simulate`, the kernel every simulation goes through: it advances a
 batch of runs together, draws each exogenous source in blocks of steps
-(:func:`graphs.graph_block`, :func:`regression.regression_block`) and
-folds the recorded statistics once per block.
+into buffers kept for the call (:func:`graphs.graph_block`,
+:func:`regression.regression_block`, :meth:`noise.MeasurementNoise.fill`)
+and folds the recorded statistics once per block.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .errors import InvalidInputError
-from .graphs import GraphProcess, graph_block
+from .graphs import GraphProcess, graph_block, graph_slab
 from .linalg import as_index, block_diag, laplacian, ordered_sum
 from .noise import (
     BoundCheckReport,
@@ -40,7 +41,7 @@ from .noise import (
     build_WM,
     norm_bound_sides,
 )
-from .regression import RegressionProcess, regression_block
+from .regression import RegressionProcess, regression_block, regression_slab
 
 __all__ = [
     "GainSchedule",
@@ -399,8 +400,8 @@ class ChunkStats:
 # (1.5 MB), but at least 16.  ``_step_floats`` counts, per run and step, the
 # fused operator (``n + 2N + 1`` slots per output), the step input ``z``,
 # the channel draws and the regression arrays; the operator build, where a
-# chunk peaks, holds about that many, and no array outlives its chunk.  The
-# per-chunk cost is paid per run and source, so one run wants long chunks
+# chunk peaks, holds about that many, and only the draw slabs outlive it.
+# The per-chunk cost is paid per run and source, so one run wants long chunks
 # and a batch short ones.  In a sweep of fixed chunk sizes (regret with
 # 4000 steps for 20 runs, setting-i with 3e4 steps for one; one BLAS
 # thread, best CPU time of 3, median of three passes), 20 runs took 5.6 us
@@ -508,7 +509,15 @@ def simulate(
 
     Each run draws its graph, regressors, measurement noise and channel
     noise from its own per-source substreams (:func:`source_streams`), in
-    chunks of :func:`_default_chunk` steps.  Every draw is exogenous: only
+    chunks of :func:`_default_chunk` steps.  The call allocates one
+    runs-first slab per source once, sized by the chunk
+    (:func:`graphs.graph_slab`, :func:`regression.regression_slab`, and
+    ``(R, K, rows)`` and ``(R, K, N, N, n)`` for the two noises), and each
+    chunk draws run ``r``'s values in place into row ``r`` of each slab:
+    through :func:`graphs.graph_block`, :func:`regression.regression_block`
+    and :meth:`noise.MeasurementNoise.fill`, which also apply each law's
+    transforms in place.  The chunk reads the slabs through runs-last
+    views.  Every draw is exogenous: only
     the link intensity ``f(x)`` depends on the estimates, and it scales
     pre-drawn channel noise.  So the recursion
 
@@ -557,10 +566,11 @@ def simulate(
     the same reason.
 
     One call handles one chunk, from its draws to its statistics, and
-    only the state, the graph and ar-driven histories and the running
-    excess sum outlive it; the operator dies with the step loop, before
-    the statistics.  So the peak holds one chunk's arrays, about
-    :func:`_step_floats` floats per run and step, and the scratch.
+    only the draw slabs, the state, the graph and ar-driven histories and
+    the running excess sum outlive it; the operator dies with the step
+    loop, before the statistics.  So the peak holds one chunk's arrays,
+    about :func:`_step_floats` floats per run and step, the draw slabs
+    among them, and the scratch.
 
     ``on_chunk`` receives one :class:`ChunkStats` per chunk, in step
     order; rows ``0..horizon`` are covered, row ``horizon`` without an
@@ -624,6 +634,14 @@ def simulate(
     ar_hist = None if model.ar_init is None else np.repeat(model.ar_init[:, :, None], runs, axis=2)
     tally = BoundTally(runs) if check_bounds else None
     carry_excess = np.zeros((n_nodes, runs))
+    # the draw slabs, runs first: run r draws each chunk into row r, and the
+    # chunk reads the rows' first count steps as one runs-last view
+    steps = min(chunk, horizon + 1)
+    graph_draws = graph_slab(gp, runs, steps)
+    regression_draws = regression_slab(rp, runs, steps)
+    noise_draws = np.empty((runs, steps, rows))
+    # channel_draws[r, k, i, j, q] = xi_ji[q], receiver-major as in build_WM
+    channel_draws = np.empty((runs, steps, n_nodes, n_nodes, dim))
 
     def run_steps(op, x):
         """The step inputs ``z`` ``(K + 1, inputs, R)`` of a chunk of ``K``
@@ -671,21 +689,22 @@ def simulate(
         hand their :class:`ChunkStats` to ``on_chunk``.  Returns what the
         next chunk reads: the state after the updates, the graph and
         ar-driven histories and the running excess sum.  Every other array
-        of the chunk dies on return."""
+        of the chunk but the draw slabs dies on return."""
         count = min(chunk, horizon + 1 - start)
-        adj, graph_state = graph_block(gp, start, count, graph_rngs, graph_state)
-        noise = np.stack([model.measurement.sample(g, (count, rows)) for g in noise_rngs], axis=-1)
-        h, y_clean, y, ar_hist = regression_block(rp, x0, count, regression_rngs, noise, ar_hist)
-        del noise
-        # channel noise indexed (step, sender j, component, receiver i, run)
-        shape = (count, n_nodes, n_nodes, dim)
-        xi = np.stack(
-            [model.channel.sample(g, shape).transpose(0, 2, 3, 1) for g in channel_rngs], axis=-1
+        adj, graph_state = graph_block(gp, start, count, graph_rngs, graph_state, graph_draws)
+        for g, row in zip(noise_rngs, noise_draws):
+            model.measurement.fill(g, row[:count])
+        noise = noise_draws[:, :count].transpose(1, 2, 0)
+        h, y_clean, y, ar_hist = regression_block(
+            rp, x0, count, regression_rngs, noise, ar_hist, regression_draws
         )
+        for g, row in zip(channel_rngs, channel_draws):
+            model.channel.fill(g, row[:count])
+        # channel noise indexed (step, sender j, component, receiver i, run)
+        xi = channel_draws[:, :count].transpose(1, 3, 4, 2, 0)
         z = run_steps(_fused_operator(model, link_noise, start, adj, h, y, xi), x)
-        # only the operator reads these; the statistics below peak without
-        # them
-        del xi, y
+        # only the operator reads y; the statistics below peak without it
+        del y
         x = z[min(count, horizon - start), :width].reshape(dim, n_nodes, runs).copy()
         # the statistics and the bound checks read copies with steps and
         # runs last: st[q, i, k, r] = x_i[q] at step start + k, ht[row, q, k, r]

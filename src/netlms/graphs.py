@@ -21,7 +21,8 @@ Each law's conditional mean adjacency has a closed form, which
 
 Every draw goes through :func:`graph_block`, which returns the
 adjacencies of a block of consecutive steps for a batch of runs; one step
-is a block of one.
+is a block of one.  It draws into a runs-first :func:`graph_slab` buffer
+that a caller may keep across blocks.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, NoUniqueStationaryError
-from .linalg import as_index, as_matrix, laplacian, symmetrize
+from .linalg import as_index, as_matrix, laplacian, symmetrize, uniform_rows
 
 __all__ = [
     "GraphProcess",
@@ -40,6 +41,7 @@ __all__ = [
     "alternating_uniform_graph",
     "iid_uniform_graph",
     "markov_switching_graph",
+    "graph_slab",
     "graph_block",
     "conditional_expected_adjacency",
     "conditional_expected_sym_laplacian",
@@ -155,23 +157,40 @@ def _check_transition(p, n_states: int) -> np.ndarray:
     return m
 
 
+def graph_slab(process: GraphProcess, runs: int, steps: int) -> np.ndarray | None:
+    """A runs-first buffer that :func:`graph_block` draws up to ``steps``
+    steps of ``runs`` runs into: ``(R, steps, N, N)`` cell uniforms for the
+    alternating kind, ``(R, steps)`` transition uniforms for
+    markov-switching, ``None`` for the fixed kind, which draws nothing."""
+    if process.kind == "alternating-uniform":
+        return np.empty((runs, steps, process.nodes, process.nodes))
+    if process.kind == "markov-switching":
+        return np.empty((runs, steps))
+    return None
+
+
 def graph_block(
     process: GraphProcess,
     start: int,
     count: int,
     rngs,
     prev_states=None,
+    slab: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Draw the adjacencies of steps ``start .. start + count - 1`` for a
     batch of runs, run ``r`` drawing from ``rngs[r]``.
 
-    Returns a ``(count, N, N, R)`` array, runs last (a read-only broadcast
-    view for the fixed kind), and for markov-switching processes the
-    states ``(R,)`` realized at the last step (``None`` for the other
-    kinds); ``prev_states`` are the states realized at ``start - 1``.
-    Each run's generator is consumed step by step in a fixed order: one
-    uniform per adjacency cell (diagonal included) or one uniform per
-    Markov transition (none at step 0).  A block of ``count`` steps therefore holds exactly the values of
+    Returns a ``(count, N, N, R)`` array, runs last, and for
+    markov-switching processes the states ``(R,)`` realized at the last
+    step (``None`` for the other kinds); ``prev_states`` are the states
+    realized at ``start - 1``.  Run ``r`` draws into ``slab[r, :count]``
+    of a :func:`graph_slab` buffer of at least ``count`` steps, a fresh
+    one when ``slab`` is ``None``; the alternating kind returns a view of
+    the slab, valid until it is drawn into again, and the fixed kind a
+    read-only broadcast view.  Each run's generator is consumed step by
+    step in a fixed order: one uniform per adjacency cell (diagonal
+    included) or one uniform per Markov transition (none at step 0).  A
+    block of ``count`` steps therefore holds exactly the values of
     ``count`` blocks of one step, and no run's values depend on the other
     runs, which keeps simulations independent of block size and batch.
     """
@@ -181,8 +200,12 @@ def graph_block(
     n, runs = process.nodes, len(rngs)
     if process.kind == "fixed":
         return np.broadcast_to(process.adjacency[None, :, :, None], (count, n, n, runs)), None
+    if process.kind == "markov-switching" and start > 0 and prev_states is None:
+        raise InvalidInputError("markov-switching sampling needs prev_state for step > 0")
+    if slab is None:
+        slab = graph_slab(process, runs, count)
     if process.kind == "alternating-uniform":
-        a = np.stack([rng.random((count, n, n)) for rng in rngs], axis=-1)
+        a = uniform_rows(rngs, slab, count).transpose(1, 2, 3, 0)
         # step parity picks the range: even steps first
         for offset, (lo, hi) in enumerate((process.even_range, process.odd_range)):
             cells = a[(start + offset) % 2 :: 2]
@@ -191,11 +214,9 @@ def graph_block(
         a[:, np.arange(n), np.arange(n)] = 0.0
         return a, None
     # markov-switching
-    if start > 0 and prev_states is None:
-        raise InvalidInputError("markov-switching sampling needs prev_state for step > 0")
     cum = np.cumsum(process.transition, axis=1)
     last = len(process.states) - 1
-    draws = iter(np.stack([rng.random(count - (start == 0)) for rng in rngs], axis=-1))
+    draws = iter(uniform_rows(rngs, slab, count - (start == 0)).T)
     index = np.empty((count, runs), dtype=np.intp)
     state = None if prev_states is None else np.asarray(prev_states, dtype=np.intp)
     for j, k in enumerate(range(start, start + count)):

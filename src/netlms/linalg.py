@@ -188,3 +188,13 @@ def ordered_sum(a: np.ndarray, axis: int) -> np.ndarray:
         index[axis] = k
         acc += a[tuple(index)]
     return acc
+
+
+def uniform_rows(rngs, slab: np.ndarray, count: int) -> np.ndarray:
+    """Fill ``slab[r, :count]`` with uniforms from ``rngs[r]`` for every run
+    ``r`` of a runs-first buffer and return ``slab[:, :count]``.  Each row
+    is contiguous, so the generator writes in place and draws exactly the
+    values of ``rngs[r].random(slab[r, :count].shape)``."""
+    for rng, row in zip(rngs, slab):
+        rng.random(out=row[:count])
+    return slab[:, :count]

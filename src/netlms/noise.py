@@ -78,10 +78,19 @@ class MeasurementNoise:
         if not _finite_nonnegative(self.std):
             raise InvalidInputError("std must be finite and nonnegative")
 
-    def sample(self, rng: np.random.Generator, shape) -> np.ndarray:
+    def fill(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+        """Draw into the contiguous float array ``out`` in place and return
+        it; the zero kind draws nothing."""
         if self.kind == "zero":
-            return np.zeros(shape)
-        return rng.standard_normal(shape) * self.std
+            out.fill(0.0)
+        else:
+            rng.standard_normal(out=out)
+            out *= self.std
+        return out
+
+    def sample(self, rng: np.random.Generator, shape) -> np.ndarray:
+        """A fresh array of ``shape`` drawn by :meth:`fill`."""
+        return self.fill(rng, np.empty(shape))
 
 
 class ChannelNoise(MeasurementNoise):

@@ -18,8 +18,10 @@ matrix ``H_i(k)`` of shape ``(n_i, n)``.  Process kinds:
 
 Every draw goes through :func:`regression_block`, which returns the
 stacked matrices and measurements of a block of consecutive steps for a
-batch of runs; one step is a block of one.  A :class:`RegressionProcess`
-holds only its law's parameters, and each block stacks them anew.
+batch of runs; one step is a block of one.  It draws into a runs-first
+:func:`regression_slab` buffer that a caller may keep across blocks.  A
+:class:`RegressionProcess` holds only its law's parameters, and each
+block stacks them anew.
 
 Fixed, entrywise-uniform and bernoulli-failure have closed-form
 conditional Grams, the same at every step; ar-driven does not (its
@@ -36,7 +38,7 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import InvalidInputError, UnsupportedAnalyticError
-from .linalg import as_index, as_matrix, block_diag, ordered_sum
+from .linalg import as_index, as_matrix, block_diag, ordered_sum, uniform_rows
 from .noise import MeasurementNoise
 
 __all__ = [
@@ -45,6 +47,7 @@ __all__ = [
     "entrywise_uniform_regression",
     "bernoulli_failure_regression",
     "ar_driven_regression",
+    "regression_slab",
     "regression_block",
     "conditional_expected_node_gram",
     "conditional_expected_gram",
@@ -156,13 +159,25 @@ def ar_driven_regression(nodes: int, order: int) -> RegressionProcess:
     return RegressionProcess(kind="ar-driven", nodes=nodes, dim=order, node_dims=(1,) * nodes)
 
 
-def _regressor_block(process: RegressionProcess, count: int, rngs) -> np.ndarray:
+def regression_slab(process: RegressionProcess, runs: int, steps: int) -> np.ndarray | None:
+    """A runs-first buffer that :func:`regression_block` draws up to
+    ``steps`` steps of ``runs`` runs into: ``(R, steps, cells)`` uniforms
+    for entrywise-uniform (one per nonzero cell of the stacked ``coef``),
+    ``(R, steps, N)`` for bernoulli-failure, ``None`` for the kinds that
+    draw nothing (fixed, ar-driven)."""
+    if process.kind == "entrywise-uniform":
+        return np.empty((runs, steps, np.count_nonzero(np.concatenate(process.coef))))
+    if process.kind == "bernoulli-failure":
+        return np.empty((runs, steps, process.nodes))
+    return None
+
+
+def _regressor_block(process: RegressionProcess, count: int, rngs, slab) -> np.ndarray:
     """Stacked observation matrices ``(count, sum n_i, n, R)``, runs last,
     of the kinds drawn independently per step (all but ar-driven)."""
     if process.kind == "bernoulli-failure":
         # one draw per node and step; row r of the stack belongs to node row_node[r]
-        active = np.stack([rng.random((count, process.nodes)) for rng in rngs], axis=-1)
-        active = active < process.active_prob
+        active = uniform_rows(rngs, slab, count).transpose(1, 2, 0) < process.active_prob
         row_node = np.repeat(np.arange(process.nodes), process.node_dims)
         return np.concatenate(process.coef)[None, :, :, None] * active[:, row_node, None]
     stacked = np.concatenate(process.h_nodes if process.kind == "fixed" else process.base)
@@ -174,10 +189,10 @@ def _regressor_block(process: RegressionProcess, count: int, rngs) -> np.ndarray
     idx = np.flatnonzero(coef)
     if idx.size:
         # fresh uniform per random cell, in stacked row-major order
-        u = np.stack([rng.random((count, idx.size)) for rng in rngs], axis=-1)
+        u = uniform_rows(rngs, slab, count)
         u *= process.high - process.low
         u += process.low
-        out.reshape(count, -1, len(rngs))[:, idx] += coef[idx, None] * u
+        out.reshape(count, -1, len(rngs))[:, idx] += coef[idx, None] * u.transpose(1, 2, 0)
     return out
 
 
@@ -199,6 +214,7 @@ def regression_block(
     rngs,
     noise_draws: np.ndarray,
     ar_history: np.ndarray | None = None,
+    slab: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
     """Observation models and measurements of ``count`` consecutive steps
     for a batch of runs, run ``r`` drawing from ``rngs[r]``.
@@ -207,7 +223,9 @@ def regression_block(
     R)``.  Returns ``(h, y_clean, y, ar_history)``, runs last: the stacked
     matrices ``(count, sum n_i, n, R)``, the noise-free outputs ``H x0``,
     the measurements, and (ar-driven only) each node's last ``order``
-    outputs after the block, ``(N, order, R)`` newest first.  Each
+    outputs after the block, ``(N, order, R)`` newest first.  Run ``r``
+    draws into ``slab[r, :count]`` of a :func:`regression_slab` buffer of
+    at least ``count`` steps, a fresh one when ``slab`` is ``None``.  Each
     generator is consumed step by step, so one block of ``count`` steps
     draws the values of ``count`` blocks of one.  The ar-driven recursion
     draws nothing itself: its regressor is the output history, driven by
@@ -219,7 +237,9 @@ def regression_block(
         raise InvalidInputError(f"x0 must have shape ({process.dim},), got {weights.shape}")
     weights = weights[:, None]
     if process.kind != "ar-driven":
-        h = _regressor_block(process, count, rngs)
+        if slab is None:
+            slab = regression_slab(process, len(rngs), count)
+        h = _regressor_block(process, count, rngs, slab)
         y_clean = ordered_sum(h * weights, 2)
         return h, y_clean, y_clean + noise_draws, None
     hist = _check_ar_history(process, ar_history, len(rngs))

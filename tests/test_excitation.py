@@ -2,6 +2,8 @@
 threshold checks, the connectivity-observability lower bound, and the
 stationary-regime audit."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -132,6 +134,29 @@ def test_lower_bound_on_benchmark_window():
     # rho0 below the true Gram-norm bound breaks the premise
     weak = lemma_lower_bound_check(gp, rp, window=2, rho0=0.5, window_index=0)
     assert not weak.premise_ok and not weak.passed
+
+
+def test_audit_counts_a_margin_just_below_zero():
+    """The lower-bound audit allows 1e-10 of rounding and no more: a rho0
+    that puts every window's margin near -1e-8 makes every window a
+    violation.  Such a rho0 breaks the Gram-norm premise, so the audit's
+    count, not ``passed``, is what the allowance decides."""
+    cfg = get_preset("setting-i")
+    gp = cfg.graph.to_process(cfg.nodes)
+    rp = cfg.regression.to_process(cfg.nodes, cfg.dim)
+    h = cfg.excitation.window
+    # lhs, lambda2 and the Gram minimum do not depend on rho0: solve
+    # rhs = lambda2 / (2 N h rho0 + N lambda2) * gram_min = lhs + 1e-8
+    probe = lemma_lower_bound_check(gp, rp, window=h, rho0=5.0, window_index=0)
+    lam2, gmin = probe.lambda2, probe.gram_lambda_min
+    rho0 = (lam2 * gmin / (probe.lhs + 1e-8) - cfg.nodes * lam2) / (2 * cfg.nodes * h)
+    rep = lemma_lower_bound_check(gp, rp, window=h, rho0=rho0, window_index=0)
+    assert -1e-6 < rep.margin < -1e-10, rep.margin
+    assert not rep.premise_ok and not rep.passed
+    tight = dataclasses.replace(cfg, excitation=dataclasses.replace(cfg.excitation, rho0=rho0))
+    audit = pe_diagnostic(tight, windows=6).bound_check
+    assert -1e-6 < audit.min_margin < -1e-10, audit.min_margin
+    assert audit.violations == audit.windows_checked == 6
 
 
 def test_lower_bound_across_many_windows():

@@ -165,6 +165,28 @@ def test_zero_sensors_zero_regret():
     assert rep.passed  # 0 <= bound trivially
 
 
+def _one_step_over(excess):
+    """A 4-step, 2-node series whose bound is 1 at every step (rho0 = 1,
+    mean V 1 at step 0 only), with regret 0.5 everywhere but node 1 at
+    step 2, which exceeds the bound by ``excess``; every standard error is
+    0.01."""
+    regret = np.full((4, 2), 0.5)
+    regret[2, 1] = 1.0 + excess
+    return RegretSeries(steps=np.arange(4), regret=regret, regret_se=np.full((4, 2), 0.01),
+                        mar=np.full(4, np.nan), mean_v=np.array([1.0, 0.0, 0.0, 0.0]), runs=20)
+
+
+def test_regret_lemma_allows_two_standard_errors_and_no_more():
+    """A margin of -0.0205 with a standard error of 0.01 fails: it lies
+    beyond the two-standard-error allowance (-0.02), though within three
+    and within 1e-3 of it.  A margin of -0.0195 lies within it."""
+    over = lemma_regret_bound_check(_one_step_over(0.0205), rho0=1.0)
+    assert not over.passed
+    assert over.min_margin == pytest.approx(-0.0205, abs=1e-12)
+    assert (over.worst_step, over.worst_node) == (2, 1)
+    assert lemma_regret_bound_check(_one_step_over(0.0195), rho0=1.0).passed
+
+
 @pytest.mark.parametrize("rho0", [float("nan"), float("inf"), 0.0, -1.0])
 @pytest.mark.parametrize("check", ["regret", "lower-bound"])
 def test_lemma_checks_reject_a_rho0_that_is_not_finite_and_positive(bench_runs, check, rho0):
