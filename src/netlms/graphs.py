@@ -205,14 +205,15 @@ def graph_block(
     if slab is None:
         slab = graph_slab(process, runs, count)
     if process.kind == "alternating-uniform":
-        a = uniform_rows(rngs, slab, count).transpose(1, 2, 3, 0)
+        # in place on the runs-first rows, each run's steps contiguous
+        u = uniform_rows(rngs, slab, count)
         # step parity picks the range: even steps first
         for offset, (lo, hi) in enumerate((process.even_range, process.odd_range)):
-            cells = a[(start + offset) % 2 :: 2]
+            cells = u[:, (start + offset) % 2 :: 2]
             cells *= hi - lo
             cells += lo
-        a[:, np.arange(n), np.arange(n)] = 0.0
-        return a, None
+        u[:, :, np.arange(n), np.arange(n)] = 0.0
+        return u.transpose(1, 2, 3, 0), None
     # markov-switching
     cum = np.cumsum(process.transition, axis=1)
     last = len(process.states) - 1

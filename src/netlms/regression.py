@@ -192,7 +192,8 @@ def _regressor_block(process: RegressionProcess, count: int, rngs, slab) -> np.n
         u = uniform_rows(rngs, slab, count)
         u *= process.high - process.low
         u += process.low
-        out.reshape(count, -1, len(rngs))[:, idx] += coef[idx, None] * u.transpose(1, 2, 0)
+        u *= coef[idx]
+        out.reshape(count, -1, len(rngs))[:, idx] += u.transpose(1, 2, 0)
     return out
 
 
