@@ -55,9 +55,7 @@ def _sources(model, runs, count):
     noise_u = np.zeros((runs, count, rp.total_rows))
     channel_u = np.empty((runs, count, n_nodes, n_nodes, dim))
     noise = noise_u.transpose(1, 2, 0)
-    state = {"graph": None, "ar": None}
-    if model.ar_init is not None:
-        state["ar"] = np.repeat(model.ar_init[:, :, None], runs, axis=2)
+    state = {"graph": None}
 
     def fill(law, rngs, slab):
         for g, row in zip(rngs, slab):
@@ -75,10 +73,11 @@ def _sources(model, runs, count):
         state["graph"] = graph_block(gp, start, count, graph_rngs, state["graph"], graph_u)[1]
 
     def regression(start):
-        state["ar"] = regression_block(rp, model.x0, count, regression_rngs, noise, state["ar"], regression_u)[3]
+        regression_block(rp, model.x0, count, regression_rngs, noise, None, regression_u)
 
-    # a source that draws nothing (a fixed graph, fixed or ar-driven
-    # regressors) has no slab and no row
+    # a source that draws nothing (a fixed graph, fixed regressors) has no
+    # slab and no row; the ar-driven kind, which needs a history, is not
+    # timed
     table = {}
     if graph_u is not None:
         table["graph"] = (graph, lambda start: uniforms(graph_rngs, graph_u))
