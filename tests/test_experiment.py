@@ -30,7 +30,7 @@ from netlms.errors import ConfigError, InvalidInputError, UnsupportedAnalyticErr
 from netlms.estimator import run_trajectories, run_trajectory, substream
 from netlms.experiment import default_out_dir, run_experiment
 from netlms.regret import regret_series, simulate_regret
-from test_estimator import _kind_config
+from test_estimator import _diverging, _kind_config
 
 
 @pytest.fixture(scope="module")
@@ -208,6 +208,40 @@ def _kinds(graph_kind, regression_kind, horizon, **noise):
                                noise=dataclasses.replace(cfg.noise, **noise))
 
 
+def _unobserved_third(horizon):
+    """setting-i, two runs, with component 3 unobserved (its base and coef
+    cells zero, so node 3 observes nothing) and started at 0, with zero
+    measurement and zero channel noise: that component of every state,
+    ``x_final`` included, stays exactly 0."""
+    cfg = with_overrides(get_preset("setting-i"), runs=2, horizon=horizon)
+
+    def drop_third(mats):
+        return tuple(tuple((*row[:2], 0.0) for row in m) for m in mats)
+
+    reg = cfg.regression
+    return dataclasses.replace(
+        cfg,
+        init=tuple((*row[:2], 0.0) for row in cfg.init),
+        regression=dataclasses.replace(reg, base=drop_third(reg.base), coef=drop_third(reg.coef)),
+        noise=dataclasses.replace(cfg.noise, measurement_kind="zero", channel_kind="zero"),
+    )
+
+
+def _ar(order, horizon):
+    """Three runs of ar-driven regressors of ``order`` components on the
+    fixed graph of ``_kind_config``, with link noise, over two chunks:
+    one component and four bracket the three up to which the step loop
+    sums the link distances with in-order adds."""
+    cfg = _kind_config("fixed", "ar-driven")
+    return dataclasses.replace(
+        cfg, runs=3, horizon=horizon, dim=order,
+        x0=(0.4, -0.2, 0.1, 0.05)[:order],
+        init=tuple(tuple(0.1 * (i - q) for q in range(order)) for i in range(3)),
+        regression=dataclasses.replace(
+            cfg.regression, ar_init=tuple(tuple(0.2 * (q - i) for q in range(order)) for i in range(3))),
+    )
+
+
 # SHA-256 over each record's arrays and bound report, run by run, at SCHEMA 5
 @pytest.mark.parametrize("cfg, digest", [
     pytest.param(_regret_without(sigma_f=0.0),
@@ -237,6 +271,18 @@ def _kinds(graph_kind, regression_kind, horizon, **noise):
     pytest.param(_kinds("fixed", "bernoulli-failure", 520, sigma_f=0.0),
                  "238d139122dd563eb4d479f424537e488e0d2a1bf94186c46ea5ad1050a130f4",
                  id="fixed-bernoulli-sigma_f=0-3x520"),
+    pytest.param(dataclasses.replace(_diverging(400), runs=2),
+                 "82f75b8eb6c0aa1154f6a5713db82dd0a6313a4b49e0559526efe8160b3a8af7",
+                 id="diverging-2x400"),
+    pytest.param(_unobserved_third(600),
+                 "50fd72ca9b231b632d91a449cea431ef266d7c8936c530f68270e9c872a23d93",
+                 id="setting-i-unobserved-third-2x600"),
+    pytest.param(_ar(1, 1100),
+                 "5bfc00ae324901c64e33a7805fdb2d23abc46590ba8a856c0275c2ab3bc83c55",
+                 id="fixed-ar-order-1-3x1100"),
+    pytest.param(_ar(4, 400),
+                 "b7269ceea8d9b0e42d7fc563d3e330dd0ad5d118f36def6d62a9647f2f50e3a8",
+                 id="fixed-ar-order-4-3x400"),
 ])
 def test_records_pin_the_stream(cfg, digest):
     """The streams that the artifact pin above does not reach: two runs
@@ -245,7 +291,10 @@ def test_records_pin_the_stream(cfg, digest):
     chunk holds the horizon row alone or with the row before it, and three
     runs of Markov and fixed graphs with fixed, bernoulli-failure and
     ar-driven regressions, without measurement noise and without link
-    noise, each over two chunks."""
+    noise, each over two chunks.  Then the streams that a sparse build of
+    the operator or a change in how the loop sums the link distances could
+    move: a diverging batch (NaN bytes), an exactly-zero unobserved
+    component, and ar-driven runs of one and four components."""
     d = hashlib.sha256()
     for rec in run_trajectories(cfg, range(cfg.runs)):
         for arr in (rec.v, rec.err_norms, rec.est_norms, rec.excess_losses, rec.x_final):
