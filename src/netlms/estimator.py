@@ -445,13 +445,64 @@ def _default_chunk(runs: int, nodes: int, dim: int, rows: int) -> int:
     return max(16, (_CHUNK_FLOATS - scratch) // (runs * _step_floats(nodes, dim, rows)))
 
 
-def _fused_operator(model, link_noise, start, adj, h, y, xi):
+def _gram_rows(regression: RegressionProcess):
+    """How :func:`_fused_operator` builds each node's ``H_i^T H_i`` from
+    :attr:`regression.RegressionProcess.support`, worked out once per
+    call: per node, ``(row, cols, first)`` for each of its rows with a
+    supported cell, in row order, where ``cols`` slices the row from its
+    first to its last supported column and ``first`` says that no earlier
+    row wrote into the ``cols x cols`` block, so the row's outer product
+    is written there instead of added.  Also returns whether some entry
+    of some block is written by no ``first`` row and must start at zero."""
+    support, offsets = regression.support, regression.offsets
+    plan, gaps = [], False
+    for lo, hi in zip(offsets[:-1], offsets[1:]):
+        written = np.zeros((regression.dim,) * 2, dtype=bool)
+        rows = []
+        for row in range(lo, hi):
+            cols = np.flatnonzero(support[row])
+            if cols.size:
+                block = slice(cols[0], cols[-1] + 1)
+                first = not written[block, block].any()
+                written[block, block] |= first
+                rows.append((row, block, first))
+        plan.append(rows)
+        gaps |= not written.all()
+    return plan, gaps
+
+
+def _fused_operator(model, link_noise, start, adj, h, y, xi, gram_rows):
     """``op[s, p, k]``, the weight of slot ``s`` of output ``p = q' N + i``
     at step ``start + k`` (see :func:`simulate`), for every step of a
     chunk.  It is built and returned with steps and runs last, so each
     call below writes ``K * R`` contiguous values; the step loop copies it
     steps first, a sub-block at a time.  Scales ``xi`` in place without
-    link noise."""
+    link noise.
+
+    The own blocks ``(1 - lam) I - a H_i^T H_i`` read only the regressor
+    cells that the law can make nonzero (``gram_rows``, from
+    :func:`_gram_rows`): each row of ``H_i`` writes or adds its outer
+    product over the columns from its first to its last supported cell,
+    in row order, and an entry that no row writes starts at zero.  In the
+    presets that is 4 products per run-step instead of 72.  A skipped
+    product pairs an unsupported cell, the same signed zero in every
+    draw, with a finite cell (fixed and bernoulli-failure matrices are
+    checked finite, entrywise-uniform laws whose cells could overflow are
+    rejected, ar-driven supports every cell), so it is an exact zero, and
+    every entry equals the dense row-by-row sum but that a zero entry may
+    carry the other sign.  No such sign reaches a state while ``a(k) >
+    0``.  Times an inf or NaN state a zero weight gives NaN either way.
+    Times a finite state it adds a zero to the output's slot sum, which
+    can move only the sign of a sum that ends at zero; the sum's last
+    term is the exogenous slot ``a S1 + b bias S2``, where ``S1`` and
+    ``S2`` come from :func:`linalg.ordered_sum`, whose first step adds
+    ``+0.0``, so neither is ``-0``; with ``a > 0`` the slot is then never
+    ``-0`` (short of an underflowing product), and a zero sum ends at
+    ``+0`` whatever the signs before it.  At a step with ``a(k) = 0``
+    the sign of an exactly-zero state component could move, which the
+    statistics and the bound checks read only through squares.  The
+    innovation ``a H_i^T y_i`` stays dense, because a measurement can
+    overflow."""
     n_nodes, dim = model.init.shape
     slots = dim + n_nodes * (2 if link_noise else 1) + 1
     count, runs = adj.shape[0], adj.shape[-1]
@@ -462,21 +513,28 @@ def _fused_operator(model, link_noise, start, adj, h, y, xi):
     adj_t = adj.transpose(2, 1, 0, 3)
     ht = h.transpose(1, 2, 0, 3)
     yt = y.transpose(1, 0, 2)
+    # own[q, q', i] = entry (q', q) of (1 - lam) I - a H_i^T H_i; H_i^T H_i
+    # is exactly symmetric, so the transpose is free
+    own = op[:dim]
+    plan, gaps = gram_rows
+    if gaps:
+        own.fill(0.0)
+    for i, rows in enumerate(plan):
+        # row by row, in order: the Gram's outer products stay small
+        for row, cols, first in rows:
+            u = ht[row, cols]
+            if first:
+                np.multiply(u[:, None], u[None, :], out=own[cols, cols, i])
+            else:
+                own[cols, cols, i] += u[:, None] * u[None, :]
+    own *= -a
+    own[comp_diag, comp_diag] += 1.0 - lam
     # -b L_ik: b a_ik off the diagonal, -b sum_j a_ij on it
     consensus = op[dim : dim + n_nodes]
     np.multiply(adj_t[:, None], b, out=consensus)
     degree = ordered_sum(adj_t, 0)
     offsets = model.regression.offsets
     for i, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:])):
-        # own[q, q'] = entry (q', q) of (1 - lam) I - a H_i^T H_i;
-        # H_i^T H_i is exactly symmetric, so the transpose is free
-        own = op[:dim, :, i]
-        # row by row, in order: the Gram's outer products stay small
-        np.multiply(ht[lo, :, None], ht[lo, None, :], out=own)
-        for row in range(lo + 1, hi):
-            own += ht[row, :, None] * ht[row, None, :]
-        own *= -a
-        own[comp_diag, comp_diag] += 1.0 - lam
         np.multiply(degree[i], -b, out=consensus[i, :, i])
         np.multiply(ordered_sum(ht[lo:hi] * yt[lo:hi, None], 0), a, out=op[-1, :, i])
     # link noise sum_j a_ij f_ij xi_ij: its bias part is exogenous
@@ -539,15 +597,19 @@ def simulate(
     The operator is built with steps and runs last; the step loop copies
     it, :func:`_scratch_steps` steps at a time, into a fixed steps-first
     scratch, so each step reads its weights as one contiguous ``(slots,
-    n N R)`` row.  A step is then eight numpy calls, three without link
-    noise: one take of ``x_k[q]`` and ``x_i[q]`` for every pair into a
-    buffer, their difference and its square on the flat buffer, an
-    in-order sum over the components into the flat distance rows of
-    ``z`` and a square root (the link-noise part); then one take of ``z``
-    into the operator's slots, one multiply with the step's row and one
-    ordered sum over the slots into the flat next state.  The values of a
-    run depend neither on the block or sub-block size nor on the other
-    runs of the batch.
+    n N R)`` row.  A step is then three numpy calls without link noise
+    and seven to nine with it.  The link-noise part takes ``x_k[q]`` and
+    ``x_i[q]`` for every pair into a buffer, and squares their difference
+    on the flat buffer.  It sums the squares over the components, in
+    order, into the flat distance rows of ``z``, and takes the square
+    root there.  That sum is chosen once per call: with one component
+    the square is written into the distance rows; with two or three,
+    one or two ``np.add`` calls chain the rows; beyond three, one
+    ``np.add.reduce``, which adds the rows in the same order, is the
+    cheaper call.  Then one take of ``z`` into the operator's slots, one
+    multiply with the step's row and one ordered sum over the slots
+    give the flat next state.  The values of a run depend neither on the
+    block or sub-block size nor on the other runs of the batch.
 
     Every row of a chunk goes through the loop, the last row of a horizon
     too: its update lands in ``z``'s spare row, which nothing reads, so
@@ -623,6 +685,12 @@ def simulate(
     pairs = np.empty((2, dim * n_nodes * n_nodes, runs))
     sender_x, receiver_x = pairs.reshape(2, -1)
     sq_diff = sender_x.reshape(dim, -1)
+    # the in-order sum of the squared differences over the components into
+    # the distance rows, chosen once: one component's squared row is the
+    # sum; up to three, in-order adds cost less than one reduce, which is
+    # the cheaper call beyond
+    chained = 1 < dim <= 3
+    sq_first, sq_second, sq_third = (*sq_diff[:3], None, None)[:3]
     # scratch[k] holds the operator of one step of a sub-block as one row
     sub = _scratch_steps(runs, n_nodes, dim)
     scratch = np.empty((sub, slots, width, runs))
@@ -633,6 +701,7 @@ def simulate(
     graph_state = None
     ar_hist = None if model.ar_init is None else np.repeat(model.ar_init[:, :, None], runs, axis=2)
     tally = BoundTally(runs) if check_bounds else None
+    gram_rows = _gram_rows(rp)
     carry_excess = np.zeros((n_nodes, runs))
     # the draw slabs, runs first: run r draws each chunk into row r, and the
     # chunk reads the rows' first count steps as one runs-last view
@@ -668,7 +737,7 @@ def simulate(
         # keyword out costs about 0.7 us per call and np.take's wrapper
         # about 2 us
         take, subtract, square, sqrt, multiply = np.ndarray.take, np.subtract, np.square, np.sqrt, np.multiply
-        add = np.add.reduce
+        add, add_reduce = np.add, np.add.reduce
         for lo in range(0, len(op), sub):
             block = op[lo : lo + sub]
             np.copyto(scratch[: len(block)], block)
@@ -676,12 +745,20 @@ def simulate(
                 if link_noise:
                     take(z_j, pair_rows, 0, pairs, "clip")
                     subtract(sender_x, receiver_x, sender_x)
-                    square(sender_x, sender_x)
-                    add(sq_diff, 0, None, dist)
+                    if chained:
+                        square(sender_x, sender_x)
+                        add(sq_first, sq_second, dist)
+                        if sq_third is not None:
+                            add(dist, sq_third, dist)
+                    elif dim == 1:
+                        square(sender_x, dist)
+                    else:
+                        square(sender_x, sender_x)
+                        add_reduce(sq_diff, 0, None, dist)
                     sqrt(dist, dist)
                 take(z_j, gather, 0, gathered, "clip")
                 multiply(op_j, flat_gathered, flat_gathered)
-                add(flat_gathered, 0, None, next_x)
+                add_reduce(flat_gathered, 0, None, next_x)
         return z
 
     def run_chunk(start, x, graph_state, ar_hist, carry_excess):
@@ -702,7 +779,7 @@ def simulate(
             model.channel.fill(g, row[:count])
         # channel noise indexed (step, sender j, component, receiver i, run)
         xi = channel_draws[:, :count].transpose(1, 3, 4, 2, 0)
-        z = run_steps(_fused_operator(model, link_noise, start, adj, h, y, xi), x)
+        z = run_steps(_fused_operator(model, link_noise, start, adj, h, y, xi, gram_rows), x)
         # only the operator reads y; the statistics below peak without it
         del y
         x = z[min(count, horizon - start), :width].reshape(dim, n_nodes, runs).copy()

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
@@ -85,6 +86,22 @@ class RegressionProcess:
     def total_rows(self) -> int:
         return sum(self.node_dims)
 
+    @cached_property
+    def support(self) -> np.ndarray:
+        """``(sum n_i, n)`` boolean over the stacked regressor cells, stated
+        once per law: True where a draw can be nonzero.  That is ``h != 0``
+        for fixed, ``base != 0 | coef != 0`` for entrywise-uniform, ``coef
+        != 0`` for bernoulli-failure and every cell for ar-driven.  Every
+        other cell is a zero in every draw, the signed zero that the law
+        states, so its product with a finite entry is an exact zero."""
+        if self.kind == "fixed":
+            return np.concatenate(self.h_nodes) != 0
+        if self.kind == "entrywise-uniform":
+            return (np.concatenate(self.base) != 0) | (np.concatenate(self.coef) != 0)
+        if self.kind == "bernoulli-failure":
+            return np.concatenate(self.coef) != 0
+        return np.ones((self.total_rows, self.dim), dtype=bool)
+
 
 def _check_h_list(h_list, name: str) -> tuple[tuple[np.ndarray, ...], int]:
     mats = tuple(as_matrix(h, f"{name}[{i}]") for i, h in enumerate(h_list))
@@ -122,6 +139,13 @@ def entrywise_uniform_regression(base, coef, low: float = 0.0, high: float = 1.0
             raise InvalidInputError("base and coef must be equally shaped lists")
     if not (np.isfinite(low) and np.isfinite(high)) or low > high:
         raise InvalidInputError("need finite low <= high")
+    # every drawn cell, base + coef (low + u (high - low)), must stay finite
+    with np.errstate(over="ignore"):
+        if not np.isfinite(np.float64(high) - low):
+            raise InvalidInputError("need a finite high - low")
+        reach = max(abs(low), abs(high))
+        if not all(np.isfinite(np.abs(b) + np.abs(c) * reach).all() for b, c in zip(bases, coefs)):
+            raise InvalidInputError("cells can overflow: need a finite |base| + |coef| max(|low|, |high|)")
     return RegressionProcess(
         kind="entrywise-uniform",
         nodes=len(bases),

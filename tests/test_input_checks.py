@@ -1,6 +1,7 @@
 """Every library input check raises its own error class with its own
 message: one table, one row per check that no other test reaches."""
 
+import dataclasses
 import os
 import re
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from netlms.config import get_preset
-from netlms.errors import InvalidInputError, UnsupportedAnalyticError
+from netlms.errors import ConfigError, InvalidInputError, UnsupportedAnalyticError
 from netlms.estimator import (
     GainSchedule,
     SimulationModel,
@@ -63,6 +64,15 @@ ZERO = NoiseIntensity(0.0, 0.0)
 
 def _rng():
     return np.random.default_rng(0)
+
+
+def _huge_setting_i():
+    """setting-i with coef scaled by 1e308 and high = 10: its cells reach
+    1e309, so every run would be NaN from the first step."""
+    cfg = get_preset("setting-i")
+    reg = cfg.regression
+    coef = tuple(tuple(tuple(1e308 * v for v in row) for row in m) for m in reg.coef)
+    return dataclasses.replace(cfg, regression=dataclasses.replace(reg, coef=coef, high=10.0))
 
 
 INPUT_ERRORS = [
@@ -131,6 +141,19 @@ INPUT_ERRORS = [
                  InvalidInputError, "base and coef must be equally shaped lists", id="uniform-shapes"),
     pytest.param(lambda: entrywise_uniform_regression([np.eye(2)], [np.eye(2)], 1.0, 0.0),
                  InvalidInputError, "need finite low <= high", id="uniform-range"),
+    pytest.param(lambda: entrywise_uniform_regression([np.eye(2)], [np.eye(2)], -1e308, 1e308),
+                 InvalidInputError, "need a finite high - low", id="uniform-range-overflow"),
+    pytest.param(lambda: entrywise_uniform_regression([np.eye(2)], [1e308 * np.eye(2)], 0.0, 10.0),
+                 InvalidInputError,
+                 "cells can overflow: need a finite |base| + |coef| max(|low|, |high|)",
+                 id="uniform-cell-overflow"),
+    pytest.param(lambda: entrywise_uniform_regression([[[1e308, 0.0]]], [[[1e308, 0.0]]]),
+                 InvalidInputError,
+                 "cells can overflow: need a finite |base| + |coef| max(|low|, |high|)",
+                 id="uniform-base-overflow"),
+    pytest.param(lambda: _huge_setting_i(), ConfigError,
+                 "[regression] cells can overflow: need a finite |base| + |coef| max(|low|, |high|)",
+                 id="setting-i-cell-overflow"),
     pytest.param(lambda: ar_driven_regression(1, 0), InvalidInputError,
                  "nodes and order must be positive", id="ar-order"),
     pytest.param(lambda: ar_driven_regression(2.5, 1.9), InvalidInputError,
