@@ -446,24 +446,26 @@ def _default_chunk(runs: int, nodes: int, dim: int, rows: int) -> int:
 
 
 def _gram_rows(regression: RegressionProcess):
-    """How :func:`_fused_operator` builds each node's ``H_i^T H_i`` from
-    :attr:`regression.RegressionProcess.support`, worked out once per
-    call: per node, ``(row, cols, first)`` for each of its rows with a
-    supported cell, in row order, where ``cols`` slices the row from its
-    first to its last supported column and ``first`` says that no earlier
-    row wrote into the ``cols x cols`` block, so the row's outer product
-    is written there instead of added.  Also returns whether some entry
-    of some block is written by no ``first`` row and must start at zero."""
+    """The plan of :func:`_fused_operator`'s own blocks, made once per
+    call from :attr:`regression.RegressionProcess.support`: per node, one
+    ``(row, cols, first)`` for each row with a supported cell, in row
+    order.  ``cols`` slices the row from its first to its last supported
+    column; ``first`` is true when no earlier row wrote into the ``cols x
+    cols`` block, so the row's outer product is written there, not added.
+    ``gaps`` is true when some entry is written by no ``first`` row and
+    must start at zero."""
     support, offsets = regression.support, regression.offsets
     plan, gaps = [], False
     for lo, hi in zip(offsets[:-1], offsets[1:]):
-        written = np.zeros((regression.dim,) * 2, dtype=bool)
+        # entries that some row reached, and those that a first row wrote
+        reached, written = np.zeros((2, regression.dim, regression.dim), dtype=bool)
         rows = []
         for row in range(lo, hi):
             cols = np.flatnonzero(support[row])
             if cols.size:
                 block = slice(cols[0], cols[-1] + 1)
-                first = not written[block, block].any()
+                first = not reached[block, block].any()
+                reached[block, block] = True
                 written[block, block] |= first
                 rows.append((row, block, first))
         plan.append(rows)
@@ -480,29 +482,29 @@ def _fused_operator(model, link_noise, start, adj, h, y, xi, gram_rows):
     link noise.
 
     The own blocks ``(1 - lam) I - a H_i^T H_i`` read only the regressor
-    cells that the law can make nonzero (``gram_rows``, from
-    :func:`_gram_rows`): each row of ``H_i`` writes or adds its outer
-    product over the columns from its first to its last supported cell,
-    in row order, and an entry that no row writes starts at zero.  In the
-    presets that is 4 products per run-step instead of 72.  A skipped
-    product pairs an unsupported cell, the same signed zero in every
-    draw, with a finite cell (fixed and bernoulli-failure matrices are
-    checked finite, entrywise-uniform laws whose cells could overflow are
-    rejected, ar-driven supports every cell), so it is an exact zero, and
-    every entry equals the dense row-by-row sum but that a zero entry may
-    carry the other sign.  No such sign reaches a state while ``a(k) >
-    0``.  Times an inf or NaN state a zero weight gives NaN either way.
-    Times a finite state it adds a zero to the output's slot sum, which
-    can move only the sign of a sum that ends at zero; the sum's last
-    term is the exogenous slot ``a S1 + b bias S2``, where ``S1`` and
-    ``S2`` come from :func:`linalg.ordered_sum`, whose first step adds
-    ``+0.0``, so neither is ``-0``; with ``a > 0`` the slot is then never
-    ``-0`` (short of an underflowing product), and a zero sum ends at
-    ``+0`` whatever the signs before it.  At a step with ``a(k) = 0``
-    the sign of an exactly-zero state component could move, which the
-    statistics and the bound checks read only through squares.  The
-    innovation ``a H_i^T y_i`` stays dense, because a measurement can
-    overflow."""
+    cells that the law can make nonzero (see :func:`_gram_rows`): each
+    row of ``H_i`` writes or adds its outer product over the columns from
+    its first to its last supported cell, in row order, and an entry that
+    no row writes starts at zero.  In the presets that is 4 products per
+    run-step instead of 72.  A skipped product pairs an unsupported cell,
+    the same signed zero in every draw, with a finite cell (fixed and
+    bernoulli-failure matrices are checked finite, entrywise-uniform laws
+    whose cells could overflow are rejected, ar-driven supports every
+    cell), so it is an exact zero.  Every entry is then the dense
+    row-by-row sum, but that a zero entry may carry the other sign.
+
+    Such a sign reaches no state while ``a(k) > 0``.  Times an inf or NaN
+    state a zero weight gives NaN either way.  Times a finite state it
+    adds a zero to the output's slot sum, which can move only the sign of
+    a sum that ends at zero.  The sum's last term is the exogenous slot
+    ``a S1 + b bias S2``, and ``S1`` and ``S2`` come from
+    :func:`linalg.ordered_sum`, whose first step adds ``+0.0``, so
+    neither is ``-0``.  With ``a > 0`` the slot is never ``-0`` either
+    (short of an underflowing product), and a zero sum ends at ``+0``.
+    At a step with ``a(k) = 0`` the sign of an exactly-zero state
+    component could move; the statistics and the bound checks read the
+    states only through squares.  The innovation ``a H_i^T y_i`` stays
+    dense, because a measurement can overflow."""
     n_nodes, dim = model.init.shape
     slots = dim + n_nodes * (2 if link_noise else 1) + 1
     count, runs = adj.shape[0], adj.shape[-1]
@@ -688,9 +690,9 @@ def simulate(
     # the in-order sum of the squared differences over the components into
     # the distance rows, chosen once: one component's squared row is the
     # sum; up to three, in-order adds cost less than one reduce, which is
-    # the cheaper call beyond
+    # the cheaper call beyond.  sq_third is None for two components.
     chained = 1 < dim <= 3
-    sq_first, sq_second, sq_third = (*sq_diff[:3], None, None)[:3]
+    sq_first, sq_second, sq_third = [*sq_diff[:3], None, None][:3]
     # scratch[k] holds the operator of one step of a sub-block as one row
     sub = _scratch_steps(runs, n_nodes, dim)
     scratch = np.empty((sub, slots, width, runs))

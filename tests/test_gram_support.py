@@ -154,3 +154,24 @@ def test_support_build_matches_the_dense_gram_on_zero_masks(data):
                          lambda_coef=data.draw(st.sampled_from([0.3, 3.0])), lambda_exp=2.0),
     )
     _assert_support_build_is_the_dense_one(cfg, data.draw(st.integers(1, 3)))
+
+
+@pytest.mark.parametrize("rows", [
+    pytest.param(((1.0, 0.0, 0.0), (1.0, -1.0, 0.0), (0.0, 0.5, 0.0)), id="overlap-then-inside"),
+    pytest.param(((0.0, 0.0, 1.0), (1.0, 0.0, 1.0), (0.0, -1.0, 0.0)), id="gap-column"),
+    pytest.param(((1.0, 1.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.5, 1.0)), id="overlap-after-first"),
+])
+@pytest.mark.parametrize("kind", ["fixed", "entrywise-uniform"])
+def test_support_build_matches_the_dense_gram_on_overlapping_rows(rows, kind):
+    """Rows whose supported columns overlap in every order: a row that
+    adds into a block written in part before, followed by a row inside
+    it, and a row whose support skips a column."""
+    cfg = _kind_config("iid-uniform", "fixed")
+    other = ((1.0, 0.0, 0.0),)
+    mats = (rows, other, other)
+    reg = (RegressionConfig(kind="fixed", h_nodes=mats) if kind == "fixed" else
+           RegressionConfig(kind="entrywise-uniform", base=mats, coef=mats, low=-0.5, high=0.5))
+    cfg = dataclasses.replace(cfg, dim=3, node_dims=(3, 1, 1), x0=(2.0, -1.0, 0.5),
+                              init=((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (-1.0, 2.0, 1.0)),
+                              regression=reg, horizon=30)
+    _assert_support_build_is_the_dense_one(cfg, 2)
