@@ -93,14 +93,18 @@ class RegressionProcess:
         for fixed, ``base != 0 | coef != 0`` for entrywise-uniform, ``coef
         != 0`` for bernoulli-failure and every cell for ar-driven.  Every
         other cell is a zero in every draw, the signed zero that the law
-        states, so its product with a finite entry is an exact zero."""
+        states, so its product with a finite entry is an exact zero.  The
+        array is read-only, since every caller shares it."""
         if self.kind == "fixed":
-            return np.concatenate(self.h_nodes) != 0
-        if self.kind == "entrywise-uniform":
-            return (np.concatenate(self.base) != 0) | (np.concatenate(self.coef) != 0)
-        if self.kind == "bernoulli-failure":
-            return np.concatenate(self.coef) != 0
-        return np.ones((self.total_rows, self.dim), dtype=bool)
+            support = np.concatenate(self.h_nodes) != 0
+        elif self.kind == "entrywise-uniform":
+            support = (np.concatenate(self.base) != 0) | (np.concatenate(self.coef) != 0)
+        elif self.kind == "bernoulli-failure":
+            support = np.concatenate(self.coef) != 0
+        else:
+            support = np.ones((self.total_rows, self.dim), dtype=bool)
+        support.flags.writeable = False
+        return support
 
 
 def _check_h_list(h_list, name: str) -> tuple[tuple[np.ndarray, ...], int]:

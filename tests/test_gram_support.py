@@ -34,7 +34,7 @@ def test_support_of_each_kind():
     coef = [[[0.0, 2.0, -0.0], [0.0, 0.0, 0.0]], [[0.0, 0.0, 0.5]]]
     got = entrywise_uniform_regression(base, coef).support
     assert np.array_equal(got, [[False, True, True], [True, False, False], [False, False, True]])
-    assert got.dtype == bool
+    assert got.dtype == bool and not got.flags.writeable
     assert np.array_equal(ar_driven_regression(2, 3).support, np.ones((2, 3), dtype=bool))
 
 
