@@ -448,29 +448,18 @@ def _default_chunk(runs: int, nodes: int, dim: int, rows: int) -> int:
 def _gram_rows(regression: RegressionProcess):
     """The plan of :func:`_fused_operator`'s own blocks, made once per
     call from :attr:`regression.RegressionProcess.support`: per node, one
-    ``(row, cols, first)`` for each row with a supported cell, in row
-    order.  ``cols`` slices the row from its first to its last supported
-    column; ``first`` is true when no earlier row wrote into the ``cols x
-    cols`` block, so the row's outer product is written there, not added.
-    ``gaps`` is true when some entry is written by no ``first`` row and
-    must start at zero."""
+    ``(row, cols)`` for each row with a supported cell, in row order.
+    ``cols`` slices the row from its first to its last supported column."""
     support, offsets = regression.support, regression.offsets
-    plan, gaps = [], False
+    plan = []
     for lo, hi in zip(offsets[:-1], offsets[1:]):
-        # entries that some row reached, and those that a first row wrote
-        reached, written = np.zeros((2, regression.dim, regression.dim), dtype=bool)
         rows = []
         for row in range(lo, hi):
             cols = np.flatnonzero(support[row])
             if cols.size:
-                block = slice(cols[0], cols[-1] + 1)
-                first = not reached[block, block].any()
-                reached[block, block] = True
-                written[block, block] |= first
-                rows.append((row, block, first))
+                rows.append((row, slice(cols[0], cols[-1] + 1)))
         plan.append(rows)
-        gaps |= not written.all()
-    return plan, gaps
+    return plan
 
 
 def _fused_operator(model, link_noise, start, adj, h, y, xi, gram_rows):
@@ -482,29 +471,24 @@ def _fused_operator(model, link_noise, start, adj, h, y, xi, gram_rows):
     link noise.
 
     The own blocks ``(1 - lam) I - a H_i^T H_i`` read only the regressor
-    cells that the law can make nonzero (see :func:`_gram_rows`): each
-    row of ``H_i`` writes or adds its outer product over the columns from
-    its first to its last supported cell, in row order, and an entry that
-    no row writes starts at zero.  In the presets that is 4 products per
-    run-step instead of 72.  A skipped product pairs an unsupported cell,
-    the same signed zero in every draw, with a finite cell (fixed and
-    bernoulli-failure matrices are checked finite, entrywise-uniform laws
-    whose cells could overflow are rejected, ar-driven supports every
-    cell), so it is an exact zero.  Every entry is then the dense
+    cells that the law can make nonzero (see :func:`_gram_rows`): every
+    entry starts at zero, and each row of ``H_i`` adds its outer product
+    over the columns from its first to its last supported cell, in row
+    order.  In the presets that is 4 products per run-step instead of 72.
+    A skipped product pairs an unsupported cell, the same signed zero in
+    every draw, with a finite cell (fixed and bernoulli-failure matrices
+    are checked finite, entrywise-uniform laws whose cells could overflow
+    are rejected, ar-driven supports every cell), so it is an exact
+    zero.  Every entry is then the dense
     row-by-row sum, but that a zero entry may carry the other sign.
 
-    Such a sign reaches no state while ``a(k) > 0``.  Times an inf or NaN
-    state a zero weight gives NaN either way.  Times a finite state it
-    adds a zero to the output's slot sum, which can move only the sign of
-    a sum that ends at zero.  The sum's last term is the exogenous slot
-    ``a S1 + b bias S2``, and ``S1`` and ``S2`` come from
-    :func:`linalg.ordered_sum`, whose first step adds ``+0.0``, so
-    neither is ``-0``.  With ``a > 0`` the slot is never ``-0`` either
-    (short of an underflowing product), and a zero sum ends at ``+0``.
-    At a step with ``a(k) = 0`` the sign of an exactly-zero state
-    component could move; the statistics and the bound checks read the
-    states only through squares.  The innovation ``a H_i^T y_i`` stays
-    dense, because a measurement can overflow."""
+    Such a sign reaches no state, whatever ``a(k)``.  Times an inf or
+    NaN state a zero weight gives NaN either way.  Times a finite state it
+    gives a zero term of the output's slot sum.  The step loop makes that
+    sum with ``np.add.reduce``, which starts from add's identity ``+0.0``,
+    so no partial sum is ``-0`` and a zero term leaves every one as it
+    is.  The innovation ``a H_i^T y_i`` stays dense, because a
+    measurement can overflow."""
     n_nodes, dim = model.init.shape
     slots = dim + n_nodes * (2 if link_noise else 1) + 1
     count, runs = adj.shape[0], adj.shape[-1]
@@ -518,17 +502,12 @@ def _fused_operator(model, link_noise, start, adj, h, y, xi, gram_rows):
     # own[q, q', i] = entry (q', q) of (1 - lam) I - a H_i^T H_i; H_i^T H_i
     # is exactly symmetric, so the transpose is free
     own = op[:dim]
-    plan, gaps = gram_rows
-    if gaps:
-        own.fill(0.0)
-    for i, rows in enumerate(plan):
+    own.fill(0.0)
+    for i, rows in enumerate(gram_rows):
         # row by row, in order: the Gram's outer products stay small
-        for row, cols, first in rows:
+        for row, cols in rows:
             u = ht[row, cols]
-            if first:
-                np.multiply(u[:, None], u[None, :], out=own[cols, cols, i])
-            else:
-                own[cols, cols, i] += u[:, None] * u[None, :]
+            own[cols, cols, i] += u[:, None] * u[None, :]
     own *= -a
     own[comp_diag, comp_diag] += 1.0 - lam
     # -b L_ik: b a_ik off the diagonal, -b sum_j a_ij on it

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
@@ -86,25 +85,21 @@ class RegressionProcess:
     def total_rows(self) -> int:
         return sum(self.node_dims)
 
-    @cached_property
+    @property
     def support(self) -> np.ndarray:
         """``(sum n_i, n)`` boolean over the stacked regressor cells, stated
         once per law: True where a draw can be nonzero.  That is ``h != 0``
         for fixed, ``base != 0 | coef != 0`` for entrywise-uniform, ``coef
         != 0`` for bernoulli-failure and every cell for ar-driven.  Every
         other cell is a zero in every draw, the signed zero that the law
-        states, so its product with a finite entry is an exact zero.  The
-        array is read-only, since every caller shares it."""
+        states, so its product with a finite entry is an exact zero."""
         if self.kind == "fixed":
-            support = np.concatenate(self.h_nodes) != 0
-        elif self.kind == "entrywise-uniform":
-            support = (np.concatenate(self.base) != 0) | (np.concatenate(self.coef) != 0)
-        elif self.kind == "bernoulli-failure":
-            support = np.concatenate(self.coef) != 0
-        else:
-            support = np.ones((self.total_rows, self.dim), dtype=bool)
-        support.flags.writeable = False
-        return support
+            return np.concatenate(self.h_nodes) != 0
+        if self.kind == "entrywise-uniform":
+            return (np.concatenate(self.base) != 0) | (np.concatenate(self.coef) != 0)
+        if self.kind == "bernoulli-failure":
+            return np.concatenate(self.coef) != 0
+        return np.ones((self.total_rows, self.dim), dtype=bool)
 
 
 def _check_h_list(h_list, name: str) -> tuple[tuple[np.ndarray, ...], int]:

