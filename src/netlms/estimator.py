@@ -579,18 +579,18 @@ def simulate(
     it, :func:`_scratch_steps` steps at a time, into a fixed steps-first
     scratch, so each step reads its weights as one contiguous ``(slots,
     n N R)`` row.  A step is then three numpy calls without link noise
-    and seven to nine with it.  The link-noise part takes ``x_k[q]`` and
+    and eight or nine with it.  The link-noise part takes ``x_k[q]`` and
     ``x_i[q]`` for every pair into a buffer, and squares their difference
     on the flat buffer.  It sums the squares over the components, in
     order, into the flat distance rows of ``z``, and takes the square
-    root there.  That sum is chosen once per call: with one component
-    the square is written into the distance rows; with two or three,
-    one or two ``np.add`` calls chain the rows; beyond three, one
-    ``np.add.reduce``, which adds the rows in the same order, is the
-    cheaper call.  Then one take of ``z`` into the operator's slots, one
-    multiply with the step's row and one ordered sum over the slots
-    give the flat next state.  The values of a run depend neither on the
-    block or sub-block size nor on the other runs of the batch.
+    root there.  With three components, the measured case, two chained
+    ``np.add`` calls make that sum, which costs less than the one
+    ``np.add.reduce`` that makes it otherwise; a reduce over the leading
+    axis adds the rows in the same order, so both give the same floats.
+    Then one take of ``z`` into the operator's slots, one multiply with
+    the step's row and one ordered sum over the slots give the flat next
+    state.  The values of a run depend neither on the block or sub-block
+    size nor on the other runs of the batch.
 
     Every row of a chunk goes through the loop, the last row of a horizon
     too: its update lands in ``z``'s spare row, which nothing reads, so
@@ -666,12 +666,10 @@ def simulate(
     pairs = np.empty((2, dim * n_nodes * n_nodes, runs))
     sender_x, receiver_x = pairs.reshape(2, -1)
     sq_diff = sender_x.reshape(dim, -1)
-    # the in-order sum of the squared differences over the components into
-    # the distance rows, chosen once: one component's squared row is the
-    # sum; up to three, in-order adds cost less than one reduce, which is
-    # the cheaper call beyond.  sq_third is None for two components.
-    chained = 1 < dim <= 3
-    sq_first, sq_second, sq_third = [*sq_diff[:3], None, None][:3]
+    # with three components, two in-order adds sum the squared differences
+    # into the distance rows for less than one reduce
+    chained = dim == 3
+    sq_first, sq_second, sq_third = sq_diff if chained else (None, None, None)
     # scratch[k] holds the operator of one step of a sub-block as one row
     sub = _scratch_steps(runs, n_nodes, dim)
     scratch = np.empty((sub, slots, width, runs))
@@ -726,15 +724,11 @@ def simulate(
                 if link_noise:
                     take(z_j, pair_rows, 0, pairs, "clip")
                     subtract(sender_x, receiver_x, sender_x)
+                    square(sender_x, sender_x)
                     if chained:
-                        square(sender_x, sender_x)
                         add(sq_first, sq_second, dist)
-                        if sq_third is not None:
-                            add(dist, sq_third, dist)
-                    elif dim == 1:
-                        square(sender_x, dist)
+                        add(dist, sq_third, dist)
                     else:
-                        square(sender_x, sender_x)
                         add_reduce(sq_diff, 0, None, dist)
                     sqrt(dist, dist)
                 take(z_j, gather, 0, gathered, "clip")
