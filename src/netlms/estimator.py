@@ -471,15 +471,16 @@ def _fused_operator(model, link_noise, start, adj, h, y, xi, gram_rows):
     link noise.
 
     The own blocks ``(1 - lam) I - a H_i^T H_i`` read only the regressor
-    cells that the law can make nonzero (see :func:`_gram_rows`): every
-    entry starts at zero, and each row of ``H_i`` adds its outer product
-    over the columns from its first to its last supported cell, in row
-    order.  In the presets that is 4 products per run-step instead of 72.
-    A skipped product pairs an unsupported cell, the same signed zero in
-    every draw, with a finite cell (fixed and bernoulli-failure matrices
-    are checked finite, entrywise-uniform laws whose cells could overflow
-    are rejected, ar-driven supports every cell), so it is an exact
-    zero.  Every entry is then the dense
+    cells that the law can make nonzero (see :func:`_gram_rows`).  Every
+    entry starts at zero.  Each row of ``H_i`` with a supported cell, in
+    row order, puts its outer product over the columns from its first to
+    its last supported cell: the node's first such row writes it, and
+    every later row adds it.  In the presets that is 4 products per
+    run-step instead of 72.  A skipped product pairs an unsupported cell,
+    the same signed zero in every draw, with a finite cell (fixed and
+    bernoulli-failure matrices are checked finite, entrywise-uniform laws
+    whose cells could overflow are rejected, ar-driven supports every
+    cell), so it is an exact zero.  Every entry is then the dense
     row-by-row sum, but that a zero entry may carry the other sign.
 
     Such a sign reaches no state, whatever ``a(k)``.  Times an inf or
@@ -504,10 +505,15 @@ def _fused_operator(model, link_noise, start, adj, h, y, xi, gram_rows):
     own = op[:dim]
     own.fill(0.0)
     for i, rows in enumerate(gram_rows):
-        # row by row, in order: the Gram's outer products stay small
-        for row, cols in rows:
+        # row by row, in order: the Gram's outer products stay small; a
+        # node's first row writes its product over the zeros, and every
+        # later row adds its own
+        for n, (row, cols) in enumerate(rows):
             u = ht[row, cols]
-            own[cols, cols, i] += u[:, None] * u[None, :]
+            if n:
+                own[cols, cols, i] += u[:, None] * u[None, :]
+            else:
+                np.multiply(u[:, None], u[None, :], out=own[cols, cols, i])
     own *= -a
     own[comp_diag, comp_diag] += 1.0 - lam
     # -b L_ik: b a_ik off the diagonal, -b sum_j a_ij on it
