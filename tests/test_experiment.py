@@ -230,8 +230,8 @@ def _unobserved_third(horizon):
 def _ar(order, horizon):
     """Three runs of ar-driven regressors of ``order`` components on the
     fixed graph of ``_kind_config``, with link noise, over two chunks:
-    one component and four bracket the three up to which the step loop
-    sums the link distances with in-order adds."""
+    one component and four lie on either side of the three at which the
+    step loop sums the link distances with in-order adds."""
     cfg = _kind_config("fixed", "ar-driven")
     return dataclasses.replace(
         cfg, runs=3, horizon=horizon, dim=order,
