@@ -16,6 +16,13 @@ Shapes, each one call per tree and round:
   steps with bound checks;
 - ``regret-batch-20x300``: the kernel of ``netlms run`` on the regret
   preset, 20 runs of 300 steps kept at their record grid;
+- ``regret-sigma0-20x300``: the same with ``sigma_f = 0``, so the step
+  loop computes no link distances, the channel slab is scaled in place
+  and the bound checks take the distances from the states;
+- ``markov-bernoulli-20x300``: ``simulate`` of 20 runs of 300 steps of
+  the regret preset's gains and noise over a two-state markov-switching
+  graph and bernoulli-failure regressors (the regret preset's coef
+  pattern, active with probability 0.6), with bound checks;
 - ``ar-driven-order-5``: ``simulate`` of 3 runs of 1000 steps of an
   order-5 ar-driven model (every regressor cell supported) with link
   noise and bound checks;
@@ -101,6 +108,17 @@ def _ar_config(nl):
     )
 
 
+def _markov_bernoulli_config(nl):
+    cfg = nl.with_overrides(nl.get_preset("regret"), runs=20, horizon=300)
+    graph = nl.GraphConfig(
+        kind="markov-switching",
+        states=(((0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (1.0, 0.0, 0.0)),
+                ((0.0, 0.5, 0.5), (0.5, 0.0, 0.5), (0.5, 0.5, 0.0))),
+        transition=((0.6, 0.4), (0.3, 0.7)), initial_state=1)
+    regression = nl.RegressionConfig(kind="bernoulli-failure", coef=cfg.regression.coef, active_prob=0.6)
+    return dataclasses.replace(cfg, graph=graph, regression=regression)
+
+
 def _seeds(cfg):
     return [np.random.SeedSequence(cfg.seed, spawn_key=(r,)) for r in range(cfg.runs)]
 
@@ -140,7 +158,10 @@ def _shapes(nl):
     est = nl.estimator
     one = nl.with_overrides(nl.get_preset("setting-i"), runs=1, horizon=6000)
     batch = nl.with_overrides(nl.get_preset("regret"), runs=20, horizon=300)
+    quiet = dataclasses.replace(batch, noise=dataclasses.replace(batch.noise, sigma_f=0.0))
     grid = np.arange(0, batch.horizon + 1, batch.record_every)
+    switching = _markov_bernoulli_config(nl)
+    switching_model = est.SimulationModel.from_config(switching)
     ar = _ar_config(nl)
     ar_model = est.SimulationModel.from_config(ar)
     return {
@@ -148,6 +169,12 @@ def _shapes(nl):
         "regret-batch-20x300": (
             lambda: est._sample_runs(batch, _seeds(batch), grid, nl.experiment._FIELDS),
             batch.runs * (batch.horizon + 1)),
+        "regret-sigma0-20x300": (
+            lambda: est._sample_runs(quiet, _seeds(quiet), grid, nl.experiment._FIELDS),
+            quiet.runs * (quiet.horizon + 1)),
+        "markov-bernoulli-20x300": (
+            lambda: est.simulate(switching_model, _seeds(switching), switching.horizon, lambda stats: None),
+            switching.runs * (switching.horizon + 1)),
         "ar-driven-order-5": (
             lambda: est.simulate(ar_model, _seeds(ar), ar.horizon, lambda stats: None),
             ar.runs * (ar.horizon + 1)),
@@ -234,7 +261,7 @@ def main(argv=None) -> int:
     print(f"A = {args.a}, B = {args.b}, {args.rounds} rounds, {result['unit']} (median [q1, q3])")
     for n, e in result["shapes"].items():
         a, b = e["a"], e["b"]
-        print(f"{n:22s} A {a['median']:.3f} [{a['q1']:.3f}, {a['q3']:.3f}]  "
+        print(f"{n:24s} A {a['median']:.3f} [{a['q1']:.3f}, {a['q3']:.3f}]  "
               f"B {b['median']:.3f} [{b['q1']:.3f}, {b['q3']:.3f}]  B/A {e['b_over_a']:.3f}  "
               f"B wins {e['b_wins']}/{args.rounds}  minflt {a['minflt_per_call']:g}/{b['minflt_per_call']:g}  "
               f"same bytes {e['same_bytes']}")

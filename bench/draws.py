@@ -54,7 +54,7 @@ def _sources(model, runs, count):
     regression_u = regression_slab(rp, runs, count)
     noise_u = np.zeros((runs, count, rp.total_rows))
     channel_u = np.empty((runs, count, n_nodes, n_nodes, dim))
-    noise = noise_u.transpose(1, 2, 0)
+    noise = noise_u.T
     state = {"graph": None}
 
     def fill(law, rngs, slab):

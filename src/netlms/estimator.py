@@ -298,6 +298,16 @@ def _run_seed(master_seed: int, run) -> np.random.SeedSequence:
     return _new_seed_sequence(master_seed, (run,))
 
 
+def _run_seeds(master_seed: int, runs) -> list[np.random.SeedSequence]:
+    """Seed sequences of the runs with indices ``runs`` under
+    ``master_seed``; ``runs`` must be an iterable."""
+    try:
+        runs = iter(runs)
+    except TypeError:
+        raise InvalidInputError(f"runs must be an iterable of run indices, got {runs!r}") from None
+    return [_run_seed(master_seed, r) for r in runs]
+
+
 def _new_seed_sequence(seed, spawn_key=()) -> np.random.SeedSequence:
     # an integer only: numpy would draw fresh OS entropy for None
     seed = as_index(seed, "seed")
@@ -383,10 +393,10 @@ class SimulationModel:
 @dataclass(frozen=True)
 class ChunkStats:
     """Statistics of rows ``start .. start + K - 1`` of every run of a
-    batch.  ``v`` is ``(K, R)``; the other arrays are ``(K, N, R)``
-    views of node-first arrays: error and estimate norms per node,
-    per-step excess losses and their cumulative sums (see
-    :class:`TrajectoryRecord`)."""
+    batch, steps and runs last.  ``v`` is ``(K, R)``; the other arrays are
+    ``(N, K, R)``: error and estimate norms per node, per-step excess
+    losses and their cumulative sums (see :class:`TrajectoryRecord`).
+    ``.T`` reads any of them runs first."""
 
     start: int
     v: np.ndarray
@@ -465,10 +475,12 @@ def _gram_rows(regression: RegressionProcess):
 def _fused_operator(model, link_noise, start, adj, h, y, xi, gram_rows):
     """``op[s, p, k]``, the weight of slot ``s`` of output ``p = q' N + i``
     at step ``start + k`` (see :func:`simulate`), for every step of a
-    chunk.  It is built and returned with steps and runs last, so each
-    call below writes ``K * R`` contiguous values; the step loop copies it
-    steps first, a sub-block at a time.  Scales ``xi`` in place without
-    link noise.
+    chunk.  Its inputs come with steps and runs last, as the draws give
+    them: ``adj[i, j, k, r]``, ``h[row, q, k, r]``, ``y[row, k, r]`` and
+    the channel noise ``xi[j, q, i, k, r]``.  The operator is built and
+    returned in the same layout, so each call below writes ``K * R``
+    contiguous values; the step loop copies it steps first, a sub-block
+    at a time.  Scales ``xi`` in place without link noise.
 
     The own blocks ``(1 - lam) I - a H_i^T H_i`` read only the regressor
     cells that the law can make nonzero (see :func:`_gram_rows`).  Every
@@ -492,14 +504,11 @@ def _fused_operator(model, link_noise, start, adj, h, y, xi, gram_rows):
     measurement can overflow."""
     n_nodes, dim = model.init.shape
     slots = dim + n_nodes * (2 if link_noise else 1) + 1
-    count, runs = adj.shape[0], adj.shape[-1]
+    count, runs = adj.shape[2:]
     op = np.empty((slots, dim, n_nodes, count, runs))
     comp_diag = np.arange(dim)
     a, b, lam = (g[:, None] for g in model.gains.table(range(start, start + count)).T)
-    # views: adj_t[j, i, k] = a_ij at step k; ht[row, q, k] = H_row[q]
-    adj_t = adj.transpose(2, 1, 0, 3)
-    ht = h.transpose(1, 2, 0, 3)
-    yt = y.transpose(1, 0, 2)
+    adj_t = adj.transpose(1, 0, 2, 3)  # adj_t[j, i, k] = a_ij at step k
     # own[q, q', i] = entry (q', q) of (1 - lam) I - a H_i^T H_i; H_i^T H_i
     # is exactly symmetric, so the transpose is free
     own = op[:dim]
@@ -509,7 +518,7 @@ def _fused_operator(model, link_noise, start, adj, h, y, xi, gram_rows):
         # node's first row writes its product over the zeros, and every
         # later row adds its own
         for n, (row, cols) in enumerate(rows):
-            u = ht[row, cols]
+            u = h[row, cols]
             if n:
                 own[cols, cols, i] += u[:, None] * u[None, :]
             else:
@@ -523,11 +532,10 @@ def _fused_operator(model, link_noise, start, adj, h, y, xi, gram_rows):
     offsets = model.regression.offsets
     for i, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:])):
         np.multiply(degree[i], -b, out=consensus[i, :, i])
-        np.multiply(ordered_sum(ht[lo:hi] * yt[lo:hi, None], 0), a, out=op[-1, :, i])
+        np.multiply(ordered_sum(h[lo:hi] * y[lo:hi, None], 0), a, out=op[-1, :, i])
     # link noise sum_j a_ij f_ij xi_ij: its bias part is exogenous
-    axi = xi.transpose(1, 2, 3, 0, 4)
-    link = op[dim + n_nodes : -1] if link_noise else axi
-    np.multiply(axi, adj_t[:, None], out=link)
+    link = op[dim + n_nodes : -1] if link_noise else xi
+    np.multiply(xi, adj_t[:, None], out=link)
     op[-1] += (b * model.intensity.bias) * ordered_sum(link, 0)
     if link_noise:
         link *= b * model.intensity.sigma
@@ -535,9 +543,10 @@ def _fused_operator(model, link_noise, start, adj, h, y, xi, gram_rows):
 
 
 def _steps_last(block):
-    """``block[k, a, b, r]`` of a chunk as one contiguous ``[a, b, k, r]``
-    copy, the layout of the operator build: each elementwise pass and
-    in-order sum over it then runs over ``K R`` contiguous values."""
+    """``block[k, a, b, r]``, a steps-first view of the step loop's ``z``,
+    as one contiguous ``[a, b, k, r]`` copy, the layout of the draws and
+    the operator build: each elementwise pass and in-order sum over it
+    then runs over ``K R`` contiguous values."""
     return np.ascontiguousarray(block.transpose(1, 2, 0, 3))
 
 
@@ -561,8 +570,10 @@ def simulate(
     chunk draws run ``r``'s values in place into row ``r`` of each slab:
     through :func:`graphs.graph_block`, :func:`regression.regression_block`
     and :meth:`noise.MeasurementNoise.fill`, which also apply each law's
-    transforms in place.  The chunk reads the slabs through runs-last
-    views.  Every draw is exogenous: only
+    transforms in place.  Every array that a chunk passes between modules
+    has its steps and runs last (``[..., k, r]``): the graph and
+    regression blocks come back so, and the chunk reads each noise slab
+    through one transposing view.  Every draw is exogenous: only
     the link intensity ``f(x)`` depends on the estimates, and it scales
     pre-drawn channel noise.  So the recursion
 
@@ -602,17 +613,16 @@ def simulate(
     too: its update lands in ``z``'s spare row, which nothing reads, so
     the loop leaves the distances of every row in ``z``.
 
-    The statistics and the bound checks read one contiguous copy of each
-    of the chunk's states, regressor rows and adjacency, laid out like the
-    operator build with steps and runs last (``st[q, i, k, r]``,
-    ``ht[row, q, k, r]`` and ``a[i, j, k, r]``), so each of their
-    elementwise passes and in-order sums runs over ``K R`` contiguous
-    values, for one run as for a batch.  With ``check_bounds``, the
-    ``|M|`` bound reads the distances that the loop left in ``z``, copied
-    to the same layout; without link noise the loop computes none, and
-    the checks compute them from ``st`` in one batched sum, in the same
-    order.  :func:`noise.norm_bound_sides` takes its matrix axes first for
-    the same reason.
+    The statistics and the bound checks read the regressor rows and the
+    adjacency as the draws gave them, and one contiguous copy of the
+    chunk's states in the same layout (``st[q, i, k, r]``), so each of
+    their elementwise passes and in-order sums runs over ``K R``
+    contiguous values, for one run as for a batch.  With ``check_bounds``,
+    the ``|M|`` bound reads the distances that the loop left in ``z``,
+    copied to the same layout; without link noise the loop computes none,
+    and the checks compute them from ``st`` in one batched sum, in the
+    same order.  :func:`noise.norm_bound_sides` takes its matrix axes
+    first for the same reason.
 
     One call handles one chunk, from its draws to its statistics, and
     only the draw slabs, the state, the graph and ar-driven histories and
@@ -622,9 +632,10 @@ def simulate(
     among them, and the scratch.
 
     ``on_chunk`` receives one :class:`ChunkStats` per chunk, in step
-    order; rows ``0..horizon`` are covered, row ``horizon`` without an
-    update.  Returns the final states ``(R, N, n)`` and, with
-    ``check_bounds``, one :class:`BoundCheckReport` per run.
+    order, its arrays steps and runs last; rows ``0..horizon`` are
+    covered, row ``horizon`` without an update.  Returns the final states
+    ``(R, N, n)`` and, with ``check_bounds``, one :class:`BoundCheckReport`
+    per run.
     """
     horizon = as_index(horizon, "horizon")
     if horizon < 0:
@@ -752,56 +763,50 @@ def simulate(
         adj, graph_state = graph_block(gp, start, count, graph_rngs, graph_state, graph_draws)
         for g, row in zip(noise_rngs, noise_draws):
             model.measurement.fill(g, row[:count])
-        noise = noise_draws[:, :count].transpose(1, 2, 0)
         h, y_clean, y, ar_hist = regression_block(
-            rp, x0, count, regression_rngs, noise, ar_hist, regression_draws
+            rp, x0, count, regression_rngs, noise_draws[:, :count].T, ar_hist, regression_draws
         )
         for g, row in zip(channel_rngs, channel_draws):
             model.channel.fill(g, row[:count])
-        # channel noise indexed (step, sender j, component, receiver i, run)
-        xi = channel_draws[:, :count].transpose(1, 3, 4, 2, 0)
+        # channel noise indexed (sender j, component, receiver i, step, run)
+        xi = channel_draws[:, :count].transpose(3, 4, 2, 1, 0)
         z = run_steps(_fused_operator(model, link_noise, start, adj, h, y, xi, gram_rows), x)
         # only the operator reads y; the statistics below peak without it
         del y
         x = z[min(count, horizon - start), :width].reshape(dim, n_nodes, runs).copy()
-        # the statistics and the bound checks read copies with steps and
-        # runs last: st[q, i, k, r] = x_i[q] at step start + k, ht[row, q, k, r]
+        # st[q, i, k, r] = x_i[q] at step start + k, laid out like h and adj
         st = _steps_last(z[:count, :width].reshape(count, dim, n_nodes, runs))
-        ht = _steps_last(h)
-        del h
         err = st - x0[:, None, None, None]
         per_err = ordered_sum(np.multiply(err, err, out=err), 0)
         v = ordered_sum(per_err, 0)
         # hx[row, i, k, r] = H_row x_i - the clean measurement
-        hx = st[0] * ht[:, None, 0]
+        hx = st[0] * h[:, None, 0]
         for q in range(1, dim):
-            hx += st[q] * ht[:, None, q]
-        hx -= y_clean.transpose(1, 0, 2)[:, None]
+            hx += st[q] * h[:, None, q]
+        hx -= y_clean[:, None]
         excess = 0.5 * ordered_sum(np.multiply(hx, hx, out=hx), 0)
-        del err, ht, hx
+        del err, hx
         # carrying into the first row keeps the running sum sequential,
         # hence independent of the chunk size
         cum_excess = excess.copy()
         cum_excess[:, 0] += carry_excess
         np.cumsum(cum_excess, axis=1, out=cum_excess)
         if tally is not None:
-            a = _steps_last(adj)  # a[i, j, k, r] = a_ij at step start + k
             if link_noise:  # dist[j, i, k, r] = |x_j - x_i|, as the step loop left it
                 dist = _steps_last(z[:count, width:-1].reshape(count, n_nodes, n_nodes, runs))
             else:  # the loop computed none: d[q, i, j, k, r] = x_j[q] - x_i[q]
                 d = st[:, None] - st[:, :, None]
                 dist = np.sqrt(ordered_sum(np.multiply(d, d, out=d), 0))
-            w_lhs, w_rhs, m_lhs, m_rhs = norm_bound_sides(a, dist, model.intensity, v)
+            w_lhs, w_rhs, m_lhs, m_rhs = norm_bound_sides(adj, dist, model.intensity, v)
             tally.add(w_rhs - w_lhs, m_rhs - m_lhs, v)
-        # the (K, N, R) fields as views of the node-first arrays
         on_chunk(
             ChunkStats(
                 start=start,
                 v=v,
-                err_norms=np.sqrt(per_err).transpose(1, 0, 2),
-                est_norms=np.sqrt(ordered_sum(st * st, 0)).transpose(1, 0, 2),
-                excess_losses=excess.transpose(1, 0, 2),
-                cum_excess=cum_excess.transpose(1, 0, 2),
+                err_norms=np.sqrt(per_err),
+                est_norms=np.sqrt(ordered_sum(st * st, 0)),
+                excess_losses=excess,
+                cum_excess=cum_excess,
             )
         )
         return x, graph_state, ar_hist, cum_excess[:, -1].copy()
@@ -824,8 +829,7 @@ def _sample_runs(config, seeds, grid, fields, check_bounds=True):
         lo, hi = np.searchsorted(grid, (stats.start, stats.start + len(stats.v)))
         at = grid[lo:hi] - stats.start
         for f, dst in out.items():
-            src = getattr(stats, f).take(at, axis=0)
-            dst[:, lo:hi] = src.transpose(-1, *range(src.ndim - 1))
+            dst[:, lo:hi] = getattr(stats, f).T[:, at]
 
     model = SimulationModel.from_config(config)
     return (out, *simulate(model, seeds, config.horizon, on_chunk, check_bounds))
@@ -879,8 +883,4 @@ def run_trajectories(
     ``run_trajectory(config, substream(config.seed, runs[i]))`` bit for
     bit, whatever the batch.
     """
-    try:
-        runs = iter(runs)
-    except TypeError:
-        raise InvalidInputError(f"runs must be an iterable of run indices, got {runs!r}") from None
-    return _records(config, [_run_seed(config.seed, r) for r in runs], check_bounds)
+    return _records(config, _run_seeds(config.seed, runs), check_bounds)

@@ -36,7 +36,7 @@ import numpy as np
 from .artifacts import SCHEMA, _audit, _json_text, excitation_artifact, table_text, write
 from .config import ExperimentConfig, render_config
 from .errors import InvalidInputError
-from .estimator import _run_seed, _sample_runs
+from .estimator import _run_seeds, _sample_runs
 from .excitation import ExcitationReport
 from .linalg import as_index
 from .regret import RegretSeries, _SeriesFill
@@ -81,7 +81,7 @@ def _simulate_runs(args):
     excess losses (summed at full resolution), plus one bound-check report
     per run."""
     config, first, count, idx = args
-    seeds = [_run_seed(config.seed, r) for r in range(first, first + count)]
+    seeds = _run_seeds(config.seed, range(first, first + count))
     got, _, reports = _sample_runs(config, seeds, idx, _FIELDS)
     return got, reports
 

@@ -20,9 +20,10 @@ Each law's conditional mean adjacency has a closed form, which
 :func:`conditional_expected_adjacency` states once.
 
 Every draw goes through :func:`graph_block`, which returns the
-adjacencies of a block of consecutive steps for a batch of runs; one step
-is a block of one.  It draws into a runs-first :func:`graph_slab` buffer
-that a caller may keep across blocks.
+adjacencies of a block of consecutive steps for a batch of runs as
+``adj[i, j, k, r]``, steps and runs last like every array of a simulated
+chunk; one step is a block of one.  It draws into a runs-first
+:func:`graph_slab` buffer that a caller may keep across blocks.
 """
 
 from __future__ import annotations
@@ -180,26 +181,27 @@ def graph_block(
     """Draw the adjacencies of steps ``start .. start + count - 1`` for a
     batch of runs, run ``r`` drawing from ``rngs[r]``.
 
-    Returns a ``(count, N, N, R)`` array, runs last, and for
-    markov-switching processes the states ``(R,)`` realized at the last
-    step (``None`` for the other kinds); ``prev_states`` are the states
-    realized at ``start - 1``.  Run ``r`` draws into ``slab[r, :count]``
-    of a :func:`graph_slab` buffer of at least ``count`` steps, a fresh
-    one when ``slab`` is ``None``; the alternating kind returns a view of
-    the slab, valid until it is drawn into again, and the fixed kind a
-    read-only broadcast view.  Each run's generator is consumed step by
-    step in a fixed order: one uniform per adjacency cell (diagonal
-    included) or one uniform per Markov transition (none at step 0).  A
-    block of ``count`` steps therefore holds exactly the values of
-    ``count`` blocks of one step, and no run's values depend on the other
-    runs, which keeps simulations independent of block size and batch.
+    Returns ``adj[i, j, k, r]``, the weight ``a_ij`` at step ``start +
+    k`` of run ``r``, and for markov-switching processes the states
+    ``(R,)`` realized at the last step (``None`` for the other kinds);
+    ``prev_states`` are the states realized at ``start - 1``.  Run ``r``
+    draws into ``slab[r, :count]`` of a :func:`graph_slab` buffer of at
+    least ``count`` steps, a fresh one when ``slab`` is ``None``.  The
+    fixed kind returns a read-only broadcast view; the other kinds a
+    fresh array, which the next draw into the slab leaves alone.  Each
+    run's generator is consumed step by step in a fixed order: one
+    uniform per adjacency cell (diagonal included) or one uniform per
+    Markov transition (none at step 0).  A block of ``count`` steps
+    therefore holds exactly the values of ``count`` blocks of one step,
+    and no run's values depend on the other runs, which keeps simulations
+    independent of block size and batch.
     """
     start, count = as_index(start, "start"), as_index(count, "count")
     if start < 0 or count < 1:
         raise InvalidInputError("need start >= 0 and count >= 1")
     n, runs = process.nodes, len(rngs)
     if process.kind == "fixed":
-        return np.broadcast_to(process.adjacency[None, :, :, None], (count, n, n, runs)), None
+        return np.broadcast_to(process.adjacency[:, :, None, None], (n, n, count, runs)), None
     if process.kind == "markov-switching" and start > 0 and prev_states is None:
         raise InvalidInputError("markov-switching sampling needs prev_state for step > 0")
     if slab is None:
@@ -213,7 +215,7 @@ def graph_block(
             cells *= hi - lo
             cells += lo
         u[:, :, np.arange(n), np.arange(n)] = 0.0
-        return u.transpose(1, 2, 3, 0), None
+        return np.ascontiguousarray(u.transpose(2, 3, 1, 0)), None
     # markov-switching
     cum = np.cumsum(process.transition, axis=1)
     last = len(process.states) - 1
@@ -227,8 +229,7 @@ def graph_block(
             # searchsorted(cum[state], u, side="right") for every run
             state = np.minimum((cum[state] <= next(draws)[:, None]).sum(axis=1), last)
         index[j] = state
-    adjacency = np.stack(process.states, axis=-1)[:, :, index]
-    return np.ascontiguousarray(adjacency.transpose(2, 0, 1, 3)), state
+    return np.stack(process.states, axis=-1).take(index, axis=2), state
 
 
 def conditional_expected_adjacency(

@@ -26,9 +26,11 @@ from .errors import InvalidInputError
 
 
 def as_index(value, name: str) -> int:
-    """``value`` as an int; a float or any other non-integer is an error,
-    never truncated."""
+    """``value`` as an int; a float, a bool or any other non-integer is an
+    error, never truncated or read as 0 or 1."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         return operator.index(value)
     except TypeError:
         raise InvalidInputError(f"{name} must be an integer, got {value!r}") from None

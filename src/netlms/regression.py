@@ -18,10 +18,11 @@ matrix ``H_i(k)`` of shape ``(n_i, n)``.  Process kinds:
 
 Every draw goes through :func:`regression_block`, which returns the
 stacked matrices and measurements of a block of consecutive steps for a
-batch of runs; one step is a block of one.  It draws into a runs-first
-:func:`regression_slab` buffer that a caller may keep across blocks.  A
-:class:`RegressionProcess` holds only its law's parameters, and each
-block stacks them anew.
+batch of runs, steps and runs last like every array of a simulated
+chunk (``h[row, q, k, r]``, ``y[row, k, r]``); one step is a block of
+one.  It draws into a runs-first :func:`regression_slab` buffer that a
+caller may keep across blocks.  A :class:`RegressionProcess` holds only
+its law's parameters, and each block stacks them anew.
 
 Fixed, entrywise-uniform and bernoulli-failure have closed-form
 conditional Grams, the same at every step; ar-driven does not (its
@@ -114,9 +115,23 @@ def _check_h_list(h_list, name: str) -> tuple[tuple[np.ndarray, ...], int]:
     return mats, dim
 
 
+def _check_gram_bound(reach) -> None:
+    """Reject a law whose Grams ``H_i^T H_i`` can overflow.  ``reach[i]``
+    holds the largest magnitude that each cell of node ``i``'s matrix can
+    take under the law; the sum over its rows of ``m m^T`` bounds every
+    entry of the node's Gram, and must be finite."""
+    with np.errstate(over="ignore"):
+        if not all(np.isfinite(m.T @ m).all() for m in reach):
+            raise InvalidInputError(
+                "Grams can overflow: need a finite sum of m m^T over each node's rows, "
+                "m the largest cell magnitudes"
+            )
+
+
 def fixed_regression(h_nodes) -> RegressionProcess:
     """Constant per-node observation matrices."""
     mats, dim = _check_h_list(h_nodes, "h_nodes")
+    _check_gram_bound([np.abs(m) for m in mats])
     return RegressionProcess(
         kind="fixed",
         nodes=len(mats),
@@ -145,6 +160,7 @@ def entrywise_uniform_regression(base, coef, low: float = 0.0, high: float = 1.0
         reach = max(abs(low), abs(high))
         if not all(np.isfinite(np.abs(b) + np.abs(c) * reach).all() for b, c in zip(bases, coefs)):
             raise InvalidInputError("cells can overflow: need a finite |base| + |coef| max(|low|, |high|)")
+    _check_gram_bound([np.maximum(np.abs(b + c * low), np.abs(b + c * high)) for b, c in zip(bases, coefs)])
     return RegressionProcess(
         kind="entrywise-uniform",
         nodes=len(bases),
@@ -163,6 +179,7 @@ def bernoulli_failure_regression(patterns, active_prob: float) -> RegressionProc
     mats, dim = _check_h_list(patterns, "patterns")
     if not (isinstance(active_prob, numbers.Real) and 0.0 <= active_prob <= 1.0):
         raise InvalidInputError(f"active_prob must be a number in [0, 1], got {active_prob!r}")
+    _check_gram_bound([np.abs(m) for m in mats])
     return RegressionProcess(
         kind="bernoulli-failure",
         nodes=len(mats),
@@ -196,15 +213,15 @@ def regression_slab(process: RegressionProcess, runs: int, steps: int) -> np.nda
 
 
 def _regressor_block(process: RegressionProcess, count: int, rngs, slab) -> np.ndarray:
-    """Stacked observation matrices ``(count, sum n_i, n, R)``, runs last,
-    of the kinds drawn independently per step (all but ar-driven)."""
+    """Stacked observation matrices ``h[row, q, k, r]`` of the kinds drawn
+    independently per step (all but ar-driven)."""
     if process.kind == "bernoulli-failure":
         # one draw per node and step; row r of the stack belongs to node row_node[r]
-        active = uniform_rows(rngs, slab, count).transpose(1, 2, 0) < process.active_prob
+        active = uniform_rows(rngs, slab, count).T < process.active_prob
         row_node = np.repeat(np.arange(process.nodes), process.node_dims)
-        return np.concatenate(process.coef)[None, :, :, None] * active[:, row_node, None]
+        return np.concatenate(process.coef)[:, :, None, None] * active[row_node, None]
     stacked = np.concatenate(process.h_nodes if process.kind == "fixed" else process.base)
-    constant = np.broadcast_to(stacked[None, :, :, None], (count, *stacked.shape, len(rngs)))
+    constant = np.broadcast_to(stacked[:, :, None, None], (*stacked.shape, count, len(rngs)))
     if process.kind == "fixed":
         return constant  # a read-only view that every step shares
     out = np.array(constant)
@@ -216,7 +233,7 @@ def _regressor_block(process: RegressionProcess, count: int, rngs, slab) -> np.n
         u *= process.high - process.low
         u += process.low
         u *= coef[idx]
-        out.reshape(count, -1, len(rngs))[:, idx] += u.transpose(1, 2, 0)
+        out.reshape(-1, count, len(rngs))[idx] += u.T
     return out
 
 
@@ -243,17 +260,17 @@ def regression_block(
     """Observation models and measurements of ``count`` consecutive steps
     for a batch of runs, run ``r`` drawing from ``rngs[r]``.
 
-    ``noise_draws`` holds the steps' measurement noise, ``(count, sum n_i,
-    R)``.  Returns ``(h, y_clean, y, ar_history)``, runs last: the stacked
-    matrices ``(count, sum n_i, n, R)``, the noise-free outputs ``H x0``,
-    the measurements, and (ar-driven only) each node's last ``order``
-    outputs after the block, ``(N, order, R)`` newest first.  Run ``r``
-    draws into ``slab[r, :count]`` of a :func:`regression_slab` buffer of
-    at least ``count`` steps, a fresh one when ``slab`` is ``None``.  Each
-    generator is consumed step by step, so one block of ``count`` steps
-    draws the values of ``count`` blocks of one.  The ar-driven recursion
-    draws nothing itself: its regressor is the output history, driven by
-    the measurement noise.
+    ``noise_draws[row, k, r]`` holds the steps' measurement noise.
+    Returns ``(h, y_clean, y, ar_history)`` with steps and runs last: the
+    stacked matrices ``h[row, q, k, r]``, the noise-free outputs ``H x0``
+    and the measurements, both ``[row, k, r]``, and (ar-driven only) each
+    node's last ``order`` outputs after the block, ``(N, order, R)`` newest
+    first.  Run ``r`` draws into ``slab[r, :count]`` of a
+    :func:`regression_slab` buffer of at least ``count`` steps, a fresh one
+    when ``slab`` is ``None``.  Each generator is consumed step by step, so
+    one block of ``count`` steps draws the values of ``count`` blocks of
+    one.  The ar-driven recursion draws nothing itself: its regressor is
+    the output history, driven by the measurement noise.
     """
     count = as_index(count, "count")
     weights = np.asarray(x0, dtype=float)
@@ -264,15 +281,15 @@ def regression_block(
         if slab is None:
             slab = regression_slab(process, len(rngs), count)
         h = _regressor_block(process, count, rngs, slab)
-        y_clean = ordered_sum(h * weights, 2)
+        y_clean = ordered_sum(h * weights[:, None], 1)
         return h, y_clean, y_clean + noise_draws, None
     hist = _check_ar_history(process, ar_history, len(rngs))
-    h = np.empty((count, process.nodes, process.dim, len(rngs)))
-    y_clean = np.empty((count, process.nodes, len(rngs)))
+    h = np.empty((process.nodes, process.dim, count, len(rngs)))
+    y_clean = np.empty((process.nodes, count, len(rngs)))
     for j in range(count):
-        h[j] = hist
-        y_clean[j] = ordered_sum(hist * weights, 1)
-        hist = np.concatenate([(y_clean[j] + noise_draws[j])[:, None], hist[:, :-1]], axis=1)
+        h[:, :, j] = hist
+        y_clean[:, j] = ordered_sum(hist * weights, 1)
+        hist = np.concatenate([(y_clean[:, j] + noise_draws[:, j])[:, None], hist[:, :-1]], axis=1)
     return h, y_clean, y_clean + noise_draws, hist
 
 
@@ -342,6 +359,7 @@ def monte_carlo_expected_gram(
     default) up to ``step``, so the estimate is the unconditional Gram
     given that initial history.
     """
+    step, samples = as_index(step, "step"), as_index(samples, "samples")
     if samples < 1 or step < 0:
         raise InvalidInputError("samples must be positive and step nonnegative")
     count = step + 1 if process.kind == "ar-driven" else 1
@@ -352,9 +370,9 @@ def monte_carlo_expected_gram(
     size = process.nodes * process.dim
     acc = np.zeros((size, size))
     for _ in range(samples):
-        draws = noise.sample(rng, (count, process.total_rows))[..., None]
+        draws = noise.sample(rng, (count, process.total_rows)).T[..., None]
         h = regression_block(process, x0, count, [rng], draws, hist)[0]
-        hb = block_diag(np.split(h[-1, :, :, 0], process.offsets[1:-1]))
+        hb = block_diag(np.split(h[:, :, -1, 0], process.offsets[1:-1]))
         acc += hb.T @ hb
     return acc / samples
 

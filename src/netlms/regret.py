@@ -24,7 +24,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .errors import InvalidInputError, UnobservableHorizonError
-from .estimator import ChunkStats, SimulationModel, TrajectoryRecord, _run_seed, simulate
+from .estimator import ChunkStats, SimulationModel, TrajectoryRecord, _run_seeds, simulate
 from .linalg import as_index
 from .noise import BoundCheckReport
 from .regression import RegressionProcess, spatio_temporal_gram
@@ -233,7 +233,7 @@ def simulate_regret(config: ExperimentConfig, runs) -> tuple[RegretSeries, list[
     block of every run.  Returns the series and one
     :class:`BoundCheckReport` per run (see :func:`simulate`).
     """
-    seeds = [_run_seed(config.seed, r) for r in runs]
+    seeds = _run_seeds(config.seed, runs)
     rows, nodes = config.horizon + 1, config.nodes
     fill = _SeriesFill(np.arange(rows), config.gains.a_exp, len(seeds), nodes)
     # runs first, so each run's block is contiguous for the fold
@@ -244,8 +244,8 @@ def simulate_regret(config: ExperimentConfig, runs) -> tuple[RegretSeries, list[
         while k < len(stats.v):
             at = (stats.start + k) % BLOCK
             n = min(BLOCK - at, len(stats.v) - k)
-            cum[:, at : at + n] = stats.cum_excess[k : k + n].transpose(2, 0, 1)
-            v[:, at : at + n] = stats.v[k : k + n].T
+            cum[:, at : at + n] = stats.cum_excess.T[:, k : k + n]
+            v[:, at : at + n] = stats.v.T[:, k : k + n]
             k += n
             if at + n == BLOCK or stats.start + k == rows:
                 fill.fold(zip(cum[:, : at + n], v[:, : at + n]))

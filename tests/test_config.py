@@ -4,6 +4,7 @@ import dataclasses
 import math
 import re
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -410,9 +411,24 @@ FLOATS = st.one_of(
     st.floats(-1e6, 1e6),
     st.sampled_from([0.1 + 0.2, 1 / 3, 5e-324, -0.0, 1e300]),
 )
+# a regressor cell: the regression builders reject a law whose Grams can
+# overflow, so the large edge is 1e150, whose square sums finitely over
+# three rows
+CELLS = st.one_of(
+    st.floats(-1e6, 1e6),
+    st.sampled_from([0.1 + 0.2, 1 / 3, 5e-324, -0.0, 1e150]),
+)
 NONNEGATIVE = FLOATS.map(abs)
 POSITIVE = NONNEGATIVE.filter(lambda v: v > 0)
 WORDS = st.text("abcxyz019-_", min_size=1, max_size=8)
+
+
+def _grams_finite(reach) -> bool:
+    """Whether a law passes the regression builders' Gram check: the sum
+    over each node's rows of ``m m^T``, ``m`` the largest magnitude of
+    each cell, is finite."""
+    with np.errstate(over="ignore"):
+        return all(np.isfinite(m.T @ m).all() for m in reach)
 
 
 def _random_config(draw, graph_kind, regression_kind) -> ExperimentConfig:
@@ -420,11 +436,11 @@ def _random_config(draw, graph_kind, regression_kind) -> ExperimentConfig:
     ar = regression_kind == "ar-driven"
     node_dims = (1,) * nodes if ar else tuple(draw(st.integers(1, 3)) for _ in range(nodes))
 
-    def vector(n):
-        return tuple(draw(FLOATS) for _ in range(n))
+    def vector(n, floats=FLOATS):
+        return tuple(draw(floats) for _ in range(n))
 
-    def matrices(shapes):
-        return tuple(tuple(vector(dim) for _ in range(rows)) for rows in shapes)
+    def matrices(shapes, floats=FLOATS):
+        return tuple(tuple(vector(dim, floats) for _ in range(rows)) for rows in shapes)
 
     def low_high():
         return sorted(draw(FLOATS) for _ in range(2))
@@ -452,18 +468,21 @@ def _random_config(draw, graph_kind, regression_kind) -> ExperimentConfig:
         )
 
     if regression_kind == "fixed":
-        reg = RegressionConfig(regression_kind, h_nodes=matrices(node_dims))
+        reg = RegressionConfig(regression_kind, h_nodes=matrices(node_dims, CELLS))
     elif regression_kind == "entrywise-uniform":
         low, high = low_high()
-        base, coef = matrices(node_dims), matrices(node_dims)
-        # the law rejects a range and cells whose draws can overflow
+        base, coef = matrices(node_dims, CELLS), matrices(node_dims, CELLS)
+        # the law rejects a range and cells whose draws or Grams can overflow
         reach = max(abs(low), abs(high))
         assume(math.isfinite(high - low) and all(
             math.isfinite(abs(b) + abs(c) * reach)
             for bm, cm in zip(base, coef) for br, cr in zip(bm, cm) for b, c in zip(br, cr)))
+        assume(_grams_finite(np.maximum(np.abs(np.add(b, np.multiply(c, low))),
+                                        np.abs(np.add(b, np.multiply(c, high))))
+                             for b, c in zip(base, coef)))
         reg = RegressionConfig(regression_kind, base=base, coef=coef, low=low, high=high)
     elif regression_kind == "bernoulli-failure":
-        reg = RegressionConfig(regression_kind, coef=matrices(node_dims),
+        reg = RegressionConfig(regression_kind, coef=matrices(node_dims, CELLS),
                                active_prob=draw(st.floats(0.0, 1.0)))
     else:
         ar_init = matrices([nodes])[0] if draw(st.booleans()) else None

@@ -55,6 +55,19 @@ def test_graph_block_into_a_reused_slab(graph_kind, runs):
 
 
 @pytest.mark.parametrize("runs", [1, 3])
+def test_graph_block_does_not_alias_its_slab(runs):
+    """An alternating block drawn into a kept slab stays as it was when the
+    next block is drawn into the same slab."""
+    gp = _kind_config("alternating-uniform", "fixed").graph.to_process(3)
+    rngs = _twin_rngs(runs)[0]
+    slab = graph_slab(gp, runs, BLOCK)
+    first, _ = graph_block(gp, 0, BLOCK, rngs, None, slab)
+    kept = first.copy()
+    graph_block(gp, BLOCK, BLOCK, rngs, None, slab)
+    assert _same_bits(first, kept)
+
+
+@pytest.mark.parametrize("runs", [1, 3])
 @pytest.mark.parametrize("regression_kind", REGRESSIONS)
 def test_regression_block_into_a_reused_slab(regression_kind, runs):
     cfg = _kind_config("fixed", regression_kind)
@@ -62,10 +75,10 @@ def test_regression_block_into_a_reused_slab(regression_kind, runs):
     x0 = np.asarray(cfg.x0, dtype=float)
     fresh, kept = _twin_rngs(runs)
     slab = _nan_like(regression_slab(rp, runs, BLOCK))
-    noise = np.random.default_rng(9).standard_normal((ROWS, rp.total_rows, runs))
+    noise = np.random.default_rng(9).standard_normal((ROWS, rp.total_rows, runs)).transpose(1, 0, 2)
     for start, count in _blocks():
-        drawn = regression_block(rp, x0, count, fresh, noise[start : start + count])
-        into_slab = regression_block(rp, x0, count, kept, noise[start : start + count], None, slab)
+        drawn = regression_block(rp, x0, count, fresh, noise[:, start : start + count])
+        into_slab = regression_block(rp, x0, count, kept, noise[:, start : start + count], None, slab)
         for a, b in zip(drawn[:3], into_slab[:3]):
             assert _same_bits(np.ascontiguousarray(a), np.ascontiguousarray(b)), (start, count)
             assert not np.isnan(b).any()

@@ -52,11 +52,11 @@ def _draw_step(graph, regression, x0, noise, step, rngs, graph_state=None, ar_hi
     to thread into the next step."""
     graph_rng, regression_rng, noise_rng = rngs
     adj, graph_state = graph_block(graph, step, 1, [graph_rng], graph_state)
-    draws = noise.sample(noise_rng, (1, regression.total_rows))[..., None]
+    draws = noise.sample(noise_rng, (1, regression.total_rows)).T[..., None]
     hist = None if ar_history is None else ar_history[..., None]
     h, _, y, hist = regression_block(regression, x0, 1, [regression_rng], draws, hist)
     split = regression.offsets[1:-1]
-    return (adj[0, :, :, 0], np.split(h[0, :, :, 0], split), np.split(y[0, :, 0], split),
+    return (adj[:, :, 0, 0], np.split(h[:, :, 0, 0], split), np.split(y[:, 0, 0], split),
             graph_state, None if hist is None else hist[..., 0])
 
 
@@ -302,7 +302,7 @@ def _kernel_outputs(cfg, runs):
     final, reports = simulate(SimulationModel.from_config(cfg), seeds, cfg.horizon,
                               parts.append)
     fields = [f.name for f in dataclasses.fields(parts[0]) if f.name != "start"]
-    stats = {name: np.concatenate([getattr(p, name) for p in parts]) for name in fields}
+    stats = {name: np.concatenate([getattr(p, name) for p in parts], axis=-2) for name in fields}
     return stats, final, reports
 
 

@@ -44,16 +44,15 @@ def _dense_own_blocks(model, start, h, op):
     kept as the oracle: every row's full outer product, in row order,
     written into ``op`` in place of the support build's blocks."""
     n_nodes, dim = model.init.shape
-    a, _, lam = (g[:, None] for g in model.gains.table(range(start, start + h.shape[0])).T)
-    ht = h.transpose(1, 2, 0, 3)
+    a, _, lam = (g[:, None] for g in model.gains.table(range(start, start + h.shape[2])).T)
     blocks = op.reshape(op.shape[0], dim, n_nodes, *op.shape[2:])
     comp_diag = np.arange(dim)
     offsets = model.regression.offsets
     for i, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:])):
         own = blocks[:dim, :, i]
-        np.multiply(ht[lo, :, None], ht[lo, None, :], out=own)
+        np.multiply(h[lo, :, None], h[lo, None, :], out=own)
         for row in range(lo + 1, hi):
-            own += ht[row, :, None] * ht[row, None, :]
+            own += h[row, :, None] * h[row, None, :]
         own *= -a
         own[comp_diag, comp_diag] += 1.0 - lam
 
@@ -64,7 +63,7 @@ def _outputs(cfg, runs):
     parts = []
     seeds = [np.random.SeedSequence(cfg.seed, spawn_key=(r,)) for r in range(runs)]
     final, reports = simulate(SimulationModel.from_config(cfg), seeds, cfg.horizon, parts.append)
-    stats = {f.name: np.concatenate([getattr(p, f.name) for p in parts])
+    stats = {f.name: np.concatenate([getattr(p, f.name) for p in parts], axis=-2)
              for f in dataclasses.fields(parts[0]) if f.name != "start"}
     return stats, final, reports
 

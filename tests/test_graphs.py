@@ -28,9 +28,9 @@ def test_fixed_graph_round_trip(rng):
     a = np.array([[0.0, 2.0], [0.5, 0.0]])
     gp = fixed_graph(a)
     block, state = graph_block(gp, 3, 4, [rng, rng])
-    assert block.shape == (4, 2, 2, 2) and state is None
-    assert all(np.array_equal(block[k, :, :, r], a) for k in range(4) for r in range(2))
-    assert np.allclose(laplacian(block[0, :, :, 0]), [[2.0, -2.0], [-0.5, 0.5]])
+    assert block.shape == (2, 2, 4, 2) and state is None
+    assert all(np.array_equal(block[:, :, k, r], a) for k in range(4) for r in range(2))
+    assert np.allclose(laplacian(block[:, :, 0, 0]), [[2.0, -2.0], [-0.5, 0.5]])
 
 
 def test_self_loops_rejected():
@@ -41,7 +41,7 @@ def test_self_loops_rejected():
 def test_uniform_sampling_zero_diagonal_and_range(rng):
     gp = iid_uniform_graph(4, (0.25, 0.75))
     block, _ = graph_block(gp, 0, 5, [rng])
-    for adjacency in block[..., 0]:
+    for adjacency in block[..., 0].transpose(2, 0, 1):
         assert np.all(np.diagonal(adjacency) == 0.0)
         off = adjacency[~np.eye(4, dtype=bool)]
         assert off.min() >= 0.25 and off.max() <= 0.75
@@ -84,7 +84,7 @@ def test_markov_sampling_follows_chain(rng):
     for k in range(4):  # identity transition: chain absorbed in state 1
         block, state = graph_block(gp, k, 1, [rng], state)
         assert state.tolist() == [1]
-        assert np.array_equal(block[0, :, :, 0], a1)
+        assert np.array_equal(block[:, :, 0, 0], a1)
 
 
 def test_markov_initial_state_is_an_integer():

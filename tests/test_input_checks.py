@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from netlms.config import get_preset
+from netlms.config import RegressionConfig, get_preset
 from netlms.errors import ConfigError, InvalidInputError, UnsupportedAnalyticError
 from netlms.estimator import (
     GainSchedule,
@@ -73,6 +73,30 @@ def _huge_setting_i():
     reg = cfg.regression
     coef = tuple(tuple(tuple(1e308 * v for v in row) for row in m) for m in reg.coef)
     return dataclasses.replace(cfg, regression=dataclasses.replace(reg, coef=coef, high=10.0))
+
+
+def _scaled_setting_i(kind, scale):
+    """setting-i with every nonzero regressor cell set to +-``scale``, as a
+    fixed, a bernoulli-failure (active_prob 0.5) or an entrywise-uniform
+    law."""
+    cfg = get_preset("setting-i")
+    reg = cfg.regression
+
+    def cells(mats):
+        return tuple(tuple(tuple(float(np.copysign(scale, v)) if v else v for v in row) for row in m)
+                     for m in mats)
+
+    law = {
+        "fixed": RegressionConfig(kind, h_nodes=cells(reg.coef)),
+        "bernoulli-failure": RegressionConfig(kind, coef=cells(reg.coef), active_prob=0.5),
+        "entrywise-uniform": RegressionConfig(kind, base=cells(reg.base), coef=cells(reg.coef),
+                                              low=reg.low, high=reg.high),
+    }[kind]
+    return dataclasses.replace(cfg, regression=law)
+
+
+GRAM_OVERFLOW = ("[regression] Grams can overflow: need a finite sum of m m^T over each node's rows, "
+                 "m the largest cell magnitudes")
 
 
 INPUT_ERRORS = [
@@ -154,6 +178,12 @@ INPUT_ERRORS = [
     pytest.param(lambda: _huge_setting_i(), ConfigError,
                  "[regression] cells can overflow: need a finite |base| + |coef| max(|low|, |high|)",
                  id="setting-i-cell-overflow"),
+    pytest.param(lambda: _scaled_setting_i("fixed", 1e160), ConfigError, GRAM_OVERFLOW,
+                 id="setting-i-fixed-gram-overflow"),
+    pytest.param(lambda: _scaled_setting_i("bernoulli-failure", 1e160), ConfigError, GRAM_OVERFLOW,
+                 id="setting-i-bernoulli-gram-overflow"),
+    pytest.param(lambda: _scaled_setting_i("entrywise-uniform", 1e160), ConfigError, GRAM_OVERFLOW,
+                 id="setting-i-uniform-gram-overflow"),
     pytest.param(lambda: ar_driven_regression(1, 0), InvalidInputError,
                  "nodes and order must be positive", id="ar-order"),
     pytest.param(lambda: ar_driven_regression(2.5, 1.9), InvalidInputError,
@@ -164,7 +194,7 @@ INPUT_ERRORS = [
                  "node index out of range", id="gram-node"),
     pytest.param(lambda: conditional_expected_node_gram(SENSORS, 1.0), InvalidInputError,
                  "node index must be an integer, got 1.0", id="gram-node-integer"),
-    pytest.param(lambda: regression_block(SENSORS, np.zeros(2), 1.5, [_rng()], np.zeros((1, 2, 1))),
+    pytest.param(lambda: regression_block(SENSORS, np.zeros(2), 1.5, [_rng()], np.zeros((2, 1, 1))),
                  InvalidInputError, "count must be an integer, got 1.5", id="regression-count-integer"),
     pytest.param(lambda: spatio_temporal_gram(SENSORS, 0), InvalidInputError,
                  "window must be positive", id="gram-window"),
@@ -174,6 +204,17 @@ INPUT_ERRORS = [
                                                    _rng(), samples=0),
                  InvalidInputError, "samples must be positive and step nonnegative",
                  id="monte-carlo-samples"),
+    pytest.param(lambda: monte_carlo_expected_gram(SENSORS, np.zeros(2), 1.5, MeasurementNoise(), _rng()),
+                 InvalidInputError, "step must be an integer, got 1.5", id="monte-carlo-step-integer"),
+    pytest.param(lambda: monte_carlo_expected_gram(SENSORS, np.zeros(2), True, MeasurementNoise(), _rng()),
+                 InvalidInputError, "step must be an integer, got True", id="monte-carlo-step-bool"),
+    pytest.param(lambda: monte_carlo_expected_gram(SENSORS, np.zeros(2), 0, MeasurementNoise(), _rng(),
+                                                   samples=2.5),
+                 InvalidInputError, "samples must be an integer, got 2.5",
+                 id="monte-carlo-samples-integer"),
+    pytest.param(lambda: monte_carlo_expected_gram(ar_driven_regression(2, 2), np.zeros(2), 1.5,
+                                                   MeasurementNoise(), _rng()),
+                 InvalidInputError, "step must be an integer, got 1.5", id="monte-carlo-ar-step-integer"),
     pytest.param(lambda: support_gram_norm_bound(ar_driven_regression(2, 2)),
                  UnsupportedAnalyticError, "ar-driven regressors have unbounded support",
                  id="ar-support"),
@@ -249,6 +290,8 @@ INPUT_ERRORS = [
     pytest.param(lambda: run_experiment(get_preset("setting-i"), out_dir=os.devnull, workers=1.5),
                  InvalidInputError, "workers must be an integer, got 1.5", id="experiment-workers-integer"),
     # regret: the batch and the oracle
+    pytest.param(lambda: simulate_regret(get_preset("setting-i"), 3), InvalidInputError,
+                 "runs must be an iterable of run indices, got 3", id="regret-run-indices-iterable"),
     pytest.param(lambda: simulate_regret(get_preset("setting-i"), [-1]), InvalidInputError,
                  "run index must be nonnegative, got -1", id="regret-run-index-negative"),
     pytest.param(lambda: oracle_parameter(SENSORS, np.zeros(2), 2.5), InvalidInputError,

@@ -19,6 +19,8 @@ from netlms.regression import (
     support_gram_norm_bound,
 )
 
+from test_input_checks import _scaled_setting_i
+
 ZERO_NOISE = MeasurementNoise(kind="zero", std=0.0)
 
 
@@ -31,16 +33,16 @@ def freeze_regression(process, rng, ar_history=None):
     returns.
     """
     hist = None if ar_history is None else np.asarray(ar_history, dtype=float)[..., None]
-    no_noise = np.zeros((1, process.total_rows, 1))
+    no_noise = np.zeros((process.total_rows, 1, 1))
     h = regression_block(process, np.zeros(process.dim), 1, [rng], no_noise, hist)[0]
-    return fixed_regression([b.copy() for b in np.split(h[0, :, :, 0], process.offsets[1:-1])])
+    return fixed_regression([b.copy() for b in np.split(h[:, :, 0, 0], process.offsets[1:-1])])
 
 
 def _draw(rp, x0, rng, count=1, noise=ZERO_NOISE, ar_history=None):
-    """``count`` steps of one run: the stacked matrices ``(count, sum n_i,
-    n)``, the noise-free outputs and the measurements ``(count, sum n_i)``
-    and the ar history after the block."""
-    draws = noise.sample(rng, (count, rp.total_rows))[..., None]
+    """``count`` steps of one run: the stacked matrices ``(sum n_i, n,
+    count)``, the noise-free outputs and the measurements ``(sum n_i,
+    count)`` and the ar history after the block."""
+    draws = noise.sample(rng, (count, rp.total_rows)).T[..., None]
     hist = None if ar_history is None else np.asarray(ar_history, dtype=float)[..., None]
     h, y_clean, y, hist = regression_block(rp, np.asarray(x0, dtype=float), count, [rng], draws, hist)
     return h[..., 0], y_clean[..., 0], y[..., 0], None if hist is None else hist[..., 0]
@@ -63,8 +65,8 @@ def test_fixed_sampling_and_measurements(rng):
     rp = fixed_regression(h)
     x0 = np.array([3.0, -1.0])
     h_drawn, y_clean, y, _ = _draw(rp, x0, rng)
-    assert np.array_equal(h_drawn[0], np.concatenate(h))
-    assert np.allclose(y, [[3.0, -2.0]])
+    assert np.array_equal(h_drawn[:, :, 0], np.concatenate(h))
+    assert np.allclose(y, [[3.0], [-2.0]])
     assert np.array_equal(y, y_clean)
     _, y_clean, y, _ = _draw(rp, x0, rng, noise=MeasurementNoise(kind="gaussian", std=1.0))
     assert not np.array_equal(y, y_clean)
@@ -108,9 +110,9 @@ def test_bernoulli_gram_scales_with_probability():
 def test_bernoulli_degenerate_probabilities(rng):
     c = [np.eye(2)]
     always, _, _, _ = _draw(bernoulli_failure_regression(c, 1.0), np.ones(2), rng)
-    assert np.array_equal(always[0], np.eye(2))
+    assert np.array_equal(always[:, :, 0], np.eye(2))
     never, _, _, _ = _draw(bernoulli_failure_regression(c, 0.0), np.ones(2), rng)
-    assert np.abs(never[0]).max() == 0.0
+    assert np.abs(never[:, :, 0]).max() == 0.0
 
 
 def test_ar_regressor_is_lagged_output(rng):
@@ -119,11 +121,11 @@ def test_ar_regressor_is_lagged_output(rng):
     hist = np.array([[1.0, 2.0], [0.0, 1.0]])
     h, _, y, after = _draw(rp, theta, rng, count=2, ar_history=hist)
     # regressor rows are the histories; outputs follow the recursion exactly
-    assert np.array_equal(h[0], hist)
-    assert np.allclose(y[0], hist @ theta)
+    assert np.array_equal(h[:, :, 0], hist)
+    assert np.allclose(y[:, 0], hist @ theta)
     # threading: newest output becomes the first lag
-    assert np.array_equal(h[1], np.column_stack([y[0], hist[:, 0]]))
-    assert np.array_equal(after, np.column_stack([y[1], y[0]]))
+    assert np.array_equal(h[:, :, 1], np.column_stack([y[:, 0], hist[:, 0]]))
+    assert np.array_equal(after, np.column_stack([y[:, 1], y[:, 0]]))
 
 
 def test_ar_requires_history(rng):
@@ -157,18 +159,18 @@ def test_freeze_regression_fixes_the_draw(rng):
     assert frozen.kind == "fixed"
     h1, _, _, _ = _draw(frozen, np.zeros(2), np.random.default_rng(1), count=9)
     h2, _, _, _ = _draw(frozen, np.zeros(2), np.random.default_rng(2))
-    assert all(np.array_equal(h, h2[0]) for h in h1)
+    assert all(np.array_equal(h, h2[:, :, 0]) for h in h1.transpose(2, 0, 1))
     # the frozen draw stays inside the support base + coef * [0, 1]
     lo = np.array([[0.5, 0.0], [0.0, 0.5], [0.5, 0.5]])
-    assert np.all(h2[0] >= lo - 1e-12)
-    assert np.all(h2[0] <= lo + 1.0 + 1e-12)
+    assert np.all(h2[:, :, 0] >= lo - 1e-12)
+    assert np.all(h2[:, :, 0] <= lo + 1.0 + 1e-12)
 
 
 def test_support_gram_norm_bound_dominates_draws(rng):
     rp = _benchmark_entrywise()
     bound = support_gram_norm_bound(rp)
     h, _, _, _ = _draw(rp, np.zeros(2), rng, count=200)
-    for stacked in h:
+    for stacked in h.transpose(2, 0, 1):
         top = max(np.linalg.norm(h_i, 2) ** 2 for h_i in np.split(stacked, rp.offsets[1:-1]))
         assert top <= bound + 1e-12
 
@@ -179,8 +181,8 @@ def test_node_dims_offsets():
     assert rp.node_dims == (2, 3, 1)
     assert rp.offsets == (0, 2, 5, 6)
     h, _, _, _ = _draw(rp, np.zeros(3), np.random.default_rng(0))
-    assert h.shape == (1, 6, 3)
-    assert block_diag(np.split(h[0], rp.offsets[1:-1])).shape == (6, 9)
+    assert h.shape == (6, 3, 1)
+    assert block_diag(np.split(h[:, :, 0], rp.offsets[1:-1])).shape == (6, 9)
 
 
 def test_ar_monte_carlo_gram_and_freeze_replay_the_recursion(rng):
@@ -197,3 +199,15 @@ def test_ar_monte_carlo_gram_and_freeze_replay_the_recursion(rng):
     frozen = freeze_regression(rp, rng, hist)
     assert frozen.kind == "fixed"
     assert np.array_equal(np.concatenate(frozen.h_nodes), hist)
+
+
+@pytest.mark.parametrize("kind", ["fixed", "bernoulli-failure", "entrywise-uniform"])
+def test_laws_with_finite_gram_bounds_build(kind):
+    """setting-i's cells at +-1e150 keep every Gram bound finite (at most
+    4e300), so the law builds and a drawn Gram is finite; at 1e160 the
+    builders reject it (``tests/test_input_checks.py``)."""
+    cfg = _scaled_setting_i(kind, 1e150)
+    rp = cfg.regression.to_process(cfg.nodes, cfg.dim)
+    h = _draw(rp, np.zeros(cfg.dim), np.random.default_rng(3))[0][:, :, 0]
+    for h_i in np.split(h, rp.offsets[1:-1]):
+        assert np.isfinite(h_i.T @ h_i).all()
