@@ -17,8 +17,9 @@ Shapes, each one call per tree and round:
 - ``regret-batch-20x300``: the kernel of ``netlms run`` on the regret
   preset, 20 runs of 300 steps kept at their record grid;
 - ``regret-sigma0-20x300``: the same with ``sigma_f = 0``, so the step
-  loop computes no link distances, the channel slab is scaled in place
-  and the bound checks take the distances from the states;
+  loop computes no link distances, the build writes the link products
+  to a fresh array and the bound checks take the distances from the
+  states;
 - ``markov-bernoulli-20x300``: ``simulate`` of 20 runs of 300 steps of
   the regret preset's gains and noise over a two-state markov-switching
   graph and bernoulli-failure regressors (the regret preset's coef

@@ -480,7 +480,8 @@ def _fused_operator(model, link_noise, start, adj, h, y, xi, gram_rows):
     the channel noise ``xi[j, q, i, k, r]``.  The operator is built and
     returned in the same layout, so each call below writes ``K * R``
     contiguous values; the step loop copies it steps first, a sub-block
-    at a time.  Scales ``xi`` in place without link noise.
+    at a time.  Without link noise the link products, which only the
+    bias sum reads, go to a fresh array of the same layout.
 
     The own blocks ``(1 - lam) I - a H_i^T H_i`` read only the regressor
     cells that the law can make nonzero (see :func:`_gram_rows`).  Every
@@ -534,7 +535,7 @@ def _fused_operator(model, link_noise, start, adj, h, y, xi, gram_rows):
         np.multiply(degree[i], -b, out=consensus[i, :, i])
         np.multiply(ordered_sum(h[lo:hi] * y[lo:hi, None], 0), a, out=op[-1, :, i])
     # link noise sum_j a_ij f_ij xi_ij: its bias part is exogenous
-    link = op[dim + n_nodes : -1] if link_noise else xi
+    link = op[dim + n_nodes : -1] if link_noise else np.empty(xi.shape)
     np.multiply(xi, adj_t[:, None], out=link)
     op[-1] += (b * model.intensity.bias) * ordered_sum(link, 0)
     if link_noise:

@@ -138,8 +138,8 @@ def test_01_node_form_matches_stacked_form():
         x0 = rng.normal(size=dim)
         x = rng.normal(size=(n_nodes, dim))
         adj = graph_block(gp, trial, 1, [rng])[0][:, :, 0, 0]
-        noise = MeasurementNoise(kind="gaussian", std=1.0).sample(rng, (1, rp.total_rows, 1)).transpose(1, 0, 2)
-        h, _, y, _ = regression_block(rp, x0, 1, [rng], noise)
+        noise = MeasurementNoise(kind="gaussian", std=1.0).sample(rng, (1, rp.total_rows, 1))
+        h, _, y, _ = regression_block(rp, x0, 1, [rng], noise.transpose(1, 0, 2))
         split = rp.offsets[1:-1]
         h_nodes, y_nodes = np.split(h[:, :, 0, 0], split), np.split(y[:, 0, 0], split)
         xi = rng.standard_normal((n_nodes, n_nodes, dim))

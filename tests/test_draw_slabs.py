@@ -75,10 +75,11 @@ def test_regression_block_into_a_reused_slab(regression_kind, runs):
     x0 = np.asarray(cfg.x0, dtype=float)
     fresh, kept = _twin_rngs(runs)
     slab = _nan_like(regression_slab(rp, runs, BLOCK))
-    noise = np.random.default_rng(9).standard_normal((ROWS, rp.total_rows, runs)).transpose(1, 0, 2)
+    noise = np.random.default_rng(9).standard_normal((ROWS, rp.total_rows, runs))
     for start, count in _blocks():
-        drawn = regression_block(rp, x0, count, fresh, noise[:, start : start + count])
-        into_slab = regression_block(rp, x0, count, kept, noise[:, start : start + count], None, slab)
+        block = noise[start : start + count].transpose(1, 0, 2)
+        drawn = regression_block(rp, x0, count, fresh, block)
+        into_slab = regression_block(rp, x0, count, kept, block, None, slab)
         for a, b in zip(drawn[:3], into_slab[:3]):
             assert _same_bits(np.ascontiguousarray(a), np.ascontiguousarray(b)), (start, count)
             assert not np.isnan(b).any()
