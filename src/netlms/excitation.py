@@ -26,8 +26,6 @@ call too.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-
 import numpy as np
 
 from .config import ExperimentConfig
@@ -190,14 +188,22 @@ def _law_pass(graph_process, window, gram=None):
     return gaps, big, ordered_sum(big + gram, axis=1)
 
 
-def _weighted(big, gram, gains, window, ks):
-    """Gain-weighted information matrices of windows ``ks``, given their
-    steps' lifted Laplacians ``big``, with the gains the simulator steps
-    with."""
-    steps = np.asarray(ks)[:, None] * window + np.arange(window)
-    ab = gains.table(steps.ravel()).reshape(len(ks), window, 3)
-    a, b = ab[..., 0, None, None], ab[..., 1, None, None]
-    return ordered_sum(b * big + a * gram, axis=1)
+def _gain_rows(gains: GainSchedule, window: int, lo: int, hi: int) -> np.ndarray:
+    """``(hi - lo, window, 3)``: the gains ``a, b, lam`` that the simulator
+    steps with at each step of windows ``lo .. hi - 1``."""
+    return gains.table(np.arange(lo * window, hi * window)).reshape(hi - lo, window, 3)
+
+
+def _weighted(big, gram, ab, which):
+    """Gain-weighted information matrices of windows of patterns
+    ``which``, given the patterns' lifted Laplacians ``big`` and the
+    windows' :func:`_gain_rows` ``ab``.  Each step's ``b big + a gram`` is
+    formed in one buffer, multiplied and added in place, then summed over
+    the window's steps in index order."""
+    terms = big[which]
+    terms *= ab[..., 1, None, None]
+    terms += ab[..., 0, None, None] * gram
+    return ordered_sum(terms, axis=1)
 
 
 def _one_window(graph_process, regression_process, window_index, window, state_at_cut):
@@ -242,21 +248,40 @@ def _bound_premises(regression_process: RegressionProcess, gamma1: Gamma1Report,
 # Windows evaluated together: enough to batch the eigenvalue calls, few
 # enough that the working set does not grow with the window count.
 _BLOCK = 64
+# Steps of one gain table in ``pe_diagnostic``: a segment of whole blocks,
+# 16 at window 2 and one from window 32 on, so that the table stays
+# within a block's working set.
+_TABLE_STEPS = 2048
 
 
-def _state_minima(process: GraphProcess, windows: int, evaluate) -> np.ndarray:
-    """``(q, windows)`` minima of ``evaluate(ks, state)``, a ``(q, len(ks))``
-    array, over the states the chain could hold at each window's cut: any
-    state past step 0, so window 0, which conditions on nothing, runs
-    alone.  A later state replaces a value only when strictly smaller, as
-    ``min`` does."""
+def _edges(lo: int, hi: int, span: int) -> list[int]:
+    """Edges of the runs of windows ``lo .. hi - 1`` as the audit cuts
+    them, ``lo`` itself an edge: window 0 alone, then ``span`` windows at
+    a time from window 1."""
+    return [lo, *range(lo + span if lo else 1, hi, span), hi]
+
+
+def _state_minima(process: GraphProcess, first: int, out: np.ndarray, evaluate) -> np.ndarray:
+    """Fill ``out``, ``(q, n)``, with the rows of windows ``first .. first
+    + n - 1`` minimized over the states the chain could hold at each
+    window's cut: any state past step 0, so window 0, which conditions on
+    nothing, runs alone.  ``evaluate(ks, state, rows)`` writes the
+    ``(q, len(ks))`` rows of a block of at most ``_BLOCK`` windows ``ks``
+    into ``rows``: the first state straight into ``out``, each later one
+    into a scratch block that replaces a value only where strictly
+    smaller, as ``min`` does.  Returns ``out``."""
     states = tuple(range(len(process.states))) if process.kind == "markov-switching" else (None,)
-    edges = [0, *range(1, windows, _BLOCK), windows]
-    blocks = []
+    scratch = np.empty((len(out), _BLOCK))
+    edges = _edges(first, first + out.shape[1], _BLOCK)
     for lo, hi in zip(edges, edges[1:]):
-        values = [np.asarray(evaluate(range(lo, hi), s)) for s in (states if lo > 0 else (None,))]
-        blocks.append(reduce(lambda low, v: np.where(v < low, v, low), values))
-    return np.concatenate(blocks, axis=1)
+        rows, ks = out[:, lo - first : hi - first], range(lo, hi)
+        cut_states = states if lo > 0 else (None,)
+        evaluate(ks, cut_states[0], rows)
+        for s in cut_states[1:]:
+            v = scratch[:, : hi - lo]
+            evaluate(ks, s, v)
+            np.copyto(rows, v, where=v < rows)
+    return out
 
 
 def _threshold_report(values: np.ndarray, threshold: float) -> WindowCheckReport:
@@ -292,7 +317,8 @@ def info_matrix(
     _, big, gainless = _law_pass(graph_process, window, gram)
     if gains is None:
         return gainless[which]
-    return _weighted(big[which, None], gram, gains, window, [window_index])[0]
+    ab = _gain_rows(gains, window, window_index, window_index + 1)
+    return _weighted(big, gram, ab, [which])[0]
 
 
 def lambda_min_window(info: np.ndarray) -> float:
@@ -319,9 +345,11 @@ def check_definition1(
     if graph_process.nodes < 2:
         raise InvalidInputError("joint connectivity needs at least two nodes")
     pattern_gaps, _, _ = _law_pass(graph_process, window)
-    (gaps,) = _state_minima(
-        graph_process, windows, lambda ks, s: pattern_gaps[None, _pattern_index(graph_process, window, ks, s)]
-    )
+
+    def evaluate(ks, s, rows):
+        np.take(pattern_gaps, _pattern_index(graph_process, window, ks, s), out=rows[0], mode="clip")
+
+    (gaps,) = _state_minima(graph_process, 0, np.empty((1, windows)), evaluate)
     return _threshold_report(gaps, theta1)
 
 
@@ -506,12 +534,20 @@ def pe_diagnostic(config: ExperimentConfig, windows: int | None = None) -> Excit
     lhs = np.linalg.eigvalsh(gainless)[:, 0]
     law_only = np.array([gap, lhs, lhs - _bound_rhs(gap, gram_min, gp.nodes, h, rho0)])
 
-    def evaluate(ks, s):
-        which = _pattern_index(gp, h, ks, s)
-        weighted = _weighted(big[which], gram, gains, h, ks)
-        return np.vstack([law_only[:, which], np.linalg.eigvalsh(weighted)[:, 0]])
+    # each segment's gains in one table, each block's rows written in place
+    series = np.empty((4, windows))
+    segments = _edges(0, windows, _BLOCK * max(1, _TABLE_STEPS // (_BLOCK * h)))
+    for lo, hi in zip(segments, segments[1:]):
+        ab = _gain_rows(gains, h, lo, hi)
 
-    gaps, raw, margins, lam = _state_minima(gp, windows, evaluate)
+        def evaluate(ks, s, rows):
+            which = _pattern_index(gp, h, ks, s)
+            np.take(law_only, which, axis=1, out=rows[:3], mode="clip")
+            weighted = _weighted(big, gram, ab[ks.start - lo : ks.stop - lo], which)
+            rows[3] = np.linalg.eigvalsh(weighted)[:, 0]
+
+        _state_minima(gp, lo, series[:, lo:hi], evaluate)
+    gaps, raw, margins, lam = series
     cumulative = np.cumsum(lam)
     with np.errstate(divide="ignore"):
         r_series = np.where(cumulative > 0.0, 1.0 / np.where(cumulative > 0, cumulative, 1.0), np.inf)
