@@ -232,6 +232,12 @@ def graph_block(
     return np.stack(process.states, axis=-1).take(index, axis=2), state
 
 
+def _check_stateless(process: GraphProcess, state_at_cut) -> None:
+    """A kind without chain states takes no state at the cut."""
+    if state_at_cut is not None:
+        raise InvalidInputError(f"{process.kind} graphs have no state at the cut; state_at_cut must be None")
+
+
 def conditional_expected_adjacency(
     process: GraphProcess,
     step: int,
@@ -246,7 +252,8 @@ def conditional_expected_adjacency(
     kind.  For markov-switching the expectation is ``sum_l P^m(s, l) A_l``
     with ``m = step - cut`` transitions from the state ``s`` realized at
     the cut; a cut below zero conditions on nothing and starts the chain
-    from its initial state at step 0.
+    from its initial state at step 0.  The independent kinds have no
+    state, so ``state_at_cut`` must be ``None`` for them.
     """
     step, history_cut = as_index(step, "step"), as_index(history_cut, "history_cut")
     if step < 0:
@@ -264,6 +271,7 @@ def conditional_expected_adjacency(
                 raise InvalidInputError("state_at_cut out of range")
         probs = np.linalg.matrix_power(process.transition, m)[s]
         return np.tensordot(probs, np.stack(process.states), axes=1)
+    _check_stateless(process, state_at_cut)
     if process.kind == "fixed":
         return process.adjacency.copy()
     if history_cut == step:
@@ -325,9 +333,11 @@ def _pattern_index(
     """Each window's pattern in :func:`window_sym_laplacians`, for the
     windows ``window_indices`` conditioned at their cuts ``k window - 1``
     on ``state_at_cut``.  A markov-switching state is range-checked
-    whatever the windows; window 0 needs none."""
+    whatever the windows; window 0 needs none.  The other kinds take
+    none."""
     ks = np.asarray(window_indices, dtype=np.intp)
     if process.kind != "markov-switching":
+        _check_stateless(process, state_at_cut)
         return ks * window % 2 if process.kind == "alternating-uniform" else np.zeros_like(ks)
     if state_at_cut is None:
         if np.any(ks > 0):

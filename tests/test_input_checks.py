@@ -24,6 +24,7 @@ from netlms.excitation import (
     check_definition2,
     corollary1_stationary_check,
     info_matrix,
+    lemma_lower_bound_check,
     pe_diagnostic,
 )
 from netlms.experiment import run_experiment
@@ -147,6 +148,15 @@ INPUT_ERRORS = [
                  "state_at_cut must be an integer, got 0.5", id="mean-state-integer"),
     pytest.param(lambda: _pattern_index(MARKOV, 2, [1], 0.5), InvalidInputError,
                  "state_at_cut must be an integer, got 0.5", id="pattern-state-integer"),
+    pytest.param(lambda: conditional_expected_adjacency(fixed_graph(PAIR), 3, 1, 0), InvalidInputError,
+                 "fixed graphs have no state at the cut; state_at_cut must be None",
+                 id="mean-fixed-state"),
+    pytest.param(lambda: conditional_expected_adjacency(ALTERNATING, 3, 1, "x"), InvalidInputError,
+                 "alternating-uniform graphs have no state at the cut; state_at_cut must be None",
+                 id="mean-alternating-state"),
+    pytest.param(lambda: _pattern_index(ALTERNATING, 2, [0, 1], -7), InvalidInputError,
+                 "alternating-uniform graphs have no state at the cut; state_at_cut must be None",
+                 id="pattern-alternating-state"),
     pytest.param(lambda: window_sym_laplacians(ALTERNATING, 2.5), InvalidInputError,
                  "window must be an integer, got 2.5", id="window-laplacians-integer"),
     pytest.param(lambda: conditional_expected_adjacency(ALTERNATING, 3, 3), InvalidInputError,
@@ -234,6 +244,18 @@ INPUT_ERRORS = [
                  "window_index must be an integer, got 1.5", id="window-index-integer"),
     pytest.param(lambda: info_matrix(fixed_graph(PAIR), ONE_SENSOR, None, 0, 2), InvalidInputError,
                  "graph and regression disagree on the node count", id="window-nodes"),
+    pytest.param(lambda: info_matrix(fixed_graph(PAIR), SENSORS, None, 1, 2, "x"), InvalidInputError,
+                 "fixed graphs have no state at the cut; state_at_cut must be None",
+                 id="window-fixed-state"),
+    pytest.param(lambda: info_matrix(ALTERNATING, SENSORS, None, 1, 2, 2.5), InvalidInputError,
+                 "alternating-uniform graphs have no state at the cut; state_at_cut must be None",
+                 id="window-alternating-state"),
+    pytest.param(lambda: lemma_lower_bound_check(fixed_graph(PAIR), SENSORS, 2, 5.0, 1, True),
+                 InvalidInputError, "fixed graphs have no state at the cut; state_at_cut must be None",
+                 id="lower-bound-fixed-state"),
+    pytest.param(lambda: lemma_lower_bound_check(ALTERNATING, SENSORS, 2, 5.0, 0, -7), InvalidInputError,
+                 "alternating-uniform graphs have no state at the cut; state_at_cut must be None",
+                 id="lower-bound-alternating-state"),
     pytest.param(lambda: corollary1_stationary_check([], HALF, []), InvalidInputError,
                  "need at least one graph state", id="stationary-no-states"),
     pytest.param(lambda: corollary1_stationary_check([PAIR, np.zeros((3, 3))], HALF, [[], []]),
