@@ -14,6 +14,8 @@ Shapes, each one call per tree and round:
 
 - ``setting-i-1x6000``: ``run_trajectory`` of one setting-i run of 6000
   steps with bound checks;
+- ``setting-i-sigma0-1x6000``: the same with ``sigma_f = 0``, the one-run
+  path of the build without link noise;
 - ``regret-batch-20x300``: the kernel of ``netlms run`` on the regret
   preset, 20 runs of 300 steps kept at their record grid;
 - ``regret-sigma0-20x300``: the same with ``sigma_f = 0``, so the step
@@ -29,11 +31,16 @@ Shapes, each one call per tree and round:
   noise and bound checks;
 - ``build-1x942`` and ``build-20x47``: ``estimator._fused_operator`` alone,
   20 calls on one captured first chunk of setting-i (one run) and of the
-  regret preset (20 runs).
+  regret preset (20 runs);
+- ``pe-diagnostic-1000``: ``pe_diagnostic`` of setting-i over 1000
+  windows, the body of the benchmark's ``excitation-audit``;
+- ``pe-markov-bernoulli-130``: ``pe_diagnostic`` of the markov-bernoulli
+  config over 130 windows, whose blocks end at windows 1, 65 and 129,
+  each solved from both states at the cut.
 
 Rounds alternate which tree goes first.  For each shape and tree it
 prints the median and quartiles of CPU time (``time.process_time``) in
-microseconds per run-step, the rounds that ``B`` won out of all rounds,
+microseconds per run-step (per window for the ``pe-`` shapes), the rounds that ``B`` won out of all rounds,
 minor page faults (``ru_minflt``) per call, and whether both trees gave
 the same bytes.  ``--json`` prints one JSON object instead of the table.
 Pin BLAS to one thread (the script sets ``OPENBLAS_NUM_THREADS=1`` and
@@ -155,11 +162,12 @@ def _captured_build(nl, preset, runs):
 
 
 def _shapes(nl):
-    """``{name: (call, run-steps per call)}`` for one tree."""
+    """``{name: (call, run-steps or windows per call)}`` for one tree."""
     est = nl.estimator
     one = nl.with_overrides(nl.get_preset("setting-i"), runs=1, horizon=6000)
     batch = nl.with_overrides(nl.get_preset("regret"), runs=20, horizon=300)
     quiet = dataclasses.replace(batch, noise=dataclasses.replace(batch.noise, sigma_f=0.0))
+    quiet_one = dataclasses.replace(one, noise=dataclasses.replace(one.noise, sigma_f=0.0))
     grid = np.arange(0, batch.horizon + 1, batch.record_every)
     switching = _markov_bernoulli_config(nl)
     switching_model = est.SimulationModel.from_config(switching)
@@ -167,6 +175,8 @@ def _shapes(nl):
     ar_model = est.SimulationModel.from_config(ar)
     return {
         "setting-i-1x6000": (lambda: nl.run_trajectory(one, nl.substream(one.seed, 0)), one.horizon + 1),
+        "setting-i-sigma0-1x6000": (
+            lambda: nl.run_trajectory(quiet_one, nl.substream(quiet_one.seed, 0)), quiet_one.horizon + 1),
         "regret-batch-20x300": (
             lambda: est._sample_runs(batch, _seeds(batch), grid, nl.experiment._FIELDS),
             batch.runs * (batch.horizon + 1)),
@@ -181,6 +191,8 @@ def _shapes(nl):
             ar.runs * (ar.horizon + 1)),
         "build-1x942": _captured_build(nl, "setting-i", 1),
         "build-20x47": _captured_build(nl, "regret", 20),
+        "pe-diagnostic-1000": (lambda: nl.pe_diagnostic(one, windows=1000), 1000),
+        "pe-markov-bernoulli-130": (lambda: nl.pe_diagnostic(switching, windows=130), 130),
     }
 
 
@@ -233,7 +245,8 @@ def run(spec_a, spec_b, rounds, names=None):
                     cpu, minflt = _timed(call)
                     times[n][label].append(1e6 * cpu / steps)
                     faults[n][label].append(minflt)
-    result = {"a": spec_a, "b": spec_b, "rounds": rounds, "unit": "cpu us per run-step", "shapes": {}}
+    result = {"a": spec_a, "b": spec_b, "rounds": rounds,
+              "unit": "cpu us per run-step (per window for the pe- shapes)", "shapes": {}}
     for n in names:
         entry = {}
         for label in ("a", "b"):
