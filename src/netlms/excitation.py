@@ -26,6 +26,7 @@ call too.
 from __future__ import annotations
 
 from dataclasses import dataclass
+
 import numpy as np
 
 from .config import ExperimentConfig
@@ -249,8 +250,8 @@ def _bound_premises(regression_process: RegressionProcess, gamma1: Gamma1Report,
 # enough that the working set does not grow with the window count.
 _BLOCK = 64
 # Steps of one gain table in ``pe_diagnostic``: a segment of whole blocks,
-# 16 at window 2 and one from window 32 on, so that the table stays
-# within a block's working set.
+# 16 at window 2 and one from window 17 on, so that the table stays small
+# beside a block's working set however many windows the audit covers.
 _TABLE_STEPS = 2048
 
 
@@ -347,7 +348,7 @@ def check_definition1(
     pattern_gaps, _, _ = _law_pass(graph_process, window)
 
     def evaluate(ks, s, rows):
-        np.take(pattern_gaps, _pattern_index(graph_process, window, ks, s), out=rows[0], mode="clip")
+        np.take(pattern_gaps, _pattern_index(graph_process, window, ks, s), out=rows[0])
 
     (gaps,) = _state_minima(graph_process, 0, np.empty((1, windows)), evaluate)
     return _threshold_report(gaps, theta1)
@@ -512,6 +513,13 @@ def pe_diagnostic(config: ExperimentConfig, windows: int | None = None) -> Excit
     behavior: ``excited`` says the sum was still growing over the last
     cycle of law patterns, and ``sublinear_warning`` says the tail decayed
     faster than ``1/k`` — heuristics, never verdicts.
+
+    Window 0 is solved alone, then blocks of ``_BLOCK`` windows, each
+    with one batched eigenvalue call per state at the cut.  The gains are
+    read from one table per segment of blocks (``_TABLE_STEPS``), and each
+    block writes its four rows (gap, gainless eigenvalue, margin, weighted
+    eigenvalue) into one ``(4, windows)`` array, so the working set stays
+    a block's whatever the window count.
     """
     h = config.excitation.window
     if windows is None:
@@ -542,7 +550,7 @@ def pe_diagnostic(config: ExperimentConfig, windows: int | None = None) -> Excit
 
         def evaluate(ks, s, rows):
             which = _pattern_index(gp, h, ks, s)
-            np.take(law_only, which, axis=1, out=rows[:3], mode="clip")
+            np.take(law_only, which, axis=1, out=rows[:3])
             weighted = _weighted(big, gram, ab[ks.start - lo : ks.stop - lo], which)
             rows[3] = np.linalg.eigvalsh(weighted)[:, 0]
 
