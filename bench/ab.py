@@ -40,9 +40,9 @@ Shapes, each one call per tree and round:
 
 Rounds alternate which tree goes first.  For each shape and tree it
 prints the median and quartiles of CPU time (``time.process_time``) in
-microseconds per run-step (per window for the ``pe-`` shapes), the rounds that ``B`` won out of all rounds,
-minor page faults (``ru_minflt``) per call, and whether both trees gave
-the same bytes.  ``--json`` prints one JSON object instead of the table.
+microseconds per run-step (per window for the ``pe-`` shapes), the
+rounds that ``B`` won out of all rounds, minor page faults
+(``ru_minflt``) per call, and whether both trees gave the same bytes.  ``--json`` prints one JSON object instead of the table.
 Pin BLAS to one thread (the script sets ``OPENBLAS_NUM_THREADS=1`` and
 its kin unless they are set) to compare with the benchmark.
 """
