@@ -22,16 +22,17 @@ Shapes, each one call per tree and round:
   loop computes no link distances, the build writes the link products
   to a fresh array and the bound checks take the distances from the
   states;
-- ``markov-bernoulli-20x300``: ``simulate`` of 20 runs of 300 steps of
-  the regret preset's gains and noise over a two-state markov-switching
-  graph and bernoulli-failure regressors (the regret preset's coef
-  pattern, active with probability 0.6), with bound checks;
-- ``ar-driven-order-5``: ``simulate`` of 3 runs of 1000 steps of an
-  order-5 ar-driven model (every regressor cell supported) with link
+- ``markov-bernoulli-20x300``: the kernel (``estimator._sample_runs``,
+  keeping V at the last step) of 20 runs of 300 steps of the regret
+  preset's gains and noise over a two-state markov-switching graph and
+  bernoulli-failure regressors (the regret preset's coef pattern, active
+  with probability 0.6), with bound checks;
+- ``ar-driven-order-5``: the same kernel call on 3 runs of 1000 steps of
+  an order-5 ar-driven model (every regressor cell supported) with link
   noise and bound checks;
 - ``build-1x942`` and ``build-20x47``: ``estimator._fused_operator`` alone,
   20 calls on one captured first chunk of setting-i (one run) and of the
-  regret preset (20 runs);
+  regret preset (20 runs), captured from a one-chunk ``_sample_runs``;
 - ``pe-diagnostic-1000``: ``pe_diagnostic`` of setting-i over 1000
   windows, the body of the benchmark's ``excitation-audit``;
 - ``pe-markov-bernoulli-130``: ``pe_diagnostic`` of the markov-bernoulli
@@ -44,7 +45,10 @@ microseconds per run-step (per window for the ``pe-`` shapes), the
 rounds that ``B`` won out of all rounds, minor page faults
 (``ru_minflt``) per call, and whether both trees gave the same bytes.  ``--json`` prints one JSON object instead of the table.
 Pin BLAS to one thread (the script sets ``OPENBLAS_NUM_THREADS=1`` and
-its kin unless they are set) to compare with the benchmark.
+its kin unless they are set) to compare with the benchmark.  Every
+shape is built from calls that trees on both sides of a change of the
+model API share: the config, ``run_trajectory``, ``_sample_runs`` and
+``pe_diagnostic``.
 """
 
 from __future__ import annotations
@@ -72,6 +76,18 @@ import numpy as np  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 BUILD_CALLS = 20
+SHAPES = (
+    "setting-i-1x6000",
+    "setting-i-sigma0-1x6000",
+    "regret-batch-20x300",
+    "regret-sigma0-20x300",
+    "markov-bernoulli-20x300",
+    "ar-driven-order-5",
+    "build-1x942",
+    "build-20x47",
+    "pe-diagnostic-1000",
+    "pe-markov-bernoulli-130",
+)
 
 
 def _source(spec: str, tmp: Path, label: str) -> Path:
@@ -131,14 +147,21 @@ def _seeds(cfg):
     return [np.random.SeedSequence(cfg.seed, spawn_key=(r,)) for r in range(cfg.runs)]
 
 
+def _kernel(nl, cfg):
+    """``(call, run-steps)``: the simulation of every run of ``cfg``,
+    keeping V at the last step."""
+    grid = np.array([cfg.horizon])
+    return (lambda: nl.estimator._sample_runs(cfg, _seeds(cfg), grid, ("v",)),
+            cfg.runs * (cfg.horizon + 1))
+
+
 def _captured_build(nl, preset, runs):
     """``(call, run-steps)``: the operator build of a preset's first chunk,
-    its arguments captured from a one-chunk ``simulate``."""
+    its arguments captured from a one-chunk ``_sample_runs``."""
     est = nl.estimator
-    cfg = nl.get_preset(preset)
-    rows = sum(cfg.node_dims)
-    chunk = est._default_chunk(runs, cfg.nodes, cfg.dim, rows)
-    model = est.SimulationModel.from_config(cfg)
+    cfg = nl.with_overrides(nl.get_preset(preset), runs=runs)
+    chunk = est._default_chunk(runs, cfg.nodes, cfg.dim, sum(cfg.node_dims))
+    cfg = nl.with_overrides(cfg, horizon=chunk - 1)
     real, captured = est._fused_operator, []
 
     def capture(*args):
@@ -147,8 +170,7 @@ def _captured_build(nl, preset, runs):
 
     est._fused_operator = capture
     try:
-        seeds = [np.random.SeedSequence(cfg.seed, spawn_key=(r,)) for r in range(runs)]
-        est.simulate(model, seeds, chunk - 1, lambda stats: None)
+        _kernel(nl, cfg)[0]()
     finally:
         est._fused_operator = real
     (args,) = captured
@@ -170,9 +192,6 @@ def _shapes(nl):
     quiet_one = dataclasses.replace(one, noise=dataclasses.replace(one.noise, sigma_f=0.0))
     grid = np.arange(0, batch.horizon + 1, batch.record_every)
     switching = _markov_bernoulli_config(nl)
-    switching_model = est.SimulationModel.from_config(switching)
-    ar = _ar_config(nl)
-    ar_model = est.SimulationModel.from_config(ar)
     return {
         "setting-i-1x6000": (lambda: nl.run_trajectory(one, nl.substream(one.seed, 0)), one.horizon + 1),
         "setting-i-sigma0-1x6000": (
@@ -183,12 +202,8 @@ def _shapes(nl):
         "regret-sigma0-20x300": (
             lambda: est._sample_runs(quiet, _seeds(quiet), grid, nl.experiment._FIELDS),
             quiet.runs * (quiet.horizon + 1)),
-        "markov-bernoulli-20x300": (
-            lambda: est.simulate(switching_model, _seeds(switching), switching.horizon, lambda stats: None),
-            switching.runs * (switching.horizon + 1)),
-        "ar-driven-order-5": (
-            lambda: est.simulate(ar_model, _seeds(ar), ar.horizon, lambda stats: None),
-            ar.runs * (ar.horizon + 1)),
+        "markov-bernoulli-20x300": _kernel(nl, switching),
+        "ar-driven-order-5": _kernel(nl, _ar_config(nl)),
         "build-1x942": _captured_build(nl, "setting-i", 1),
         "build-20x47": _captured_build(nl, "regret", 20),
         "pe-diagnostic-1000": (lambda: nl.pe_diagnostic(one, windows=1000), 1000),
@@ -233,7 +248,9 @@ def run(spec_a, spec_b, rounds, names=None):
     with tempfile.TemporaryDirectory(prefix="netlms-ab-") as tmp:
         trees = {"a": _install(spec_a, Path(tmp), "a"), "b": _install(spec_b, Path(tmp), "b")}
         shapes = {label: _shapes(nl) for label, nl in trees.items()}
-        names = names or list(shapes["a"])
+        if tuple(shapes["a"]) != SHAPES:
+            raise RuntimeError("SHAPES does not list the shapes of _shapes in order")
+        names = names or SHAPES
         same = {n: _digest(shapes["a"][n][0]()) == _digest(shapes["b"][n][0]()) for n in names}
         times = {n: {"a": [], "b": []} for n in names}
         faults = {n: {"a": [], "b": []} for n in names}
@@ -260,12 +277,20 @@ def run(spec_a, spec_b, rounds, names=None):
     return result
 
 
+def _rounds(text: str) -> int:
+    rounds = int(text)
+    if rounds < 2:
+        raise argparse.ArgumentTypeError("quartiles need at least 2 rounds")
+    return rounds
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("a", help="src path, checkout or git revision")
     parser.add_argument("b", help="src path, checkout or git revision")
-    parser.add_argument("--rounds", type=int, default=30)
-    parser.add_argument("--shapes", nargs="*", help="run only these shapes")
+    parser.add_argument("--rounds", type=_rounds, default=30, help="at least 2")
+    parser.add_argument("--shapes", nargs="*", choices=SHAPES, metavar="NAME",
+                        help=f"run only these shapes: {', '.join(SHAPES)}")
     parser.add_argument("--json", action="store_true", help="print one JSON object")
     args = parser.parse_args(argv)
     result = run(args.a, args.b, args.rounds, args.shapes)

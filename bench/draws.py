@@ -107,7 +107,7 @@ def measure(repeats: int, chunks: int) -> list[dict]:
     for preset in PRESETS:
         for runs in RUNS:
             cfg = with_overrides(get_preset(preset), runs=runs)
-            model = estimator.SimulationModel.from_config(cfg)
+            model = cfg.model
             count = estimator._default_chunk(runs, cfg.nodes, cfg.dim, sum(cfg.node_dims))
             for name, (draw, floor) in _sources(model, runs, count).items():
                 rows.append({

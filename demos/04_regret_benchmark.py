@@ -27,8 +27,7 @@ def main():
     cfg = with_overrides(get_preset("regret"), runs=RUNS, horizon=HORIZON)
     # the runs are folded into their regret series as they are simulated
     series, _ = simulate_regret(cfg, range(RUNS))
-    oracle = oracle_parameter(cfg.regression.to_process(cfg.nodes, cfg.dim),
-                              np.asarray(cfg.x0, dtype=float), cfg.horizon)
+    oracle = oracle_parameter(cfg.model.regression, cfg.model.x0, cfg.horizon)
 
     print(f"regret preset at reduced scale: {RUNS} runs, horizon {HORIZON}")
     print(f"comparator parameter (equals x0): {np.array2string(oracle, precision=6)}\n")

@@ -31,7 +31,7 @@ from .config import (
     with_overrides,
 )
 from .errors import NetlmsError
-from .estimator import GainSchedule, validate_gains
+from .estimator import validate_gains
 from .experiment import run_experiment
 
 __all__ = ["main", "build_parser"]
@@ -114,7 +114,7 @@ def _cmd_audit(args) -> int:
 
 def _cmd_validate_gains(args) -> int:
     cfg = _resolve_config(args.config)
-    report = validate_gains(GainSchedule.from_config(cfg), mode=args.mode)
+    report = validate_gains(cfg.model.gains, mode=args.mode)
     print(f"schedule check, condition {report.mode}: {'PASS' if report.passed else 'FAIL'}")
     for name, ok, detail in report.checks:
         print(f"  [{'ok' if ok else '!!'}] {name}: {detail}")

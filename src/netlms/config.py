@@ -17,16 +17,20 @@ that a file must give it.  ``[noise]``, ``[gains]`` and ``[excitation]``
 take their keys from the fields of their dataclasses, defaults included;
 ``[graph]`` and ``[regression]`` map each ``kind`` to its keys and to the
 constructor of its process.  :func:`parse_config`, :func:`render_config`
-and the ``to_process`` methods only read these tables.
+and the config's check, which builds the processes, only read these
+tables.
 
 Parsing reports the first offending line.  The semantic checks
 (dimension mismatches, integer keys holding non-integers, values outside
 the model's premises and the like) run whenever an
 :class:`ExperimentConfig` is built, by :func:`parse_config`, a preset,
 :func:`with_overrides` or ``dataclasses.replace`` alike, so a config that
-exists is valid; a failure names the section and key, and the checks
-build every model object the config describes.  A config describes only
-the experiment: where its files go is the batch runner's ``out_dir``.
+exists is valid; a failure names the section and key.  The checks build
+the :class:`~netlms.estimator.SimulationModel` the config describes and
+keep it as ``config.model``, which every simulation and audit of the
+config reads, so a config builds its processes once.  A config describes
+only the experiment: where its files go is the batch runner's
+``out_dir``.
 Every config round-trips exactly through
 ``parse_config(render_config(cfg))``, and the rendering is canonical.
 """
@@ -34,16 +38,18 @@ Every config round-trips exactly through
 from __future__ import annotations
 
 import math
-import operator
 from collections import ChainMap
 from dataclasses import dataclass, field, fields, replace
 from numbers import Real
 from typing import Callable
 
+import numpy as np
+
 from . import graphs, regression
 from .errors import ConfigError, InvalidInputError
-from .linalg import as_matrix
-from .noise import NOISE_KINDS
+from .estimator import GainSchedule, SimulationModel
+from .linalg import as_index, as_matrix
+from .noise import NOISE_KINDS, ChannelNoise, MeasurementNoise, NoiseIntensity
 
 __all__ = [
     "GraphConfig",
@@ -78,9 +84,6 @@ class GraphConfig:
     transition: Matrix | None = None
     initial_state: int = 0
 
-    def to_process(self, nodes: int) -> graphs.GraphProcess:
-        return _kind(_GRAPH_KINDS, "graph", self.kind).build(self, nodes)
-
 
 @dataclass(frozen=True)
 class RegressionConfig:
@@ -92,9 +95,6 @@ class RegressionConfig:
     high: float = 1.0
     active_prob: float = 1.0
     ar_init: Matrix | None = None
-
-    def to_process(self, nodes: int, dim: int) -> regression.RegressionProcess:
-        return _kind(_REGRESSION_KINDS, "regression", self.kind).build(self, nodes, dim)
 
 
 @dataclass(frozen=True)
@@ -130,6 +130,13 @@ class ExcitationConfig:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment: the keys of a config file, checked whenever a
+    config is built.  ``model`` is not a field: it is the
+    :class:`~netlms.estimator.SimulationModel` the check builds, which
+    every simulation and audit of this config reads; ``==``, ``repr``,
+    :func:`render_config` and ``dataclasses.replace`` see only the
+    fields."""
+
     name: str
     seed: int
     horizon: int
@@ -148,14 +155,20 @@ class ExperimentConfig:
 
     def __post_init__(self):
         """Check the config against the model's premises and build the
-        processes it describes, whenever a config is built (by
-        ``dataclasses.replace`` too); a failure is a :class:`ConfigError`
-        that names the section, and the key where one key is at fault."""
+        model it describes into ``self.model``, whenever a config is built
+        (by ``dataclasses.replace`` and unpickling too); a failure is a
+        :class:`ConfigError` that names the section, and the key where one
+        key is at fault."""
 
         def fail(msg):
             raise ConfigError(msg)
 
-        # every integer key holds an integer (a numpy one will do)
+        # text the config format carries unchanged: a comment or a line
+        # break would end it, and the parser strips surrounding whitespace
+        name = self.name
+        if not isinstance(name, str) or "#" in name or len(name.splitlines()) > 1 or name != name.strip():
+            fail(f"[experiment] name must be one line without '#' or surrounding whitespace, got {name!r}")
+        # every integer key holds an integer (a numpy one will do, a bool not)
         for key, value in (
             ("[experiment] seed", self.seed),
             ("[experiment] horizon", self.horizon),
@@ -168,9 +181,9 @@ class ExperimentConfig:
             ("[graph] initial_state", self.graph.initial_state),
         ):
             try:
-                operator.index(value)
-            except TypeError:
-                fail(f"{key} must be an integer, got {value!r}")
+                as_index(value, key)
+            except InvalidInputError as exc:
+                fail(str(exc))
         if self.seed < 0:
             fail("[experiment] seed must be nonnegative")
         if self.horizon < 0:
@@ -209,9 +222,11 @@ class ExperimentConfig:
             fail("[excitation] window must be positive")
         section = "graph"
         try:  # surface process-level validation as config errors
-            gp = self.graph.to_process(self.nodes)
+            gp = _kind(_GRAPH_KINDS, section, self.graph.kind).build(self.graph, self.nodes)
             section = "regression"
-            rp = self.regression.to_process(self.nodes, self.dim)
+            rp = _kind(_REGRESSION_KINDS, section, self.regression.kind).build(
+                self.regression, self.nodes, self.dim
+            )
         except InvalidInputError as exc:
             raise ConfigError(f"[{section}] {exc}") from exc
         if gp.nodes != self.nodes:
@@ -235,6 +250,36 @@ class ExperimentConfig:
             for f in fields(part):
                 if f.name not in read and getattr(part, f.name) != f.default:
                     fail(f"[{section}] {f.name} is not read by kind {part.kind!r}")
+        # every consumer of the config shares the model, so its arrays are
+        # read-only, as the processes' arrays are
+        ar_init = None
+        if rp.kind == "ar-driven":  # a history of zeros unless given
+            ar_init = _frozen(np.zeros((self.nodes, self.dim)) if ai is None else ai)
+        noise, g = self.noise, self.gains
+        model = SimulationModel(
+            graph=gp,
+            regression=rp,
+            measurement=MeasurementNoise(kind=noise.measurement_kind, std=noise.measurement_std),
+            channel=ChannelNoise(kind=noise.channel_kind, std=noise.channel_std),
+            intensity=NoiseIntensity(sigma=noise.sigma_f, bias=noise.b_f),
+            gains=GainSchedule(g.a_coef, g.a_exp, g.b_coef, g.b_exp, g.lambda_coef, g.lambda_exp),
+            x0=_frozen(self.x0),
+            init=_frozen(self.init),
+            ar_init=ar_init,
+        )
+        object.__setattr__(self, "model", model)
+
+    def __reduce__(self):
+        # a pickled or copied config is built again, so it is checked and
+        # its model's arrays are read-only
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
+def _frozen(values) -> np.ndarray:
+    """``values`` as a new read-only float array."""
+    a = np.array(values, dtype=float)
+    a.flags.writeable = False
+    return a
 
 
 def _finite(value) -> bool:

@@ -25,10 +25,10 @@ and folds the recorded statistics once per block.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .config import ExperimentConfig
 from .errors import InvalidInputError
 from .graphs import GraphProcess, graph_block, graph_slab
 from .linalg import as_index, block_diag, laplacian, ordered_sum
@@ -42,6 +42,9 @@ from .noise import (
     norm_bound_sides,
 )
 from .regression import RegressionProcess, regression_block, regression_slab
+
+if TYPE_CHECKING:  # the config builds a SimulationModel, so imports this module
+    from .config import ExperimentConfig
 
 __all__ = [
     "GainSchedule",
@@ -105,11 +108,6 @@ class GainSchedule:
                 self.lam_coef * k1**-self.lam_exp,
             ]
         )
-
-    @classmethod
-    def from_config(cls, cfg: ExperimentConfig) -> "GainSchedule":
-        g = cfg.gains
-        return cls(g.a_coef, g.a_exp, g.b_coef, g.b_exp, g.lambda_coef, g.lambda_exp)
 
 
 @dataclass(frozen=True)
@@ -354,7 +352,9 @@ def source_streams(seed) -> tuple[np.random.Generator, ...]:
 @dataclass(frozen=True, eq=False)
 class SimulationModel:
     """Everything the simulation kernel reads: the graph and regression
-    processes, the noise laws, the gains and the initial conditions."""
+    processes, the noise laws, the gains and the initial conditions.  A
+    config builds its model when it is checked and keeps it as
+    ``config.model`` (see :class:`~netlms.config.ExperimentConfig`)."""
 
     graph: GraphProcess
     regression: RegressionProcess
@@ -365,29 +365,6 @@ class SimulationModel:
     x0: np.ndarray
     init: np.ndarray
     ar_init: np.ndarray | None = None
-
-    @classmethod
-    def from_config(cls, config: ExperimentConfig) -> "SimulationModel":
-        rp = config.regression.to_process(config.nodes, config.dim)
-        noise = config.noise
-        ar_init = None
-        if rp.kind == "ar-driven":
-            ar_init = (
-                np.zeros((config.nodes, config.dim))
-                if config.regression.ar_init is None
-                else np.asarray(config.regression.ar_init, dtype=float)
-            )
-        return cls(
-            graph=config.graph.to_process(config.nodes),
-            regression=rp,
-            measurement=MeasurementNoise(kind=noise.measurement_kind, std=noise.measurement_std),
-            channel=ChannelNoise(kind=noise.channel_kind, std=noise.channel_std),
-            intensity=NoiseIntensity(sigma=noise.sigma_f, bias=noise.b_f),
-            gains=GainSchedule.from_config(config),
-            x0=np.asarray(config.x0, dtype=float),
-            init=np.asarray(config.init, dtype=float),
-            ar_init=ar_init,
-        )
 
 
 @dataclass(frozen=True)
@@ -832,8 +809,7 @@ def _sample_runs(config, seeds, grid, fields, check_bounds=True):
         for f, dst in out.items():
             dst[:, lo:hi] = getattr(stats, f).T[:, at]
 
-    model = SimulationModel.from_config(config)
-    return (out, *simulate(model, seeds, config.horizon, on_chunk, check_bounds))
+    return (out, *simulate(config.model, seeds, config.horizon, on_chunk, check_bounds))
 
 
 def _records(config, seeds, check_bounds) -> list[TrajectoryRecord]:

@@ -525,9 +525,7 @@ def pe_diagnostic(config: ExperimentConfig, windows: int | None = None) -> Excit
     if windows is None:
         windows = max(1, (config.horizon + 1) // h)
     h, windows = _check_window_args(h, windows)
-    gp = config.graph.to_process(config.nodes)
-    rp = config.regression.to_process(config.nodes, config.dim)
-    gains = GainSchedule.from_config(config)
+    gp, rp, gains = config.model.graph, config.model.regression, config.model.gains
     rho0 = config.excitation.rho0
     # ar-driven raises here, before any window
     gram = conditional_expected_gram(rp)

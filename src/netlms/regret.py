@@ -24,7 +24,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .errors import InvalidInputError, UnobservableHorizonError
-from .estimator import ChunkStats, SimulationModel, TrajectoryRecord, _run_seeds, simulate
+from .estimator import ChunkStats, TrajectoryRecord, _run_seeds, simulate
 from .linalg import as_index
 from .noise import BoundCheckReport
 from .regression import RegressionProcess, spatio_temporal_gram
@@ -250,8 +250,7 @@ def simulate_regret(config: ExperimentConfig, runs) -> tuple[RegretSeries, list[
             if at + n == BLOCK or stats.start + k == rows:
                 fill.fold(zip(cum[:, : at + n], v[:, : at + n]))
 
-    model = SimulationModel.from_config(config)
-    _, reports = simulate(model, seeds, config.horizon, on_chunk)
+    _, reports = simulate(config.model, seeds, config.horizon, on_chunk)
     return fill.series, reports
 
 

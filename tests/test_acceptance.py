@@ -175,8 +175,8 @@ def test_03_one_way_pair_frozen_sensor_surd_form():
 
 def test_04_benchmark_window_constants():
     cfg = get_preset("setting-i")
-    gp = cfg.graph.to_process(cfg.nodes)
-    rp = cfg.regression.to_process(cfg.nodes, cfg.dim)
+    gp = cfg.model.graph
+    rp = cfg.model.regression
     exc = cfg.excitation
 
     connectivity = check_definition1(gp, exc.window, exc.theta1, windows=25)
@@ -274,8 +274,8 @@ def test_10_window_lower_bound_zero_violations():
             if not rep.passed:
                 failures.append((trial, widx, rep.margin, rep.note))
     cfg = get_preset("setting-i")
-    gp = cfg.graph.to_process(cfg.nodes)
-    rp = cfg.regression.to_process(cfg.nodes, cfg.dim)
+    gp = cfg.model.graph
+    rp = cfg.model.regression
     for widx in range(10):
         rep = lemma_lower_bound_check(gp, rp, cfg.excitation.window,
                                       cfg.excitation.rho0, widx)

@@ -88,6 +88,19 @@ def test_every_preset_round_trips():
         assert render_config(again) == render_config(cfg)
 
 
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(name=st.text(alphabet=st.sampled_from("ab #=[]\t\n\r\x0b\x0c\x1c\x85 é"), max_size=6))
+def test_every_accepted_name_round_trips(name):
+    """A name the config text cannot carry is rejected, never changed on
+    the way through ``config.txt``."""
+    try:
+        cfg = dataclasses.replace(parse_config(MINIMAL), name=name)
+    except ConfigError as err:
+        assert "[experiment] name" in str(err)
+        return
+    assert parse_config(render_config(cfg)) == cfg
+
+
 def test_comments_and_blank_lines_ignored():
     text = MINIMAL.replace("horizon = 10", "horizon = 10  # inline comment")
     cfg = parse_config("# leading comment\n" + text)
@@ -312,6 +325,34 @@ CONFIG_ERRORS = [
                  ["[excitation] window must be an integer, got 2.0"], None, id="window-float"),
     pytest.param(_replace(graph=GraphConfig("iid-uniform", initial_state=0.5)),
                  ["[graph] initial_state must be an integer, got 0.5"], None, id="initial_state-float"),
+    # a bool is not an integer: it would render as True or False, which no integer key parses
+    pytest.param(_replace(runs=True), ["[experiment] runs must be an integer, got True"], None,
+                 id="runs-bool"),
+    pytest.param(_replace(horizon=False), ["[experiment] horizon must be an integer, got False"], None,
+                 id="horizon-bool"),
+    pytest.param(_replace(seed=False), ["[experiment] seed must be an integer, got False"], None,
+                 id="seed-bool"),
+    pytest.param(_replace(record_every=True), ["[experiment] record_every must be an integer, got True"],
+                 None, id="record_every-bool"),
+    pytest.param(_replace(nodes=True), ["[model] nodes must be an integer, got True"], None,
+                 id="nodes-bool"),
+    pytest.param(_replace(dim=True), ["[model] dim must be an integer, got True"], None, id="dim-bool"),
+    pytest.param(_replace(node_dims=(1, True)), ["[model] node_dims entry 2 must be an integer, got True"],
+                 None, id="node_dims-bool"),
+    pytest.param(_replace(excitation=ExcitationConfig(window=True)),
+                 ["[excitation] window must be an integer, got True"], None, id="window-bool"),
+    pytest.param(_replace(graph=GraphConfig("iid-uniform", initial_state=False)),
+                 ["[graph] initial_state must be an integer, got False"], None, id="initial_state-bool"),
+    # a name the config text carries unchanged: one line, no comment, no surrounding whitespace
+    pytest.param(_replace(name="a#b"), ["[experiment] name must be one line", "got 'a#b'"], None,
+                 id="name-comment"),
+    pytest.param(_replace(name=" pad "), ["[experiment] name", "got ' pad '"], None,
+                 id="name-padded"),
+    pytest.param(_replace(name="x\ny"), ["[experiment] name", "got 'x\\ny'"], None,
+                 id="name-newline"),
+    pytest.param(_replace(name="x\u2028y"), ["[experiment] name"], None, id="name-line-separator"),
+    pytest.param(_replace(name="x\x1cy"), ["[experiment] name"], None, id="name-file-separator"),
+    pytest.param(_replace(name=7), ["[experiment] name", "got 7"], None, id="name-int"),
     # a float key holds a number: math.isfinite would raise a TypeError
     pytest.param(_replace(noise=NoiseConfig(measurement_std="1")),
                  ["[noise] measurement_std must be finite and nonnegative, got '1'"], None,

@@ -42,7 +42,7 @@ def _blocks():
 @pytest.mark.parametrize("runs", [1, 3])
 @pytest.mark.parametrize("graph_kind", GRAPHS)
 def test_graph_block_into_a_reused_slab(graph_kind, runs):
-    gp = _kind_config(graph_kind, "fixed").graph.to_process(3)
+    gp = _kind_config(graph_kind, "fixed").model.graph
     fresh, kept = _twin_rngs(runs)
     slab = _nan_like(graph_slab(gp, runs, BLOCK))
     fresh_state = kept_state = None
@@ -58,7 +58,7 @@ def test_graph_block_into_a_reused_slab(graph_kind, runs):
 def test_graph_block_does_not_alias_its_slab(runs):
     """An alternating block drawn into a kept slab stays as it was when the
     next block is drawn into the same slab."""
-    gp = _kind_config("alternating-uniform", "fixed").graph.to_process(3)
+    gp = _kind_config("alternating-uniform", "fixed").model.graph
     rngs = _twin_rngs(runs)[0]
     slab = graph_slab(gp, runs, BLOCK)
     first, _ = graph_block(gp, 0, BLOCK, rngs, None, slab)
@@ -71,7 +71,7 @@ def test_graph_block_does_not_alias_its_slab(runs):
 @pytest.mark.parametrize("regression_kind", REGRESSIONS)
 def test_regression_block_into_a_reused_slab(regression_kind, runs):
     cfg = _kind_config("fixed", regression_kind)
-    rp = cfg.regression.to_process(cfg.nodes, cfg.dim)
+    rp = cfg.model.regression
     x0 = np.asarray(cfg.x0, dtype=float)
     fresh, kept = _twin_rngs(runs)
     slab = _nan_like(regression_slab(rp, runs, BLOCK))

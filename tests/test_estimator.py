@@ -23,7 +23,6 @@ from netlms import estimator
 from netlms.errors import InvalidInputError
 from netlms.estimator import (
     GainSchedule,
-    SimulationModel,
     compact_step,
     node_step,
     run_trajectories,
@@ -206,7 +205,7 @@ def test_first_transition_matches_manual_step():
     rec = run_trajectory(cfg, substream(cfg.seed, 2))
     # replay the first update from the run's per-source substreams
     *rngs, channel_rng = source_streams(substream(cfg.seed, 2))
-    model = SimulationModel.from_config(cfg)
+    model = cfg.model
     adj, h, y, _, _ = _draw_step(model.graph, model.regression, model.x0, model.measurement, 0, rngs)
     xi = model.channel.sample(channel_rng, (3, 3, 3))
     msgs = received_messages(model.init, model.intensity, xi)
@@ -222,7 +221,7 @@ def test_excess_losses_definition():
     # at step 0 every node's excess is 0.5 ||H (x_i - x0)||^2 over the
     # stacked rows; verify node 0 by replaying the run's substreams
     *rngs, _ = source_streams(substream(cfg.seed, 1))
-    model = SimulationModel.from_config(cfg)
+    model = cfg.model
     _, h, _, _, _ = _draw_step(model.graph, model.regression, model.x0, model.measurement, 0, rngs)
     diff = model.init[0] - model.x0
     manual = 0.5 * float(np.sum((np.concatenate(h) @ diff) ** 2))
@@ -255,7 +254,7 @@ def test_horizon_zero_records_initial_state_only():
     assert rec.v.shape == (1,)
     assert np.array_equal(rec.x_final, np.asarray(cfg.init, dtype=float))
     with pytest.raises(InvalidInputError):
-        simulate(SimulationModel.from_config(cfg), [0], -1, lambda stats: None)
+        simulate(cfg.model, [0], -1, lambda stats: None)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +298,7 @@ def _kernel_outputs(cfg, runs):
     kernel batch, with rows concatenated over chunks."""
     parts = []
     seeds = [np.random.SeedSequence(cfg.seed, spawn_key=(r,)) for r in runs]
-    final, reports = simulate(SimulationModel.from_config(cfg), seeds, cfg.horizon,
+    final, reports = simulate(cfg.model, seeds, cfg.horizon,
                               parts.append)
     fields = [f.name for f in dataclasses.fields(parts[0]) if f.name != "start"]
     stats = {name: np.concatenate([getattr(p, name) for p in parts], axis=-2) for name in fields}
@@ -320,7 +319,7 @@ def test_simulate_holds_one_chunk_at_a_time(preset, runs, horizon):
     chunk = estimator._default_chunk(cfg.runs, cfg.nodes, cfg.dim, rows)
     scratch = estimator._scratch_steps(cfg.runs, cfg.nodes, cfg.dim) * estimator._op_floats(cfg.nodes, cfg.dim)
     budget = cfg.runs * (chunk * estimator._step_floats(cfg.nodes, cfg.dim, rows) + scratch) * 8
-    model = SimulationModel.from_config(cfg)
+    model = cfg.model
     seeds = [np.random.SeedSequence(cfg.seed, spawn_key=(r,)) for r in range(cfg.runs)]
     tracemalloc.start()
     try:
@@ -480,7 +479,7 @@ def test_kernel_step_matches_node_and_compact_steps(graph_kind, regression_kind,
 def _assert_kernel_matches_oracles(cfg):
     """Two runs of the kernel against their per-step replays through
     ``node_step`` and ``compact_step``, to 1e-12."""
-    model = SimulationModel.from_config(cfg)
+    model = cfg.model
     seeds = [np.random.SeedSequence(cfg.seed, spawn_key=(r,)) for r in range(2)]
     v, final = _kernel_states(model, seeds, cfg.horizon)
     for r, seed in enumerate(seeds):
@@ -533,7 +532,7 @@ def test_bound_reports_match_a_replay(runs, sigma_f, chunk, monkeypatch):
     1e-12, not bit for bit."""
     cfg = with_overrides(get_preset("setting-i"), horizon=20, runs=runs)
     cfg = dataclasses.replace(cfg, noise=dataclasses.replace(cfg.noise, sigma_f=sigma_f))
-    model = SimulationModel.from_config(cfg)
+    model = cfg.model
     seeds = [np.random.SeedSequence(cfg.seed, spawn_key=(r,)) for r in range(runs)]
     _pin_chunk(monkeypatch, chunk)
     _, got = simulate(model, seeds, cfg.horizon, lambda stats: None)
@@ -576,7 +575,7 @@ def test_kernel_invariants_on_random_shapes(data):
         gains=GainConfig(a_coef=0.5, a_exp=0.6, b_coef=0.4, b_exp=0.6,
                          lambda_coef=0.3, lambda_exp=2.0),
     )
-    model = SimulationModel.from_config(cfg)
+    model = cfg.model
     seeds = [np.random.SeedSequence(cfg.seed, spawn_key=(r,)) for r in range(runs)]
     with pytest.MonkeyPatch.context() as mp:
         _pin_chunk(mp, chunks[0])

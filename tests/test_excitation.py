@@ -63,9 +63,9 @@ def test_gainless_info_dominates_scaled_by_min_gain():
     """With PSD summands, the gain-weighted eigenvalue is at least the
     smallest windowed gain times the gainless one."""
     cfg = get_preset("setting-i")
-    gp = cfg.graph.to_process(cfg.nodes)
-    rp = cfg.regression.to_process(cfg.nodes, cfg.dim)
-    sched = GainSchedule.from_config(cfg)
+    gp = cfg.model.graph
+    rp = cfg.model.regression
+    sched = cfg.model.gains
     h = cfg.excitation.window
     for w in (0, 3, 10):
         raw = lambda_min_window(info_matrix(gp, rp, None, w, h))
@@ -76,7 +76,7 @@ def test_gainless_info_dominates_scaled_by_min_gain():
 
 def test_benchmark_joint_connectivity_value():
     cfg = get_preset("setting-i")
-    gp = cfg.graph.to_process(cfg.nodes)
+    gp = cfg.model.graph
     rep = check_definition1(gp, window=2, theta1=0.5, windows=25)
     assert rep.passed
     # even-step mean graph is complete with weight 1/2, odd-step mean is
@@ -90,7 +90,7 @@ def test_benchmark_joint_connectivity_value():
 
 def test_benchmark_joint_observability_value():
     cfg = get_preset("setting-i")
-    rp = cfg.regression.to_process(cfg.nodes, cfg.dim)
+    rp = cfg.model.regression
     rep = check_definition2(rp, window=2, theta2=0.2, windows=25)
     assert rep.passed
     # hand value: the pooled two-step Gram has smallest eigenvalue 13/6
@@ -121,8 +121,8 @@ def test_markov_connectivity_quantifies_over_states():
 
 def test_lower_bound_on_benchmark_window():
     cfg = get_preset("setting-i")
-    gp = cfg.graph.to_process(cfg.nodes)
-    rp = cfg.regression.to_process(cfg.nodes, cfg.dim)
+    gp = cfg.model.graph
+    rp = cfg.model.regression
     rep = lemma_lower_bound_check(gp, rp, window=2, rho0=5.0, window_index=0)
     assert rep.passed and rep.premise_ok
     assert rep.lambda2 == pytest.approx(1.5, abs=1e-12)
@@ -142,8 +142,8 @@ def test_audit_counts_a_margin_just_below_zero():
     violation.  Such a rho0 breaks the Gram-norm premise, so the audit's
     count, not ``passed``, is what the allowance decides."""
     cfg = get_preset("setting-i")
-    gp = cfg.graph.to_process(cfg.nodes)
-    rp = cfg.regression.to_process(cfg.nodes, cfg.dim)
+    gp = cfg.model.graph
+    rp = cfg.model.regression
     h = cfg.excitation.window
     # lhs, lambda2 and the Gram minimum do not depend on rho0: solve
     # rhs = lambda2 / (2 N h rho0 + N lambda2) * gram_min = lhs + 1e-8
@@ -161,8 +161,8 @@ def test_audit_counts_a_margin_just_below_zero():
 
 def test_lower_bound_across_many_windows():
     cfg = get_preset("setting-iii")
-    gp = cfg.graph.to_process(cfg.nodes)
-    rp = cfg.regression.to_process(cfg.nodes, cfg.dim)
+    gp = cfg.model.graph
+    rp = cfg.model.regression
     for w in range(12):
         rep = lemma_lower_bound_check(gp, rp, window=2, rho0=5.0, window_index=w)
         assert rep.passed, f"window {w}: margin {rep.margin}"
@@ -282,7 +282,7 @@ def test_pe_diagnostic_flags_do_not_depend_on_window_count_parity():
 
 def test_windowed_checks_validate_arguments():
     cfg = get_preset("setting-i")
-    gp = cfg.graph.to_process(cfg.nodes)
+    gp = cfg.model.graph
     with pytest.raises(InvalidInputError):
         check_definition1(gp, window=0, theta1=0.5, windows=3)
     with pytest.raises(InvalidInputError):
@@ -304,9 +304,9 @@ def test_pe_diagnostic_counts_nonfinite_margins_as_violations(monkeypatch):
 def test_pe_diagnostic_on_markov_switching_takes_state_uniform_minimum(markov_pair):
     cfg = markov_pair
     rep = pe_diagnostic(cfg, windows=4)
-    gp = cfg.graph.to_process(cfg.nodes)
-    rp = cfg.regression.to_process(cfg.nodes, cfg.dim)
-    gains = GainSchedule.from_config(cfg)
+    gp = cfg.model.graph
+    rp = cfg.model.regression
+    gains = cfg.model.gains
     h = cfg.excitation.window
     assert rep.lambda_series[0] == lambda_min_window(info_matrix(gp, rp, gains, 0, h))
     for k in range(1, 4):
@@ -320,8 +320,8 @@ def test_pe_diagnostic_on_markov_switching_takes_state_uniform_minimum(markov_pa
 def test_out_of_range_state_at_cut_raises_at_every_window(markov_pair):
     """Window 0 conditions on nothing, but a state given for it is still
     checked, as it is at every later window."""
-    gp = markov_pair.graph.to_process(markov_pair.nodes)
-    rp = markov_pair.regression.to_process(markov_pair.nodes, markov_pair.dim)
+    gp = markov_pair.model.graph
+    rp = markov_pair.model.regression
     for k in (0, 1):
         with pytest.raises(InvalidInputError, match="state_at_cut out of range"):
             info_matrix(gp, rp, None, k, 2, 5)

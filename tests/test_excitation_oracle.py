@@ -149,9 +149,9 @@ def test_window_quantities_match_oracle(model, k, data):
 
 def test_pe_diagnostic_series_match_oracle_state_minimum(markov_pair):
     cfg = markov_pair
-    gp = cfg.graph.to_process(cfg.nodes)
-    rp = cfg.regression.to_process(cfg.nodes, cfg.dim)
-    gains = GainSchedule.from_config(cfg)
+    gp = cfg.model.graph
+    rp = cfg.model.regression
+    gains = cfg.model.gains
     h, rho0, windows = cfg.excitation.window, cfg.excitation.rho0, 70
     rep = pe_diagnostic(cfg, windows=windows)
 

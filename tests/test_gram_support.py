@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from netlms import estimator
 from netlms.config import ExperimentConfig, GainConfig, GraphConfig, NoiseConfig, RegressionConfig, get_preset
-from netlms.estimator import SimulationModel, simulate
+from netlms.estimator import simulate
 from netlms.regression import (
     ar_driven_regression,
     bernoulli_failure_regression,
@@ -62,7 +62,7 @@ def _outputs(cfg, runs):
     batch, in chunks of 7 steps."""
     parts = []
     seeds = [np.random.SeedSequence(cfg.seed, spawn_key=(r,)) for r in range(runs)]
-    final, reports = simulate(SimulationModel.from_config(cfg), seeds, cfg.horizon, parts.append)
+    final, reports = simulate(cfg.model, seeds, cfg.horizon, parts.append)
     stats = {f.name: np.concatenate([getattr(p, f.name) for p in parts], axis=-2)
              for f in dataclasses.fields(parts[0]) if f.name != "start"}
     return stats, final, reports

@@ -12,7 +12,6 @@ from netlms.config import RegressionConfig, get_preset
 from netlms.errors import ConfigError, InvalidInputError, UnsupportedAnalyticError
 from netlms.estimator import (
     GainSchedule,
-    SimulationModel,
     compact_step,
     run_trajectories,
     run_trajectory,
@@ -302,10 +301,10 @@ INPUT_ERRORS = [
                  "runs must be an iterable of run indices, got 3", id="run-indices-iterable"),
     pytest.param(lambda: run_trajectories(get_preset("setting-i"), [-1]), InvalidInputError,
                  "run index must be nonnegative, got -1", id="run-index-negative"),
-    pytest.param(lambda: simulate(SimulationModel.from_config(get_preset("setting-i")), [], 5,
+    pytest.param(lambda: simulate(get_preset("setting-i").model, [], 5,
                                   lambda stats: None),
                  InvalidInputError, "need at least one run", id="simulate-no-runs"),
-    pytest.param(lambda: simulate(SimulationModel.from_config(get_preset("setting-i")), [0], 2.5,
+    pytest.param(lambda: simulate(get_preset("setting-i").model, [0], 2.5,
                                   lambda stats: None),
                  InvalidInputError, "horizon must be an integer, got 2.5", id="simulate-horizon-integer"),
     # os.devnull: no directory can be made there, so a missed check writes nothing

@@ -207,7 +207,7 @@ def test_laws_with_finite_gram_bounds_build(kind):
     4e300), so the law builds and a drawn Gram is finite; at 1e160 the
     builders reject it (``tests/test_input_checks.py``)."""
     cfg = _scaled_setting_i(kind, 1e150)
-    rp = cfg.regression.to_process(cfg.nodes, cfg.dim)
+    rp = cfg.model.regression
     h = _draw(rp, np.zeros(cfg.dim), np.random.default_rng(3))[0][:, :, 0]
     for h_i in np.split(h, rp.offsets[1:-1]):
         assert np.isfinite(h_i.T @ h_i).all()

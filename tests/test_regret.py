@@ -43,7 +43,7 @@ def bench_runs():
 
 def test_oracle_is_the_truth_under_zero_mean_noise():
     cfg = get_preset("setting-i")
-    rp = cfg.regression.to_process(cfg.nodes, cfg.dim)
+    rp = cfg.model.regression
     x0 = np.asarray(cfg.x0, dtype=float)
     assert np.abs(oracle_parameter(rp, x0, horizon=12) - x0).max() < 1e-12
 
@@ -196,8 +196,8 @@ def test_lemma_checks_reject_a_rho0_that_is_not_finite_and_positive(bench_runs, 
         if check == "regret":
             lemma_regret_bound_check(runs, rho0=rho0)
         else:
-            lemma_lower_bound_check(cfg.graph.to_process(cfg.nodes),
-                                    cfg.regression.to_process(cfg.nodes, cfg.dim),
+            lemma_lower_bound_check(cfg.model.graph,
+                                    cfg.model.regression,
                                     window=2, rho0=rho0, window_index=0)
 
 

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from netlms import excitation, graphs, regression, regret
 from netlms.config import ExcitationConfig, GraphConfig, get_preset
 from netlms.errors import InvalidInputError
-from netlms.estimator import GainSchedule
 from netlms.excitation import pe_diagnostic
 from netlms.graphs import (
     _pattern_index,
@@ -56,9 +55,9 @@ def per_step_series(cfg, windows):
     """``pe_diagnostic``'s gap, gainless, margin and gain-weighted series
     from the per-step pass, window 0 alone and later windows in blocks of
     64, each a minimum over the states at the cut."""
-    gp = cfg.graph.to_process(cfg.nodes)
-    rp = cfg.regression.to_process(cfg.nodes, cfg.dim)
-    gains = GainSchedule.from_config(cfg)
+    gp = cfg.model.graph
+    rp = cfg.model.regression
+    gains = cfg.model.gains
     h, rho0 = cfg.excitation.window, cfg.excitation.rho0
     gram = conditional_expected_gram(rp)
     gram_min = float(sym_eigenvalues(spatio_temporal_gram(rp, h))[0])
@@ -110,9 +109,9 @@ def graph_cases(draw):
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(graph_cases(), st.integers(0, 5), st.integers(1, 4))
 def test_window_pass_matches_per_step_laplacians(cfg, first, count):
-    gp = cfg.graph.to_process(cfg.nodes)
-    rp = cfg.regression.to_process(cfg.nodes, cfg.dim)
-    gains = GainSchedule.from_config(cfg)
+    gp = cfg.model.graph
+    rp = cfg.model.regression
+    gains = cfg.model.gains
     h, rho0 = cfg.excitation.window, cfg.excitation.rho0
     gram = conditional_expected_gram(rp)
     ks = range(first, first + count)
@@ -198,8 +197,8 @@ def test_audit_evaluates_each_laplacian_law_once(monkeypatch, markov_pair):
         assert len(calls) <= h + 3 * h
         # one window reads the same table
         calls.clear()
-        excitation.info_matrix(cfg.graph.to_process(cfg.nodes),
-                               cfg.regression.to_process(cfg.nodes, cfg.dim), None, 4, h, 2)
+        excitation.info_matrix(cfg.model.graph,
+                               cfg.model.regression, None, 4, h, 2)
         assert len(calls) <= h + 3 * h
 
 
@@ -223,8 +222,8 @@ def test_audit_solves_one_eigenproblem_per_window_and_state(monkeypatch, markov_
     counts = _count_eigenproblems(monkeypatch)
     pe_diagnostic(get_preset("setting-i"), windows=1000)
     assert sum(counts) <= 1000 + 4
-    gp = get_preset("setting-i").graph.to_process(3)
-    for graph in (gp, markov_pair.graph.to_process(markov_pair.nodes)):
+    gp = get_preset("setting-i").model.graph
+    for graph in (gp, markov_pair.model.graph):
         solved = []
         for windows in (10, 1000):
             counts.clear()
@@ -251,7 +250,7 @@ def _loop_gram(rp, window):
 
 def test_spatio_temporal_gram_evaluates_node_grams_once_and_scales_one_step_sum(monkeypatch):
     cfg = get_preset("regret")
-    rp = cfg.regression.to_process(cfg.nodes, cfg.dim)
+    rp = cfg.model.regression
     window = 10_001
     calls = _count_calls(monkeypatch, regression, "conditional_expected_node_gram")
     gram = spatio_temporal_gram(rp, window)
