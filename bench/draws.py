@@ -107,9 +107,8 @@ def measure(repeats: int, chunks: int) -> list[dict]:
     for preset in PRESETS:
         for runs in RUNS:
             cfg = with_overrides(get_preset(preset), runs=runs)
-            model = cfg.model
             count = estimator._default_chunk(runs, cfg.nodes, cfg.dim, sum(cfg.node_dims))
-            for name, (draw, floor) in _sources(model, runs, count).items():
+            for name, (draw, floor) in _sources(cfg.model, runs, count).items():
                 rows.append({
                     "preset": preset,
                     "runs": runs,

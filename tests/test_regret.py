@@ -196,8 +196,7 @@ def test_lemma_checks_reject_a_rho0_that_is_not_finite_and_positive(bench_runs, 
         if check == "regret":
             lemma_regret_bound_check(runs, rho0=rho0)
         else:
-            lemma_lower_bound_check(cfg.model.graph,
-                                    cfg.model.regression,
+            lemma_lower_bound_check(cfg.model.graph, cfg.model.regression,
                                     window=2, rho0=rho0, window_index=0)
 
 

@@ -197,8 +197,7 @@ def test_audit_evaluates_each_laplacian_law_once(monkeypatch, markov_pair):
         assert len(calls) <= h + 3 * h
         # one window reads the same table
         calls.clear()
-        excitation.info_matrix(cfg.model.graph,
-                               cfg.model.regression, None, 4, h, 2)
+        excitation.info_matrix(cfg.model.graph, cfg.model.regression, None, 4, h, 2)
         assert len(calls) <= h + 3 * h
 
 
