@@ -1,6 +1,6 @@
 """Line counts of each ``netlms`` module, of one tree or two.
 
-    python3 bench/loc.py [A [B]] [--json]
+    python3 bench/loc.py [A [B]]
 
 ``A`` and ``B`` are each a ``src`` directory, a checkout holding one, or a
 git revision of the checkout this script sits in, as for ``bench/ab.py``;
@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import ast
 import io
-import json
 import sys
 import tempfile
 import tokenize
@@ -60,18 +59,12 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("trees", nargs="*", metavar="TREE",
                         help="A, or A and B: src path, checkout or git revision")
-    parser.add_argument("--json", action="store_true", help="print one JSON object")
     args = parser.parse_args(argv)
     if len(args.trees) > 2:
         parser.error("give at most two trees")
     specs = args.trees or [str(Path(__file__).resolve().parent.parent / "src")]
     with tempfile.TemporaryDirectory(prefix="netlms-loc-") as tmp:
         tables = [counts(_source(spec, Path(tmp), label)) for spec, label in zip(specs, "ab")]
-    if args.json:
-        print(json.dumps({"trees": specs, "unit": "[total lines, code lines]", "modules": {
-            name: [t.get(name) for t in tables] for name in {n: None for t in tables for n in t}}},
-            indent=1))
-        return 0
     names = list({n: None for t in tables for n in t})  # modules of either tree, total last
     names.append(names.pop(names.index("total")))
     head = f"{'module':16s}" + "".join(f" {spec[:15]:>15s}" for spec in specs)
