@@ -4,7 +4,10 @@
 These tests pin the bytes of ``excitation.json`` for the graph kinds and
 window lengths that the blocks are cut for, check that every series of a
 short audit is the start of a longer one across the block edges, and
-bound how the audit's traced peak grows with the window count.
+bound how the audit's traced peak grows with the window count.  They
+also pin the bytes of the one-window functions, ``info_matrix`` and
+``lemma_lower_bound_check``, for every preset and a Markov-switching
+config.
 """
 
 import dataclasses
@@ -15,8 +18,8 @@ import numpy as np
 import pytest
 
 from netlms.artifacts import excitation_artifact
-from netlms.config import GraphConfig, RegressionConfig, get_preset
-from netlms.excitation import pe_diagnostic
+from netlms.config import GraphConfig, RegressionConfig, get_preset, preset_names
+from netlms.excitation import info_matrix, lemma_lower_bound_check, pe_diagnostic
 
 
 def _window(cfg, window):
@@ -117,3 +120,46 @@ def test_audit_holds_one_block_at_a_time(window):
     cfg = _window(get_preset("setting-i"), window)
     growth = _traced_peak(cfg, 2000) - _traced_peak(cfg, 130)
     assert growth <= 128 * 1024, growth
+
+
+def _one_window_digest(cfg):
+    """SHA-256 over the bytes of ``info_matrix`` (with the config's gains
+    and without) and of every ``LowerBoundReport`` field, for windows 0-6
+    at window lengths 1-3, from every state the chain could hold at the
+    cut (window 0 conditions on nothing)."""
+    gp, rp, gains = cfg.model.graph, cfg.model.regression, cfg.model.gains
+    states = tuple(range(len(gp.states))) if gp.kind == "markov-switching" else (None,)
+    h = hashlib.sha256()
+    for window in (1, 2, 3):
+        for k in range(7):
+            for s in states if k > 0 else (None,):
+                for g in (gains, None):
+                    h.update(info_matrix(gp, rp, g, k, window, s).tobytes())
+                report = lemma_lower_bound_check(gp, rp, window, cfg.excitation.rho0, k, s)
+                for f in dataclasses.fields(report):
+                    value = getattr(report, f.name)
+                    h.update(np.float64(value).tobytes() if type(value) is float else repr(value).encode())
+    return h.hexdigest()
+
+
+# SHA-256 of _one_window_digest(cfg)
+ONE_WINDOW_PINS = {
+    "setting-i": "5dbef2eb9c3e3e8a58065e980d41d07538965ce00c259cb8ca033244fdda6228",
+    "setting-ii": "5dbef2eb9c3e3e8a58065e980d41d07538965ce00c259cb8ca033244fdda6228",
+    "setting-iii": "bd3da47edd29b8effe40022fdba26632af1b942f05e74e8c2e675c59a7f60e21",
+    "setting-iv": "bd3da47edd29b8effe40022fdba26632af1b942f05e74e8c2e675c59a7f60e21",
+    "setting-v": "5dbef2eb9c3e3e8a58065e980d41d07538965ce00c259cb8ca033244fdda6228",
+    "setting-vi": "bd3da47edd29b8effe40022fdba26632af1b942f05e74e8c2e675c59a7f60e21",
+    "regret": "c4b64c92c8cc0d956b09d80a106b5a2592d28cbc049d03cbeb4caa00124a5b9a",
+    "markov-pair": "c628ee22f3ba43b742e370d0917fd39679f054db094d999d3edd3c597909193d",
+}
+
+
+@pytest.mark.parametrize("name", [*preset_names(), "markov-pair"])
+def test_one_window_functions_pin_their_bytes(name, markov_pair):
+    """``info_matrix`` and every field of ``lemma_lower_bound_check``'s
+    report round as they always have, for every graph kind's patterns."""
+    cfg = markov_pair if name == "markov-pair" else get_preset(name)
+    assert _one_window_digest(cfg) == ONE_WINDOW_PINS[name], (
+        f"a one-window output changed (a numpy upgrade can also move these "
+        f"digests, numpy {np.__version__} here)")

@@ -51,6 +51,23 @@ def per_step_pass(gp, window, ks, state, gram, gains):
     return gaps, gainless, ordered_sum(b * big + a * gram, axis=1)
 
 
+def per_step_premises(gp, rp, rho0):
+    """The lower bound's premises as the paper states them: ``rho0``
+    dominates the Gram norm bound, and the graph process is balanced."""
+    notes = []
+    sup_gram = regression.support_gram_norm_bound(rp)
+    if sup_gram > rho0:
+        notes.append(f"sup ||H^T H|| bound {sup_gram:.6g} exceeds rho0 = {rho0:.6g}")
+    gamma1 = graphs.gamma1_membership(gp)
+    if not gamma1.member:
+        notes.append(f"graph process outside the balanced class: {gamma1.detail}")
+    return not notes, "; ".join(notes)
+
+
+def _bits(value):
+    return np.float64(value).tobytes()
+
+
 def per_step_series(cfg, windows):
     """``pe_diagnostic``'s gap, gainless, margin and gain-weighted series
     from the per-step pass, window 0 alone and later windows in blocks of
@@ -114,11 +131,14 @@ def test_window_pass_matches_per_step_laplacians(cfg, first, count):
     gains = cfg.model.gains
     h, rho0 = cfg.excitation.window, cfg.excitation.rho0
     gram = conditional_expected_gram(rp)
+    gram_min = float(sym_eigenvalues(spatio_temporal_gram(rp, h))[0])
+    premise_ok, note = per_step_premises(gp, rp, rho0)
     ks = range(first, first + count)
     states = tuple(range(len(gp.states))) if gp.kind == "markov-switching" else (None,)
     for s in states:
         gaps, gainless, weighted = per_step_pass(gp, h, ks, s, gram, gains)
         lhs = np.linalg.eigvalsh(gainless)[:, 0]
+        rhs = excitation._bound_rhs(gaps, gram_min, gp.nodes, h, rho0)
         for j, k in enumerate(ks):
             # window 0 conditions on nothing, so it takes no state
             cut = s if k > 0 else None
@@ -127,6 +147,10 @@ def test_window_pass_matches_per_step_laplacians(cfg, first, count):
             bound = excitation.lemma_lower_bound_check(gp, rp, h, rho0, k, cut)
             assert np.array_equal(bound.lambda2, gaps[j])
             assert np.array_equal(bound.lhs, lhs[j])
+            assert _bits(bound.rhs) == _bits(rhs[j])
+            assert _bits(bound.margin) == _bits(lhs[j] - rhs[j])
+            assert _bits(bound.gram_lambda_min) == _bits(gram_min)
+            assert (bound.premise_ok, bound.note) == (premise_ok, note)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
