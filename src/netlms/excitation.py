@@ -15,12 +15,13 @@ cut at ``kh - 1``.  Every function reads one table, the step-by-step
 conditional mean Laplacians of each law pattern a window can take
 (:func:`graphs.window_sym_laplacians`, each distinct law evaluated once
 per call), through one index, each window's pattern
-(``graphs._pattern_index``).  What depends only on the pattern is
-evaluated once per pattern per call: the spectral gap, the gainless
-information matrix, its smallest eigenvalue and the lower bound's margin.
-Only the gain-weighted matrix is evaluated per window.  The expected
-Grams and the lower bound's premises do not depend on the step: once per
-call too.
+(``graphs._pattern_index``).  Each call builds one analyzer
+(``_Analyzer``) that holds what depends only on the pattern, once per
+pattern: the spectral gap, the gainless information matrix, its smallest
+eigenvalue and the lower bound's sides; and what depends on no step: the
+expected Grams and the lower bound's premises.  The one-window functions
+read the same per-pattern rows as the audit.  Only the gain-weighted
+matrix is evaluated per window.
 """
 
 from __future__ import annotations
@@ -172,21 +173,64 @@ def _check_window_args(window: int, windows: int) -> tuple[int, int]:
     return window, windows
 
 
-def _law_pass(graph_process, window, gram=None):
-    """The gain-free part of the pass, once per law pattern of
-    :func:`window_sym_laplacians`: each pattern's summed conditional mean
-    Laplacian's spectral gap (0 for one node), then, given the
-    block-diagonal expected Gram, the steps' lifted Laplacians
-    ``kron(L, I_n)`` and the gainless information matrices, else ``None``.
-    Steps sum in index order, so the patterns batched do not matter."""
-    table = window_sym_laplacians(graph_process, window)
-    gaps = np.zeros(len(table))
-    if graph_process.nodes > 1:
-        gaps = np.linalg.eigvalsh(ordered_sum(table, axis=1))[:, 1]
-    if gram is None:
-        return gaps, None, None
-    big = np.kron(table, np.eye(gram.shape[0] // graph_process.nodes)[None, None])
-    return gaps, big, ordered_sum(big + gram, axis=1)
+class _Analyzer:
+    """What the window checks read of the laws, built once per call from
+    the processes, the window length and, where the caller has it,
+    ``rho0``; nothing in it depends on the window.
+
+    ``gaps`` holds each law pattern's spectral gap, that of its summed
+    :func:`window_sym_laplacians` (steps summed in index order; 0 for one
+    node).  Given a regression process, ``gram`` is the block-diagonal
+    expected Gram, ``big`` each pattern's lifted Laplacians ``kron(L,
+    I_n)`` and ``gainless`` its gainless information matrix.  Given
+    ``rho0`` too, ``gram_min`` is the pooled expected Gram's smallest
+    eigenvalue, the same for every window; ``gamma1``, ``premise_ok``
+    and ``note`` are the lower bound's premises; ``rows`` holds each
+    pattern's ``(gap, lhs, margin)`` and ``rhs`` its bound's right side.
+    """
+
+    def __init__(self, graph_process, window, regression_process=None, rho0=None):
+        self.graph, self.window = graph_process, window
+        if regression_process is not None:
+            # ar-driven raises here, before any law is evaluated
+            self.gram = conditional_expected_gram(regression_process)
+        table = window_sym_laplacians(graph_process, window)
+        self.gaps = np.zeros(len(table))
+        if graph_process.nodes > 1:
+            self.gaps = np.linalg.eigvalsh(ordered_sum(table, axis=1))[:, 1]
+        if regression_process is None:
+            return
+        self.big = np.kron(table, np.eye(self.gram.shape[0] // graph_process.nodes)[None, None])
+        self.gainless = ordered_sum(self.big + self.gram, axis=1)
+        if rho0 is None:
+            return
+        self.gram_min = lambda_min_window(spatio_temporal_gram(regression_process, window))
+        # a process without a closed-form Gram norm bound raises rather than pass
+        notes, sup_gram = [], support_gram_norm_bound(regression_process)
+        if sup_gram > rho0:
+            notes.append(f"sup ||H^T H|| bound {sup_gram:.6g} exceeds rho0 = {rho0:.6g}")
+        self.gamma1 = gamma1_membership(graph_process)
+        if not self.gamma1.member:
+            notes.append(f"graph process outside the balanced class: {self.gamma1.detail}")
+        self.premise_ok, self.note = not notes, "; ".join(notes)
+        lhs = np.linalg.eigvalsh(self.gainless)[:, 0]
+        self.rhs = _bound_rhs(self.gaps, self.gram_min, graph_process.nodes, window, rho0)
+        self.rows = np.array([self.gaps, lhs, lhs - self.rhs])
+
+    def index(self, ks, state_at_cut):
+        """The patterns of windows ``ks`` conditioned on ``state_at_cut``."""
+        return _pattern_index(self.graph, self.window, ks, state_at_cut)
+
+    def weighted(self, ab, which):
+        """Gain-weighted information matrices of windows of patterns
+        ``which``, given the windows' :func:`_gain_rows` ``ab``.  Each
+        step's ``b big + a gram`` is formed in one buffer, multiplied and
+        added in place, then summed over the window's steps in index
+        order."""
+        terms = self.big[which]
+        terms *= ab[..., 1, None, None]
+        terms += ab[..., 0, None, None] * self.gram
+        return ordered_sum(terms, axis=1)
 
 
 def _gain_rows(gains: GainSchedule, window: int, lo: int, hi: int) -> np.ndarray:
@@ -195,55 +239,21 @@ def _gain_rows(gains: GainSchedule, window: int, lo: int, hi: int) -> np.ndarray
     return gains.table(np.arange(lo * window, hi * window)).reshape(hi - lo, window, 3)
 
 
-def _weighted(big, gram, ab, which):
-    """Gain-weighted information matrices of windows of patterns
-    ``which``, given the patterns' lifted Laplacians ``big`` and the
-    windows' :func:`_gain_rows` ``ab``.  Each step's ``b big + a gram`` is
-    formed in one buffer, multiplied and added in place, then summed over
-    the window's steps in index order."""
-    terms = big[which]
-    terms *= ab[..., 1, None, None]
-    terms += ab[..., 0, None, None] * gram
-    return ordered_sum(terms, axis=1)
-
-
-def _one_window(graph_process, regression_process, window_index, window, state_at_cut):
-    """The one-window functions' input checks, then the expected Gram and
-    the window's pattern in :func:`window_sym_laplacians`."""
+def _one_window(graph_process, regression_process, window_index, window, state_at_cut, rho0=None):
+    """The one-window functions' input checks, then the analyzer of the
+    call and the window's pattern."""
     window, _ = _check_window_args(window, 1)
     window_index = as_index(window_index, "window_index")
     if window_index < 0:
         raise InvalidInputError("window_index must be nonnegative")
     if graph_process.nodes != regression_process.nodes:
         raise InvalidInputError("graph and regression disagree on the node count")
-    gram = conditional_expected_gram(regression_process)
-    return gram, int(_pattern_index(graph_process, window, [window_index], state_at_cut)[0])
-
-
-def _pooled_gram_min(regression_process: RegressionProcess, window: int) -> float:
-    """Smallest eigenvalue of a window's pooled expected Gram, which is the
-    same for every window (the node Grams do not depend on the step)."""
-    return float(sym_eigenvalues(spatio_temporal_gram(regression_process, window))[0])
+    analyzer = _Analyzer(graph_process, window, regression_process, rho0)
+    return analyzer, int(analyzer.index([window_index], state_at_cut)[0])
 
 
 def _bound_rhs(lambda2, gram_min: float, nodes: int, window: int, rho0: float):
     return lambda2 / (2.0 * nodes * window * rho0 + nodes * lambda2) * gram_min
-
-
-def _bound_premises(regression_process: RegressionProcess, gamma1: Gamma1Report, rho0: float):
-    """The lower bound's premises, the same for every window: ``rho0``
-    dominates the Gram norm, and the graph process is balanced.  A process
-    without a closed-form Gram norm bound raises rather than pass."""
-    premise_ok = True
-    note = ""
-    sup_gram = support_gram_norm_bound(regression_process)
-    if sup_gram > rho0:
-        premise_ok = False
-        note = f"sup ||H^T H|| bound {sup_gram:.6g} exceeds rho0 = {rho0:.6g}"
-    if not gamma1.member:
-        premise_ok = False
-        note = (note + "; " if note else "") + f"graph process outside the balanced class: {gamma1.detail}"
-    return premise_ok, note
 
 
 # Windows evaluated together: enough to batch the eigenvalue calls, few
@@ -314,12 +324,10 @@ def info_matrix(
     depends on the state occupied at the cut, which ``state_at_cut`` must
     pin; :func:`pe_diagnostic` takes the minimum over every state.
     """
-    gram, which = _one_window(graph_process, regression_process, window_index, window, state_at_cut)
-    _, big, gainless = _law_pass(graph_process, window, gram)
+    analyzer, which = _one_window(graph_process, regression_process, window_index, window, state_at_cut)
     if gains is None:
-        return gainless[which]
-    ab = _gain_rows(gains, window, window_index, window_index + 1)
-    return _weighted(big, gram, ab, [which])[0]
+        return analyzer.gainless[which]
+    return analyzer.weighted(_gain_rows(gains, window, window_index, window_index + 1), [which])[0]
 
 
 def lambda_min_window(info: np.ndarray) -> float:
@@ -345,10 +353,10 @@ def check_definition1(
     window, windows = _check_window_args(window, windows)
     if graph_process.nodes < 2:
         raise InvalidInputError("joint connectivity needs at least two nodes")
-    pattern_gaps, _, _ = _law_pass(graph_process, window)
+    analyzer = _Analyzer(graph_process, window)
 
     def evaluate(ks, s, rows):
-        np.take(pattern_gaps, _pattern_index(graph_process, window, ks, s), out=rows[0])
+        np.take(analyzer.gaps, analyzer.index(ks, s), out=rows[0])
 
     (gaps,) = _state_minima(graph_process, 0, np.empty((1, windows)), evaluate)
     return _threshold_report(gaps, theta1)
@@ -367,7 +375,8 @@ def check_definition2(
     eigenvalue to reach ``theta2``.
     """
     window, windows = _check_window_args(window, windows)
-    return _threshold_report(np.full(windows, _pooled_gram_min(regression_process, window)), theta2)
+    gram_min = lambda_min_window(spatio_temporal_gram(regression_process, window))
+    return _threshold_report(np.full(windows, gram_min), theta2)
 
 
 _BOUND_ATOL = 1e-10
@@ -393,23 +402,18 @@ def lemma_lower_bound_check(
     """
     if not (np.isfinite(rho0) and rho0 > 0):
         raise InvalidInputError("rho0 must be finite and positive")
-    gram, which = _one_window(graph_process, regression_process, window_index, window, state_at_cut)
-    gaps, _, gainless = _law_pass(graph_process, window, gram)
-    lambda2, lhs = float(gaps[which]), float(np.linalg.eigvalsh(gainless[which])[0])
-    gram_min = _pooled_gram_min(regression_process, window)
-    rhs = float(_bound_rhs(lambda2, gram_min, graph_process.nodes, window, rho0))
-    margin = lhs - rhs
-    premise_ok, note = _bound_premises(regression_process, gamma1_membership(graph_process), rho0)
+    analyzer, which = _one_window(graph_process, regression_process, window_index, window, state_at_cut, rho0)
+    lambda2, lhs, margin = analyzer.rows[:, which].tolist()
     return LowerBoundReport(
-        passed=bool(premise_ok and margin >= -_BOUND_ATOL),
-        premise_ok=premise_ok,
+        passed=bool(analyzer.premise_ok and margin >= -_BOUND_ATOL),
+        premise_ok=analyzer.premise_ok,
         lhs=lhs,
-        rhs=rhs,
+        rhs=float(analyzer.rhs[which]),
         lambda2=lambda2,
-        gram_lambda_min=gram_min,
+        gram_lambda_min=analyzer.gram_min,
         rho0=float(rho0),
-        margin=float(margin),
-        note=note,
+        margin=margin,
+        note=analyzer.note,
     )
 
 
@@ -525,20 +529,10 @@ def pe_diagnostic(config: ExperimentConfig, windows: int | None = None) -> Excit
     if windows is None:
         windows = max(1, (config.horizon + 1) // h)
     h, windows = _check_window_args(h, windows)
-    gp, rp, gains = config.model.graph, config.model.regression, config.model.gains
-    rho0 = config.excitation.rho0
-    # ar-driven raises here, before any window
-    gram = conditional_expected_gram(rp)
+    gp, gains = config.model.graph, config.model.gains
+    analyzer = _Analyzer(gp, h, config.model.regression, config.excitation.rho0)
     if gp.nodes < 2:
         raise InvalidInputError("joint connectivity needs at least two nodes")
-    gram_min = _pooled_gram_min(rp, h)
-    gamma1 = gamma1_membership(gp)
-    premise_ok, _ = _bound_premises(rp, gamma1, rho0)
-
-    # the law-only quantities, once per law pattern
-    gap, big, gainless = _law_pass(gp, h, gram)
-    lhs = np.linalg.eigvalsh(gainless)[:, 0]
-    law_only = np.array([gap, lhs, lhs - _bound_rhs(gap, gram_min, gp.nodes, h, rho0)])
 
     # each segment's gains in one table, each block's rows written in place
     series = np.empty((4, windows))
@@ -547,10 +541,9 @@ def pe_diagnostic(config: ExperimentConfig, windows: int | None = None) -> Excit
         ab = _gain_rows(gains, h, lo, hi)
 
         def evaluate(ks, s, rows):
-            which = _pattern_index(gp, h, ks, s)
-            np.take(law_only, which, axis=1, out=rows[:3])
-            weighted = _weighted(big, gram, ab[ks.start - lo : ks.stop - lo], which)
-            rows[3] = np.linalg.eigvalsh(weighted)[:, 0]
+            which = analyzer.index(ks, s)
+            np.take(analyzer.rows, which, axis=1, out=rows[:3])
+            rows[3] = np.linalg.eigvalsh(analyzer.weighted(ab[ks.start - lo : ks.stop - lo], which))[:, 0]
 
         _state_minima(gp, lo, series[:, lo:hi], evaluate)
     gaps, raw, margins, lam = series
@@ -563,7 +556,7 @@ def pe_diagnostic(config: ExperimentConfig, windows: int | None = None) -> Excit
     ]
     # windows past the first cycle through this many patterns; the flags
     # read whole cycles, so a pattern that never excites decides nothing
-    period = len(big) if gp.kind == "alternating-uniform" else 1
+    period = len(analyzer.gaps) if gp.kind == "alternating-uniform" else 1
     excited = bool((lam[-period:] > 0.0).any())
     tail_exponent = float("nan")
     if windows >= 8 and excited:
@@ -581,7 +574,7 @@ def pe_diagnostic(config: ExperimentConfig, windows: int | None = None) -> Excit
         # ``not >=`` rather than ``<``: NaN margins are violations
         violations=int((~(margins >= -_BOUND_ATOL)).sum()),
         min_margin=float(margins.min()),
-        premise_ok=premise_ok,
+        premise_ok=analyzer.premise_ok,
     )
     return ExcitationReport(
         window=h,
@@ -591,8 +584,8 @@ def pe_diagnostic(config: ExperimentConfig, windows: int | None = None) -> Excit
         cumulative=cumulative,
         r_series=r_series,
         jointly_connected=_threshold_report(gaps, config.excitation.theta1),
-        jointly_observable=_threshold_report(np.full(windows, gram_min), config.excitation.theta2),
-        gamma1=gamma1,
+        jointly_observable=_threshold_report(np.full(windows, analyzer.gram_min), config.excitation.theta2),
+        gamma1=analyzer.gamma1,
         bound_check=bound,
         excited=excited,
         sublinear_warning=sublinear,
