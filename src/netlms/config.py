@@ -168,6 +168,10 @@ class ExperimentConfig:
         name = self.name
         if not isinstance(name, str) or "#" in name or len(name.splitlines()) > 1 or name != name.strip():
             fail(f"[experiment] name must be one line without '#' or surrounding whitespace, got {name!r}")
+        # one directory inside the output base of ``experiment.default_out_dir``
+        if name in ("", ".", "..") or "/" in name or "\\" in name:
+            fail(f"[experiment] name must name one directory: not empty, '.' or '..', "
+                 f"and without '/' or '\\', got {name!r}")
         # every integer key holds an integer (a numpy one will do, a bool not)
         for key, value in (
             ("[experiment] seed", self.seed),
@@ -283,12 +287,10 @@ def _frozen(values) -> np.ndarray:
 
 
 def _finite(value) -> bool:
-    """Whether ``value`` is a finite real number; a string or ``None`` is
-    not one (``math.isfinite`` would raise a ``TypeError`` for it)."""
-    try:
-        return math.isfinite(value)
-    except TypeError:
-        return False
+    """Whether ``value`` is a finite real number; a bool, a string or
+    ``None`` is not one (``math.isfinite`` would raise a ``TypeError`` for
+    the last two and read a bool as 0 or 1)."""
+    return isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 # ---------------------------------------------------------------------------

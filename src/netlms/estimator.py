@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .graphs import GraphProcess, graph_block, graph_slab
-from .linalg import as_index, block_diag, laplacian, ordered_sum
+from .linalg import as_index, as_real, block_diag, laplacian, ordered_sum
 from .noise import (
     BoundCheckReport,
     BoundTally,
@@ -81,7 +81,7 @@ class GainSchedule:
     lam_exp: float
 
     def __post_init__(self):
-        vals = (self.a_coef, self.a_exp, self.b_coef, self.b_exp, self.lam_coef, self.lam_exp)
+        vals = [as_real(value, name) for name, value in vars(self).items()]
         if any(not np.isfinite(v) or v < 0 for v in vals):
             raise InvalidInputError("gain coefficients and exponents must be finite and nonnegative")
 

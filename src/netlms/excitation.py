@@ -42,7 +42,7 @@ from .graphs import (
     stationary_distribution,
     window_sym_laplacians,
 )
-from .linalg import as_index, as_matrix, ordered_sum, sym_eigenvalues
+from .linalg import as_index, as_matrix, as_real, ordered_sum, sym_eigenvalues
 from .regression import (
     RegressionProcess,
     conditional_expected_gram,
@@ -161,6 +161,11 @@ class ExcitationReport:
     sublinear_warning: bool
     tail_exponent: float
     notes: tuple[str, ...]
+
+
+def _check_threshold(value, name: str) -> None:
+    if not (np.isfinite(as_real(value, name)) and value >= 0):
+        raise InvalidInputError(f"{name} must be finite and nonnegative")
 
 
 def _check_window_args(window: int, windows: int) -> tuple[int, int]:
@@ -351,6 +356,7 @@ def check_definition1(
     cut, so a pass is state-uniform.
     """
     window, windows = _check_window_args(window, windows)
+    _check_threshold(theta1, "theta1")
     if graph_process.nodes < 2:
         raise InvalidInputError("joint connectivity needs at least two nodes")
     analyzer = _Analyzer(graph_process, window)
@@ -375,6 +381,7 @@ def check_definition2(
     eigenvalue to reach ``theta2``.
     """
     window, windows = _check_window_args(window, windows)
+    _check_threshold(theta2, "theta2")
     gram_min = lambda_min_window(spatio_temporal_gram(regression_process, window))
     return _threshold_report(np.full(windows, gram_min), theta2)
 
@@ -400,7 +407,7 @@ def lemma_lower_bound_check(
     ``rho0`` dominating the Gram norm — are checked and reported; a
     failing premise fails the report without asserting the inequality.
     """
-    if not (np.isfinite(rho0) and rho0 > 0):
+    if not (np.isfinite(as_real(rho0, "rho0")) and rho0 > 0):
         raise InvalidInputError("rho0 must be finite and positive")
     analyzer, which = _one_window(graph_process, regression_process, window_index, window, state_at_cut, rho0)
     lambda2, lhs, margin = analyzer.rows[:, which].tolist()

@@ -3,17 +3,20 @@
 Everything here operates on plain 2-D float64 numpy arrays.  Inputs are
 validated at the boundary (shape and finiteness) so the numerical code
 above this layer never sees NaN or Inf; :func:`as_index` likewise keeps
-a float count or index from being truncated.
+a float count or index from being truncated, and :func:`as_real` a
+string, ``None`` or a bool from being read as a number.
 """
 
 from __future__ import annotations
 
 import operator
+from numbers import Real
 
 import numpy as np
 
 __all__ = [
     "as_index",
+    "as_real",
     "as_matrix",
     "laplacian",
     "symmetrize",
@@ -34,6 +37,14 @@ def as_index(value, name: str) -> int:
         return operator.index(value)
     except TypeError:
         raise InvalidInputError(f"{name} must be an integer, got {value!r}") from None
+
+
+def as_real(value, name: str) -> float:
+    """``value`` as a float; a bool, a string, ``None`` or any other
+    non-real is an error, never parsed or read as 0 or 1."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise InvalidInputError(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
 def as_matrix(a, name: str = "matrix", square: bool = False) -> np.ndarray:

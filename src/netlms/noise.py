@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .linalg import as_matrix, ordered_sum, sym_eigmax
+from .linalg import as_matrix, as_real, ordered_sum, sym_eigmax
 
 __all__ = [
     "NOISE_KINDS",
@@ -39,8 +39,8 @@ __all__ = [
 NOISE_KINDS = ("zero", "gaussian")
 
 
-def _finite_nonnegative(value) -> bool:
-    v = np.asarray(value, dtype=float)
+def _finite_nonnegative(**values) -> bool:
+    v = np.array([as_real(value, name) for name, value in values.items()])
     return bool(np.all(np.isfinite(v)) and np.all(v >= 0))
 
 
@@ -53,7 +53,7 @@ class NoiseIntensity:
     bias: float
 
     def __post_init__(self):
-        if not _finite_nonnegative((self.sigma, self.bias)):
+        if not _finite_nonnegative(sigma=self.sigma, bias=self.bias):
             raise InvalidInputError("intensity coefficients must be finite and nonnegative")
 
     def matrix(self, states: np.ndarray) -> np.ndarray:
@@ -75,7 +75,7 @@ class MeasurementNoise:
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
             raise InvalidInputError(f"unknown noise kind {self.kind!r}")
-        if not _finite_nonnegative(self.std):
+        if not _finite_nonnegative(std=self.std):
             raise InvalidInputError("std must be finite and nonnegative")
 
     def fill(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:

@@ -25,7 +25,7 @@ import numpy as np
 from .config import ExperimentConfig
 from .errors import InvalidInputError, UnobservableHorizonError
 from .estimator import ChunkStats, TrajectoryRecord, _run_seeds, simulate
-from .linalg import as_index
+from .linalg import as_index, as_real
 from .noise import BoundCheckReport
 from .regression import RegressionProcess, spatio_temporal_gram
 
@@ -140,7 +140,7 @@ class _SeriesFill:
     folded block of steps at a time, in step order."""
 
     def __init__(self, steps, tau: float, runs: int, nodes: int):
-        if not np.isfinite(tau):
+        if not np.isfinite(as_real(tau, "tau")):
             raise InvalidInputError("tau must be finite")
         rows = len(steps)
         self.tau, self.filled = tau, 0
@@ -272,7 +272,7 @@ def lemma_regret_bound_check(source, rho0: float) -> RegretBoundReport:
     margin, the running sum of mean V and the worst position are kept, so
     no full-length series is built.
     """
-    if not (np.isfinite(rho0) and rho0 > 0):
+    if not (np.isfinite(as_real(rho0, "rho0")) and rho0 > 0):
         raise InvalidInputError("rho0 must be finite and positive")
     if isinstance(source, RegretSeries):
         rows, nodes = source.regret.shape

@@ -96,6 +96,21 @@ def test_run_rejects_an_unencodable_default_out_dir(tmp_path):
     assert sorted(os.listdir(tmp_path)) == ["cfg.txt"]
 
 
+@pytest.mark.parametrize("name", ["../escaped", "", "a/b"])
+def test_run_keeps_inside_its_output_base(tmp_path, monkeypatch, capsys, name):
+    """A name that would leave the output base, write into the base itself
+    or nest a directory is one error line, and nothing is written."""
+    text = re.sub(r"^name = .*$", f"name = {name}", render_config(get_preset("setting-i")), flags=re.M)
+    (tmp_path / "cfg.txt").write_text(text)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("NETLMS_OUT", "base")
+    assert main(["run", "--config", "cfg.txt", "--runs", "1", "--horizon", "20"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: [experiment] name must name one directory")
+    assert sorted(os.listdir(tmp_path)) == ["cfg.txt"]
+
+
 def test_run_rerun_byte_identical(tmp_path, capsys):
     """A rerun, and a run spread over two worker processes, write the same
     bytes; ``--workers 0`` exits 1 with the library's message."""

@@ -353,6 +353,19 @@ CONFIG_ERRORS = [
     pytest.param(_replace(name="x\u2028y"), ["[experiment] name"], None, id="name-line-separator"),
     pytest.param(_replace(name="x\x1cy"), ["[experiment] name"], None, id="name-file-separator"),
     pytest.param(_replace(name=7), ["[experiment] name", "got 7"], None, id="name-int"),
+    # a name is one directory inside the output base
+    pytest.param(("horizon = 10", "horizon = 10\nname = ../escaped"),
+                 ["[experiment] name must name one directory", "got '../escaped'"], None, id="name-parent"),
+    pytest.param(("horizon = 10", "horizon = 10\nname ="), ["[experiment] name must name one directory", "got ''"],
+                 None, id="name-empty"),
+    pytest.param(("horizon = 10", "horizon = 10\nname = ."), ["[experiment] name must name one directory"],
+                 None, id="name-dot"),
+    pytest.param(("horizon = 10", "horizon = 10\nname = .."), ["[experiment] name must name one directory"],
+                 None, id="name-dot-dot"),
+    pytest.param(("horizon = 10", "horizon = 10\nname = a/b"),
+                 ["[experiment] name must name one directory", "got 'a/b'"], None, id="name-slash"),
+    pytest.param(("horizon = 10", "horizon = 10\nname = a\\b"),
+                 ["[experiment] name must name one directory", "got 'a\\\\b'"], None, id="name-backslash"),
     # a float key holds a number: math.isfinite would raise a TypeError
     pytest.param(_replace(noise=NoiseConfig(measurement_std="1")),
                  ["[noise] measurement_std must be finite and nonnegative, got '1'"], None,
@@ -363,6 +376,11 @@ CONFIG_ERRORS = [
                  ["[gains] a_exp must be finite and nonnegative, got None"], None, id="a_exp-none"),
     pytest.param(_replace(excitation=ExcitationConfig(rho0="5")),
                  ["[excitation] rho0 must be finite and positive, got '5'"], None, id="rho0-str"),
+    # nor a bool, which would be read as 0 or 1
+    pytest.param(_replace(excitation=ExcitationConfig(rho0=True)),
+                 ["[excitation] rho0 must be finite and positive, got True"], None, id="rho0-bool"),
+    pytest.param(_replace(gains=GainConfig(a_coef=True)),
+                 ["[gains] a_coef must be finite and nonnegative, got True"], None, id="a_coef-bool"),
     pytest.param(_replace(init=((0.0, None), (0.0, 0.0))), ["[model] init_1 must be finite"], None,
                  id="init-none"),
     pytest.param(_replace(regression=RegressionConfig(

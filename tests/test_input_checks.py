@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from netlms.config import RegressionConfig, get_preset
+from netlms.config import RegressionConfig, get_preset, with_overrides
 from netlms.errors import ConfigError, InvalidInputError, UnsupportedAnalyticError
 from netlms.estimator import (
     GainSchedule,
@@ -38,7 +38,7 @@ from netlms.graphs import (
     window_sym_laplacians,
 )
 from netlms.noise import MeasurementNoise, NoiseIntensity, build_WM, received_messages
-from netlms.regret import oracle_parameter, simulate_regret
+from netlms.regret import lemma_regret_bound_check, oracle_parameter, regret_series, simulate_regret
 from netlms.regression import (
     RegressionProcess,
     ar_driven_regression,
@@ -64,6 +64,11 @@ ZERO = NoiseIntensity(0.0, 0.0)
 
 def _rng():
     return np.random.default_rng(0)
+
+
+def _records():
+    """One setting-i run of three steps."""
+    return [run_trajectory(with_overrides(get_preset("setting-i"), horizon=3), 0)]
 
 
 def _huge_setting_i():
@@ -235,6 +240,14 @@ INPUT_ERRORS = [
                  "windows must be an integer, got 2.5", id="definition1-windows-integer"),
     pytest.param(lambda: check_definition2(SENSORS, 2, 0.1, 2.5), InvalidInputError,
                  "windows must be an integer, got 2.5", id="definition2-windows-integer"),
+    pytest.param(lambda: check_definition1(fixed_graph(PAIR), 2, "x", 3), InvalidInputError,
+                 "theta1 must be a real number, got 'x'", id="definition1-theta-str"),
+    pytest.param(lambda: check_definition1(fixed_graph(PAIR), 2, -0.1, 3), InvalidInputError,
+                 "theta1 must be finite and nonnegative", id="definition1-theta-negative"),
+    pytest.param(lambda: check_definition2(SENSORS, 2, "x", 3), InvalidInputError,
+                 "theta2 must be a real number, got 'x'", id="definition2-theta-str"),
+    pytest.param(lambda: check_definition2(SENSORS, 2, float("nan"), 3), InvalidInputError,
+                 "theta2 must be finite and nonnegative", id="definition2-theta-nan"),
     pytest.param(lambda: pe_diagnostic(get_preset("setting-i"), windows=3.5), InvalidInputError,
                  "windows must be an integer, got 3.5", id="pe-windows-integer"),
     pytest.param(lambda: info_matrix(fixed_graph(PAIR), SENSORS, None, -1, 2), InvalidInputError,
@@ -255,6 +268,12 @@ INPUT_ERRORS = [
     pytest.param(lambda: lemma_lower_bound_check(ALTERNATING, SENSORS, 2, 5.0, 0, -7), InvalidInputError,
                  "alternating-uniform graphs have no state at the cut; state_at_cut must be None",
                  id="lower-bound-alternating-state"),
+    pytest.param(lambda: lemma_lower_bound_check(fixed_graph(PAIR), SENSORS, 2, "5", 0), InvalidInputError,
+                 "rho0 must be a real number, got '5'", id="lower-bound-rho0-str"),
+    pytest.param(lambda: lemma_lower_bound_check(fixed_graph(PAIR), SENSORS, 2, None, 0), InvalidInputError,
+                 "rho0 must be a real number, got None", id="lower-bound-rho0-none"),
+    pytest.param(lambda: lemma_lower_bound_check(fixed_graph(PAIR), SENSORS, 2, True, 0), InvalidInputError,
+                 "rho0 must be a real number, got True", id="lower-bound-rho0-bool"),
     pytest.param(lambda: corollary1_stationary_check([], HALF, []), InvalidInputError,
                  "need at least one graph state", id="stationary-no-states"),
     pytest.param(lambda: corollary1_stationary_check([PAIR, np.zeros((3, 3))], HALF, [[], []]),
@@ -272,6 +291,8 @@ INPUT_ERRORS = [
     # estimator: gains, the stacked step, seeds and the batch kernel
     pytest.param(lambda: GainSchedule(0.1, 0.6, -0.1, 0.6, 0.0, 0.0), InvalidInputError,
                  "gain coefficients and exponents must be finite and nonnegative", id="gains"),
+    pytest.param(lambda: GainSchedule("1", 0.6, 0.1, 0.6, 0.0, 0.0), InvalidInputError,
+                 "a_coef must be a real number, got '1'", id="gains-str"),
     pytest.param(lambda: compact_step(np.zeros((2, 2)), PAIR, [np.eye(2)] * 2, [np.zeros(2)] * 2,
                                       np.zeros(7), GAINS, ZERO),
                  InvalidInputError, "xi must have N^2 n entries", id="compact-step-xi"),
@@ -317,7 +338,19 @@ INPUT_ERRORS = [
                  "run index must be nonnegative, got -1", id="regret-run-index-negative"),
     pytest.param(lambda: oracle_parameter(SENSORS, np.zeros(2), 2.5), InvalidInputError,
                  "horizon must be an integer, got 2.5", id="oracle-horizon-integer"),
-    # noise: the stacked factors and the messages
+    pytest.param(lambda: regret_series(_records(), "x"), InvalidInputError,
+                 "tau must be a real number, got 'x'", id="regret-tau-str"),
+    pytest.param(lambda: regret_series(_records(), True), InvalidInputError,
+                 "tau must be a real number, got True", id="regret-tau-bool"),
+    pytest.param(lambda: lemma_regret_bound_check(_records(), "5"), InvalidInputError,
+                 "rho0 must be a real number, got '5'", id="regret-bound-rho0-str"),
+    # noise: the laws, the stacked factors and the messages
+    pytest.param(lambda: MeasurementNoise("gaussian", "1"), InvalidInputError,
+                 "std must be a real number, got '1'", id="measurement-std-str"),
+    pytest.param(lambda: MeasurementNoise("gaussian", True), InvalidInputError,
+                 "std must be a real number, got True", id="measurement-std-bool"),
+    pytest.param(lambda: NoiseIntensity("0.5", 0), InvalidInputError,
+                 "sigma must be a real number, got '0.5'", id="intensity-str"),
     pytest.param(lambda: received_messages(np.zeros((2, 2)), ZERO, np.zeros((2, 2))),
                  InvalidInputError, "xi must have shape (2, 2, 2), got (2, 2)", id="messages-xi"),
     pytest.param(lambda: build_WM(PAIR, np.zeros((3, 2)), ZERO), InvalidInputError,
