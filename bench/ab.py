@@ -22,6 +22,8 @@ Shapes, each one call per tree and round:
   loop computes no link distances, the build writes the link products
   to a fresh array and the bound checks take the distances from the
   states;
+- ``regret-zero-channel-20x300``: the same with ``channel_kind = "zero"``
+  (the ``sigma0`` shapes still draw a Gaussian channel);
 - ``markov-bernoulli-20x300``: the kernel (``estimator._sample_runs``,
   keeping V at the last step) of 20 runs of 300 steps of the regret
   preset's gains and noise over a two-state markov-switching graph and
@@ -37,18 +39,21 @@ Shapes, each one call per tree and round:
   windows, the body of the benchmark's ``excitation-audit``;
 - ``pe-markov-bernoulli-130``: ``pe_diagnostic`` of the markov-bernoulli
   config over 130 windows, whose blocks end at windows 1, 65 and 129,
-  each solved from both states at the cut.
+  each solved from both states at the cut;
+- ``info-matrix-walk-200`` and ``lemma-walk-200``: ``info_matrix`` (with
+  the gains) and ``lemma_lower_bound_check`` of setting-i at window
+  indices 0-199, one call per window, as a library caller walks windows.
 
 Rounds alternate which tree goes first.  For each shape and tree it
 prints the median and quartiles of CPU time (``time.process_time``) in
-microseconds per run-step (per window for the ``pe-`` shapes), the
+microseconds per run-step (per window for the ``pe-`` and walk shapes), the
 rounds that ``B`` won out of all rounds, minor page faults
 (``ru_minflt``) per call, and whether both trees gave the same bytes.  ``--json`` prints one JSON object instead of the table.
 Pin BLAS to one thread (the script sets ``OPENBLAS_NUM_THREADS=1`` and
 its kin unless they are set) to compare with the benchmark.  Every
 shape is built from calls that trees on both sides of a change of the
-model API share: the config, ``run_trajectory``, ``_sample_runs`` and
-``pe_diagnostic``.
+model API share: the config, ``run_trajectory``, ``_sample_runs``,
+``pe_diagnostic`` and the public one-window signatures.
 """
 
 from __future__ import annotations
@@ -81,13 +86,17 @@ SHAPES = (
     "setting-i-sigma0-1x6000",
     "regret-batch-20x300",
     "regret-sigma0-20x300",
+    "regret-zero-channel-20x300",
     "markov-bernoulli-20x300",
     "ar-driven-order-5",
     "build-1x942",
     "build-20x47",
     "pe-diagnostic-1000",
     "pe-markov-bernoulli-130",
+    "info-matrix-walk-200",
+    "lemma-walk-200",
 )
+WALK = 200
 
 
 def _source(spec: str, tmp: Path, label: str) -> Path:
@@ -190,8 +199,11 @@ def _shapes(nl):
     batch = nl.with_overrides(nl.get_preset("regret"), runs=20, horizon=300)
     quiet = dataclasses.replace(batch, noise=dataclasses.replace(batch.noise, sigma_f=0.0))
     quiet_one = dataclasses.replace(one, noise=dataclasses.replace(one.noise, sigma_f=0.0))
+    silent = dataclasses.replace(batch, noise=dataclasses.replace(batch.noise, channel_kind="zero"))
     grid = np.arange(0, batch.horizon + 1, batch.record_every)
     switching = _markov_bernoulli_config(nl)
+    gp, rp, gains = one.model.graph, one.model.regression, one.model.gains
+    h, rho0 = one.excitation.window, one.excitation.rho0
     return {
         "setting-i-1x6000": (lambda: nl.run_trajectory(one, nl.substream(one.seed, 0)), one.horizon + 1),
         "setting-i-sigma0-1x6000": (
@@ -202,12 +214,19 @@ def _shapes(nl):
         "regret-sigma0-20x300": (
             lambda: est._sample_runs(quiet, _seeds(quiet), grid, nl.experiment._FIELDS),
             quiet.runs * (quiet.horizon + 1)),
+        "regret-zero-channel-20x300": (
+            lambda: est._sample_runs(silent, _seeds(silent), grid, nl.experiment._FIELDS),
+            silent.runs * (silent.horizon + 1)),
         "markov-bernoulli-20x300": _kernel(nl, switching),
         "ar-driven-order-5": _kernel(nl, _ar_config(nl)),
         "build-1x942": _captured_build(nl, "setting-i", 1),
         "build-20x47": _captured_build(nl, "regret", 20),
         "pe-diagnostic-1000": (lambda: nl.pe_diagnostic(one, windows=1000), 1000),
         "pe-markov-bernoulli-130": (lambda: nl.pe_diagnostic(switching, windows=130), 130),
+        "info-matrix-walk-200": (
+            lambda: [nl.excitation.info_matrix(gp, rp, gains, k, h) for k in range(WALK)], WALK),
+        "lemma-walk-200": (
+            lambda: [nl.excitation.lemma_lower_bound_check(gp, rp, h, rho0, k) for k in range(WALK)], WALK),
     }
 
 
@@ -263,7 +282,7 @@ def run(spec_a, spec_b, rounds, names=None):
                     times[n][label].append(1e6 * cpu / steps)
                     faults[n][label].append(minflt)
     result = {"a": spec_a, "b": spec_b, "rounds": rounds,
-              "unit": "cpu us per run-step (per window for the pe- shapes)", "shapes": {}}
+              "unit": "cpu us per run-step (per window for the pe- and walk shapes)", "shapes": {}}
     for n in names:
         entry = {}
         for label in ("a", "b"):
@@ -300,7 +319,7 @@ def main(argv=None) -> int:
     print(f"A = {args.a}, B = {args.b}, {args.rounds} rounds, {result['unit']} (median [q1, q3])")
     for n, e in result["shapes"].items():
         a, b = e["a"], e["b"]
-        print(f"{n:24s} A {a['median']:.3f} [{a['q1']:.3f}, {a['q3']:.3f}]  "
+        print(f"{n:26s} A {a['median']:.3f} [{a['q1']:.3f}, {a['q3']:.3f}]  "
               f"B {b['median']:.3f} [{b['q1']:.3f}, {b['q3']:.3f}]  B/A {e['b_over_a']:.3f}  "
               f"B wins {e['b_wins']}/{args.rounds}  minflt {a['minflt_per_call']:g}/{b['minflt_per_call']:g}  "
               f"same bytes {e['same_bytes']}")
