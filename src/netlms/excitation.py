@@ -205,11 +205,13 @@ class _Analyzer:
             self.gaps = np.linalg.eigvalsh(ordered_sum(table, axis=1))[:, 1]
         if regression_process is None:
             return
-        self.big = np.kron(table, np.eye(self.gram.shape[0] // graph_process.nodes)[None, None])
+        # kron(L, I_n) of every step: np.kron's products, without its set-up
+        eye = np.eye(len(self.gram) // graph_process.nodes)
+        self.big = (table[..., :, None, :, None] * eye[:, None, :]).reshape(*table.shape[:2], *self.gram.shape)
         self.gainless = ordered_sum(self.big + self.gram, axis=1)
         if rho0 is None:
             return
-        self.gram_min = lambda_min_window(spatio_temporal_gram(regression_process, window))
+        self.gram_min = float(sym_eigenvalues(spatio_temporal_gram(regression_process, window))[0])
         # a process without a closed-form Gram norm bound raises rather than pass
         notes, sup_gram = [], support_gram_norm_bound(regression_process)
         if sup_gram > rho0:
@@ -382,7 +384,7 @@ def check_definition2(
     """
     window, windows = _check_window_args(window, windows)
     _check_threshold(theta2, "theta2")
-    gram_min = lambda_min_window(spatio_temporal_gram(regression_process, window))
+    gram_min = float(sym_eigenvalues(spatio_temporal_gram(regression_process, window))[0])
     return _threshold_report(np.full(windows, gram_min), theta2)
 
 
