@@ -356,8 +356,8 @@ CONFIG_ERRORS = [
     # a name is one directory inside the output base
     pytest.param(("horizon = 10", "horizon = 10\nname = ../escaped"),
                  ["[experiment] name must name one directory", "got '../escaped'"], None, id="name-parent"),
-    pytest.param(("horizon = 10", "horizon = 10\nname ="), ["[experiment] name must name one directory", "got ''"],
-                 None, id="name-empty"),
+    pytest.param(("horizon = 10", "horizon = 10\nname ="),
+                 ["[experiment] name must name one directory", "got ''"], None, id="name-empty"),
     pytest.param(("horizon = 10", "horizon = 10\nname = ."), ["[experiment] name must name one directory"],
                  None, id="name-dot"),
     pytest.param(("horizon = 10", "horizon = 10\nname = .."), ["[experiment] name must name one directory"],
